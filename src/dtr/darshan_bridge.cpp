@@ -2,8 +2,6 @@
 
 #include <algorithm>
 
-#include "mofka/consumer.hpp"
-
 namespace recup::dtr {
 namespace {
 
@@ -131,6 +129,12 @@ std::vector<darshan::LogFile> read_darshan_topic(
     mofka::Broker& broker, const std::string& consumer_group) {
   mofka::Consumer consumer(broker, DarshanMofkaBridge::kTopic,
                            consumer_group);
+  std::vector<darshan::LogFile> logs = read_darshan_topic(consumer);
+  consumer.commit();
+  return logs;
+}
+
+std::vector<darshan::LogFile> read_darshan_topic(mofka::Consumer& consumer) {
   // process -> file -> latest cumulative posix record / appended segments.
   std::map<darshan::ProcessId, std::map<std::string, darshan::PosixRecord>>
       posix;
@@ -164,7 +168,6 @@ std::vector<darshan::LogFile> read_darshan_topic(
       rec.segments.push_back(seg);
     }
   }
-  consumer.commit();
 
   std::map<darshan::ProcessId, darshan::LogFile> logs;
   for (auto& [process, files] : posix) {

@@ -17,6 +17,7 @@
 #include "darshan/log_format.hpp"
 #include "dtr/worker.hpp"
 #include "mofka/broker.hpp"
+#include "mofka/consumer.hpp"
 #include "mofka/producer.hpp"
 #include "sim/engine.hpp"
 
@@ -64,7 +65,13 @@ class DarshanMofkaBridge {
 
 /// Consumer side: reassembles one LogFile per worker process from the
 /// streamed records; content matches the post-hoc collection path.
+/// Resumes from the group's committed offsets and commits what it read.
 std::vector<darshan::LogFile> read_darshan_topic(
     mofka::Broker& broker, const std::string& consumer_group = "perfrecup");
+
+/// Same reassembly from every event left in `consumer` (subscribed to
+/// DarshanMofkaBridge::kTopic), without committing: the caller commits once
+/// the logs are durable elsewhere.
+std::vector<darshan::LogFile> read_darshan_topic(mofka::Consumer& consumer);
 
 }  // namespace recup::dtr

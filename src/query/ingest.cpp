@@ -1,6 +1,7 @@
 #include "query/ingest.hpp"
 
 #include <algorithm>
+#include <optional>
 #include <utility>
 
 #include "dtr/darshan_bridge.hpp"
@@ -11,31 +12,72 @@ namespace recup::query {
 
 namespace {
 
-/// Sorts record vectors into a canonical (serialized-JSON) order. Arrival
-/// order over the Mofka transport is an artifact of flush timing, partition
-/// round-robin, and retry displacement under injected faults; canonical
-/// ordering makes published runs — and therefore every PERFRECUP view —
-/// byte-identical for the same logical record set regardless of transport
-/// interleaving.
-template <typename Record>
-void canonical_sort(std::vector<Record>& records) {
-  std::sort(records.begin(), records.end(),
-            [](const Record& a, const Record& b) {
-              return dtr::to_json(a).dump() < dtr::to_json(b).dump();
-            });
-}
-
-void canonicalize(dtr::RunData& run) {
-  canonical_sort(run.transitions);
-  canonical_sort(run.tasks);
-  canonical_sort(run.comms);
-  canonical_sort(run.warnings);
-  canonical_sort(run.steals);
-}
-
 constexpr std::array<const char*, 5> kTopics = {
     "wms_transitions", "wms_tasks", "wms_comms", "wms_warnings",
     "wms_cluster"};
+
+/// Appends a consumed record with its canonical key. The key is built here,
+/// on the tailing thread, so publish only compares strings.
+template <typename Keyed, typename Record>
+void keep(std::vector<Keyed>& pending, Record record) {
+  std::string key = dtr::to_json(record).dump();
+  pending.push_back(Keyed{std::move(key), std::move(record)});
+}
+
+/// Puts records in canonical order: ascending byte order of their compact
+/// JSON. Arrival order over the Mofka transport is an artifact of flush
+/// timing, partition round-robin, and retry displacement under injected
+/// faults; canonical ordering makes published runs — and therefore every
+/// PERFRECUP view — byte-identical for the same logical record set
+/// regardless of transport interleaving.
+template <typename Keyed>
+auto canonical(std::vector<Keyed>& pending) {
+  std::sort(pending.begin(), pending.end(),
+            [](const Keyed& a, const Keyed& b) { return a.key < b.key; });
+  std::vector<decltype(Keyed::record)> records;
+  records.reserve(pending.size());
+  for (Keyed& k : pending) records.push_back(std::move(k.record));
+  return records;
+}
+
+/// One topic's per-partition positions in a cursor-WAL record; empty when
+/// the record does not name the topic.
+std::vector<mofka::EventId> logged_positions(const json::Value& cursors,
+                                             const char* topic) {
+  std::vector<mofka::EventId> out;
+  if (!cursors.is_object() || !cursors.contains(topic)) return out;
+  for (const json::Value& position : cursors.at(topic).as_array()) {
+    out.push_back(static_cast<mofka::EventId>(position.as_int()));
+  }
+  return out;
+}
+
+std::vector<mofka::EventId> positions(const mofka::Consumer& consumer) {
+  std::vector<mofka::EventId> out;
+  for (mofka::PartitionIndex p = 0; p < consumer.partitions(); ++p) {
+    out.push_back(consumer.position(p));
+  }
+  return out;
+}
+
+json::Array positions_json(const std::vector<mofka::EventId>& offsets) {
+  json::Array out;
+  for (const mofka::EventId position : offsets) {
+    out.emplace_back(static_cast<std::int64_t>(position));
+  }
+  return out;
+}
+
+/// Seeks each partition to max(broker-committed offset, logged position).
+void seek_to_cursors(mofka::Broker& broker, mofka::Consumer& consumer,
+                     const std::vector<mofka::EventId>& logged) {
+  for (mofka::PartitionIndex p = 0; p < consumer.partitions(); ++p) {
+    mofka::EventId target =
+        broker.committed_offset(consumer.topic(), consumer.group(), p);
+    if (p < logged.size()) target = std::max(target, logged[p]);
+    consumer.seek(p, target);
+  }
+}
 
 }  // namespace
 
@@ -77,18 +119,11 @@ void LiveIngestor::restore_cursors_locked() {
   }
   const auto consumers = consumers_locked();
   for (std::size_t i = 0; i < consumers.size(); ++i) {
-    mofka::Consumer* consumer = consumers[i];
-    for (mofka::PartitionIndex p = 0; p < consumer->partitions(); ++p) {
-      mofka::EventId target = broker_.committed_offset(kTopics[i], group_, p);
-      if (cursors.is_object() && cursors.contains(kTopics[i]) &&
-          p < cursors.at(kTopics[i]).size()) {
-        target = std::max(
-            target, static_cast<mofka::EventId>(
-                        cursors.at(kTopics[i]).at(p).as_int()));
-      }
-      consumer->seek(p, target);
-    }
+    seek_to_cursors(broker_, *consumers[i],
+                    logged_positions(cursors, kTopics[i]));
   }
+  darshan_cursor_ =
+      logged_positions(cursors, dtr::DarshanMofkaBridge::kTopic);
 }
 
 void LiveIngestor::log_cursors_locked() {
@@ -96,12 +131,10 @@ void LiveIngestor::log_cursors_locked() {
   json::Object o;
   const auto consumers = consumers_locked();
   for (std::size_t i = 0; i < consumers.size(); ++i) {
-    json::Array positions;
-    for (mofka::PartitionIndex p = 0; p < consumers[i]->partitions(); ++p) {
-      positions.push_back(
-          json::Value(static_cast<std::int64_t>(consumers[i]->position(p))));
-    }
-    o[kTopics[i]] = std::move(positions);
+    o[kTopics[i]] = positions_json(positions(*consumers[i]));
+  }
+  if (!darshan_cursor_.empty()) {
+    o[dtr::DarshanMofkaBridge::kTopic] = positions_json(darshan_cursor_);
   }
   cursor_wal_->append(wire::encode_value(json::Value(std::move(o))));
   cursor_wal_->flush();
@@ -112,7 +145,7 @@ void LiveIngestor::crash_restore_locked() {
   // restarted ingestor re-tails from the durable cursors, so the eventual
   // published run contains the same record set.
   ++recoveries_;
-  pending_ = dtr::RunData{};
+  pending_ = PendingRun{};
   pending_count_ = 0;
   restore_cursors_locked();
 }
@@ -137,24 +170,24 @@ std::size_t LiveIngestor::poll() {
 std::size_t LiveIngestor::poll_locked() {
   std::size_t consumed = 0;
   while (auto event = transitions_.pull()) {
-    pending_.transitions.push_back(dtr::transition_from_json(event->metadata));
+    keep(pending_.transitions, dtr::transition_from_json(event->metadata));
     ++consumed;
   }
   while (auto event = tasks_.pull()) {
-    pending_.tasks.push_back(dtr::task_from_json(event->metadata));
+    keep(pending_.tasks, dtr::task_from_json(event->metadata));
     ++consumed;
   }
   while (auto event = comms_.pull()) {
-    pending_.comms.push_back(dtr::comm_from_json(event->metadata));
+    keep(pending_.comms, dtr::comm_from_json(event->metadata));
     ++consumed;
   }
   while (auto event = warnings_.pull()) {
-    pending_.warnings.push_back(dtr::warning_from_json(event->metadata));
+    keep(pending_.warnings, dtr::warning_from_json(event->metadata));
     ++consumed;
   }
   while (auto event = cluster_.pull()) {
     if (event->metadata.get_string("kind", "") == "steal") {
-      pending_.steals.push_back(dtr::steal_from_json(event->metadata));
+      keep(pending_.steals, dtr::steal_from_json(event->metadata));
     }
     ++consumed;
   }
@@ -166,6 +199,10 @@ std::size_t LiveIngestor::poll_locked() {
 
 Epoch LiveIngestor::publish(dtr::RunMetadata meta) {
   dtr::RunData run;
+  PendingRun pending;
+  // A fresh consumer per publish reads the Darshan topic from its cursor to
+  // the end, as the post-hoc reader does, so the fold order is unchanged.
+  std::optional<mofka::Consumer> darshan;
   {
     std::lock_guard lock(mutex_);
     if (injector_) {
@@ -186,13 +223,19 @@ Epoch LiveIngestor::publish(dtr::RunMetadata meta) {
                comms_.drained() && warnings_.drained() &&
                cluster_.drained()));
     if (broker_.topic_exists(dtr::DarshanMofkaBridge::kTopic)) {
-      pending_.darshan_logs = dtr::read_darshan_topic(broker_, group_);
+      darshan.emplace(broker_, dtr::DarshanMofkaBridge::kTopic, group_);
+      seek_to_cursors(broker_, *darshan, darshan_cursor_);
+      run.darshan_logs = dtr::read_darshan_topic(*darshan);
     }
-    run = std::exchange(pending_, dtr::RunData{});
+    pending = std::exchange(pending_, PendingRun{});
     pending_count_ = 0;
   }
   run.meta = std::move(meta);
-  canonicalize(run);
+  run.transitions = canonical(pending.transitions);
+  run.tasks = canonical(pending.tasks);
+  run.comms = canonical(pending.comms);
+  run.warnings = canonical(pending.warnings);
+  run.steals = canonical(pending.steals);
   const bool added = catalog_.add_run(std::move(run));
   {
     // Commit cursors only after the run is in the catalog. A crash in
@@ -206,6 +249,10 @@ Epoch LiveIngestor::publish(dtr::RunMetadata meta) {
     comms_.commit();
     warnings_.commit();
     cluster_.commit();
+    if (darshan) {
+      darshan->commit();
+      darshan_cursor_ = positions(*darshan);
+    }
     log_cursors_locked();
     if (added) stats_.runs_published += 1;
   }

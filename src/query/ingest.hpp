@@ -21,6 +21,7 @@
 #include <mutex>
 #include <string>
 #include <thread>
+#include <vector>
 
 #include "analysis/readers.hpp"
 #include "chaos/fault.hpp"
@@ -58,7 +59,9 @@ class LiveIngestor {
 
   /// Publishes everything consumed since the last publish as one run
   /// stamped with `meta`, after a final poll so late flushes are included.
-  /// Returns the catalog epoch after the append.
+  /// Each record vector is put in canonical order (by the polled keys), so
+  /// transport interleaving never reaches view bytes. Returns the catalog
+  /// epoch after the append.
   Epoch publish(dtr::RunMetadata meta);
 
   /// Background tailing at the given interval until stop(). Idempotent.
@@ -78,10 +81,27 @@ class LiveIngestor {
   [[nodiscard]] std::uint64_t recoveries() const;
 
  private:
+  /// A consumed record beside its canonical sort key: the record's compact
+  /// JSON (`dtr::to_json(record).dump()`), built once as it is polled.
+  template <typename Record>
+  struct Keyed {
+    std::string key;
+    Record record;
+  };
+  /// Everything consumed since the last publish, in arrival order.
+  struct PendingRun {
+    std::vector<Keyed<dtr::TransitionRecord>> transitions;
+    std::vector<Keyed<dtr::TaskRecord>> tasks;
+    std::vector<Keyed<dtr::CommRecord>> comms;
+    std::vector<Keyed<dtr::WarningRecord>> warnings;
+    std::vector<Keyed<dtr::StealRecord>> steals;
+  };
+
   std::size_t poll_locked();
   /// Simulated process crash: volatile pending state dies, cursors restore.
   void crash_restore_locked();
-  /// Seeks every consumer partition to max(broker committed, WAL cursor).
+  /// Seeks every consumer partition to max(broker committed, WAL cursor)
+  /// and reloads the Darshan cursor from the WAL.
   void restore_cursors_locked();
   void log_cursors_locked();
   [[nodiscard]] std::array<mofka::Consumer*, 5> consumers_locked();
@@ -96,8 +116,13 @@ class LiveIngestor {
   mofka::Consumer comms_;
   mofka::Consumer warnings_;
   mofka::Consumer cluster_;
-  dtr::RunData pending_;
+  PendingRun pending_;
   std::size_t pending_count_ = 0;
+  /// Darshan topic position per partition as of the last publish. The topic
+  /// is read whole at publish by a fresh consumer seeked to
+  /// max(broker committed, this), and the position is committed and logged
+  /// only after the run is in the catalog, like the WMS cursors.
+  std::vector<mofka::EventId> darshan_cursor_;
   IngestStats stats_;
   std::unique_ptr<wal::WalWriter> cursor_wal_;
   std::shared_ptr<chaos::FaultInjector> injector_;

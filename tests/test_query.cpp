@@ -5,9 +5,13 @@
 // querying while runs are being ingested.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <map>
+#include <random>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "dtr/mofka_plugins.hpp"
@@ -735,6 +739,98 @@ TEST_F(QueryIngestTest, TailsTopicsAcrossRuns) {
   const IngestStats stats = ingestor.stats();
   EXPECT_EQ(stats.runs_published, 2u);
   EXPECT_GT(stats.events_consumed, 0u);
+}
+
+/// The reference canonical order, kept apart from the ingestor's keys:
+/// ascending byte order of each record's compact JSON.
+template <typename Record>
+void sort_by_json(std::vector<Record>& records) {
+  std::sort(records.begin(), records.end(),
+            [](const Record& a, const Record& b) {
+              return dtr::to_json(a).dump() < dtr::to_json(b).dump();
+            });
+}
+
+// The published order is pinned, not merely repeatable: records pushed in a
+// seeded shuffle over several partitions and across polls, exact duplicates
+// included, are published in the reference order, view for view.
+TEST_F(QueryIngestTest, PublishesRecordsInCanonicalJsonOrder) {
+  mochi::KeyValueStore kv;
+  mochi::BlobStore blobs;
+  mofka::Broker broker(kv, blobs);
+  dtr::create_wms_topics(broker, 3);
+
+  dtr::RunData run = make_run("Order", 0, 24);
+  for (int i = 0; i < 4; ++i) {
+    dtr::StealRecord s;
+    s.key = run.tasks[static_cast<std::size_t>(i)].key;
+    s.victim = static_cast<dtr::WorkerId>(i % 2);
+    s.thief = static_cast<dtr::WorkerId>(1 - i % 2);
+    s.time = 0.1 * i;
+    run.steals.push_back(s);
+  }
+  // Exact duplicates: their keys tie.
+  run.transitions.push_back(run.transitions[5]);
+  run.tasks.push_back(run.tasks[7]);
+  run.comms.push_back(run.comms[2]);
+  run.warnings.push_back(run.warnings[0]);
+  run.steals.push_back(run.steals[1]);
+
+  std::vector<std::pair<std::string, json::Value>> events;
+  for (const auto& r : run.transitions) {
+    events.emplace_back("wms_transitions", dtr::to_json(r));
+  }
+  for (const auto& r : run.tasks) {
+    events.emplace_back("wms_tasks", dtr::to_json(r));
+  }
+  for (const auto& r : run.comms) {
+    events.emplace_back("wms_comms", dtr::to_json(r));
+  }
+  for (const auto& r : run.warnings) {
+    events.emplace_back("wms_warnings", dtr::to_json(r));
+  }
+  for (const auto& r : run.steals) {
+    events.emplace_back("wms_cluster", dtr::to_json(r));
+  }
+  std::mt19937 rng(20241016);
+  std::shuffle(events.begin(), events.end(), rng);
+
+  LiveIngestor ingestor(broker, catalog_);
+  {
+    const mofka::ProducerConfig config{4, std::chrono::milliseconds(5),
+                                       false};
+    std::map<std::string, mofka::Producer> producers;
+    for (const char* topic : {"wms_transitions", "wms_tasks", "wms_comms",
+                              "wms_warnings", "wms_cluster"}) {
+      producers.try_emplace(topic, broker, topic, config);
+    }
+    for (std::size_t i = 0; i < events.size(); ++i) {
+      producers.at(events[i].first).push(events[i].second);
+      if (i % 16 == 15) ingestor.poll();
+    }
+    for (auto& [topic, producer] : producers) producer.flush();
+  }
+  ingestor.publish(run.meta);
+
+  dtr::RunData reference = run;
+  sort_by_json(reference.transitions);
+  sort_by_json(reference.tasks);
+  sort_by_json(reference.comms);
+  sort_by_json(reference.warnings);
+  sort_by_json(reference.steals);
+  StoreCatalog expected;
+  expected.add_run(std::move(reference));
+
+  const StoreCatalog::Snapshot got = catalog_.snapshot();
+  const StoreCatalog::Snapshot want = expected.snapshot();
+  const prov::RunId id{"Order", 0};
+  ASSERT_EQ(got.frame(ViewId::kSteals, id)->rows(), run.steals.size());
+  for (const std::string& name : view_names()) {
+    const ViewId view = view_from_name(name);
+    EXPECT_EQ(frame_to_json(*got.frame(view, id)).dump(),
+              frame_to_json(*want.frame(view, id)).dump())
+        << name;
+  }
 }
 
 // The headline concurrency test: >= 8 client threads issue mixed queries

@@ -29,6 +29,7 @@
 #include "chaos/fault.hpp"
 #include "common/wal.hpp"
 #include "dtr/cluster.hpp"
+#include "dtr/darshan_bridge.hpp"
 #include "dtr/mofka_plugins.hpp"
 #include "dtr_fixture.hpp"
 #include "mochi/bedrock.hpp"
@@ -866,6 +867,23 @@ TEST(SchedulerLease, ExpiredLeaseReclaimsTasksFromAHungWorker) {
 // ---------------------------------------------------------------------------
 // Durable ingestor cursors.
 
+std::string fingerprint(const analysis::DataFrame& frame) {
+  std::string out;
+  for (const auto& name : frame.column_names()) {
+    out += name;
+    out += ',';
+  }
+  out += '\n';
+  for (std::size_t row = 0; row < frame.rows(); ++row) {
+    for (std::size_t c = 0; c < frame.width(); ++c) {
+      out += frame.col(c).display(row);
+      out += '|';
+    }
+    out += '\n';
+  }
+  return out;
+}
+
 dtr::RunData produce_synthetic_run(mofka::Broker& broker,
                                    const std::string& workflow, int n) {
   dtr::RunData run;
@@ -899,6 +917,33 @@ dtr::RunData produce_synthetic_run(mofka::Broker& broker,
   return run;
 }
 
+/// Streams `n` DXT write segments of one process and file to the Darshan
+/// topic, shaped as DarshanMofkaBridge pushes them.
+void produce_dxt_segments(mofka::Broker& broker, const std::string& file,
+                          int n) {
+  const char* topic = dtr::DarshanMofkaBridge::kTopic;
+  if (!broker.topic_exists(topic)) broker.create_topic(topic);
+  mofka::ProducerConfig config;
+  config.batch_size = 8;
+  config.background_flush = false;
+  mofka::Producer producer(broker, topic, config);
+  for (int i = 0; i < n; ++i) {
+    json::Object o;
+    o["kind"] = "dxt";
+    o["file"] = file;
+    o["process"] = static_cast<std::int64_t>(0);
+    o["hostname"] = "node-0";
+    o["op"] = "write";
+    o["offset"] = static_cast<std::int64_t>(i) * 4096;
+    o["length"] = static_cast<std::int64_t>(4096);
+    o["start"] = 0.1 * i;
+    o["end"] = 0.1 * i + 0.05;
+    o["thread_id"] = static_cast<std::int64_t>(100);
+    producer.push(json::Value(std::move(o)));
+  }
+  producer.flush();
+}
+
 TEST(IngestDurable, CursorWalSurvivesLossOfBrokerCommits) {
   TempDir dir("ingest_cursor");
   mochi::KeyValueStore kv;
@@ -906,22 +951,28 @@ TEST(IngestDurable, CursorWalSurvivesLossOfBrokerCommits) {
   mofka::Broker broker(kv, blobs);
   dtr::create_wms_topics(broker);
   const dtr::RunData run1 = produce_synthetic_run(broker, "r1", 12);
+  produce_dxt_segments(broker, "/data/r1.bin", 5);
   StoreCatalog cat1;
   {
     LiveIngestor a(broker, cat1, "g", dir.str());
     a.publish(run1.meta);  // commits offsets and logs cursors to the WAL
   }
+  EXPECT_EQ(cat1.snapshot().frame(ViewId::kIoSegments, {"r1", 0})->rows(),
+            5u);
   const dtr::RunData run2 = produce_synthetic_run(broker, "r2", 7);
+  produce_dxt_segments(broker, "/data/r2.bin", 3);
 
   // A restarted ingestor whose broker-side commits are gone (simulated by
   // a fresh consumer group) still resumes from the WAL cursors: run1's
-  // events are not re-consumed into run2.
+  // events are not re-consumed into run2. That includes the Darshan topic,
+  // which is read at publish rather than tailed.
   StoreCatalog cat2;
   LiveIngestor b(broker, cat2, "g_lost", dir.str());
   b.publish(run2.meta);
   {
     const StoreCatalog::Snapshot snap = cat2.snapshot();
     EXPECT_EQ(snap.frame(ViewId::kTasks, {"r2", 0})->rows(), 7u);
+    EXPECT_EQ(snap.frame(ViewId::kIoSegments, {"r2", 0})->rows(), 3u);
   }
 
   // Control: the same restart *without* the cursor WAL replays everything
@@ -932,6 +983,7 @@ TEST(IngestDurable, CursorWalSurvivesLossOfBrokerCommits) {
   {
     const StoreCatalog::Snapshot snap = cat3.snapshot();
     EXPECT_EQ(snap.frame(ViewId::kTasks, {"r2", 0})->rows(), 19u);
+    EXPECT_EQ(snap.frame(ViewId::kIoSegments, {"r2", 0})->rows(), 8u);
   }
 }
 
@@ -964,6 +1016,57 @@ TEST(IngestDurable, InjectedProcessCrashRestoresCursorsAndRepolls) {
             run.warnings.size());
 }
 
+/// Every view of one run, as the bytes the crash oracle compares.
+std::map<std::string, std::string> view_bytes(const StoreCatalog& catalog,
+                                              const prov::RunId& id) {
+  const StoreCatalog::Snapshot snap = catalog.snapshot();
+  std::map<std::string, std::string> out;
+  for (const std::string& name : query::view_names()) {
+    out[name] = fingerprint(*snap.frame(query::view_from_name(name), id));
+  }
+  return out;
+}
+
+TEST(IngestDurable, CrashWithKeyedRecordsPendingRepublishesIdenticalViews) {
+  TempDir dir("ingest_crash_pending");
+  mochi::KeyValueStore kv;
+  mochi::BlobStore blobs;
+  mofka::Broker broker(kv, blobs);
+  dtr::create_wms_topics(broker, 2);
+  const dtr::RunData early = produce_synthetic_run(broker, "early", 12);
+
+  StoreCatalog catalog;
+  LiveIngestor ingestor(broker, catalog, "g", dir.str());
+  chaos::FaultPlan plan;
+  plan.seed = 405;
+  plan.sites[chaos::sites::kIngestorProcess].schedule.push_back(
+      {2, chaos::FaultAction::kProcessCrashRestart});
+  ingestor.set_fault_injector(std::make_shared<chaos::FaultInjector>(plan));
+
+  // The first poll buffers records with their canonical keys; the second
+  // crashes, and both die with the process.
+  const std::size_t buffered = early.tasks.size() + early.warnings.size();
+  EXPECT_EQ(ingestor.poll(), buffered);
+  EXPECT_EQ(ingestor.pending_events(), buffered);
+  EXPECT_EQ(ingestor.poll(), 0u);
+  EXPECT_EQ(ingestor.recoveries(), 1u);
+  EXPECT_EQ(ingestor.pending_events(), 0u);
+
+  // More events arrive after the restart; the publish re-tails them all.
+  const dtr::RunData late = produce_synthetic_run(broker, "late", 5);
+  ingestor.publish(early.meta);
+
+  // A fault-free ingestor (its own consumer group) over the same topics.
+  StoreCatalog clean_catalog;
+  LiveIngestor clean(broker, clean_catalog, "g_clean");
+  clean.publish(early.meta);
+
+  const prov::RunId id{"early", 0};
+  EXPECT_EQ(catalog.snapshot().frame(ViewId::kTasks, id)->rows(),
+            early.tasks.size() + late.tasks.size());
+  EXPECT_EQ(view_bytes(catalog, id), view_bytes(clean_catalog, id));
+}
+
 // ---------------------------------------------------------------------------
 // The crash-recovery oracle: process crashes anywhere in the durable
 // control plane must not change any view by a single byte.
@@ -990,23 +1093,6 @@ std::vector<dtr::TaskGraph> workload() {
   graphs.push_back(std::move(g1));
   graphs.push_back(std::move(g2));
   return graphs;
-}
-
-std::string fingerprint(const analysis::DataFrame& frame) {
-  std::string out;
-  for (const auto& name : frame.column_names()) {
-    out += name;
-    out += ',';
-  }
-  out += '\n';
-  for (std::size_t row = 0; row < frame.rows(); ++row) {
-    for (std::size_t c = 0; c < frame.width(); ++c) {
-      out += frame.col(c).display(row);
-      out += '|';
-    }
-    out += '\n';
-  }
-  return out;
 }
 
 struct DurableResult {

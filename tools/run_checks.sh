@@ -119,6 +119,12 @@ else
     "$bench_dir/BENCH_query.json" "$bench_dir/BENCH_datastore.json" \
     "$bench_dir/BENCH_scheduler.json"
   rm -rf "$bench_dir"
+
+  echo "== repo benchmark: smoke + same-seed determinism =="
+  # perfbench's own suite: every workload at tiny size with its output
+  # checks, exact counters and query digest repeating for a seed, and
+  # stats.py refusing to compare across fingerprints.
+  python3 perfbench/test_perfbench.py
 fi
 
 if [[ "$skip_sanitize" == 1 ]]; then
