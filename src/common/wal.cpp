@@ -1,5 +1,6 @@
 #include "common/wal.hpp"
 
+#include <fcntl.h>
 #include <unistd.h>
 
 #include <algorithm>
@@ -44,27 +45,45 @@ CompactionMarker read_marker(const std::string& dir) {
   return marker;
 }
 
+/// Writes the marker durably: the file and its rename are both fsynced
+/// (two fsyncs) before this returns, so no deletion can outrun it.
 void write_marker(const std::string& dir, const CompactionMarker& marker) {
   const fs::path tmp = fs::path(dir) / (std::string(kCompactedMarker) + ".tmp");
   const fs::path final_path = fs::path(dir) / kCompactedMarker;
   {
     std::ofstream out(tmp, std::ios::trunc);
     out << marker.boundary << ' ' << marker.records << '\n';
+    out.close();
+    if (!out) throw WalError("wal: cannot write " + tmp.string());
   }
+  fsync_path(tmp.string());
   fs::rename(tmp, final_path);
+  fsync_path(dir);
 }
 
-std::array<std::uint32_t, 256> make_crc_table() {
-  std::array<std::uint32_t, 256> table{};
+/// Slice-by-8 tables: kCrcTables[0] is the byte-wise table; entry k of
+/// table n is the CRC of byte k followed by n zero bytes.
+using CrcTables = std::array<std::array<std::uint32_t, 256>, 8>;
+
+constexpr CrcTables make_crc_tables() {
+  CrcTables tables{};
   for (std::uint32_t i = 0; i < 256; ++i) {
     std::uint32_t c = i;
     for (int bit = 0; bit < 8; ++bit) {
       c = (c & 1u) != 0 ? 0xEDB88320u ^ (c >> 1) : c >> 1;
     }
-    table[i] = c;
+    tables[0][i] = c;
   }
-  return table;
+  for (std::size_t n = 1; n < tables.size(); ++n) {
+    for (std::uint32_t i = 0; i < 256; ++i) {
+      const std::uint32_t prev = tables[n - 1][i];
+      tables[n][i] = (prev >> 8) ^ tables[0][prev & 0xFF];
+    }
+  }
+  return tables;
 }
+
+constexpr CrcTables kCrcTables = make_crc_tables();
 
 std::string segment_name(std::uint32_t index) {
   char buf[32];
@@ -74,7 +93,7 @@ std::string segment_name(std::uint32_t index) {
 }
 
 /// Segment indices present under `dir`, sorted ascending. Non-segment files
-/// (e.g. checkpoint.json living next to a journal) are ignored.
+/// (e.g. checkpoint.bin living next to a journal) are ignored.
 std::vector<std::uint32_t> list_segments(const std::string& dir) {
   std::vector<std::uint32_t> indices;
   if (!fs::exists(dir)) return indices;
@@ -100,11 +119,11 @@ void encode_u32(char* out, std::uint32_t v) {
   out[3] = static_cast<char>((v >> 24) & 0xFF);
 }
 
-std::uint32_t decode_u32(const char* in) {
-  return static_cast<std::uint32_t>(static_cast<unsigned char>(in[0])) |
-         static_cast<std::uint32_t>(static_cast<unsigned char>(in[1])) << 8 |
-         static_cast<std::uint32_t>(static_cast<unsigned char>(in[2])) << 16 |
-         static_cast<std::uint32_t>(static_cast<unsigned char>(in[3])) << 24;
+std::uint32_t decode_u32(const unsigned char* in) {
+  return static_cast<std::uint32_t>(in[0]) |
+         static_cast<std::uint32_t>(in[1]) << 8 |
+         static_cast<std::uint32_t>(in[2]) << 16 |
+         static_cast<std::uint32_t>(in[3]) << 24;
 }
 
 /// Scans one segment, invoking `fn` per valid record. Returns the byte
@@ -117,7 +136,7 @@ std::uint64_t scan_segment(const fs::path& path, bool last_segment,
   if (file == nullptr) throw WalError("wal: cannot open " + path.string());
   std::uint64_t valid_end = 0;
   std::string payload;
-  char header[kHeaderBytes];
+  unsigned char header[kHeaderBytes];
   const std::uint64_t file_size = fs::file_size(path);
   for (;;) {
     const std::size_t got = std::fread(header, 1, kHeaderBytes, file);
@@ -160,13 +179,30 @@ std::uint64_t scan_segment(const fs::path& path, bool last_segment,
 }  // namespace
 
 std::uint32_t crc32(const void* data, std::size_t size, std::uint32_t seed) {
-  static const std::array<std::uint32_t, 256> table = make_crc_table();
+  const auto& t = kCrcTables;
   std::uint32_t crc = seed ^ 0xFFFFFFFFu;
   const auto* bytes = static_cast<const unsigned char*>(data);
-  for (std::size_t i = 0; i < size; ++i) {
-    crc = table[(crc ^ bytes[i]) & 0xFF] ^ (crc >> 8);
+  // Eight bytes per step: fold the running CRC into the first four, then
+  // look each byte up in the table for its distance from the block's end.
+  for (; size >= 8; bytes += 8, size -= 8) {
+    const std::uint32_t lo = crc ^ decode_u32(bytes);
+    const std::uint32_t hi = decode_u32(bytes + 4);
+    crc = t[7][lo & 0xFF] ^ t[6][(lo >> 8) & 0xFF] ^ t[5][(lo >> 16) & 0xFF] ^
+          t[4][lo >> 24] ^ t[3][hi & 0xFF] ^ t[2][(hi >> 8) & 0xFF] ^
+          t[1][(hi >> 16) & 0xFF] ^ t[0][hi >> 24];
+  }
+  for (; size > 0; ++bytes, --size) {
+    crc = t[0][(crc ^ *bytes) & 0xFF] ^ (crc >> 8);
   }
   return crc ^ 0xFFFFFFFFu;
+}
+
+void fsync_path(const std::string& path) {
+  const int fd = ::open(path.c_str(), O_RDONLY);
+  if (fd >= 0) {
+    ::fsync(fd);
+    ::close(fd);
+  }
 }
 
 WalWriter::WalWriter(std::string dir, WalOptions options)
@@ -322,6 +358,7 @@ std::uint64_t WalWriter::compact(std::uint64_t first_needed_record) {
     marker.boundary = new_boundary;
     marker.records += dropped;
     write_marker(dir_, marker);  // durable before any segment disappears
+    fsyncs_ += 2;
   }
   for (const std::uint32_t index : segments) {
     if (index >= marker.boundary) break;

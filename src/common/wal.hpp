@@ -35,6 +35,11 @@ class WalError : public std::runtime_error {
 [[nodiscard]] std::uint32_t crc32(const void* data, std::size_t size,
                                   std::uint32_t seed = 0);
 
+/// fsyncs a file or a directory by path (best effort: open or fsync
+/// failures are ignored). A directory fsync makes renames and unlinks in it
+/// durable.
+void fsync_path(const std::string& path);
+
 enum class SyncPolicy {
   kNone,      ///< rely on OS writeback (fastest; loses the tail on power cut)
   /// Every append is fsync-durable before it returns — but concurrent
@@ -89,10 +94,10 @@ class WalWriter {
   /// segment is only deleted when every record in it is redundant; the
   /// active (last) segment is never deleted. Returns the number of records
   /// newly dropped. Crash-safe: a "wal-compacted" marker (atomic rename,
-  /// written before any deletion) records the new segment boundary and the
-  /// cumulative dropped-record count, and replay() skips stale segments
-  /// below the boundary — so a crash mid-deletion can never double-count
-  /// or misalign the surviving suffix.
+  /// fsynced with its directory before any deletion) records the new
+  /// segment boundary and the cumulative dropped-record count, and
+  /// replay() skips stale segments below the boundary — so a crash
+  /// mid-deletion can never double-count or misalign the surviving suffix.
   std::uint64_t compact(std::uint64_t first_needed_record);
 
   [[nodiscard]] const std::string& dir() const { return dir_; }

@@ -1,5 +1,8 @@
 #include "dtr/mofka_plugins.hpp"
 
+#include "dtr/durability.hpp"
+#include "wire/codec.hpp"
+
 namespace recup::dtr {
 namespace {
 
@@ -9,14 +12,8 @@ constexpr const char* kComms = "wms_comms";
 constexpr const char* kWarnings = "wms_warnings";
 constexpr const char* kCluster = "wms_cluster";
 
-json::Value key_to_json(const TaskKey& key) {
-  json::Object o;
-  o["group"] = key.group;
-  o["index"] = key.index;
-  return json::Value(std::move(o));
-}
-
-TaskKey key_from_json(const json::Value& v) {
+/// Strict: a record key missing a field is malformed.
+TaskKey parse_key(const json::Value& v) {
   TaskKey key;
   key.group = v.at("group").as_string();
   key.index = v.at("index").as_int();
@@ -38,7 +35,7 @@ void create_wms_topics(mofka::Broker& broker,
 
 json::Value to_json(const TransitionRecord& r) {
   json::Object o;
-  o["key"] = key_to_json(r.key);
+  o["key"] = to_json(r.key);
   o["graph"] = r.graph;
   o["from"] = r.from_state;
   o["to"] = r.to_state;
@@ -48,9 +45,27 @@ json::Value to_json(const TransitionRecord& r) {
   return json::Value(std::move(o));
 }
 
+void to_wire(const TransitionRecord& r, std::string& out) {
+  wire::put_object(out, 7);
+  wire::put_str(out, "from");
+  wire::put_str(out, r.from_state);
+  wire::put_str(out, "graph");
+  wire::put_str(out, r.graph);
+  wire::put_str(out, "key");
+  to_wire(r.key, out);
+  wire::put_str(out, "location");
+  wire::put_str(out, r.location);
+  wire::put_str(out, "stimulus");
+  wire::put_str(out, r.stimulus);
+  wire::put_str(out, "time");
+  wire::put_double(out, r.time);
+  wire::put_str(out, "to");
+  wire::put_str(out, r.to_state);
+}
+
 TransitionRecord transition_from_json(const json::Value& v) {
   TransitionRecord r;
-  r.key = key_from_json(v.at("key"));
+  r.key = parse_key(v.at("key"));
   r.graph = v.at("graph").as_string();
   r.from_state = v.at("from").as_string();
   r.to_state = v.at("to").as_string();
@@ -62,7 +77,7 @@ TransitionRecord transition_from_json(const json::Value& v) {
 
 json::Value to_json(const TaskRecord& r) {
   json::Object o;
-  o["key"] = key_to_json(r.key);
+  o["key"] = to_json(r.key);
   o["graph"] = r.graph;
   o["prefix"] = r.prefix;
   o["worker"] = static_cast<std::int64_t>(r.worker);
@@ -84,14 +99,63 @@ json::Value to_json(const TaskRecord& r) {
   o["retries"] = static_cast<std::int64_t>(r.retries);
   o["stolen"] = r.stolen;
   json::Array deps;
-  for (const auto& dep : r.dependencies) deps.push_back(key_to_json(dep));
+  for (const auto& dep : r.dependencies) deps.push_back(to_json(dep));
   o["dependencies"] = std::move(deps);
   return json::Value(std::move(o));
 }
 
+void to_wire(const TaskRecord& r, std::string& out) {
+  wire::put_object(out, 22);
+  wire::put_str(out, "bytes_inline");
+  wire::put_int(out, static_cast<std::int64_t>(r.bytes_inline));
+  wire::put_str(out, "bytes_oob");
+  wire::put_int(out, static_cast<std::int64_t>(r.bytes_oob));
+  wire::put_str(out, "bytes_read");
+  wire::put_int(out, static_cast<std::int64_t>(r.bytes_read));
+  wire::put_str(out, "bytes_written");
+  wire::put_int(out, static_cast<std::int64_t>(r.bytes_written));
+  wire::put_str(out, "compute_time");
+  wire::put_double(out, r.compute_time);
+  wire::put_str(out, "dependencies");
+  wire::put_array(out, r.dependencies.size());
+  for (const auto& dep : r.dependencies) to_wire(dep, out);
+  wire::put_str(out, "end_time");
+  wire::put_double(out, r.end_time);
+  wire::put_str(out, "gpu_time");
+  wire::put_double(out, r.gpu_time);
+  wire::put_str(out, "graph");
+  wire::put_str(out, r.graph);
+  wire::put_str(out, "io_time");
+  wire::put_double(out, r.io_time);
+  wire::put_str(out, "key");
+  to_wire(r.key, out);
+  wire::put_str(out, "lane");
+  wire::put_int(out, static_cast<std::int64_t>(r.lane));
+  wire::put_str(out, "output_bytes");
+  wire::put_int(out, static_cast<std::int64_t>(r.output_bytes));
+  wire::put_str(out, "prefix");
+  wire::put_str(out, r.prefix);
+  wire::put_str(out, "ready_time");
+  wire::put_double(out, r.ready_time);
+  wire::put_str(out, "received_time");
+  wire::put_double(out, r.received_time);
+  wire::put_str(out, "retries");
+  wire::put_int(out, static_cast<std::int64_t>(r.retries));
+  wire::put_str(out, "start_time");
+  wire::put_double(out, r.start_time);
+  wire::put_str(out, "stolen");
+  wire::put_bool(out, r.stolen);
+  wire::put_str(out, "thread_id");
+  wire::put_int(out, static_cast<std::int64_t>(r.thread_id));
+  wire::put_str(out, "worker");
+  wire::put_int(out, static_cast<std::int64_t>(r.worker));
+  wire::put_str(out, "worker_address");
+  wire::put_str(out, r.worker_address);
+}
+
 TaskRecord task_from_json(const json::Value& v) {
   TaskRecord r;
-  r.key = key_from_json(v.at("key"));
+  r.key = parse_key(v.at("key"));
   r.graph = v.at("graph").as_string();
   r.prefix = v.at("prefix").as_string();
   r.worker = static_cast<WorkerId>(v.at("worker").as_int());
@@ -116,7 +180,7 @@ TaskRecord task_from_json(const json::Value& v) {
   r.stolen = v.at("stolen").as_bool();
   if (v.contains("dependencies")) {
     for (const auto& dep : v.at("dependencies").as_array()) {
-      r.dependencies.push_back(key_from_json(dep));
+      r.dependencies.push_back(parse_key(dep));
     }
   }
   return r;
@@ -124,7 +188,7 @@ TaskRecord task_from_json(const json::Value& v) {
 
 json::Value to_json(const CommRecord& r) {
   json::Object o;
-  o["key"] = key_to_json(r.key);
+  o["key"] = to_json(r.key);
   o["source"] = static_cast<std::int64_t>(r.source);
   o["destination"] = static_cast<std::int64_t>(r.destination);
   o["source_address"] = r.source_address;
@@ -140,7 +204,7 @@ json::Value to_json(const CommRecord& r) {
 
 CommRecord comm_from_json(const json::Value& v) {
   CommRecord r;
-  r.key = key_from_json(v.at("key"));
+  r.key = parse_key(v.at("key"));
   r.source = static_cast<WorkerId>(v.at("source").as_int());
   r.destination = static_cast<WorkerId>(v.at("destination").as_int());
   r.source_address = v.at("source_address").as_string();
@@ -164,6 +228,20 @@ json::Value to_json(const WarningRecord& r) {
   return json::Value(std::move(o));
 }
 
+void to_wire(const WarningRecord& r, std::string& out) {
+  wire::put_object(out, 5);
+  wire::put_str(out, "blocked_for");
+  wire::put_double(out, r.blocked_for);
+  wire::put_str(out, "kind");
+  wire::put_str(out, r.kind);
+  wire::put_str(out, "location");
+  wire::put_str(out, r.location);
+  wire::put_str(out, "message");
+  wire::put_str(out, r.message);
+  wire::put_str(out, "time");
+  wire::put_double(out, r.time);
+}
+
 WarningRecord warning_from_json(const json::Value& v) {
   WarningRecord r;
   r.kind = v.at("kind").as_string();
@@ -177,7 +255,7 @@ WarningRecord warning_from_json(const json::Value& v) {
 json::Value to_json(const StealRecord& r) {
   json::Object o;
   o["kind"] = "steal";
-  o["key"] = key_to_json(r.key);
+  o["key"] = to_json(r.key);
   o["victim"] = static_cast<std::int64_t>(r.victim);
   o["thief"] = static_cast<std::int64_t>(r.thief);
   o["time"] = r.time;
@@ -186,9 +264,27 @@ json::Value to_json(const StealRecord& r) {
   return json::Value(std::move(o));
 }
 
+void to_wire(const StealRecord& r, std::string& out) {
+  wire::put_object(out, 7);
+  wire::put_str(out, "estimated_compute_cost");
+  wire::put_double(out, r.estimated_compute_cost);
+  wire::put_str(out, "estimated_transfer_cost");
+  wire::put_double(out, r.estimated_transfer_cost);
+  wire::put_str(out, "key");
+  to_wire(r.key, out);
+  wire::put_str(out, "kind");
+  wire::put_str(out, "steal");
+  wire::put_str(out, "thief");
+  wire::put_int(out, static_cast<std::int64_t>(r.thief));
+  wire::put_str(out, "time");
+  wire::put_double(out, r.time);
+  wire::put_str(out, "victim");
+  wire::put_int(out, static_cast<std::int64_t>(r.victim));
+}
+
 StealRecord steal_from_json(const json::Value& v) {
   StealRecord r;
-  r.key = key_from_json(v.at("key"));
+  r.key = parse_key(v.at("key"));
   r.victim = static_cast<WorkerId>(v.at("victim").as_int());
   r.thief = static_cast<WorkerId>(v.at("thief").as_int());
   r.time = v.at("time").as_double();

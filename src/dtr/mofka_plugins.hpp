@@ -30,6 +30,13 @@ json::Value to_json(const CommRecord& record);
 json::Value to_json(const WarningRecord& record);
 json::Value to_json(const StealRecord& record);
 
+/// Wire writers for the scheduler journal: each appends the bytes of
+/// wire::encode_value(to_json(record)) without building the tree.
+void to_wire(const TransitionRecord& record, std::string& out);
+void to_wire(const TaskRecord& record, std::string& out);
+void to_wire(const WarningRecord& record, std::string& out);
+void to_wire(const StealRecord& record, std::string& out);
+
 TransitionRecord transition_from_json(const json::Value& v);
 TaskRecord task_from_json(const json::Value& v);
 CommRecord comm_from_json(const json::Value& v);

@@ -201,10 +201,9 @@ void Scheduler::transition(TaskInfo& info, SchedulerTaskState to,
   info.state = to;
   transitions_.push_back(record);
   if (journal_ && !recovering_) {
-    json::Object o;
-    o["t"] = "transition";
-    o["r"] = to_json(record);
-    journal_append(json::Value(std::move(o)));
+    journal_record_.clear();
+    put_journal_record(journal_record_, record);
+    journal_append(journal_record_);
   }
   for (auto* plugin : plugins_) plugin->on_transition(record);
 }
@@ -232,11 +231,9 @@ void Scheduler::submit_graph(const TaskGraph& graph, GraphDoneFn on_done) {
   graph_info.on_done = std::move(on_done);
 
   if (journal_ && !recovering_) {
-    json::Object o;
-    o["t"] = "graph";
-    o["name"] = graph.name();
-    o["size"] = graph.size();
-    journal_append(json::Value(std::move(o)));
+    journal_record_.clear();
+    put_graph_record(journal_record_, graph.name(), graph.size());
+    journal_append(journal_record_);
   }
 
   logs_.log(LogLevel::kInfo, "scheduler",
@@ -258,11 +255,9 @@ void Scheduler::submit_graph(const TaskGraph& graph, GraphDoneFn on_done) {
     info->graph = graph.name();
     spec_order_.push_back(key);
     if (journal_ && !recovering_) {
-      json::Object o;
-      o["t"] = "spec";
-      o["graph"] = graph.name();
-      o["spec"] = to_json(spec);
-      journal_append(json::Value(std::move(o)));
+      journal_record_.clear();
+      put_spec_record(journal_record_, graph.name(), spec);
+      journal_append(journal_record_);
     }
   }
   for (const auto& [key, spec] : graph.tasks()) {
@@ -520,10 +515,9 @@ void Scheduler::on_task_finished(const TaskKey& key, const TaskRecord& record,
   info.who_has.insert(record.worker);
   task_records_.push_back(completed);
   if (journal_ && !recovering_) {
-    json::Object o;
-    o["t"] = "task";
-    o["r"] = to_json(completed);
-    journal_append(json::Value(std::move(o)));
+    journal_record_.clear();
+    put_journal_record(journal_record_, completed);
+    journal_append(journal_record_);
   }
   transition(info, SchedulerTaskState::kMemory, "task-finished");
 
@@ -820,10 +814,9 @@ void Scheduler::pool_stealing_round(const std::vector<Worker*>& pool) {
     steal.estimated_compute_cost = compute;
     steals_.push_back(steal);
     if (journal_ && !recovering_) {
-      json::Object o;
-      o["t"] = "steal";
-      o["r"] = to_json(steal);
-      journal_append(json::Value(std::move(o)));
+      journal_record_.clear();
+      put_journal_record(journal_record_, steal);
+      journal_append(journal_record_);
     }
     for (auto* plugin : plugins_) plugin->on_steal(steal);
     logs_.log(LogLevel::kInfo, "scheduler",
@@ -926,10 +919,9 @@ void Scheduler::dead_letter(TaskInfo& info, const std::string& reason) {
   warning.message = "task " + info.spec.key.to_string() + ": " + reason;
   warnings_.push_back(warning);
   if (journal_ && !recovering_) {
-    json::Object o;
-    o["t"] = "warning";
-    o["r"] = to_json(warning);
-    journal_append(json::Value(std::move(o)));
+    journal_record_.clear();
+    put_journal_record(journal_record_, warning);
+    journal_append(journal_record_);
   }
   for (auto* plugin : plugins_) plugin->on_warning(warning);
   logs_.log(LogLevel::kError, "scheduler", "dead-letter " + warning.message);
@@ -1095,9 +1087,7 @@ void Scheduler::enable_durability(SchedulerDurability durability) {
   std::vector<FrameMeta> metas;
   const wal::ReplayStats stats = wal::WalWriter::replay(
       durability.dir, [&metas](std::string_view payload) {
-        const json::Value v = wire::looks_binary(payload)
-                                  ? wire::decode_value(payload)
-                                  : json::parse(payload);
+        const json::Value v = wire::decode_value(payload);
         FrameMeta meta;
         if (v.get_string("t", "") == "batch") {
           meta.batch = true;
@@ -1117,26 +1107,20 @@ void Scheduler::enable_durability(SchedulerDurability durability) {
   durability_ = std::move(durability);
 }
 
-void Scheduler::journal_append(const json::Value& record) {
+void Scheduler::journal_append(std::string_view record) {
   if (config_.legacy_intake) {
     // One record per WAL frame, the pre-batching format.
-    journal_->append(wire::encode_value(record));
+    journal_->append(record);
     ++journal_frames_;
   } else if (journal_group_depth_ > 0) {
-    if (journal_group_buffer_.empty()) journal_group_base_ = journal_records_;
-    journal_group_buffer_.push_back(record);
+    if (journal_group_count_ == 0) journal_group_base_ = journal_records_;
+    journal_group_bytes_.append(record);
+    ++journal_group_count_;
   } else {
     // Outside any group, batched mode still writes a (singleton) group so
     // every frame carries its logical base — recovery re-syncs logical
     // indices from it after compaction.
-    json::Object o;
-    o["t"] = "batch";
-    o["base"] = journal_records_;
-    json::Array recs;
-    recs.push_back(record);
-    o["recs"] = std::move(recs);
-    journal_->append(wire::encode_value(json::Value(std::move(o))));
-    ++journal_frames_;
+    append_batch_frame(journal_records_, 1, record);
   }
   ++journal_records_;
   if (durability_->checkpoint_every > 0 && !recovering_ &&
@@ -1156,13 +1140,18 @@ void Scheduler::end_journal_group() {
 }
 
 void Scheduler::flush_journal_group() {
-  if (journal_group_buffer_.empty()) return;
-  json::Object o;
-  o["t"] = "batch";
-  o["base"] = journal_group_base_;
-  o["recs"] = std::move(journal_group_buffer_);
-  journal_group_buffer_ = json::Array{};
-  journal_->append(wire::encode_value(json::Value(std::move(o))));
+  if (journal_group_count_ == 0) return;
+  append_batch_frame(journal_group_base_, journal_group_count_,
+                     journal_group_bytes_);
+  journal_group_bytes_.clear();
+  journal_group_count_ = 0;
+}
+
+void Scheduler::append_batch_frame(std::size_t base, std::size_t count,
+                                   std::string_view recs) {
+  journal_frame_.clear();
+  put_batch_frame(journal_frame_, base, count, recs);
+  journal_->append(journal_frame_);
   ++journal_frames_;
 }
 
@@ -1174,81 +1163,110 @@ void Scheduler::checkpoint() {
   flush_journal_group();
   journal_->flush();
 
-  json::Object o;
-  o["journal_records"] = journal_records_;
-  o["journal_frames"] = journal_frames_;
-  o["rr_counter"] = rr_counter_;
-  o["erred"] = erred_;
-  json::Array prefixes;
-  for (const auto& [prefix, stat] : prefix_durations_) {
-    json::Object p;
-    p["prefix"] = prefix;
-    p["sum"] = stat.first;
-    p["count"] = stat.second;
-    prefixes.push_back(json::Value(std::move(p)));
-  }
-  o["prefix_durations"] = std::move(prefixes);
-  json::Array graphs;
+  // One wire-encoded object, keys in std::map order; recover() reads it
+  // back through wire::decode_value.
+  const bool compacting = durability_->compact_on_checkpoint;
+  std::string out;
+  wire::put_object(out, compacting ? 9 : 8);
+  wire::put_str(out, "erred");
+  wire::put_int(out, static_cast<std::int64_t>(erred_));
+  wire::put_str(out, "graphs");
+  wire::put_array(out, graphs_.size());
   for (const auto& [name, graph] : graphs_) {
-    json::Object g;
-    g["name"] = name;
-    g["remaining"] = graph.remaining;
-    g["done_fired"] = graph.done_fired;
-    graphs.push_back(json::Value(std::move(g)));
+    wire::put_object(out, 3);
+    wire::put_str(out, "done_fired");
+    wire::put_bool(out, graph.done_fired);
+    wire::put_str(out, "name");
+    wire::put_str(out, name);
+    wire::put_str(out, "remaining");
+    wire::put_int(out, static_cast<std::int64_t>(graph.remaining));
   }
-  o["graphs"] = std::move(graphs);
-  json::Array tasks;
-  tasks_.for_each_ordered([&tasks](const TaskKey& key, const TaskInfo& info) {
-    json::Object t;
-    t["key"] = to_json(key);
-    t["graph"] = info.graph;
-    t["state"] = to_string(info.state);
-    t["retries"] = static_cast<std::int64_t>(info.retries);
-    t["resubmissions"] = static_cast<std::int64_t>(info.resubmissions);
-    t["remaining_dependents"] = info.remaining_dependents;
-    json::Array who;
-    for (const WorkerId holder : info.who_has) {
-      who.push_back(json::Value(static_cast<std::int64_t>(holder)));
-    }
-    t["who_has"] = std::move(who);
-    tasks.push_back(json::Value(std::move(t)));
-  });
-  o["tasks"] = std::move(tasks);
-  json::Array queued;
-  for (const TaskKey& key : queued_) queued.push_back(to_json(key));
-  o["queued"] = std::move(queued);
-  if (durability_->compact_on_checkpoint) {
+  wire::put_str(out, "journal_frames");
+  wire::put_int(out, static_cast<std::int64_t>(journal_frames_));
+  wire::put_str(out, "journal_records");
+  wire::put_int(out, static_cast<std::int64_t>(journal_records_));
+  wire::put_str(out, "prefix_durations");
+  wire::put_array(out, prefix_durations_.size());
+  for (const auto& [prefix, stat] : prefix_durations_) {
+    wire::put_object(out, 3);
+    wire::put_str(out, "count");
+    wire::put_int(out, static_cast<std::int64_t>(stat.second));
+    wire::put_str(out, "prefix");
+    wire::put_str(out, prefix);
+    wire::put_str(out, "sum");
+    wire::put_double(out, stat.first);
+  }
+  wire::put_str(out, "queued");
+  wire::put_array(out, queued_.size());
+  for (const TaskKey& key : queued_) to_wire(key, out);
+  wire::put_str(out, "rr_counter");
+  wire::put_int(out, static_cast<std::int64_t>(rr_counter_));
+  if (compacting) {
     // Compaction deletes the journal prefix holding the spec records, so a
     // compacting checkpoint must carry every spec itself (in submission
     // order: dependent registration at recovery relies on it).
-    json::Array specs;
+    wire::put_str(out, "specs");
+    wire::put_array(out, spec_order_.size());
     for (const TaskKey& key : spec_order_) {
-      const TaskInfo* info = tasks_.find(key);
-      if (info == nullptr) continue;
-      json::Object s;
-      s["graph"] = info->graph;
-      s["spec"] = to_json(info->spec);
-      specs.push_back(json::Value(std::move(s)));
+      const TaskInfo& info = tasks_.at(key);
+      wire::put_object(out, 2);
+      wire::put_str(out, "graph");
+      wire::put_str(out, info.graph);
+      wire::put_str(out, "spec");
+      to_wire(info.spec, out);
     }
-    o["specs"] = std::move(specs);
   }
+  wire::put_str(out, "tasks");
+  wire::put_array(out, tasks_.size());
+  tasks_.for_each_ordered([&out](const TaskKey& key, const TaskInfo& info) {
+    wire::put_object(out, 7);
+    wire::put_str(out, "graph");
+    wire::put_str(out, info.graph);
+    wire::put_str(out, "key");
+    to_wire(key, out);
+    wire::put_str(out, "remaining_dependents");
+    wire::put_int(out, static_cast<std::int64_t>(info.remaining_dependents));
+    wire::put_str(out, "resubmissions");
+    wire::put_int(out, static_cast<std::int64_t>(info.resubmissions));
+    wire::put_str(out, "retries");
+    wire::put_int(out, static_cast<std::int64_t>(info.retries));
+    wire::put_str(out, "state");
+    wire::put_str(out, to_string(info.state));
+    wire::put_str(out, "who_has");
+    wire::put_array(out, info.who_has.size());
+    for (const WorkerId holder : info.who_has) {
+      wire::put_int(out, static_cast<std::int64_t>(holder));
+    }
+  });
 
-  // Atomic replace: a crash mid-checkpoint leaves the previous snapshot.
+  // Atomic replace: a crash or a failed write mid-checkpoint leaves the
+  // previous snapshot.
   const auto dir = std::filesystem::path(durability_->dir);
   const auto tmp = dir / "checkpoint.tmp";
-  const auto final_path = dir / "checkpoint.json";
+  const auto final_path = dir / "checkpoint.bin";
   {
-    std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
-    out << json::Value(std::move(o)).dump();
+    std::ofstream file(tmp, std::ios::binary | std::ios::trunc);
+    file.write(out.data(), static_cast<std::streamsize>(out.size()));
+    file.close();
+    if (!file) {
+      std::error_code ignored;
+      std::filesystem::remove(tmp, ignored);
+      throw wal::WalError("scheduler: cannot write checkpoint " +
+                          tmp.string());
+    }
   }
+  // Compaction deletes journal segments on the strength of this snapshot,
+  // so under it the snapshot and its rename are made durable first.
+  if (compacting) wal::fsync_path(tmp.string());
   std::filesystem::rename(tmp, final_path);
 
   // Journal compaction bounded by checkpoint age: every record the snapshot
   // covers is redundant for recovery, so whole leading segments below that
   // watermark can go. The watermark counts physical frames — what the WAL
-  // actually stores. Runs after the atomic rename — a crash in between
-  // still has the old checkpoint and the uncompacted journal.
-  if (durability_->compact_on_checkpoint) {
+  // actually stores. Runs after the snapshot is durable — a crash in
+  // between still has the old checkpoint and the uncompacted journal.
+  if (compacting) {
+    wal::fsync_path(dir.string());
     journal_->compact(journal_frames_);
   }
 }
@@ -1264,25 +1282,22 @@ void Scheduler::recover() {
   json::Value cp;
   bool have_cp = false;
   const auto cp_path =
-      std::filesystem::path(durability_->dir) / "checkpoint.json";
+      std::filesystem::path(durability_->dir) / "checkpoint.bin";
   if (std::filesystem::exists(cp_path)) {
     std::ifstream in(cp_path, std::ios::binary);
-    std::string text((std::istreambuf_iterator<char>(in)),
-                     std::istreambuf_iterator<char>());
-    cp = json::parse(text);
+    const std::string bytes((std::istreambuf_iterator<char>(in)),
+                            std::istreambuf_iterator<char>());
+    cp = wire::decode_value(bytes);
     have_cp = true;
   }
   const std::size_t cp_records =
       have_cp ? static_cast<std::size_t>(cp.get_int("journal_records", 0)) : 0;
 
-  // Journals written before the binary codec hold JSON text; the first
-  // byte tells them apart, so old journals keep replaying.
+  // Every frame is wire-encoded; anything else is a typed WireError.
   std::vector<json::Value> frames;
   const wal::ReplayStats replay_stats = wal::WalWriter::replay(
       durability_->dir, [&frames](std::string_view payload) {
-        frames.push_back(wire::looks_binary(payload)
-                             ? wire::decode_value(payload)
-                             : json::parse(payload));
+        frames.push_back(wire::decode_value(payload));
       });
   const std::size_t compacted_frames =
       static_cast<std::size_t>(replay_stats.compacted_records);
@@ -1630,7 +1645,8 @@ void Scheduler::crash_and_recover() {
   journal_records_ = 0;
   journal_frames_ = 0;
   journal_group_depth_ = 0;
-  journal_group_buffer_ = json::Array{};
+  journal_group_bytes_.clear();
+  journal_group_count_ = 0;
   intake_.clear();
   spec_order_.clear();
   pending_fetch_waiters_.clear();

@@ -21,6 +21,7 @@
 #include <optional>
 #include <set>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "chaos/fault.hpp"
@@ -33,7 +34,6 @@
 #include "dtr/plugins.hpp"
 #include "dtr/records.hpp"
 #include "dtr/shard.hpp"
-#include "json/json.hpp"
 #include "dtr/task.hpp"
 #include "dtr/worker.hpp"
 #include "platform/network.hpp"
@@ -117,10 +117,10 @@ struct SchedulerConfig {
 };
 
 /// Durable-state configuration for the scheduler. `dir` receives a
-/// segmented journal WAL (every transition / spec / record, append-only)
-/// plus `checkpoint.json` snapshots of the control state. A restarted
-/// scheduler replays checkpoint + journal suffix and reconciles against the
-/// workers that survived it.
+/// segmented journal WAL (every transition / spec / record, append-only,
+/// wire-encoded) plus `checkpoint.bin` snapshots of the control state (one
+/// wire-encoded object). A restarted scheduler replays checkpoint + journal
+/// suffix and reconciles against the workers that survived it.
 struct SchedulerDurability {
   std::string dir;
   /// Also checkpoint every N journal records (0 = only at graph
@@ -229,10 +229,11 @@ class Scheduler {
   /// workers are registered.
   void enable_durability(SchedulerDurability durability);
   [[nodiscard]] bool durable() const { return journal_ != nullptr; }
-  /// Atomically snapshots the control state to checkpoint.json. Also runs
+  /// Atomically snapshots the control state to checkpoint.bin. Also runs
   /// automatically at every graph completion and (optionally) every
   /// checkpoint_every journal records. Always lands on a batch-group
-  /// boundary (an open group is flushed first).
+  /// boundary (an open group is flushed first). Throws wal::WalError when
+  /// the snapshot cannot be written in full; the previous one stays.
   void checkpoint();
   /// Rebuilds state from checkpoint + journal, then reconciles with live
   /// workers: tasks still executing on a surviving worker are re-adopted,
@@ -348,9 +349,9 @@ class Scheduler {
   /// fires on_done once, checkpoints, and consults the process-crash fault
   /// site.
   void graph_completed(GraphInfo& graph);
-  /// Appends one logical journal record — directly as its own WAL frame,
-  /// or into the open batch group (and maybe auto-checkpoints).
-  void journal_append(const json::Value& record);
+  /// Appends one wire-encoded logical journal record — directly as its own
+  /// WAL frame, or into the open batch group (and maybe auto-checkpoints).
+  void journal_append(std::string_view record);
   /// Scopes a journal batch group; nested scopes fold into the outermost.
   void begin_journal_group();
   void end_journal_group();
@@ -358,6 +359,10 @@ class Scheduler {
   /// WAL frame. Checkpoints call this so snapshots always sit on a group
   /// boundary.
   void flush_journal_group();
+  /// Appends one batch frame of `count` encoded records starting at logical
+  /// index `base`.
+  void append_batch_frame(std::size_t base, std::size_t count,
+                          std::string_view recs);
   [[nodiscard]] Duration transfer_cost_estimate(const TaskInfo& info,
                                                 const Worker& worker) const;
   [[nodiscard]] Duration compute_estimate(const TaskInfo& info) const;
@@ -419,10 +424,15 @@ class Scheduler {
   /// Physical WAL frames in the full log (a batch group is one frame);
   /// compaction watermarks index frames.
   std::size_t journal_frames_ = 0;
-  /// Open batch group: buffered records and the logical index of the first.
+  /// Open batch group: its records' encoded bytes, their count, and the
+  /// logical index of the first.
   std::size_t journal_group_depth_ = 0;
   std::size_t journal_group_base_ = 0;
-  json::Array journal_group_buffer_;
+  std::size_t journal_group_count_ = 0;
+  std::string journal_group_bytes_;
+  /// Reused encoding buffers: one journal record, one WAL frame.
+  std::string journal_record_;
+  std::string journal_frame_;
   /// Task specs in submission order — replayed into compacting checkpoints
   /// so a truncated journal still reproduces every spec.
   std::vector<TaskKey> spec_order_;

@@ -33,14 +33,6 @@ std::string read_file(const std::string& path) {
   return std::move(buf).str();
 }
 
-void fsync_path(const std::string& path) {
-  const int fd = ::open(path.c_str(), O_RDONLY);
-  if (fd >= 0) {
-    ::fsync(fd);
-    ::close(fd);
-  }
-}
-
 /// View names embed into file names; keep them filesystem-safe.
 std::string sanitize(const std::string& view) {
   std::string out = view;
@@ -130,8 +122,8 @@ void SegmentStore::write_segment_file(const std::string& file,
       throw SegstoreError("segstore: short write to " + path);
     }
   }
-  fsync_path(path);
-  fsync_path(config_.dir);
+  wal::fsync_path(path);
+  wal::fsync_path(config_.dir);
   segments_written_.fetch_add(1, std::memory_order_relaxed);
 }
 

@@ -88,43 +88,64 @@ std::uint64_t get_fixed64(std::string_view bytes, std::size_t& pos) {
   return v;
 }
 
+// --- Value writers --------------------------------------------------------
+
+void put_null(std::string& out) { out.push_back(static_cast<char>(kNull)); }
+
+void put_bool(std::string& out, bool b) {
+  out.push_back(static_cast<char>(b ? kTrue : kFalse));
+}
+
+void put_int(std::string& out, std::int64_t v) {
+  out.push_back(static_cast<char>(kInt));
+  put_zigzag(out, v);
+}
+
+void put_double(std::string& out, double d) {
+  out.push_back(static_cast<char>(kDouble));
+  std::uint64_t bits;
+  std::memcpy(&bits, &d, sizeof(bits));
+  put_fixed64(out, bits);
+}
+
+void put_str(std::string& out, std::string_view s) {
+  out.push_back(static_cast<char>(kStr));
+  put_varint(out, s.size());
+  out.append(s);
+}
+
+void put_array(std::string& out, std::size_t n) {
+  out.push_back(static_cast<char>(kArray));
+  put_varint(out, n);
+}
+
+void put_object(std::string& out, std::size_t n) {
+  out.push_back(static_cast<char>(kObject));
+  put_varint(out, n);
+}
+
 // --- Self-contained values --------------------------------------------------
 
 void encode_value(const json::Value& v, std::string& out) {
   if (v.is_null()) {
-    out.push_back(static_cast<char>(kNull));
+    put_null(out);
   } else if (v.is_bool()) {
-    out.push_back(static_cast<char>(v.as_bool() ? kTrue : kFalse));
+    put_bool(out, v.as_bool());
   } else if (v.is_int()) {
-    out.push_back(static_cast<char>(kInt));
-    put_zigzag(out, v.as_int());
+    put_int(out, v.as_int());
   } else if (v.is_double()) {
-    out.push_back(static_cast<char>(kDouble));
-    const double d = v.as_double();
-    std::uint64_t bits;
-    std::memcpy(&bits, &d, sizeof(bits));
-    char b[8];
-    for (int i = 0; i < 8; ++i)
-      b[i] = static_cast<char>((bits >> (8 * i)) & 0xFF);
-    out.append(b, 8);
+    put_double(out, v.as_double());
   } else if (v.is_string()) {
-    const std::string& s = v.as_string();
-    out.push_back(static_cast<char>(kStr));
-    put_varint(out, s.size());
-    out.append(s);
+    put_str(out, v.as_string());
   } else if (v.is_array()) {
     const auto& a = v.as_array();
-    out.push_back(static_cast<char>(kArray));
-    put_varint(out, a.size());
+    put_array(out, a.size());
     for (const auto& e : a) encode_value(e, out);
   } else {
     const auto& o = v.as_object();
-    out.push_back(static_cast<char>(kObject));
-    put_varint(out, o.size());
+    put_object(out, o.size());
     for (const auto& [k, e] : o) {
-      out.push_back(static_cast<char>(kStr));
-      put_varint(out, k.size());
-      out.append(k);
+      put_str(out, k);
       encode_value(e, out);
     }
   }
@@ -139,10 +160,7 @@ std::string encode_value(const json::Value& v) {
 namespace {
 
 double decode_double(std::string_view bytes, std::size_t& pos) {
-  const std::string_view raw = need_bytes(bytes, pos, 8);
-  std::uint64_t bits = 0;
-  for (int i = 7; i >= 0; --i)
-    bits = (bits << 8) | static_cast<std::uint8_t>(raw[i]);
+  const std::uint64_t bits = get_fixed64(bytes, pos);
   double d;
   std::memcpy(&d, &bits, sizeof(d));
   return d;
@@ -209,17 +227,13 @@ json::Value decode_value(std::string_view bytes) {
 
 void StreamEncoder::encode_string(const std::string& s, std::string& out) {
   if (s.size() < kMinInternLength || ids_.size() >= kMaxEntries) {
-    out.push_back(static_cast<char>(kStr));
-    put_varint(out, s.size());
-    out.append(s);
+    put_str(out, s);
     return;
   }
   auto [it, inserted] = ids_.try_emplace(s, kPendingId);
   if (inserted) {
     // First sighting: ship inline; intern only if it repeats.
-    out.push_back(static_cast<char>(kStr));
-    put_varint(out, s.size());
-    out.append(s);
+    put_str(out, s);
     return;
   }
   if (it->second == kPendingId) {
@@ -239,13 +253,11 @@ void StreamEncoder::encode(const json::Value& v, std::string& out) {
     encode_string(v.as_string(), out);
   } else if (v.is_array()) {
     const auto& a = v.as_array();
-    out.push_back(static_cast<char>(kArray));
-    put_varint(out, a.size());
+    put_array(out, a.size());
     for (const auto& e : a) encode(e, out);
   } else if (v.is_object()) {
     const auto& o = v.as_object();
-    out.push_back(static_cast<char>(kObject));
-    put_varint(out, o.size());
+    put_object(out, o.size());
     for (const auto& [k, e] : o) {
       encode_string(k, out);
       encode(e, out);

@@ -89,6 +89,20 @@ void put_fixed64(std::string& out, std::uint64_t v);
 [[nodiscard]] std::uint64_t get_fixed64(std::string_view bytes,
                                         std::size_t& pos);
 
+// --- Value writers (self-contained, no interning) ---------------------------
+// Each appends one value's bytes, so a typed struct can be written without
+// building a json::Value first. put_object/put_array write only the header:
+// the caller then appends exactly `n` elements — for an object, `n` (key,
+// value) pairs with each key written by put_str, in ascending byte order so
+// the bytes equal encode_value of the same json::Object (std::map order).
+void put_null(std::string& out);
+void put_bool(std::string& out, bool b);
+void put_int(std::string& out, std::int64_t v);
+void put_double(std::string& out, double d);
+void put_str(std::string& out, std::string_view s);
+void put_array(std::string& out, std::size_t n);
+void put_object(std::string& out, std::size_t n);
+
 // --- Self-contained values (no session state) -------------------------------
 /// Appends the binary encoding of `v` to `out`, never interning strings.
 void encode_value(const json::Value& v, std::string& out);

@@ -12,14 +12,19 @@
 // proving the oracle can detect missing durability.
 #include <gtest/gtest.h>
 
+#include <sys/resource.h>
 #include <unistd.h>
 
 #include <atomic>
 #include <chrono>
+#include <csignal>
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
+#include <limits>
 #include <map>
+#include <random>
 #include <set>
 #include <string>
 #include <thread>
@@ -30,6 +35,7 @@
 #include "common/wal.hpp"
 #include "dtr/cluster.hpp"
 #include "dtr/darshan_bridge.hpp"
+#include "dtr/durability.hpp"
 #include "dtr/mofka_plugins.hpp"
 #include "dtr_fixture.hpp"
 #include "mochi/bedrock.hpp"
@@ -109,12 +115,45 @@ std::string first_segment_path(const std::string& dir) {
 // ---------------------------------------------------------------------------
 // WAL primitive.
 
+/// Byte-at-a-time CRC-32 (IEEE, reflected): the reference the sliced
+/// implementation must match.
+std::uint32_t bytewise_crc32(const unsigned char* data, std::size_t size,
+                             std::uint32_t seed) {
+  std::uint32_t crc = seed ^ 0xFFFFFFFFu;
+  for (std::size_t i = 0; i < size; ++i) {
+    crc ^= data[i];
+    for (int bit = 0; bit < 8; ++bit) {
+      crc = (crc & 1u) != 0 ? 0xEDB88320u ^ (crc >> 1) : crc >> 1;
+    }
+  }
+  return crc ^ 0xFFFFFFFFu;
+}
+
 TEST(Wal, Crc32MatchesTheStandardCheckValue) {
   const char* check = "123456789";
   EXPECT_EQ(wal::crc32(check, 9), 0xCBF43926u);
   // Chaining via the seed equals one pass over the concatenation.
   const std::uint32_t head = wal::crc32(check, 4);
   EXPECT_EQ(wal::crc32(check + 4, 5, head), 0xCBF43926u);
+
+  // Every length 0-64 at every alignment 0-7 (so each 8-byte step, each
+  // tail length and each misaligned start is covered), plain and chained.
+  std::vector<unsigned char> bytes(64 + 8);
+  std::uint32_t x = 0x12345678u;
+  for (unsigned char& b : bytes) {
+    x = x * 1664525u + 1013904223u;
+    b = static_cast<unsigned char>(x >> 24);
+  }
+  for (std::size_t offset = 0; offset < 8; ++offset) {
+    for (std::size_t size = 0; size <= 64; ++size) {
+      const unsigned char* data = bytes.data() + offset;
+      EXPECT_EQ(wal::crc32(data, size), bytewise_crc32(data, size, 0))
+          << "offset " << offset << " size " << size;
+      EXPECT_EQ(wal::crc32(data, size, 0xDEADBEEFu),
+                bytewise_crc32(data, size, 0xDEADBEEFu))
+          << "offset " << offset << " size " << size;
+    }
+  }
 }
 
 TEST(Wal, RoundTripsBinaryRecordsInOrder) {
@@ -306,9 +345,12 @@ TEST(Wal, CompactDropsWholeCoveredSegmentsOnly) {
   EXPECT_EQ(replay_all(dir.str()), expected);
 
   // Compacting up to record 10 deletes only whole segments whose records
-  // all precede it; the survivors replay as an aligned suffix.
+  // all precede it; the survivors replay as an aligned suffix. The marker
+  // and its directory are fsynced before any segment goes.
+  const std::uint64_t fsyncs_before = writer.fsyncs_issued();
   const std::uint64_t dropped = writer.compact(10);
   EXPECT_GT(dropped, 0u);
+  EXPECT_GT(writer.fsyncs_issued(), fsyncs_before);
   EXPECT_LE(dropped, 10u);
   EXPECT_TRUE(std::filesystem::exists(std::filesystem::path(dir.str()) /
                                       "wal-compacted"));
@@ -321,8 +363,10 @@ TEST(Wal, CompactDropsWholeCoveredSegmentsOnly) {
   for (std::size_t i = 0; i < suffix.size(); ++i) {
     EXPECT_EQ(suffix[i], expected[dropped + i]) << i;
   }
-  // A watermark at or below the current one is a no-op.
+  // A watermark at or below the current one is a no-op, and syncs nothing.
+  const std::uint64_t fsyncs_after = writer.fsyncs_issued();
   EXPECT_EQ(writer.compact(dropped), 0u);
+  EXPECT_EQ(writer.fsyncs_issued(), fsyncs_after);
 
   // Compacting "everything" still never touches the active segment: the
   // log remains appendable and the tail replays.
@@ -631,6 +675,97 @@ TEST(SchedulerDurable, MidRunCrashWithCompactionCompletesTheGraph) {
   EXPECT_GT(stats.compacted_records, 0u);
 }
 
+std::string read_bytes(const std::filesystem::path& path) {
+  std::ifstream in(path, std::ios::binary);
+  return std::string((std::istreambuf_iterator<char>(in)),
+                     std::istreambuf_iterator<char>());
+}
+
+/// Lowers this process's file-size limit (with SIGXFSZ ignored, so an
+/// oversized write fails with EFBIG instead of killing the process) and
+/// restores both on scope exit.
+class FileSizeLimit {
+ public:
+  explicit FileSizeLimit(rlim_t bytes) {
+    ::getrlimit(RLIMIT_FSIZE, &saved_);
+    handler_ = std::signal(SIGXFSZ, SIG_IGN);
+    rlimit low = saved_;
+    low.rlim_cur = bytes;
+    ::setrlimit(RLIMIT_FSIZE, &low);
+  }
+  ~FileSizeLimit() {
+    ::setrlimit(RLIMIT_FSIZE, &saved_);
+    std::signal(SIGXFSZ, handler_);
+  }
+  FileSizeLimit(const FileSizeLimit&) = delete;
+  FileSizeLimit& operator=(const FileSizeLimit&) = delete;
+
+ private:
+  rlimit saved_{};
+  void (*handler_)(int) = nullptr;
+};
+
+TEST(SchedulerDurable, FailedCheckpointWriteKeepsThePreviousSnapshot) {
+  // A short checkpoint write (a full disk; here the file-size limit) must
+  // throw and leave the last good snapshot in place — never rename a
+  // truncated one over it.
+  TempDir dir("sched_cp_short");
+  const auto cp_path = std::filesystem::path(dir.str()) / "checkpoint.bin";
+  std::string good;
+  {
+    dtr::testing::MiniCluster mini;
+    mini.scheduler.enable_durability({dir.str(), 0, false, {}});
+    ASSERT_TRUE(mini.run_graph(dtr::testing::independent_graph(16)));
+    good = read_bytes(cp_path);
+    ASSERT_GT(good.size(), 64u);
+    bool threw = false;
+    {
+      const FileSizeLimit limit(good.size() / 2);
+      try {
+        mini.scheduler.checkpoint();
+      } catch (const wal::WalError&) {
+        threw = true;
+      }
+    }
+    EXPECT_TRUE(threw);
+  }
+  EXPECT_EQ(read_bytes(cp_path), good);
+  EXPECT_FALSE(std::filesystem::exists(std::filesystem::path(dir.str()) /
+                                       "checkpoint.tmp"));
+
+  // The previous snapshot still grounds a cold restart.
+  dtr::testing::MiniCluster restarted;
+  restarted.scheduler.enable_durability({dir.str(), 0, false, {}});
+  restarted.scheduler.recover();
+  restarted.engine.run();
+  EXPECT_EQ(restarted.scheduler.recoveries(), 1u);
+  EXPECT_EQ(restarted.scheduler.tasks_in_memory(), 16u);
+}
+
+TEST(SchedulerDurable, JsonTextJournalFrameIsATypedError) {
+  // The journal is wire-encoded only. A JSON-text frame is corruption, and
+  // both replay sites report it as a typed wire::WireError.
+  const std::string json_frame = R"({"name":"g","size":1,"t":"graph"})";
+  {
+    TempDir dir("sched_json_enable");
+    {
+      wal::WalWriter writer(dir.str());
+      writer.append(json_frame);
+    }
+    dtr::testing::MiniCluster mini;
+    EXPECT_THROW(mini.scheduler.enable_durability({dir.str(), 0, false, {}}),
+                 wire::WireError);
+  }
+  TempDir dir("sched_json_recover");
+  dtr::testing::MiniCluster mini;
+  mini.scheduler.enable_durability({dir.str(), 0, false, {}});
+  {
+    wal::WalWriter writer(dir.str());
+    writer.append(json_frame);
+  }
+  EXPECT_THROW(mini.scheduler.recover(), wire::WireError);
+}
+
 // ---------------------------------------------------------------------------
 // Batched journal groups (DESIGN.md §11): with the batched intake every
 // WAL frame is a {"t":"batch","base":N,"recs":[...]} group carrying the
@@ -740,7 +875,7 @@ TEST(SchedulerBatchedJournal, TornBatchGroupIsAtomicallyAbsent) {
     const auto size = std::filesystem::file_size(segment);
     std::filesystem::resize_file(segment, size - 5);
     std::filesystem::remove(std::filesystem::path(dir.str()) /
-                            "checkpoint.json");
+                            "checkpoint.bin");
   }
   wal::ReplayStats stats;
   const std::vector<std::string> frames = replay_all(dir.str(), &stats);
@@ -822,6 +957,179 @@ TEST(SchedulerBatchedJournal, MidBatchCrashNeitherDoublesNorLosesWork) {
   cold.scheduler.recover();
   cold.engine.run();
   EXPECT_EQ(dump_records(cold.scheduler.transitions()), live);
+}
+
+TEST(SchedulerBatchedJournal, WireWritersMatchTheTreeEncodingByteForByte) {
+  // The journal is written straight from the typed records. Its reference is
+  // the JSON tree each record stands for, wire-encoded: equal bytes keep
+  // journals identical to the tree path and readable by wire::decode_value.
+  std::mt19937_64 rng(0x6a6f75726e616cULL);  // "journal"
+  const auto below = [&rng](std::uint64_t n) { return rng() % n; };
+  const auto text = [&]() {
+    std::string s(below(12), '\0');  // often empty; any byte value
+    for (char& c : s) c = static_cast<char>(below(256));
+    return s;
+  };
+  const auto real = [&]() {
+    switch (below(6)) {
+      case 0: return std::numeric_limits<double>::quiet_NaN();
+      case 1: return std::numeric_limits<double>::infinity();
+      case 2: return -std::numeric_limits<double>::infinity();
+      case 3: return 0.0;  // integral doubles stay doubles on the wire
+      case 4: return -0.0;
+      default:
+        return std::uniform_real_distribution<double>(-1e6, 1e6)(rng);
+    }
+  };
+  const auto integer = [&]() -> std::int64_t {
+    switch (below(4)) {
+      case 0: return -1;
+      case 1: return std::numeric_limits<std::int64_t>::min();
+      case 2: return std::numeric_limits<std::int64_t>::max();
+      default: return static_cast<std::int64_t>(rng() >> below(64));
+    }
+  };
+  const auto u64 = [&]() -> std::uint64_t {
+    return below(2) == 0 ? (1ULL << 63) + (rng() >> 1) : rng() >> below(64);
+  };
+  const auto u32 = [&]() { return static_cast<std::uint32_t>(rng()); };
+  const auto key = [&]() { return dtr::TaskKey{text(), integer()}; };
+  const auto keys = [&]() {
+    std::vector<dtr::TaskKey> out(below(4));
+    for (dtr::TaskKey& k : out) k = key();
+    return out;
+  };
+  const auto io_ops = [&](bool is_write) {
+    std::vector<dtr::IoOpSpec> ops(1 + below(3));
+    for (dtr::IoOpSpec& op : ops) op = {text(), u64(), u64(), is_write};
+    return ops;
+  };
+  const auto wired = [](const auto& record) {
+    std::string out;
+    dtr::to_wire(record, out);
+    return out;
+  };
+  const auto envelope = [](const char* type, json::Value r) {
+    json::Object o;
+    o["t"] = type;
+    o["r"] = std::move(r);
+    return json::Value(std::move(o));
+  };
+
+  for (int round = 0; round < 200; ++round) {
+    SCOPED_TRACE("round " + std::to_string(round));
+    // Every record of the round, as encoded bytes and as its JSON tree.
+    std::string recs;
+    json::Array trees;
+    const auto check = [&](const std::string& bytes, json::Value tree) {
+      EXPECT_EQ(bytes, wire::encode_value(tree));
+      recs += bytes;
+      trees.push_back(std::move(tree));
+    };
+
+    dtr::TransitionRecord transition{key(),  text(), text(), text(),
+                                     text(), text(), real()};
+    EXPECT_EQ(wired(transition),
+              wire::encode_value(dtr::to_json(transition)));
+    std::string bytes;
+    dtr::put_journal_record(bytes, transition);
+    check(bytes, envelope("transition", dtr::to_json(transition)));
+
+    dtr::TaskRecord task;
+    task.key = key();
+    task.graph = text();
+    task.prefix = text();
+    task.worker = u32();
+    task.worker_address = text();
+    task.thread_id = u64();
+    task.lane = u32();
+    task.received_time = real();
+    task.ready_time = real();
+    task.start_time = real();
+    task.end_time = real();
+    task.compute_time = real();
+    task.io_time = real();
+    task.gpu_time = real();
+    task.output_bytes = u64();
+    task.bytes_read = u64();
+    task.bytes_written = u64();
+    task.bytes_oob = u64();
+    task.bytes_inline = u64();
+    task.retries = u32();
+    task.stolen = below(2) == 0;
+    task.dependencies = keys();  // with and without dependencies
+    EXPECT_EQ(wired(task), wire::encode_value(dtr::to_json(task)));
+    bytes.clear();
+    dtr::put_journal_record(bytes, task);
+    check(bytes, envelope("task", dtr::to_json(task)));
+
+    const dtr::StealRecord steal{key(), u32(), u32(), real(), real(), real()};
+    EXPECT_EQ(wired(steal), wire::encode_value(dtr::to_json(steal)));
+    bytes.clear();
+    dtr::put_journal_record(bytes, steal);
+    check(bytes, envelope("steal", dtr::to_json(steal)));
+
+    const dtr::WarningRecord warning{text(), text(), real(), real(), text()};
+    EXPECT_EQ(wired(warning), wire::encode_value(dtr::to_json(warning)));
+    bytes.clear();
+    dtr::put_journal_record(bytes, warning);
+    check(bytes, envelope("warning", dtr::to_json(warning)));
+
+    const std::string graph = text();
+    const std::size_t size = u64();
+    bytes.clear();
+    dtr::put_graph_record(bytes, graph, size);
+    json::Object graph_record;
+    graph_record["t"] = "graph";
+    graph_record["name"] = graph;
+    graph_record["size"] = size;
+    check(bytes, json::Value(std::move(graph_record)));
+
+    // Specs: every on/off combination of the four optional lists.
+    for (int lists = 0; lists < 16; ++lists) {
+      dtr::TaskSpec spec;
+      spec.key = key();
+      if (lists & 1) spec.dependencies = {key(), key()};
+      spec.priority = static_cast<int>(u32());
+      spec.work.compute = real();
+      spec.work.compute_noise_sigma = real();
+      spec.work.output_bytes = u64();
+      spec.work.scratch_bytes = u64();
+      spec.work.blocks_event_loop = below(2) == 0;
+      spec.work.failure_probability = real();
+      spec.work.releasable = below(2) == 0;
+      if (lists & 2) spec.work.reads = io_ops(false);
+      if (lists & 4) spec.work.writes = io_ops(true);
+      if (lists & 8) {
+        spec.work.kernels = {{text(), real(), u32()}, {text(), real(), 1}};
+      }
+      EXPECT_EQ(wired(spec), wire::encode_value(dtr::to_json(spec)))
+          << "lists " << lists;
+      bytes.clear();
+      dtr::put_spec_record(bytes, graph, spec);
+      json::Object spec_record;
+      spec_record["t"] = "spec";
+      spec_record["graph"] = graph;
+      spec_record["spec"] = dtr::to_json(spec);
+      check(bytes, json::Value(std::move(spec_record)));
+    }
+
+    // Batch frames around the round's records, with bases whose varints
+    // span one to nine bytes.
+    for (const std::size_t base :
+         {std::size_t{0}, std::size_t{63}, std::size_t{64}, std::size_t{8192},
+          std::size_t{1} << 20, std::size_t{1} << 34, std::size_t{1} << 55,
+          (std::size_t{1} << 62) + static_cast<std::size_t>(below(1000))}) {
+      bytes.clear();
+      dtr::put_batch_frame(bytes, base, trees.size(), recs);
+      json::Object frame;
+      frame["t"] = "batch";
+      frame["base"] = base;
+      frame["recs"] = trees;
+      EXPECT_EQ(bytes, wire::encode_value(json::Value(std::move(frame))))
+          << "base " << base;
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------

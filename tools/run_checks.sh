@@ -125,6 +125,23 @@ else
   # checks, exact counters and query digest repeating for a seed, and
   # stats.py refusing to compare across fingerprints.
   python3 perfbench/test_perfbench.py
+
+  echo "== committed figures: regenerate and byte-compare =="
+  # The seeded figure benches are deterministic, so each committed output
+  # they produce must regenerate byte for byte. fig3.csv, fig4.csv,
+  # fig5.csv, fig6.csv and fig6_categories.csv are stale (they no longer
+  # match the current code, though each regenerates deterministically) and
+  # stay out of this gate until they are re-recorded.
+  fig_dir=$(mktemp -d "${TMPDIR:-/tmp}/recup_checks_figs.XXXXXX")
+  for bench in table1 fig7 fig8 ablation; do
+    (cd "$fig_dir" && "$repo_root/build/bench/bench_$bench" \
+      --out "$fig_dir/out" >/dev/null 2>&1)
+  done
+  for figure in table1.csv fig7.csv fig8_chart.json fig8_lineage.json \
+    ablation.csv; do
+    cmp "$fig_dir/out/$figure" "bench_out/$figure"
+  done
+  rm -rf "$fig_dir"
 fi
 
 if [[ "$skip_sanitize" == 1 ]]; then
