@@ -1,9 +1,8 @@
 // Scheduler throughput bench (DESIGN.md §11): drives a simulated 100-node
 // x 1000-worker cluster through waves of tasks and measures scheduler
-// state-machine transitions per wall-clock second under three topologies —
-// the legacy direct-callback path, the batched/sharded intake, and the full
-// hierarchical foreman tier. The hierarchical configuration must sustain
-// > 100k transitions/sec; the number feeds the perf trajectory gate.
+// state-machine transitions per wall-clock second, once plain and once with
+// the durable journal on. The plain run must sustain >= 100k
+// transitions/sec; both rates feed the perf trajectory gate.
 #include <chrono>
 #include <cstdio>
 #include <filesystem>
@@ -14,7 +13,6 @@
 #include "bench_util.hpp"
 #include "common/log.hpp"
 #include "common/rng.hpp"
-#include "dtr/foreman.hpp"
 #include "dtr/scheduler.hpp"
 #include "dtr/task.hpp"
 #include "dtr/vfs.hpp"
@@ -34,16 +32,13 @@ constexpr std::size_t kWorkersPerNode = 10;  // 1000 workers
 constexpr std::size_t kThreads = 4;
 constexpr std::size_t kWaves = 8;
 constexpr std::size_t kTasksPerWave = 6000;  // below saturation (8000 slots)
-constexpr std::size_t kGroupsPerWave = 64;   // spread task groups over shards
+constexpr std::size_t kGroupsPerWave = 64;   // many distinct task groups
 
 struct BenchResult {
   std::string label;
   double wall_s = 0.0;
   std::size_t transitions = 0;
   double per_sec = 0.0;
-  std::uint64_t intake_batches = 0;
-  std::size_t intake_max_batch = 0;
-  std::uint64_t foreman_flushes = 0;
   std::size_t journal_frames = 0;
   std::size_t journal_records = 0;
 };
@@ -52,8 +47,6 @@ TaskGraph make_wave(std::size_t wave) {
   TaskGraph graph("wave-" + std::to_string(wave));
   for (std::size_t i = 0; i < kTasksPerWave; ++i) {
     TaskSpec t;
-    // Many distinct groups per wave so ShardedTaskMap's group-hash routing
-    // spreads the wave across shards.
     t.key = {"w" + std::to_string(wave) + "g" +
                  std::to_string(i % kGroupsPerWave) + "-bench00",
              static_cast<std::int64_t>(i)};
@@ -64,8 +57,7 @@ TaskGraph make_wave(std::size_t wave) {
   return graph;
 }
 
-BenchResult run_config(const std::string& label, SchedulerConfig config,
-                       bool durable) {
+BenchResult run_config(const std::string& label, bool durable) {
   sim::Engine engine;
   LogCollector logs;
   platform::Topology topology = platform::make_polaris_like(kNodes);
@@ -73,6 +65,7 @@ BenchResult run_config(const std::string& label, SchedulerConfig config,
                             RngStream(11));
   platform::Pfs pfs(engine, platform::PfsConfig{}, RngStream(22));
   Vfs vfs(engine, pfs);
+  SchedulerConfig config;
   config.work_stealing = false;  // measure the dispatch/completion path
   config.lease_liveness = false;
   Scheduler scheduler(engine, network, config, RngStream(33), logs);
@@ -88,7 +81,6 @@ BenchResult run_config(const std::string& label, SchedulerConfig config,
         worker_config, RngStream(1000 + i), logs, darshan::RuntimeConfig{}));
     scheduler.add_worker(workers.back().get());
   }
-  scheduler.finalize_topology();
 
   const auto wal_dir =
       std::filesystem::temp_directory_path() / "recup_bench_scheduler_wal";
@@ -112,23 +104,14 @@ BenchResult run_config(const std::string& label, SchedulerConfig config,
   result.wall_s = wall.count();
   result.transitions = scheduler.transitions().size();
   result.per_sec = static_cast<double>(result.transitions) / result.wall_s;
-  result.intake_batches = scheduler.intake_stats().batches;
-  result.intake_max_batch = scheduler.intake_stats().max_batch;
-  for (const auto& foreman : scheduler.foremen()) {
-    result.foreman_flushes += foreman->batches_flushed();
-  }
   result.journal_frames = scheduler.journal_frames();
   result.journal_records = scheduler.journal_records();
   if (durable) std::filesystem::remove_all(wal_dir);
   std::fprintf(stderr,
-               "  %-14s %8.3fs  %9zu transitions  %12.0f /s  "
-               "(batches=%llu max=%zu flushes=%llu frames=%zu/%zu)\n",
+               "  %-8s %8.3fs  %9zu transitions  %12.0f /s  "
+               "(frames=%zu/%zu)\n",
                label.c_str(), result.wall_s, result.transitions,
-               result.per_sec,
-               static_cast<unsigned long long>(result.intake_batches),
-               result.intake_max_batch,
-               static_cast<unsigned long long>(result.foreman_flushes),
-               result.journal_frames, result.journal_records);
+               result.per_sec, result.journal_frames, result.journal_records);
   return result;
 }
 
@@ -141,30 +124,11 @@ int main(int argc, char** argv) {
   std::fprintf(stderr, "bench_scheduler: %zu workers, %zu tasks\n",
                kNodes * kWorkersPerNode, kWaves * kTasksPerWave);
 
-  SchedulerConfig legacy;
-  legacy.legacy_intake = true;
-  const BenchResult r_legacy = run_config("legacy", legacy, /*durable=*/false);
-
-  SchedulerConfig batched;
-  batched.shards = 16;
-  const BenchResult r_batched =
-      run_config("batched", batched, /*durable=*/false);
-
-  SchedulerConfig hier;
-  hier.shards = 16;
-  hier.foremen = 20;
-  hier.foreman_window = 0.002;
-  hier.foreman_autonomy = true;
-  const BenchResult r_hier = run_config("hierarchical", hier,
-                                        /*durable=*/false);
-
-  SchedulerConfig durable_cfg;
-  durable_cfg.shards = 16;
-  const BenchResult r_durable =
-      run_config("durable", durable_cfg, /*durable=*/true);
+  const BenchResult r_plain = run_config("plain", /*durable=*/false);
+  const BenchResult r_durable = run_config("durable", /*durable=*/true);
 
   std::string csv = "config,wall_s,transitions,transitions_per_sec\n";
-  for (const BenchResult* r : {&r_legacy, &r_batched, &r_hier, &r_durable}) {
+  for (const BenchResult* r : {&r_plain, &r_durable}) {
     csv += r->label + "," + std::to_string(r->wall_s) + "," +
            std::to_string(r->transitions) + "," + std::to_string(r->per_sec) +
            "\n";
@@ -173,13 +137,7 @@ int main(int argc, char** argv) {
 
   // Wall-clock throughput on a shared box jitters; the wide noise gates
   // still catch order-of-magnitude regressions.
-  add_headline("scheduler_transitions_per_sec", r_hier.per_sec,
-               "transitions/s", /*higher_is_better=*/true,
-               /*noise_pct=*/40.0);
-  add_headline("scheduler_transitions_per_sec_batched", r_batched.per_sec,
-               "transitions/s", /*higher_is_better=*/true,
-               /*noise_pct=*/40.0);
-  add_headline("scheduler_transitions_per_sec_legacy", r_legacy.per_sec,
+  add_headline("scheduler_transitions_per_sec", r_plain.per_sec,
                "transitions/s", /*higher_is_better=*/true,
                /*noise_pct=*/40.0);
   add_headline("scheduler_durable_transitions_per_sec", r_durable.per_sec,
@@ -187,13 +145,14 @@ int main(int argc, char** argv) {
                /*noise_pct=*/40.0);
   recup::bench::write_bench_json("scheduler");
 
-  if (r_hier.per_sec < 100000.0) {
+  if (r_plain.per_sec < 100000.0) {
     std::fprintf(stderr,
-                 "FAIL: hierarchical scheduler sustained %.0f transitions/s "
+                 "FAIL: scheduler sustained %.0f transitions/s "
                  "(< 100000 required)\n",
-                 r_hier.per_sec);
+                 r_plain.per_sec);
     return 1;
   }
-  std::fprintf(stderr, "OK: %.0f transitions/s (>= 100000)\n", r_hier.per_sec);
+  std::fprintf(stderr, "OK: %.0f transitions/s (>= 100000)\n",
+               r_plain.per_sec);
   return 0;
 }

@@ -71,18 +71,11 @@ std::string DurabilityConfig::segstore_dir() const {
   return component_dir(segstore, "segstore");
 }
 
-DurabilityParse durability_from_json(const json::Value& v) {
-  DurabilityParse parsed;
-  DurabilityConfig& c = parsed.config;
-  if (!v.is_object()) return parsed;
+DurabilityConfig durability_from_json(const json::Value& v) {
+  DurabilityConfig c;
+  if (!v.is_object()) return c;
 
   c.dir = v.get_string("dir", "");
-  // Deprecated flat alias from ClusterConfig's JSON era: `durability_dir`
-  // named the root. The nested `dir` wins when both are present.
-  if (c.dir.empty() && v.contains("durability_dir")) {
-    c.dir = v.get_string("durability_dir", "");
-    parsed.deprecated.push_back("durability_dir");
-  }
 
   if (v.contains("broker")) parse_component(v.at("broker"), &c.broker);
   if (v.contains("scheduler")) {
@@ -113,53 +106,7 @@ DurabilityParse durability_from_json(const json::Value& v) {
     }
   }
 
-  // Deprecated flat aliases mirroring the old per-struct field names.
-  // Each applies only where its nested counterpart said nothing, and is
-  // recorded so callers can warn once per key.
-  if (!v.contains("scheduler") ||
-      !(v.at("scheduler").is_object() &&
-        v.at("scheduler").contains("checkpoint_every"))) {
-    if (v.contains("checkpoint_every")) {
-      c.scheduler.checkpoint_every =
-          static_cast<std::size_t>(v.get_int("checkpoint_every", 0));
-      parsed.deprecated.push_back("checkpoint_every");
-    }
-  }
-  if (!v.contains("scheduler") ||
-      !(v.at("scheduler").is_object() &&
-        v.at("scheduler").contains("compact_on_checkpoint"))) {
-    if (v.contains("compact_on_checkpoint")) {
-      c.scheduler.compact_on_checkpoint =
-          v.get_bool("compact_on_checkpoint", false);
-      parsed.deprecated.push_back("compact_on_checkpoint");
-    }
-  }
-  if (v.contains("sync") && v.at("sync").is_string()) {
-    const wal::SyncPolicy sync =
-        sync_from_string(v.at("sync").as_string(), wal::SyncPolicy::kNone);
-    for (DurabilityConfig::Component* component :
-         {static_cast<DurabilityConfig::Component*>(&c.broker),
-          static_cast<DurabilityConfig::Component*>(&c.scheduler),
-          static_cast<DurabilityConfig::Component*>(&c.ingest),
-          static_cast<DurabilityConfig::Component*>(&c.segstore)}) {
-      component->wal.sync = sync;
-    }
-    parsed.deprecated.push_back("sync");
-  }
-  if (v.contains("segment_bytes")) {
-    const auto bytes =
-        static_cast<std::uint64_t>(v.get_int("segment_bytes", 0));
-    for (DurabilityConfig::Component* component :
-         {static_cast<DurabilityConfig::Component*>(&c.broker),
-          static_cast<DurabilityConfig::Component*>(&c.scheduler),
-          static_cast<DurabilityConfig::Component*>(&c.ingest),
-          static_cast<DurabilityConfig::Component*>(&c.segstore)}) {
-      component->wal.segment_bytes = bytes;
-    }
-    parsed.deprecated.push_back("segment_bytes");
-  }
-
-  return parsed;
+  return c;
 }
 
 json::Value to_json(const DurabilityConfig& config) {

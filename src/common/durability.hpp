@@ -27,16 +27,10 @@
 //     "ingest":    {"dir": "/fast-ssd/cursors"},
 //     "segstore":  {"compact_min_segments": 4, "mmap_reads": true}
 //   }
-//
-// The old flat field names remain readable for one release as deprecated
-// aliases ("durability_dir", "checkpoint_every", "compact_on_checkpoint",
-// "sync", "segment_bytes" at the top level); durability_from_json reports
-// which aliases were used so callers can warn.
 #pragma once
 
 #include <cstdint>
 #include <string>
-#include <vector>
 
 #include "common/wal.hpp"
 #include "json/json.hpp"
@@ -95,21 +89,10 @@ struct DurabilityConfig {
   [[nodiscard]] std::string segstore_dir() const;
 };
 
-/// Parse result: the config plus every deprecated flat alias that was
-/// consulted (old field name, e.g. "durability_dir"), so callers can emit
-/// one deprecation warning per key.
-struct DurabilityParse {
-  DurabilityConfig config;
-  std::vector<std::string> deprecated;
-};
+/// Parses the nested JSON shape above. Unknown keys are ignored.
+[[nodiscard]] DurabilityConfig durability_from_json(const json::Value& v);
 
-/// Parses the nested JSON shape above. Unknown keys are ignored; the flat
-/// pre-unification aliases are honoured only where the nested field is
-/// absent (nested wins on conflict) and recorded in `deprecated`.
-[[nodiscard]] DurabilityParse durability_from_json(const json::Value& v);
-
-/// Serializes the nested (non-deprecated) shape; inverse of
-/// durability_from_json for alias-free input.
+/// Serializes the nested shape; inverse of durability_from_json.
 [[nodiscard]] json::Value to_json(const DurabilityConfig& config);
 
 }  // namespace recup

@@ -27,11 +27,6 @@ Cluster::Cluster(ClusterConfig config)
            "suspect_after": 2, "dead_after": 5}
         ]
       })"));
-  // Resolve the deprecated flat alias into the unified knob tree once;
-  // everything below keys off the resolved config.
-  if (config_.durability.dir.empty() && !config_.durability_dir.empty()) {
-    config_.durability.dir = config_.durability_dir;
-  }
   if (config_.durability.broker_dir().empty()) {
     broker_ = std::make_unique<mofka::Broker>(
         services_->yokan("mofka-metadata"), services_->warabi("mofka-data"));
@@ -131,9 +126,6 @@ Cluster::Cluster(ClusterConfig config)
     worker_members_.push_back(group.join(address));
     workers_.push_back(std::move(worker));
   }
-  // All workers registered: build the foreman tier (no-op when
-  // scheduler.foremen == 0).
-  scheduler_->finalize_topology();
 
   // SSG fault detection feeds the scheduler's recovery path: when the group
   // declares a member dead, the matching worker is failed over.

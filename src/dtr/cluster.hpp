@@ -81,9 +81,6 @@ struct ClusterConfig {
   /// `<dir>/scheduler`. Required for the chaos process.{broker,scheduler}
   /// crash sites to fire.
   DurabilityConfig durability;
-  /// Deprecated alias for durability.dir (one release); consulted only
-  /// when durability.dir is empty.
-  std::string durability_dir;
   /// Out-of-band data plane (recup::datastore): one store shard per worker;
   /// results >= datastore.inline_threshold travel the control plane as
   /// proxies and move peer-to-peer instead. Set datastore.enabled = false

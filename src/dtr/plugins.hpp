@@ -21,11 +21,6 @@ class SchedulerPlugin {
     (void)time;
   }
   virtual void on_transition(const TransitionRecord& record) { (void)record; }
-  /// Batched intake: brackets the per-record notifications of one intake
-  /// batch (one journaled group). Plugins that fan out per record (e.g.
-  /// Mofka producers) can coalesce their flushes across the batch.
-  virtual void on_batch_begin(std::size_t batch_size) { (void)batch_size; }
-  virtual void on_batch_end() {}
   virtual void on_worker_added(WorkerId worker, const std::string& address,
                                TimePoint time) {
     (void)worker;

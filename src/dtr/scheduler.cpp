@@ -8,11 +8,33 @@
 #include <stdexcept>
 
 #include "dtr/durability.hpp"
-#include "dtr/foreman.hpp"
 #include "dtr/mofka_plugins.hpp"
 #include "wire/codec.hpp"
 
 namespace recup::dtr {
+
+namespace {
+
+/// A task that can still run: neither finished (memory, forgotten),
+/// terminally erred, nor mid-submission (released).
+bool unfinished(SchedulerTaskState state) {
+  return state == SchedulerTaskState::kWaiting ||
+         state == SchedulerTaskState::kQueued ||
+         state == SchedulerTaskState::kNoWorker ||
+         state == SchedulerTaskState::kProcessing;
+}
+
+/// Decodes one journal WAL frame. Every frame is a batch group; anything
+/// else is corruption.
+json::Value decode_journal_frame(std::string_view payload) {
+  json::Value frame = wire::decode_value(payload);
+  if (frame.get_string("t", "") != "batch") {
+    throw wal::WalError("scheduler journal: frame is not a batch group");
+  }
+  return frame;
+}
+
+}  // namespace
 
 Scheduler::Scheduler(sim::Engine& engine, platform::Network& network,
                      SchedulerConfig config, RngStream rng,
@@ -21,18 +43,30 @@ Scheduler::Scheduler(sim::Engine& engine, platform::Network& network,
       network_(network),
       config_(config),
       rng_(rng),
-      logs_(logs),
-      tasks_(config.shards) {}
-
-Scheduler::~Scheduler() = default;
+      logs_(logs) {}
 
 void Scheduler::add_worker(Worker* worker) {
   workers_.push_back(worker);
   worker_alive_.push_back(true);
   in_flight_.push_back(0);
   last_heartbeat_.push_back(engine_.now());
-  foreman_of_.push_back(nullptr);
-  wire_worker_direct(worker);
+  // Each report is applied as it arrives, inside one journal group, so a
+  // report that journals anything lands as one WAL frame.
+  worker->set_completion_callback(
+      [this](const TaskKey& key, const TaskRecord& record, bool failed) {
+        const JournalGroup group(*this);
+        on_task_finished(key, record, failed);
+      });
+  worker->set_heartbeat_callback([this](WorkerId id) { heartbeat(id); });
+  worker->set_missing_dep_callback(
+      [this](const TaskKey& key, WorkerId requester, WorkerId failed_holder) {
+        const JournalGroup group(*this);
+        on_missing_dep(key, requester, failed_holder);
+      });
+  worker->set_replica_callback([this](const TaskKey& key, WorkerId id) {
+    TaskInfo* info = find_task(key);
+    if (info != nullptr) info->who_has.insert(id);
+  });
   logs_.log(LogLevel::kInfo, "scheduler",
             "Register worker " + worker->address());
   for (auto* plugin : plugins_) {
@@ -40,152 +74,25 @@ void Scheduler::add_worker(Worker* worker) {
   }
 }
 
-void Scheduler::wire_worker_direct(Worker* worker) {
-  worker->set_ack_tracking(false);
-  if (config_.legacy_intake) {
-    // Compatibility path: reports invoke the handlers directly, exactly the
-    // pre-batching call graph.
-    worker->set_completion_callback(
-        [this](const TaskKey& key, const TaskRecord& record, bool failed) {
-          on_task_finished(key, record, failed);
-        });
-    worker->set_heartbeat_callback([this](WorkerId id) { heartbeat(id); });
-    worker->set_missing_dep_callback(
-        [this](const TaskKey& key, WorkerId requester,
-               WorkerId failed_holder) {
-          on_missing_dep(key, requester, failed_holder);
-        });
-    worker->set_replica_callback([this](const TaskKey& key, WorkerId id) {
-      TaskInfo* info = tasks_.find(key);
-      if (info != nullptr) info->who_has.insert(id);
-    });
-    return;
-  }
-  // Batched path: reports land in the intake queue; the pump applies them
-  // at the same virtual instant (the queue is drained before the engine
-  // advances), so scheduling decisions and provenance are unchanged.
-  worker->set_completion_callback(
-      [this](const TaskKey& key, const TaskRecord& record, bool failed) {
-        IntakeEvent event;
-        event.kind = IntakeKind::kCompletion;
-        event.key = key;
-        event.record = record;
-        event.failed = failed;
-        event.worker = record.worker;
-        enqueue_event(std::move(event));
-        pump_intake();
-      });
-  worker->set_heartbeat_callback([this](WorkerId id) {
-    IntakeEvent event;
-    event.kind = IntakeKind::kHeartbeat;
-    event.worker = id;
-    enqueue_event(std::move(event));
-    pump_intake();
-  });
-  worker->set_missing_dep_callback(
-      [this](const TaskKey& key, WorkerId requester, WorkerId failed_holder) {
-        IntakeEvent event;
-        event.kind = IntakeKind::kMissingDep;
-        event.key = key;
-        event.worker = requester;
-        event.failed_holder = failed_holder;
-        enqueue_event(std::move(event));
-        pump_intake();
-      });
-  worker->set_replica_callback([this](const TaskKey& key, WorkerId id) {
-    IntakeEvent event;
-    event.kind = IntakeKind::kReplicaAdded;
-    event.key = key;
-    event.worker = id;
-    enqueue_event(std::move(event));
-    pump_intake();
-  });
+Scheduler::TaskInfo* Scheduler::find_task(const TaskKey& key) {
+  const auto it = tasks_.find(key);
+  return it == tasks_.end() ? nullptr : &it->second;
 }
 
-void Scheduler::finalize_topology() {
-  if (topology_finalized_) return;
-  topology_finalized_ = true;
-  if (config_.foremen == 0 || config_.legacy_intake || workers_.empty()) {
-    return;
-  }
-  const std::size_t count =
-      std::min<std::size_t>(config_.foremen, workers_.size());
-  // Contiguous pools: worker order across pools equals global worker order,
-  // so per-pool sweeps visit workers in the same order flat sweeps do.
-  const std::size_t pool_size = (workers_.size() + count - 1) / count;
-  last_foreman_beat_.assign(count, engine_.now());
-  foreman_failed_.assign(count, false);
-  for (std::size_t f = 0; f < count; ++f) {
-    foremen_.push_back(std::make_unique<Foreman>(
-        engine_, *this, static_cast<std::uint32_t>(f), config_.foreman_window,
-        config_.control_latency, config_.heartbeat_interval,
-        config_.lease_expiry(), logs_));
-  }
-  for (std::size_t i = 0; i < workers_.size(); ++i) {
-    Foreman* foreman = foremen_[i / pool_size].get();
-    foreman_of_[i] = foreman;
-    foreman->adopt_worker(workers_[i]);
-  }
-  logs_.log(LogLevel::kInfo, "scheduler",
-            "hierarchical tier: " + std::to_string(count) + " foremen over " +
-                std::to_string(workers_.size()) + " workers");
+const Scheduler::TaskInfo* Scheduler::find_task(const TaskKey& key) const {
+  const auto it = tasks_.find(key);
+  return it == tasks_.end() ? nullptr : &it->second;
 }
 
-void Scheduler::enqueue_event(IntakeEvent event) {
-  intake_.push(std::move(event));
-}
-
-void Scheduler::pump_intake() {
-  if (pumping_) return;  // reentrant: the running pump drains what we queued
-  pumping_ = true;
-  std::vector<IntakeEvent> batch;
-  while (true) {
-    batch.clear();
-    if (intake_.drain(config_.intake_batch_max, batch) == 0) break;
-    for (auto* plugin : plugins_) plugin->on_batch_begin(batch.size());
-    begin_journal_group();
-    for (const IntakeEvent& event : batch) apply_event(event);
-    end_journal_group();
-    for (auto* plugin : plugins_) plugin->on_batch_end();
-  }
-  pumping_ = false;
-}
-
-void Scheduler::apply_event(const IntakeEvent& event) {
-  switch (event.kind) {
-    case IntakeKind::kCompletion:
-      on_task_finished(event.key, event.record, event.failed);
-      break;
-    case IntakeKind::kHeartbeat:
-      heartbeat(event.worker);
-      break;
-    case IntakeKind::kReplicaAdded: {
-      TaskInfo* info = tasks_.find(event.key);
-      if (info != nullptr) info->who_has.insert(event.worker);
-      break;
-    }
-    case IntakeKind::kMissingDep:
-      on_missing_dep(event.key, event.worker, event.failed_holder);
-      break;
-    case IntakeKind::kWorkerLeaseExpired: {
-      // A foreman swept its pool and found this worker silent; the root
-      // runs the same reclaim path its own lease loop uses.
-      if (event.worker >= workers_.size() || !worker_alive_[event.worker]) {
-        break;
-      }
-      ++lease_expirations_;
-      logs_.log(LogLevel::kError, "scheduler",
-                "lease expired for " + workers_[event.worker]->address() +
-                    " (reported by its foreman)");
-      on_worker_failed(event.worker);
-      break;
-    }
-    case IntakeKind::kForemanBeat:
-      if (event.worker < last_foreman_beat_.size()) {
-        last_foreman_beat_[event.worker] = engine_.now();
-      }
-      break;
-  }
+std::vector<Scheduler::TaskInfo*> Scheduler::tasks_in_key_order() {
+  std::vector<TaskInfo*> ordered;
+  ordered.reserve(tasks_.size());
+  for (auto& [key, info] : tasks_) ordered.push_back(&info);
+  std::sort(ordered.begin(), ordered.end(),
+            [](const TaskInfo* a, const TaskInfo* b) {
+              return a->spec.key < b->spec.key;
+            });
+  return ordered;
 }
 
 void Scheduler::transition(TaskInfo& info, SchedulerTaskState to,
@@ -209,21 +116,13 @@ void Scheduler::transition(TaskInfo& info, SchedulerTaskState to,
 }
 
 void Scheduler::submit_graph(const TaskGraph& graph, GraphDoneFn on_done) {
-  finalize_topology();
   if (graphs_.count(graph.name()) != 0) {
     throw std::invalid_argument("graph name already submitted: " +
                                 graph.name());
   }
   // The whole submission journals as one batch group; the scope balances
   // the group across the validation throws below.
-  struct JournalGroupScope {
-    Scheduler& scheduler;
-    explicit JournalGroupScope(Scheduler& s) : scheduler(s) {
-      scheduler.begin_journal_group();
-    }
-    ~JournalGroupScope() { scheduler.end_journal_group(); }
-  };
-  JournalGroupScope group(*this);
+  const JournalGroup group(*this);
 
   GraphInfo& graph_info = graphs_[graph.name()];
   graph_info.name = graph.name();
@@ -247,12 +146,12 @@ void Scheduler::submit_graph(const TaskGraph& graph, GraphDoneFn on_done) {
   // both in-graph tasks and results of earlier graphs already in memory.
   std::vector<TaskKey> runnable;
   for (const auto& [key, spec] : graph.tasks()) {
-    auto [info, inserted] = tasks_.try_emplace(key);
+    auto [it, inserted] = tasks_.try_emplace(key);
     if (!inserted) {
       throw std::invalid_argument("task key resubmitted: " + key.to_string());
     }
-    info->spec = spec;
-    info->graph = graph.name();
+    it->second.spec = spec;
+    it->second.graph = graph.name();
     spec_order_.push_back(key);
     if (journal_ && !recovering_) {
       journal_record_.clear();
@@ -262,8 +161,9 @@ void Scheduler::submit_graph(const TaskGraph& graph, GraphDoneFn on_done) {
   }
   for (const auto& [key, spec] : graph.tasks()) {
     TaskInfo& info = tasks_.at(key);
+    const TaskKey* erred_dep = nullptr;
     for (const auto& dep : spec.dependencies) {
-      TaskInfo* dep_info = tasks_.find(dep);
+      TaskInfo* dep_info = find_task(dep);
       if (dep_info == nullptr) {
         throw std::invalid_argument("dependency never submitted: " +
                                     dep.to_string());
@@ -283,10 +183,18 @@ void Scheduler::submit_graph(const TaskGraph& graph, GraphDoneFn on_done) {
         // now that someone needs it.
         recompute_lost(*dep_info);
       }
+      if (dep_info->state == SchedulerTaskState::kErred &&
+          erred_dep == nullptr) {
+        erred_dep = &dep;
+      }
       ++info.waiting_on;
     }
     transition(info, SchedulerTaskState::kWaiting, "update-graph");
-    if (info.waiting_on == 0) runnable.push_back(key);
+    if (erred_dep != nullptr) {
+      dead_letter(info, "dependency " + erred_dep->to_string() + " erred");
+    } else if (info.waiting_on == 0) {
+      runnable.push_back(key);
+    }
   }
   // Dispatch runnable tasks in priority order (dask.order analog): lower
   // priority value first, key order as tie-break.
@@ -304,7 +212,7 @@ Duration Scheduler::transfer_cost_estimate(const TaskInfo& info,
                                            const Worker& worker) const {
   Duration cost = 0.0;
   for (const auto& dep : info.spec.dependencies) {
-    const TaskInfo* dep_info = tasks_.find(dep);
+    const TaskInfo* dep_info = find_task(dep);
     if (dep_info == nullptr) continue;
     if (dep_info->who_has.count(worker.id()) != 0) continue;
     if (dep_info->who_has.empty()) continue;
@@ -345,7 +253,7 @@ Worker* Scheduler::decide_worker(const TaskInfo& info) {
   std::vector<DepTransfer> dep_transfers;
   dep_transfers.reserve(info.spec.dependencies.size());
   for (const auto& dep : info.spec.dependencies) {
-    const TaskInfo* dep_info = tasks_.find(dep);
+    const TaskInfo* dep_info = find_task(dep);
     if (dep_info == nullptr || dep_info->who_has.empty()) continue;
     dep_transfers.push_back(
         {&dep_info->who_has, dep_info->spec.work.output_bytes});
@@ -430,7 +338,7 @@ void Scheduler::send_to_worker(TaskInfo& info, Worker* worker,
   // Locations of dependencies the worker must gather from peers.
   std::vector<DepLocation> deps;
   for (const auto& dep : info.spec.dependencies) {
-    const TaskInfo* dep_info = tasks_.find(dep);
+    const TaskInfo* dep_info = find_task(dep);
     if (dep_info == nullptr) continue;
     if (dep_info->who_has.count(worker->id()) != 0) continue;
     if (dep_info->who_has.empty()) {
@@ -465,16 +373,6 @@ void Scheduler::send_to_worker(TaskInfo& info, Worker* worker,
 
   const TaskSpec spec = info.spec;
   const std::string graph = info.graph;
-  // Route through the worker's foreman when the tier exists. The foreman
-  // applies the same control-latency hop; a foreman that died with the
-  // message queued drops it, and the root's foreman-lease reclaim
-  // re-dispatches the task.
-  Foreman* via = worker->id() < foreman_of_.size() ? foreman_of_[worker->id()]
-                                                   : nullptr;
-  if (via != nullptr) {
-    via->deliver(worker, spec, graph, deps, stolen);
-    return;
-  }
   engine_.schedule_after(config_.control_latency,
                          [worker, spec, graph, deps, stolen] {
                            worker->assign_task(spec, graph, deps, stolen);
@@ -483,7 +381,7 @@ void Scheduler::send_to_worker(TaskInfo& info, Worker* worker,
 
 void Scheduler::on_task_finished(const TaskKey& key, const TaskRecord& record,
                                  bool failed) {
-  TaskInfo* found = tasks_.find(key);
+  TaskInfo* found = find_task(key);
   if (found == nullptr) return;
   TaskInfo& info = *found;
   // Stale completion from a worker that lost the assignment (failure
@@ -557,7 +455,7 @@ void Scheduler::on_task_finished(const TaskKey& key, const TaskRecord& record,
 
   // Reference-counted release of this task's own dependencies.
   for (const auto& dep_key : info.spec.dependencies) {
-    TaskInfo* dep_info = tasks_.find(dep_key);
+    TaskInfo* dep_info = find_task(dep_key);
     if (dep_info == nullptr) continue;
     if (dep_info->remaining_dependents > 0) {
       --dep_info->remaining_dependents;
@@ -600,7 +498,7 @@ void Scheduler::graph_completed(GraphInfo& graph) {
 std::size_t Scheduler::unmet_dependencies(const TaskInfo& info) const {
   std::size_t unmet = 0;
   for (const auto& dep : info.spec.dependencies) {
-    const TaskInfo* dep_info = tasks_.find(dep);
+    const TaskInfo* dep_info = find_task(dep);
     if (dep_info == nullptr) continue;  // external (validated in memory)
     if (dep_info->state == SchedulerTaskState::kMemory &&
         !dep_info->who_has.empty()) {
@@ -630,41 +528,14 @@ void Scheduler::maybe_release(TaskInfo& info) {
 }
 
 bool Scheduler::requeue_if_deps_lost(TaskInfo& info) {
-  bool lost = false;
-  for (const auto& dep : info.spec.dependencies) {
-    const TaskInfo* dep_info = tasks_.find(dep);
-    if (dep_info == nullptr) continue;
-    if (dep_info->state == SchedulerTaskState::kMemory &&
-        !dep_info->who_has.empty()) {
-      continue;
-    }
-    lost = true;
-    break;
-  }
-  if (!lost) return false;
+  if (unmet_dependencies(info) == 0) return false;
   // A worker failure wiped the only replica of a dependency while this task
   // sat in the queue; dispatching it now would reference missing data. Send
   // it back to waiting and recover the lost inputs, mirroring
   // requeue_after_failure (but without charging a resubmission: the task
   // never reached a worker).
   transition(info, SchedulerTaskState::kWaiting, "lost-dependency");
-  info.waiting_on = 0;
-  for (const auto& dep : info.spec.dependencies) {
-    TaskInfo* dep_info = tasks_.find(dep);
-    if (dep_info == nullptr) continue;
-    if (dep_info->state == SchedulerTaskState::kMemory) {
-      if (!dep_info->who_has.empty()) continue;
-      recompute_lost(*dep_info);
-    }
-    if (dep_info->state == SchedulerTaskState::kMemory &&
-        !dep_info->who_has.empty()) {
-      continue;
-    }
-    ++info.waiting_on;
-  }
-  if (info.waiting_on == 0) {
-    dispatch(info, "lost-dependency");
-  }
+  redispatch_waiting(info, "lost-dependency");
   return true;
 }
 
@@ -693,7 +564,7 @@ void Scheduler::drain_queue() {
 
 void Scheduler::schedule_refetch(const TaskKey& key, WorkerId holder,
                                  Worker* requester) {
-  const TaskInfo* info = tasks_.find(key);
+  const TaskInfo* info = find_task(key);
   if (info == nullptr) return;
   DepLocation loc{key, holder, workers_.at(holder)->node(),
                   info->spec.work.output_bytes, /*oob=*/false, {}};
@@ -709,7 +580,7 @@ void Scheduler::schedule_refetch(const TaskKey& key, WorkerId holder,
 
 void Scheduler::on_missing_dep(const TaskKey& key, WorkerId requester,
                                WorkerId failed_holder) {
-  TaskInfo* found = tasks_.find(key);
+  TaskInfo* found = find_task(key);
   if (found == nullptr) return;
   TaskInfo& info = *found;
   // The failed holder's copy is unusable (evicted, lost, or its worker
@@ -755,7 +626,6 @@ void Scheduler::on_missing_dep(const TaskKey& key, WorkerId requester,
 
 void Scheduler::start_stealing_loop() {
   if (!config_.work_stealing || stopped_) return;
-  finalize_topology();
   engine_.schedule_after(config_.work_stealing_interval, [this] {
     if (stopped_) return;
     stealing_round();
@@ -764,28 +634,15 @@ void Scheduler::start_stealing_loop() {
 }
 
 void Scheduler::stealing_round() {
-  if (config_.foreman_autonomy && !foremen_.empty()) {
-    // Pool-local balancing: each foreman's pool steals internally, cutting
-    // the O(W^2) global sweep to O(pool^2) per pool. Victim choice changes,
-    // so this mode is conformance-checked rather than byte-compared.
-    for (const auto& foreman : foremen_) {
-      if (foreman->alive()) pool_stealing_round(foreman->pool());
-    }
-    return;
-  }
-  pool_stealing_round(workers_);
-}
-
-void Scheduler::pool_stealing_round(const std::vector<Worker*>& pool) {
-  begin_journal_group();
+  const JournalGroup group(*this);
   // Idle thieves pull ready tasks from saturated victims when the task's
   // estimated compute dominates the data movement it would cause.
-  for (Worker* thief : pool) {
+  for (Worker* thief : workers_) {
     if (!worker_alive_[thief->id()]) continue;
     if (in_flight_[thief->id()] >= thief->nthreads()) continue;
     Worker* victim = nullptr;
     std::size_t victim_backlog = 0;
-    for (Worker* candidate : pool) {
+    for (Worker* candidate : workers_) {
       if (candidate == thief) continue;
       if (!worker_alive_[candidate->id()]) continue;
       const std::size_t backlog = candidate->ready_count();
@@ -827,7 +684,6 @@ void Scheduler::pool_stealing_round(const std::vector<Worker*>& pool) {
     // transition with the "steal" stimulus and the new assignment).
     send_to_worker(info, thief, "steal", /*stolen=*/true);
   }
-  end_journal_group();
 }
 
 void Scheduler::heartbeat(WorkerId worker) {
@@ -838,10 +694,6 @@ void Scheduler::heartbeat(WorkerId worker) {
 
 void Scheduler::start_lease_loop() {
   if (!config_.lease_liveness || stopped_) return;
-  finalize_topology();
-  // Foremen run their own pool lease sweeps and report one aggregate beat
-  // upstream per interval (idempotent across the loop's re-arms).
-  for (const auto& foreman : foremen_) foreman->start_liveness_loops();
   engine_.schedule_after(config_.heartbeat_interval, [this] {
     if (stopped_) return;
     lease_round();
@@ -857,10 +709,6 @@ void Scheduler::lease_round() {
   const Duration expiry = config_.lease_expiry();
   for (std::size_t i = 0; i < workers_.size(); ++i) {
     if (!worker_alive_[i]) continue;
-    // Pool workers' leases are delegated to their foreman (their heartbeats
-    // never reach the root); the root only watches foreman beats. The
-    // routing entry is reset when a dead foreman's pool is reclaimed.
-    if (foreman_of_[i] != nullptr) continue;
     if (engine_.now() - last_heartbeat_[i] <= expiry) continue;
     ++lease_expirations_;
     logs_.log(LogLevel::kError, "scheduler",
@@ -868,13 +716,6 @@ void Scheduler::lease_round() {
                   " (no heartbeat for " +
                   std::to_string(engine_.now() - last_heartbeat_[i]) + "s)");
     on_worker_failed(static_cast<WorkerId>(i));
-  }
-  // Foreman liveness from missed beats only — the root must not peek at
-  // foreman->alive() (a real root can't), detection comes from silence.
-  for (std::size_t f = 0; f < foremen_.size(); ++f) {
-    if (foreman_failed_[f]) continue;
-    if (engine_.now() - last_foreman_beat_[f] <= expiry) continue;
-    on_foreman_failed(static_cast<std::uint32_t>(f));
   }
 }
 
@@ -885,19 +726,23 @@ void Scheduler::recompute_lost(TaskInfo& info) {
   graphs_.at(info.graph).remaining += 1;
   info.waiting_on = 0;
   for (const auto& dep : info.spec.dependencies) {
-    TaskInfo* dep_info = tasks_.find(dep);
+    TaskInfo* dep_info = find_task(dep);
     if (dep_info == nullptr) continue;
     if (dep_info->state == SchedulerTaskState::kMemory) {
       if (!dep_info->who_has.empty()) continue;
       recompute_lost(*dep_info);  // transitively lost
+      if (info.state == SchedulerTaskState::kErred) return;
     }
     if (dep_info->state == SchedulerTaskState::kForgotten) {
-      // A released dependency cannot be rebuilt: terminal error.
-      transition(info, SchedulerTaskState::kErred, "unrecoverable");
+      // A released dependency cannot be rebuilt: terminal error. Counted
+      // before the journaled transition, so a checkpoint it triggers
+      // already includes it.
       ++erred_;
+      transition(info, SchedulerTaskState::kErred, "unrecoverable");
       logs_.log(LogLevel::kError, "scheduler",
                 "cannot recompute " + info.spec.key.to_string() +
                     ": dependency " + dep.to_string() + " was released");
+      settle_erred(info);
       return;
     }
     ++info.waiting_on;
@@ -925,10 +770,43 @@ void Scheduler::dead_letter(TaskInfo& info, const std::string& reason) {
   }
   for (auto* plugin : plugins_) plugin->on_warning(warning);
   logs_.log(LogLevel::kError, "scheduler", "dead-letter " + warning.message);
-  // Terminal failure still counts towards graph completion so runs finish;
-  // dependents remain blocked forever by design.
+  settle_erred(info);
+}
+
+void Scheduler::settle_erred(TaskInfo& info) {
+  if (info.assigned != nullptr) {
+    std::size_t& in_flight = in_flight_[info.assigned->id()];
+    if (in_flight > 0) --in_flight;
+    info.assigned = nullptr;
+  }
+  // Like Dask, an erred task errs its dependents. Indexed: a graph
+  // completing below may submit more dependents of this task, which err at
+  // submission and are skipped here.
+  for (std::size_t i = 0; i < info.dependents.size(); ++i) {
+    TaskInfo& dependent = tasks_.at(info.dependents[i]);
+    if (!unfinished(dependent.state)) continue;
+    dead_letter(dependent,
+                "dependency " + info.spec.key.to_string() + " erred");
+  }
+  // Terminal failure counts towards graph completion so runs finish.
   auto& graph = graphs_.at(info.graph);
   if (--graph.remaining == 0) graph_completed(graph);
+}
+
+void Scheduler::redispatch_waiting(TaskInfo& info,
+                                   const std::string& stimulus) {
+  info.waiting_on = 0;
+  for (const auto& dep : info.spec.dependencies) {
+    TaskInfo* dep_info = find_task(dep);
+    if (dep_info == nullptr) continue;
+    if (dep_info->state == SchedulerTaskState::kMemory) {
+      if (!dep_info->who_has.empty()) continue;
+      recompute_lost(*dep_info);
+      if (info.state == SchedulerTaskState::kErred) return;
+    }
+    ++info.waiting_on;
+  }
+  if (info.waiting_on == 0) dispatch(info, stimulus);
 }
 
 void Scheduler::requeue_after_failure(TaskInfo& info) {
@@ -939,23 +817,7 @@ void Scheduler::requeue_after_failure(TaskInfo& info) {
     return;
   }
   transition(info, SchedulerTaskState::kWaiting, "worker-failed");
-  info.waiting_on = 0;
-  for (const auto& dep : info.spec.dependencies) {
-    TaskInfo* dep_info = tasks_.find(dep);
-    if (dep_info == nullptr) continue;
-    if (dep_info->state == SchedulerTaskState::kMemory) {
-      if (!dep_info->who_has.empty()) continue;
-      recompute_lost(*dep_info);
-    }
-    if (dep_info->state == SchedulerTaskState::kMemory &&
-        !dep_info->who_has.empty()) {
-      continue;
-    }
-    ++info.waiting_on;
-  }
-  if (info.waiting_on == 0) {
-    dispatch(info, "worker-failed");
-  }
+  redispatch_waiting(info, "worker-failed");
 }
 
 void Scheduler::on_worker_failed(WorkerId worker) {
@@ -975,102 +837,26 @@ void Scheduler::on_worker_failed(WorkerId worker) {
     plugin->on_worker_removed(worker, dead->address(), engine_.now());
   }
 
-  begin_journal_group();
+  const JournalGroup group(*this);
   // Purge the dead worker's replicas everywhere (order-independent sweep).
-  tasks_.for_each(
-      [worker](const TaskKey&, TaskInfo& info) { info.who_has.erase(worker); });
+  for (auto& [key, info] : tasks_) info.who_has.erase(worker);
   // Re-dispatch its in-flight tasks, then recompute results whose only
   // copies died with it (only those some dependent still needs). Both
-  // sweeps bear side effects, so they run in global key order — identical
-  // to the former ordered-map iteration.
-  tasks_.for_each_ordered([this, dead](const TaskKey&, TaskInfo& info) {
-    if (info.state == SchedulerTaskState::kProcessing &&
-        info.assigned == dead) {
-      info.assigned = nullptr;
-      requeue_after_failure(info);
-    }
-  });
-  tasks_.for_each_ordered([this](const TaskKey&, TaskInfo& info) {
-    if (info.state == SchedulerTaskState::kMemory && info.who_has.empty() &&
-        info.remaining_dependents > 0) {
-      recompute_lost(info);
-    }
-  });
-  drain_queue();
-  end_journal_group();
-}
-
-void Scheduler::on_foreman_failed(std::uint32_t foreman) {
-  if (foreman >= foremen_.size() || foreman_failed_[foreman]) return;
-  foreman_failed_[foreman] = true;
-  ++foreman_failures_;
-  Foreman* dead = foremen_[foreman].get();
-  dead->kill();  // idempotent when chaos already killed the process
-  logs_.log(LogLevel::kError, "scheduler",
-            "Remove foreman " + dead->address() +
-                " (missed beats); re-homing its pool");
-
-  // Successor: the next alive foreman in circular order, if any survives;
-  // otherwise the pool reports direct-to-root.
-  Foreman* successor = nullptr;
-  for (std::size_t step = 1; step < foremen_.size(); ++step) {
-    Foreman* candidate = foremen_[(foreman + step) % foremen_.size()].get();
-    if (candidate->alive()) {
-      successor = candidate;
-      break;
+  // sweeps bear side effects, so they run in global key order.
+  for (TaskInfo* info : tasks_in_key_order()) {
+    if (info->state == SchedulerTaskState::kProcessing &&
+        info->assigned == dead) {
+      info->assigned = nullptr;
+      requeue_after_failure(*info);
     }
   }
-  for (Worker* worker : dead->pool()) {
-    const WorkerId wid = worker->id();
-    if (wid >= worker_alive_.size() || !worker_alive_[wid]) continue;
-    if (foreman_of_[wid] != dead) continue;  // already re-homed
-    // Capture the unacked completion tail before rewiring (direct wiring
-    // turns ack tracking off, which clears the retained copies).
-    const auto unacked = worker->unacked_completions();
-    if (successor != nullptr) {
-      successor->adopt_worker(worker);
-      foreman_of_[wid] = successor;
-    } else {
-      wire_worker_direct(worker);
-      foreman_of_[wid] = nullptr;
-      last_heartbeat_[wid] = engine_.now();  // fresh root lease
+  for (TaskInfo* info : tasks_in_key_order()) {
+    if (info->state == SchedulerTaskState::kMemory && info->who_has.empty() &&
+        info->remaining_dependents > 0) {
+      recompute_lost(*info);
     }
-    // Replay reports that died in the foreman's buffer. At-least-once: the
-    // stale-completion guards in on_task_finished dedupe replays of reports
-    // that did make it upstream before the crash.
-    for (const auto& pending : unacked) {
-      IntakeEvent event;
-      event.kind = IntakeKind::kCompletion;
-      event.key = pending.key;
-      event.record = pending.record;
-      event.failed = pending.failed;
-      event.worker = pending.record.worker;
-      enqueue_event(std::move(event));
-    }
-    worker->ack_completions(unacked.size());
   }
-  pump_intake();
-
-  // Assignments that died in the foreman's inbox: kProcessing tasks routed
-  // to its pool whose worker never received them are re-dispatched.
-  begin_journal_group();
-  std::set<WorkerId> pool_ids;
-  for (const Worker* worker : dead->pool()) pool_ids.insert(worker->id());
-  tasks_.for_each_ordered([&](const TaskKey& key, TaskInfo& info) {
-    if (info.state != SchedulerTaskState::kProcessing) return;
-    if (info.assigned == nullptr) return;
-    const WorkerId wid = info.assigned->id();
-    if (pool_ids.count(wid) == 0) return;
-    if (wid < worker_alive_.size() && worker_alive_[wid] &&
-        info.assigned->has_task(key)) {
-      return;  // the assignment landed and is still executing — leave it
-    }
-    info.assigned = nullptr;
-    if (in_flight_[wid] > 0) --in_flight_[wid];
-    requeue_after_failure(info);
-  });
   drain_queue();
-  end_journal_group();
 }
 
 void Scheduler::enable_durability(SchedulerDurability durability) {
@@ -1079,47 +865,30 @@ void Scheduler::enable_durability(SchedulerDurability durability) {
   // process. Checkpoint positions index the *logical* record stream (batch
   // groups expanded); each batch frame carries the logical index of its
   // first record, so the count re-syncs across compacted prefixes.
-  struct FrameMeta {
-    bool batch = false;
-    std::size_t base = 0;
-    std::size_t count = 1;
-  };
-  std::vector<FrameMeta> metas;
+  std::size_t next = 0;
+  std::size_t frames = 0;
   const wal::ReplayStats stats = wal::WalWriter::replay(
-      durability.dir, [&metas](std::string_view payload) {
-        const json::Value v = wire::decode_value(payload);
-        FrameMeta meta;
-        if (v.get_string("t", "") == "batch") {
-          meta.batch = true;
-          meta.base = static_cast<std::size_t>(v.get_int("base", 0));
-          meta.count = v.at("recs").as_array().size();
-        }
-        metas.push_back(meta);
+      durability.dir, [&next, &frames](std::string_view payload) {
+        const json::Value frame = decode_journal_frame(payload);
+        next = static_cast<std::size_t>(frame.get_int("base", 0)) +
+               frame.at("recs").as_array().size();
+        ++frames;
       });
-  std::size_t next = static_cast<std::size_t>(stats.compacted_records);
-  for (const FrameMeta& meta : metas) {
-    if (meta.batch) next = meta.base;
-    next += meta.count;
-  }
-  journal_records_ = next;
-  journal_frames_ =
-      static_cast<std::size_t>(stats.compacted_records) + metas.size();
+  const auto compacted = static_cast<std::size_t>(stats.compacted_records);
+  journal_records_ = frames == 0 ? compacted : next;
+  journal_frames_ = compacted + frames;
   durability_ = std::move(durability);
 }
 
 void Scheduler::journal_append(std::string_view record) {
-  if (config_.legacy_intake) {
-    // One record per WAL frame, the pre-batching format.
-    journal_->append(record);
-    ++journal_frames_;
-  } else if (journal_group_depth_ > 0) {
+  if (journal_group_depth_ > 0) {
     if (journal_group_count_ == 0) journal_group_base_ = journal_records_;
     journal_group_bytes_.append(record);
     ++journal_group_count_;
   } else {
-    // Outside any group, batched mode still writes a (singleton) group so
-    // every frame carries its logical base — recovery re-syncs logical
-    // indices from it after compaction.
+    // Outside any group a record still gets a (singleton) group, so every
+    // frame carries its logical base — recovery re-syncs logical indices
+    // from it after compaction.
     append_batch_frame(journal_records_, 1, record);
   }
   ++journal_records_;
@@ -1130,7 +899,7 @@ void Scheduler::journal_append(std::string_view record) {
 }
 
 void Scheduler::begin_journal_group() {
-  if (journal_ == nullptr || config_.legacy_intake || recovering_) return;
+  if (journal_ == nullptr || recovering_) return;
   ++journal_group_depth_;
 }
 
@@ -1218,26 +987,26 @@ void Scheduler::checkpoint() {
   }
   wire::put_str(out, "tasks");
   wire::put_array(out, tasks_.size());
-  tasks_.for_each_ordered([&out](const TaskKey& key, const TaskInfo& info) {
+  for (const TaskInfo* info : tasks_in_key_order()) {
     wire::put_object(out, 7);
     wire::put_str(out, "graph");
-    wire::put_str(out, info.graph);
+    wire::put_str(out, info->graph);
     wire::put_str(out, "key");
-    to_wire(key, out);
+    to_wire(info->spec.key, out);
     wire::put_str(out, "remaining_dependents");
-    wire::put_int(out, static_cast<std::int64_t>(info.remaining_dependents));
+    wire::put_int(out, static_cast<std::int64_t>(info->remaining_dependents));
     wire::put_str(out, "resubmissions");
-    wire::put_int(out, static_cast<std::int64_t>(info.resubmissions));
+    wire::put_int(out, static_cast<std::int64_t>(info->resubmissions));
     wire::put_str(out, "retries");
-    wire::put_int(out, static_cast<std::int64_t>(info.retries));
+    wire::put_int(out, static_cast<std::int64_t>(info->retries));
     wire::put_str(out, "state");
-    wire::put_str(out, to_string(info.state));
+    wire::put_str(out, to_string(info->state));
     wire::put_str(out, "who_has");
-    wire::put_array(out, info.who_has.size());
-    for (const WorkerId holder : info.who_has) {
+    wire::put_array(out, info->who_has.size());
+    for (const WorkerId holder : info->who_has) {
       wire::put_int(out, static_cast<std::int64_t>(holder));
     }
-  });
+  }
 
   // Atomic replace: a crash or a failed write mid-checkpoint leaves the
   // previous snapshot.
@@ -1293,11 +1062,12 @@ void Scheduler::recover() {
   const std::size_t cp_records =
       have_cp ? static_cast<std::size_t>(cp.get_int("journal_records", 0)) : 0;
 
-  // Every frame is wire-encoded; anything else is a typed WireError.
+  // Every frame is a wire-encoded batch group: other bytes are a typed
+  // WireError, another value a WalError.
   std::vector<json::Value> frames;
   const wal::ReplayStats replay_stats = wal::WalWriter::replay(
       durability_->dir, [&frames](std::string_view payload) {
-        frames.push_back(wire::decode_value(payload));
+        frames.push_back(decode_journal_frame(payload));
       });
   const std::size_t compacted_frames =
       static_cast<std::size_t>(replay_stats.compacted_records);
@@ -1306,25 +1076,18 @@ void Scheduler::recover() {
   // whole frames, so a batch group is atomically present or absent — a
   // crash mid-group can never replay half a batch. Each group frame carries
   // the logical index of its first record ("base"), which re-syncs logical
-  // positions after compaction; bare frames (legacy journals) advance the
-  // running index by one.
+  // positions after compaction.
   std::vector<json::Value> records;
   constexpr std::size_t npos = static_cast<std::size_t>(-1);
   std::size_t next_logical = compacted_frames;
   std::size_t first_logical = npos;
   for (json::Value& frame : frames) {
-    if (frame.get_string("t", "") == "batch") {
-      next_logical = static_cast<std::size_t>(
-          frame.get_int("base", static_cast<std::int64_t>(next_logical)));
-      json::Array& recs = frame["recs"].as_array();
-      if (first_logical == npos && !recs.empty()) first_logical = next_logical;
-      for (json::Value& rec : recs) {
-        records.push_back(std::move(rec));
-        ++next_logical;
-      }
-    } else {
-      if (first_logical == npos) first_logical = next_logical;
-      records.push_back(std::move(frame));
+    next_logical = static_cast<std::size_t>(
+        frame.get_int("base", static_cast<std::int64_t>(next_logical)));
+    json::Array& recs = frame["recs"].as_array();
+    if (first_logical == npos && !recs.empty()) first_logical = next_logical;
+    for (json::Value& rec : recs) {
+      records.push_back(std::move(rec));
       ++next_logical;
     }
   }
@@ -1357,7 +1120,7 @@ void Scheduler::recover() {
     for (const json::Value& s : cp.at("specs").as_array()) {
       TaskSpec spec = spec_from_json(s.at("spec"));
       const TaskKey key = spec.key;
-      TaskInfo& info = *tasks_.try_emplace(key).first;
+      TaskInfo& info = tasks_[key];
       info.spec = std::move(spec);
       info.graph = s.get_string("graph", "");
       spec_order.push_back(key);
@@ -1372,8 +1135,9 @@ void Scheduler::recover() {
     } else if (type == "spec") {
       TaskSpec spec = spec_from_json(rec.at("spec"));
       const TaskKey key = spec.key;
-      if (tasks_.contains(key)) continue;  // already in checkpoint specs
-      TaskInfo& info = *tasks_.try_emplace(key).first;
+      const auto [it, inserted] = tasks_.try_emplace(key);
+      if (!inserted) continue;  // already in checkpoint specs
+      TaskInfo& info = it->second;
       info.spec = std::move(spec);
       info.graph = rec.get_string("graph", "");
       spec_order.push_back(key);
@@ -1420,7 +1184,7 @@ void Scheduler::recover() {
     if (cp.contains("tasks")) {
       for (const json::Value& t : cp.at("tasks").as_array()) {
         const TaskKey key = key_from_json(t.at("key"));
-        TaskInfo* info = tasks_.find(key);
+        TaskInfo* info = find_task(key);
         if (info == nullptr) continue;
         info->state =
             scheduler_state_from_string(t.get_string("state", "released"));
@@ -1448,7 +1212,7 @@ void Scheduler::recover() {
     const std::string type = rec.get_string("t", "");
     if (type == "transition") {
       const TransitionRecord tr = transition_from_json(rec.at("r"));
-      TaskInfo* found = tasks_.find(tr.key);
+      TaskInfo* found = find_task(tr.key);
       if (found == nullptr) continue;
       TaskInfo& info = *found;
       info.state = scheduler_state_from_string(tr.to_state);
@@ -1461,7 +1225,7 @@ void Scheduler::recover() {
       if (info.state == SchedulerTaskState::kMemory &&
           tr.stimulus == "task-finished") {
         for (const TaskKey& dep : info.spec.dependencies) {
-          TaskInfo* dep_info = tasks_.find(dep);
+          TaskInfo* dep_info = find_task(dep);
           if (dep_info != nullptr && dep_info->remaining_dependents > 0) {
             --dep_info->remaining_dependents;
           }
@@ -1470,7 +1234,7 @@ void Scheduler::recover() {
     } else if (type == "spec") {
       const TaskKey key = key_from_json(rec.at("spec").at("key"));
       for (const TaskKey& dep : tasks_.at(key).spec.dependencies) {
-        TaskInfo* dep_info = tasks_.find(dep);
+        TaskInfo* dep_info = find_task(dep);
         if (dep_info != nullptr) ++dep_info->remaining_dependents;
       }
     } else if (type == "task") {
@@ -1490,50 +1254,42 @@ void Scheduler::recover() {
     in_flight_[i] = 0;
     last_heartbeat_[i] = engine_.now();  // fresh leases after restart
   }
-  for (TimePoint& beat : last_foreman_beat_) beat = engine_.now();
   std::vector<TaskKey> orphaned;
-  tasks_.for_each_ordered([&](const TaskKey& key, TaskInfo& info) {
-    info.assigned = nullptr;
-    info.who_has.clear();
-    if (info.state == SchedulerTaskState::kMemory) {
+  for (TaskInfo* info : tasks_in_key_order()) {
+    const TaskKey& key = info->spec.key;
+    info->assigned = nullptr;
+    info->who_has.clear();
+    if (info->state == SchedulerTaskState::kMemory) {
       for (std::size_t i = 0; i < workers_.size(); ++i) {
         if (worker_alive_[i] && workers_[i]->has_data(key)) {
-          info.who_has.insert(static_cast<WorkerId>(i));
+          info->who_has.insert(static_cast<WorkerId>(i));
         }
       }
-    } else if (info.state == SchedulerTaskState::kProcessing) {
+    } else if (info->state == SchedulerTaskState::kProcessing) {
       // Re-adopt the task if a surviving worker is still executing it;
       // otherwise it died with its worker (or the assignment was lost with
       // our process) and must be re-dispatched.
       for (std::size_t i = 0; i < workers_.size(); ++i) {
         if (worker_alive_[i] && workers_[i]->has_task(key)) {
-          info.assigned = workers_[i];
+          info->assigned = workers_[i];
           ++in_flight_[i];
           break;
         }
       }
-      if (info.assigned == nullptr) orphaned.push_back(key);
+      if (info->assigned == nullptr) orphaned.push_back(key);
     }
-  });
-  tasks_.for_each_ordered([this](const TaskKey&, TaskInfo& info) {
-    if (info.state != SchedulerTaskState::kWaiting) return;
-    info.waiting_on = 0;
-    for (const TaskKey& dep : info.spec.dependencies) {
-      const TaskInfo* dep_info = tasks_.find(dep);
-      if (dep_info == nullptr) continue;
-      if (dep_info->state == SchedulerTaskState::kMemory &&
-          !dep_info->who_has.empty()) {
-        continue;
-      }
-      ++info.waiting_on;
+  }
+  for (auto& [key, info] : tasks_) {
+    if (info.state == SchedulerTaskState::kWaiting) {
+      info.waiting_on = unmet_dependencies(info);
     }
-  });
+  }
   // Queue order: checkpointed order first, then post-checkpoint arrivals,
   // keeping only tasks still queued (and each at most once).
   queued_.clear();
   std::set<TaskKey> enqueued;
   const auto enqueue_if_current = [this, &enqueued](const TaskKey& key) {
-    const TaskInfo* info = tasks_.find(key);
+    const TaskInfo* info = find_task(key);
     if (info == nullptr) return;
     if (info->state != SchedulerTaskState::kQueued) return;
     if (!enqueued.insert(key).second) return;
@@ -1543,14 +1299,9 @@ void Scheduler::recover() {
   for (const TaskKey& key : queued_post) enqueue_if_current(key);
   // Graph accounting from first principles: every task not terminal counts.
   for (auto& [name, graph] : graphs_) graph.remaining = 0;
-  tasks_.for_each([this](const TaskKey&, const TaskInfo& info) {
-    if (info.state != SchedulerTaskState::kMemory &&
-        info.state != SchedulerTaskState::kErred &&
-        info.state != SchedulerTaskState::kReleased &&
-        info.state != SchedulerTaskState::kForgotten) {
-      ++graphs_.at(info.graph).remaining;
-    }
-  });
+  for (const auto& [key, info] : tasks_) {
+    if (unfinished(info.state)) ++graphs_.at(info.graph).remaining;
+  }
   for (auto& [name, graph] : graphs_) {
     // A drained graph completed before the crash; its on_done already fired
     // in the previous process, so never re-fire it here.
@@ -1572,28 +1323,14 @@ void Scheduler::recover() {
     TaskInfo& info = tasks_.at(key);
     if (info.state != SchedulerTaskState::kProcessing) continue;
     transition(info, SchedulerTaskState::kWaiting, "scheduler-restart");
-    info.waiting_on = 0;
-    for (const TaskKey& dep : info.spec.dependencies) {
-      TaskInfo* dep_info = tasks_.find(dep);
-      if (dep_info == nullptr) continue;
-      if (dep_info->state == SchedulerTaskState::kMemory) {
-        if (!dep_info->who_has.empty()) continue;
-        recompute_lost(*dep_info);
-      }
-      if (dep_info->state == SchedulerTaskState::kMemory &&
-          !dep_info->who_has.empty()) {
-        continue;
-      }
-      ++info.waiting_on;
-    }
-    if (info.waiting_on == 0) dispatch(info, "scheduler-restart");
+    redispatch_waiting(info, "scheduler-restart");
   }
-  tasks_.for_each_ordered([this](const TaskKey&, TaskInfo& info) {
-    if (info.state == SchedulerTaskState::kMemory && info.who_has.empty() &&
-        info.remaining_dependents > 0) {
-      recompute_lost(info);
+  for (TaskInfo* info : tasks_in_key_order()) {
+    if (info->state == SchedulerTaskState::kMemory && info->who_has.empty() &&
+        info->remaining_dependents > 0) {
+      recompute_lost(*info);
     }
-  });
+  }
   // Proxy fetches whose requester was parked as a waiter died with our
   // process's waiter table. Re-register every stalled fetch whose data is
   // not available; fetches with an alive replica are left alone — their
@@ -1601,7 +1338,7 @@ void Scheduler::recover() {
   for (std::size_t i = 0; i < workers_.size(); ++i) {
     if (!worker_alive_[i]) continue;
     for (const TaskKey& key : workers_[i]->pending_fetch_keys()) {
-      TaskInfo* info = tasks_.find(key);
+      TaskInfo* info = find_task(key);
       if (info == nullptr) continue;
       if (info->state == SchedulerTaskState::kMemory &&
           !info->who_has.empty()) {
@@ -1611,11 +1348,11 @@ void Scheduler::recover() {
       if (info->state == SchedulerTaskState::kMemory) recompute_lost(*info);
     }
   }
-  tasks_.for_each_ordered([this](const TaskKey&, TaskInfo& info) {
-    if (info.state == SchedulerTaskState::kWaiting && info.waiting_on == 0) {
-      dispatch(info, "scheduler-restart");
+  for (TaskInfo* info : tasks_in_key_order()) {
+    if (info->state == SchedulerTaskState::kWaiting && info->waiting_on == 0) {
+      dispatch(*info, "scheduler-restart");
     }
-  });
+  }
   drain_queue();
   checkpoint();
 }
@@ -1647,7 +1384,6 @@ void Scheduler::crash_and_recover() {
   journal_group_depth_ = 0;
   journal_group_bytes_.clear();
   journal_group_count_ = 0;
-  intake_.clear();
   spec_order_.clear();
   pending_fetch_waiters_.clear();
   std::fill(in_flight_.begin(), in_flight_.end(), 0);
@@ -1667,15 +1403,15 @@ void Scheduler::set_graph_done(const std::string& graph, GraphDoneFn on_done) {
 }
 
 bool Scheduler::in_memory(const TaskKey& key) const {
-  const TaskInfo* info = tasks_.find(key);
+  const TaskInfo* info = find_task(key);
   return info != nullptr && info->state == SchedulerTaskState::kMemory;
 }
 
 std::size_t Scheduler::tasks_in_memory() const {
   std::size_t count = 0;
-  tasks_.for_each([&count](const TaskKey&, const TaskInfo& info) {
+  for (const auto& [key, info] : tasks_) {
     if (info.state == SchedulerTaskState::kMemory) ++count;
-  });
+  }
   return count;
 }
 

@@ -5,12 +5,10 @@
 // failure, and periodic work stealing — each a distinct source of the
 // run-to-run variability the paper characterizes.
 //
-// Throughput design (DESIGN.md §11): worker reports drain through a batched
-// intake queue and are applied as journaled groups; task state is sharded
-// by task-group hash (ShardedTaskMap); an optional hierarchical foreman
-// tier fronts worker pools so the root sees F foremen instead of W workers.
-// With foreman_window == 0 every mode is provenance byte-identical to the
-// legacy single-record path (enforced by the equivalence oracle).
+// One path (DESIGN.md §11): each worker report is applied by its handler
+// as soon as it arrives, inside one journal group, and all task state lives
+// in one table owned by the scheduler's thread. Sweeps whose side effects
+// depend on order visit tasks in global TaskKey order.
 #pragma once
 
 #include <cstdint>
@@ -22,6 +20,7 @@
 #include <set>
 #include <string>
 #include <string_view>
+#include <unordered_map>
 #include <vector>
 
 #include "chaos/fault.hpp"
@@ -30,18 +29,14 @@
 #include "common/rng.hpp"
 #include "common/durability.hpp"
 #include "common/wal.hpp"
-#include "dtr/intake.hpp"
 #include "dtr/plugins.hpp"
 #include "dtr/records.hpp"
-#include "dtr/shard.hpp"
 #include "dtr/task.hpp"
 #include "dtr/worker.hpp"
 #include "platform/network.hpp"
 #include "sim/engine.hpp"
 
 namespace recup::dtr {
-
-class Foreman;
 
 struct SchedulerConfig {
   Duration control_latency = 1e-4;
@@ -82,31 +77,6 @@ struct SchedulerConfig {
   /// Master switch for lease-based liveness (the loop still has to be
   /// started with start_lease_loop()).
   bool lease_liveness = true;
-
-  // --- Throughput topology (DESIGN.md §11) ---------------------------------
-  /// Task-state shard count (>= 1). Pure data-structure partitioning:
-  /// ordered sweeps iterate in global key order, so shard count never
-  /// changes decisions or provenance.
-  std::uint32_t shards = 1;
-  /// Hierarchical tier: number of foremen fronting worker pools (0 = flat
-  /// topology, every worker reports directly to the root).
-  std::uint32_t foremen = 0;
-  /// Max intake events applied per batch (one journaled group per batch).
-  std::size_t intake_batch_max = 256;
-  /// Foreman aggregation window: 0 forwards every report synchronously
-  /// (provenance byte-identical to flat); > 0 coalesces a pool's reports
-  /// for up to this long per flush (throughput mode — timing shifts, so
-  /// provenance is conformance-checked, not byte-compared).
-  Duration foreman_window = 0.0;
-  /// Pool-local work stealing: each foreman's pool balances internally
-  /// (O(pool²) per round instead of O(W²) globally). Changes steal victims,
-  /// so it is excluded from the byte-identity oracle.
-  bool foreman_autonomy = false;
-  /// Pre-batching compatibility path: worker callbacks invoke handlers
-  /// directly and every journal record gets its own WAL frame. Kept for the
-  /// conformance/equivalence suites; implies a flat topology (foremen
-  /// ignored).
-  bool legacy_intake = false;
 
   /// A worker's lease expires after strictly more than
   /// heartbeat_interval * lease_misses seconds of silence — at *exactly*
@@ -153,25 +123,24 @@ class Scheduler {
 
   Scheduler(sim::Engine& engine, platform::Network& network,
             SchedulerConfig config, RngStream rng, LogCollector& logs);
-  ~Scheduler();
+  // Workers' report callbacks hold `this`.
+  Scheduler(const Scheduler&) = delete;
+  Scheduler& operator=(const Scheduler&) = delete;
 
   // --- Cluster membership ----------------------------------------------------
   void add_worker(Worker* worker);
   [[nodiscard]] const std::vector<Worker*>& workers() const {
     return workers_;
   }
-  /// Builds the foreman tier over the registered workers (no-op in the flat
-  /// topology). Called lazily by submit_graph / the loops; call explicitly
-  /// once all workers are registered when you need the tier earlier.
-  void finalize_topology();
-  [[nodiscard]] const std::vector<std::unique_ptr<Foreman>>& foremen() const {
-    return foremen_;
-  }
+  /// No-op. Kept only for perfbench's scheduler_waves, which still calls
+  /// it; remove it together with that call.
+  void finalize_topology() {}
 
   // --- Graph lifecycle ---------------------------------------------------------
   /// Receives a validated task graph; tasks enter the state machine and
   /// runnable ones are dispatched. `on_done` fires when every task of the
-  /// graph reaches memory (or is terminally erred).
+  /// graph reaches memory (or is terminally erred). A task whose dependency
+  /// already erred errs at submission.
   void submit_graph(const TaskGraph& graph, GraphDoneFn on_done);
 
   /// Results already in distributed memory from previous graphs, usable as
@@ -194,6 +163,7 @@ class Scheduler {
   [[nodiscard]] const std::vector<WarningRecord>& warnings() const {
     return warnings_;
   }
+  /// Tasks that erred terminally, each counted once.
   [[nodiscard]] std::uint64_t erred_tasks() const { return erred_; }
   [[nodiscard]] const SchedulerConfig& config() const { return config_; }
 
@@ -202,8 +172,7 @@ class Scheduler {
   /// Records a worker heartbeat (lease renewal).
   void heartbeat(WorkerId worker);
   /// Starts the periodic lease check; workers whose lease expired are
-  /// treated as failed (on_worker_failed). With a foreman tier, pool leases
-  /// are delegated to the foremen and the root monitors foreman liveness.
+  /// treated as failed (on_worker_failed).
   void start_lease_loop();
   [[nodiscard]] std::uint64_t lease_expirations() const {
     return lease_expirations_;
@@ -211,22 +180,11 @@ class Scheduler {
   void stop() { stopped_ = true; }
   [[nodiscard]] bool stopped() const { return stopped_; }
 
-  // --- Batched intake ----------------------------------------------------------
-  /// Enqueues a worker/foreman report for the next intake batch. Producers
-  /// may call from any thread; application happens on the scheduler's.
-  void enqueue_event(IntakeEvent event);
-  /// Drains the intake queue, applying events in arrival order in batches
-  /// of at most intake_batch_max, each journaled as one group. Reentrant
-  /// calls fold into the running pump.
-  void pump_intake();
-  [[nodiscard]] SchedulerIntake::Stats intake_stats() const {
-    return intake_.stats();
-  }
-
   // --- Durability --------------------------------------------------------------
   /// Opens (or resumes) the journal WAL under durability.dir. Call before
   /// submitting graphs; to resume an existing journal, call recover() after
-  /// workers are registered.
+  /// workers are registered. Every journal frame must be a batch group; any
+  /// other frame is a wal::WalError (here and in recover()).
   void enable_durability(SchedulerDurability durability);
   [[nodiscard]] bool durable() const { return journal_ != nullptr; }
   /// Atomically snapshots the control state to checkpoint.bin. Also runs
@@ -277,18 +235,40 @@ class Scheduler {
   /// tasks, and recomputes results whose only copy died with it — Dask's
   /// lost-key recovery.
   void on_worker_failed(WorkerId worker);
-  /// Foreman death: re-homes its pool onto the next surviving foreman (or
-  /// direct-to-root), replays the workers' unacked completion reports, and
-  /// re-dispatches assignments that died in the foreman's inbox.
-  void on_foreman_failed(std::uint32_t foreman);
-  [[nodiscard]] std::uint64_t foreman_failures() const {
-    return foreman_failures_;
-  }
   [[nodiscard]] bool worker_alive(WorkerId worker) const {
     return worker_alive_.at(worker);
   }
 
  private:
+  /// Per-task scheduler control state (one entry in the task table).
+  struct TaskInfo {
+    TaskSpec spec;
+    std::string graph;
+    SchedulerTaskState state = SchedulerTaskState::kReleased;
+    std::size_t waiting_on = 0;  ///< unmet dependency count
+    std::vector<TaskKey> dependents;
+    std::size_t remaining_dependents = 0;  ///< release refcount
+    std::set<WorkerId> who_has;            ///< replicas in worker memory
+    Worker* assigned = nullptr;
+    std::uint32_t retries = 0;
+    std::uint32_t resubmissions = 0;  ///< re-dispatches after worker deaths
+    bool stolen = false;
+  };
+
+  struct TaskKeyHash {
+    /// FNV-1a over the group name, mixed with the index.
+    std::size_t operator()(const TaskKey& key) const noexcept {
+      std::uint64_t h = 1469598103934665603ull;
+      for (const char c : key.group) {
+        h ^= static_cast<unsigned char>(c);
+        h *= 1099511628211ull;
+      }
+      h ^= static_cast<std::uint64_t>(key.index) + 0x9e3779b97f4a7c15ull +
+           (h << 6) + (h >> 2);
+      return static_cast<std::size_t>(h);
+    }
+  };
+
   struct GraphInfo {
     std::string name;
     std::size_t remaining = 0;
@@ -311,15 +291,25 @@ class Scheduler {
   /// Reference-counted key release: frees the task's replicas from worker
   /// memory once all known dependents completed (releasable tasks only).
   void maybe_release(TaskInfo& info);
-  /// Schedules recomputation of a result whose replicas are all gone.
+  /// Schedules recomputation of a result whose replicas are all gone. A
+  /// result whose input was already released cannot be rebuilt: it errs
+  /// ("unrecoverable"), and so does everything downstream of it.
   void recompute_lost(TaskInfo& info);
+  /// For a task just moved back to waiting: recomputes every dependency
+  /// whose replicas all died, recounts the unmet ones, and dispatches the
+  /// task with `stimulus` once none are. Stops if a recomputation errs it.
+  void redispatch_waiting(TaskInfo& info, const std::string& stimulus);
   /// Moves a processing task back to waiting (after its worker died),
   /// recovering any lost dependencies first. Dead-letters the task when its
   /// resubmission cap is exhausted.
   void requeue_after_failure(TaskInfo& info);
   /// Terminal failure: erred state, "dead_letter" warning record, plugin
-  /// notification, and graph-completion accounting.
+  /// notification, then settle_erred.
   void dead_letter(TaskInfo& info, const std::string& reason);
+  /// Settles a task that just erred terminally (already counted in erred_):
+  /// frees its worker slot, dead-letters every unfinished dependent (none
+  /// can ever run), and counts the task once toward its graph's completion.
+  void settle_erred(TaskInfo& info);
   /// Returns true (and moves the task back to waiting, recovering lost
   /// dependencies) when a queued task can no longer be dispatched because a
   /// dependency's replicas all died while it sat in the queue.
@@ -336,25 +326,35 @@ class Scheduler {
   void schedule_refetch(const TaskKey& key, WorkerId holder,
                         Worker* requester);
   void stealing_round();
-  /// One stealing sweep scoped to `pool` (the whole cluster in the flat
-  /// topology; one foreman's pool under foreman_autonomy).
-  void pool_stealing_round(const std::vector<Worker*>& pool);
   void lease_round();
-  /// Applies one intake event through the legacy handlers.
-  void apply_event(const IntakeEvent& event);
-  /// Wires a worker's report callbacks straight to the root (legacy mode
-  /// calls handlers directly; batched mode routes through the intake).
-  void wire_worker_direct(Worker* worker);
+  [[nodiscard]] TaskInfo* find_task(const TaskKey& key);
+  [[nodiscard]] const TaskInfo* find_task(const TaskKey& key) const;
+  /// Every task, sorted by TaskKey: the visiting order of each sweep whose
+  /// side effects depend on order, and of the checkpoint's task list.
+  [[nodiscard]] std::vector<TaskInfo*> tasks_in_key_order();
   /// Completion bookkeeping shared by on_task_finished and dead_letter:
   /// fires on_done once, checkpoints, and consults the process-crash fault
   /// site.
   void graph_completed(GraphInfo& graph);
-  /// Appends one wire-encoded logical journal record — directly as its own
-  /// WAL frame, or into the open batch group (and maybe auto-checkpoints).
+  /// Appends one wire-encoded logical journal record into the open batch
+  /// group, or as a singleton group outside one (and maybe auto-checkpoints).
   void journal_append(std::string_view record);
   /// Scopes a journal batch group; nested scopes fold into the outermost.
   void begin_journal_group();
   void end_journal_group();
+  /// One begin/end_journal_group scope, balanced on every exit path.
+  class JournalGroup {
+   public:
+    explicit JournalGroup(Scheduler& scheduler) : scheduler_(scheduler) {
+      scheduler_.begin_journal_group();
+    }
+    ~JournalGroup() { scheduler_.end_journal_group(); }
+    JournalGroup(const JournalGroup&) = delete;
+    JournalGroup& operator=(const JournalGroup&) = delete;
+
+   private:
+    Scheduler& scheduler_;
+  };
   /// Writes the buffered group as one {"t":"batch","base":N,"recs":[...]}
   /// WAL frame. Checkpoints call this so snapshots always sit on a group
   /// boundary.
@@ -380,7 +380,8 @@ class Scheduler {
   /// asking workers, because assignments are still in flight on the wire
   /// when the next decision is made.
   std::vector<std::size_t> in_flight_;
-  ShardedTaskMap tasks_;
+  /// Only the scheduler's thread touches the table, so it takes no lock.
+  std::unordered_map<TaskKey, TaskInfo, TaskKeyHash> tasks_;
   std::map<std::string, GraphInfo> graphs_;
   std::deque<TaskKey> queued_;  ///< runnable tasks waiting for capacity
 
@@ -395,20 +396,6 @@ class Scheduler {
   std::uint64_t erred_ = 0;
   bool stopped_ = false;
   std::size_t rr_counter_ = 0;  ///< round-robin seed for cost ties
-
-  // Batched intake.
-  SchedulerIntake intake_;
-  bool pumping_ = false;  ///< reentrant pumps fold into the running one
-
-  // Hierarchical tier.
-  bool topology_finalized_ = false;
-  std::vector<std::unique_ptr<Foreman>> foremen_;
-  /// Per-worker routing: the foreman fronting this worker, or nullptr for
-  /// direct-to-root (always nullptr in the flat topology).
-  std::vector<Foreman*> foreman_of_;
-  std::vector<TimePoint> last_foreman_beat_;
-  std::vector<bool> foreman_failed_;  ///< reclaim ran (never re-run)
-  std::uint64_t foreman_failures_ = 0;
 
   // Leases.
   std::vector<TimePoint> last_heartbeat_;

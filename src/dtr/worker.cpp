@@ -416,12 +416,6 @@ void Worker::finish_task(const ExecPtr& exec, bool failed) {
     const TaskKey key = exec->spec.key;
     engine_.schedule_after(config_.control_latency,
                            [this, key, record, failed] {
-                             // Retain a replay copy until the upstream
-                             // (foreman) acks receipt — the message is on
-                             // the wire even if the receiver just died.
-                             if (ack_tracking_) {
-                               unacked_.push_back({key, record, failed});
-                             }
                              on_finished_(key, record, failed);
                            });
   }
@@ -578,7 +572,6 @@ void Worker::kill() {
   ready_.clear();
   fetching_.clear();
   inflight_.clear();
-  unacked_.clear();  // a dead worker's retained reports are moot
   // The co-located store shard dies with the process: in-flight peer
   // fetches against it fail validation immediately instead of waiting for
   // failure detection.

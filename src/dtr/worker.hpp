@@ -182,31 +182,6 @@ class Worker {
   void kill();
   [[nodiscard]] bool alive() const { return !killed_; }
 
-  // --- Completion retention (foreman aggregation mode) ---------------------
-  /// A completion report already sent upstream but not yet acknowledged.
-  struct PendingCompletion {
-    TaskKey key;
-    TaskRecord record;
-    bool failed = false;
-  };
-  /// When enabled, every completion report is retained until acked — a
-  /// foreman buffering reports in an aggregation window acks them at
-  /// flush, so a foreman death replays the unacked tail instead of losing
-  /// it. Off (the default) reports are fire-and-forget as before.
-  void set_ack_tracking(bool on) {
-    ack_tracking_ = on;
-    if (!on) unacked_.clear();
-  }
-  [[nodiscard]] const std::deque<PendingCompletion>& unacked_completions()
-      const {
-    return unacked_;
-  }
-  /// Acknowledges the oldest `count` retained completions (FIFO — report
-  /// order matches the order they were sent upstream).
-  void ack_completions(std::size_t count) {
-    while (count-- > 0 && !unacked_.empty()) unacked_.pop_front();
-  }
-
   [[nodiscard]] darshan::Runtime& darshan() { return darshan_; }
   [[nodiscard]] const darshan::Runtime& darshan() const { return darshan_; }
   [[nodiscard]] const std::vector<CommRecord>& incoming_transfers() const {
@@ -295,9 +270,6 @@ class Worker {
   std::string loop_block_cause_;
   bool stopped_ = false;
   bool killed_ = false;
-
-  bool ack_tracking_ = false;
-  std::deque<PendingCompletion> unacked_;
 
   CompletionFn on_finished_;
   HeartbeatFn on_heartbeat_;

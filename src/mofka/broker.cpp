@@ -61,15 +61,6 @@ struct RecordReader {
   }
 };
 
-/// Stored metadata is binary-tagged (wire::encode_value) for new appends
-/// but may be JSON text in WALs and stores written before the binary
-/// format existed; the first byte disambiguates (binary tags are < 0x20,
-/// JSON text starts with a printable character).
-json::Value parse_metadata(std::string_view serialized) {
-  return wire::looks_binary(serialized) ? wire::decode_value(serialized)
-                                        : json::parse(serialized);
-}
-
 }  // namespace
 
 Broker::Broker(mochi::KeyValueStore& metadata_store,
@@ -150,7 +141,7 @@ void Broker::apply_append(
   if (it == topics_.end()) throw MofkaError("mofka: WAL batch for unknown topic");
   Topic& t = it->second;
   for (const auto& [serialized, data] : events) {
-    const json::Value metadata = parse_metadata(serialized);
+    const json::Value metadata = wire::decode_value(serialized);
     ProducerSeqState* pstate = nullptr;
     std::uint64_t seq = 0;
     if (metadata.is_object() && metadata.contains("_pid") &&
@@ -517,7 +508,7 @@ std::optional<Event> Broker::fetch(
   event.topic = topic;
   event.partition = partition;
   event.id = offset;
-  event.metadata = parse_metadata(*serialized);
+  event.metadata = wire::decode_value(*serialized);
   DataSelection sel;
   if (selection) sel = selection(event.metadata);
   if (sel.fetch) {

@@ -112,9 +112,7 @@ void LiveIngestor::restore_cursors_locked() {
   if (cursor_wal_) {
     wal::WalWriter::replay(cursor_wal_->dir(),
                            [&cursors](std::string_view payload) {
-                             cursors = wire::looks_binary(payload)
-                                           ? wire::decode_value(payload)
-                                           : json::parse(payload);
+                             cursors = wire::decode_value(payload);
                            });
   }
   const auto consumers = consumers_locked();

@@ -75,11 +75,6 @@ ColumnStats stats_from_json(const json::Value& v) {
   return s;
 }
 
-json::Value decode_record(std::string_view payload) {
-  return wire::looks_binary(payload) ? wire::decode_value(payload)
-                                     : json::parse(std::string(payload));
-}
-
 }  // namespace
 
 json::Value segment_info_to_json(const SegmentInfo& info) {
@@ -220,7 +215,7 @@ void Manifest::apply(ManifestVersion& state, const json::Value& record) {
 ManifestVersion Manifest::replay_locked() const {
   ManifestVersion state;
   wal::WalWriter::replay(dir_, [&state](std::string_view payload) {
-    apply(state, decode_record(payload));
+    apply(state, wire::decode_value(payload));
   });
   return state;
 }

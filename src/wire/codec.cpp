@@ -38,10 +38,6 @@ std::size_t need_count(std::string_view bytes, std::size_t& pos) {
 
 }  // namespace
 
-bool looks_binary(std::string_view bytes) {
-  return !bytes.empty() && static_cast<std::uint8_t>(bytes[0]) <= kMaxTag;
-}
-
 void put_varint(std::string& out, std::uint64_t v) {
   while (v >= 0x80) {
     out.push_back(static_cast<char>((v & 0x7F) | 0x80));

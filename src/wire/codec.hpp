@@ -33,10 +33,6 @@
 // Self-contained values (encode_value/decode_value) never intern (tags
 // 0x05 only), so they can be stored, replayed, and read without session
 // state — that is the mode WAL payloads and the metadata store use.
-//
-// Sniffing: every binary value starts with a tag byte <= 0x09; JSON text
-// starts with a printable character (>= 0x20). looks_binary() tells stored
-// blobs and WAL records apart so old JSON state stays readable.
 #pragma once
 
 #include <cstddef>
@@ -68,9 +64,6 @@ inline constexpr std::uint8_t kStrRef = 0x07;
 inline constexpr std::uint8_t kArray = 0x08;
 inline constexpr std::uint8_t kObject = 0x09;
 inline constexpr std::uint8_t kMaxTag = kObject;
-
-/// True if `bytes` starts like a binary-encoded value rather than JSON text.
-[[nodiscard]] bool looks_binary(std::string_view bytes);
 
 // --- Varint primitives ------------------------------------------------------
 void put_varint(std::string& out, std::uint64_t v);

@@ -38,7 +38,6 @@ struct MiniCluster {
           darshan::RuntimeConfig{}));
       scheduler.add_worker(workers.back().get());
     }
-    scheduler.finalize_topology();
   }
 
   /// Submits the graph and runs the engine until it drains. Returns true if

@@ -13,6 +13,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cstdio>
 #include <map>
 #include <set>
 #include <string>
@@ -20,6 +21,7 @@
 #include <vector>
 
 #include "chaos/fault.hpp"
+#include "common/rng.hpp"
 #include "dtr/cluster.hpp"
 #include "dtr/mofka_plugins.hpp"
 #include "mochi/bedrock.hpp"
@@ -94,8 +96,7 @@ struct PipelineResult {
 PipelineResult run_pipeline(std::uint64_t cluster_seed,
                             const chaos::FaultPlan& plan,
                             std::size_t max_retries = 16,
-                            std::size_t batch_size = 32,
-                            dtr::SchedulerConfig topology = {}) {
+                            std::size_t batch_size = 32) {
   dtr::ClusterConfig config;
   config.job.nodes = 2;
   config.job.workers_per_node = 2;
@@ -105,8 +106,6 @@ PipelineResult run_pipeline(std::uint64_t cluster_seed,
   config.fault_plan = plan;
   config.producer.batch_size = batch_size;
   config.producer.max_retries = max_retries;
-  config.scheduler = topology;  // stealing/heartbeat knobs re-overridden
-                                // from wms by the cluster
 
   dtr::Cluster cluster(config);
   const dtr::RunData direct = cluster.run(workload(), "chaos", 0);
@@ -168,64 +167,66 @@ TEST_P(ChaosOracle, ViewsIdenticalUnderTransportFaults) {
 INSTANTIATE_TEST_SUITE_P(Seeds, ChaosOracle, ::testing::Range(1, 11));
 
 // ---------------------------------------------------------------------------
-// Scheduler-topology equivalence oracle (DESIGN.md §11): with
-// foreman_window == 0 the batched/sharded/hierarchical scheduler must be a
-// pure throughput refactor — every derived view and the full provenance
-// transition log stay byte-identical to the flat single-shard topology,
-// with and without transport faults in flight.
+// Scheduler byte-identity oracle (DESIGN.md §11): every derived view and the
+// direct record counts of each seed are pinned to FNV-1a digests recorded
+// from the scheduler before its intake queue, sharded task map and foreman
+// tier were deleted (all of its topologies agreed on these bytes), with and
+// without transport faults in flight. (The test names date from when each
+// seed compared topologies.)
 
-dtr::SchedulerConfig sharded_hierarchical_topology() {
-  dtr::SchedulerConfig topology;
-  topology.shards = 4;
-  topology.foremen = 2;
-  // window stays 0.0: foremen relay synchronously, batching cannot reorder.
-  return topology;
+/// Digest of one pipeline run: its direct record counts and every view.
+std::uint64_t pipeline_digest(const PipelineResult& result) {
+  std::string text = "tasks=" + std::to_string(result.direct_tasks) +
+                     " records=" + std::to_string(result.direct_records) +
+                     " rows=" + std::to_string(result.ingested_rows) + "\n";
+  for (const auto& [name, view] : result.views) {
+    text += name;
+    text += '\n';
+    text += view;
+  }
+  return fnv1a64(text);
+}
+
+/// Seeds 1..10. Transport faults must not change a byte, so the faulty runs
+/// share the fault-free digests.
+constexpr std::uint64_t kViewDigests[10] = {
+    0xab58d240df647d80ull, 0x0a859b7374769a76ull, 0x56b569bd35272538ull,
+    0x18536bb580e287a3ull, 0xe04791a3c36f594aull, 0xe33e374839f0f8a5ull,
+    0xd780382efbc37c44ull, 0xb63f6154af592394ull, 0x9f6304fca6fad493ull,
+    0xdc0efe9e15efaeafull,
+};
+
+/// Failure note: how to re-record the digest of `seed` after an intended
+/// change.
+std::string rerecord_note(std::uint64_t seed, std::uint64_t digest) {
+  char hex[24];
+  std::snprintf(hex, sizeof(hex), "0x%016llx",
+                static_cast<unsigned long long>(digest));
+  return "If the change is intended, re-record kViewDigests[" +
+         std::to_string(seed - 1) + "] as " + hex + "ull.";
 }
 
 class SchedulerEquivalence : public ::testing::TestWithParam<int> {};
 
 TEST_P(SchedulerEquivalence, ShardedHierarchicalViewsAreByteIdentical) {
   const auto seed = static_cast<std::uint64_t>(GetParam());
-
-  const PipelineResult flat = run_pipeline(seed, chaos::FaultPlan{});
-  const PipelineResult sharded =
-      run_pipeline(seed, chaos::FaultPlan{}, /*max_retries=*/16,
-                   /*batch_size=*/32, sharded_hierarchical_topology());
-
-  EXPECT_EQ(sharded.direct_tasks, flat.direct_tasks);
-  EXPECT_EQ(sharded.direct_records, flat.direct_records);
-  EXPECT_EQ(sharded.ingested_rows, flat.ingested_rows);
-  ASSERT_EQ(sharded.views.size(), flat.views.size());
-  for (const auto& [name, expected] : flat.views) {
-    const auto it = sharded.views.find(name);
-    ASSERT_NE(it, sharded.views.end()) << name;
-    EXPECT_EQ(it->second, expected)
-        << "view '" << name
-        << "' diverged between flat and sharded/hierarchical topologies";
-  }
+  const std::uint64_t digest =
+      pipeline_digest(run_pipeline(seed, chaos::FaultPlan{}));
+  EXPECT_EQ(digest, kViewDigests[seed - 1])
+      << "views of seed " << seed << " changed. "
+      << rerecord_note(seed, digest);
 }
 
 TEST_P(SchedulerEquivalence, EquivalenceHoldsUnderTransportFaults) {
   const auto seed = static_cast<std::uint64_t>(GetParam());
   const chaos::FaultPlan plan =
       chaos::FaultPlan::randomized_transport(1000 + seed, 0.06);
-
-  const PipelineResult flat = run_pipeline(seed, plan);
-  const PipelineResult sharded =
-      run_pipeline(seed, plan, /*max_retries=*/16,
-                   /*batch_size=*/32, sharded_hierarchical_topology());
-
-  // Same chaos actually hit both runs...
-  EXPECT_GT(flat.faults, 0u) << plan.describe();
-  EXPECT_GT(sharded.faults, 0u) << plan.describe();
-  // ...and the topologies still agree byte-for-byte.
-  ASSERT_EQ(sharded.views.size(), flat.views.size());
-  for (const auto& [name, expected] : flat.views) {
-    const auto it = sharded.views.find(name);
-    ASSERT_NE(it, sharded.views.end()) << name;
-    EXPECT_EQ(it->second, expected)
-        << "view '" << name << "' diverged under " << plan.describe();
-  }
+  const PipelineResult run = run_pipeline(seed, plan);
+  EXPECT_GT(run.faults, 0u) << plan.describe();
+  const std::uint64_t digest = pipeline_digest(run);
+  EXPECT_EQ(digest, kViewDigests[seed - 1])
+      << "views of seed " << seed << " under " << plan.describe()
+      << " changed. " << rerecord_note(seed, digest);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, SchedulerEquivalence, ::testing::Range(1, 11));

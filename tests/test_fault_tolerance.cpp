@@ -3,17 +3,21 @@
 // records, and provenance delivery under combined worker + transport faults.
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
+#include <filesystem>
 #include <map>
 #include <string>
 
 #include "chaos/fault.hpp"
+#include "common/rng.hpp"
 #include "dtr/cluster.hpp"
-#include "dtr/foreman.hpp"
 #include "dtr_fixture.hpp"
 #include "query/catalog.hpp"
 #include "query/ingest.hpp"
 #include "query/ir.hpp"
 #include "query/plan.hpp"
+#include "workloads/registry.hpp"
 
 namespace recup::dtr {
 namespace {
@@ -291,96 +295,142 @@ TEST(FaultTolerance, FailureOfIdleWorkerIsHarmless) {
 }
 
 // ---------------------------------------------------------------------------
-// Foreman-tier fault tolerance (DESIGN.md §11): the root detects a dead
-// foreman purely from missed beats, re-homes its pool onto the next
-// surviving foreman (or direct-to-root), replays the pool's unacked
-// completion reports, and re-dispatches assignments that died in the
-// foreman's inbox.
+// Lost results whose inputs were already released cannot be recomputed:
+// they err as "unrecoverable", everything downstream errs with them, and
+// the run still completes.
 
-testing::MiniCluster make_foreman_cluster(std::uint32_t foremen,
-                                          Duration window) {
+/// Final scheduler-side state of every task, from the transition log.
+std::map<std::string, std::string> final_states(const Scheduler& scheduler) {
+  std::map<std::string, std::string> states;
+  for (const auto& tr : scheduler.transitions()) {
+    states[tr.key.to_string()] = tr.to_state;
+  }
+  return states;
+}
+
+TEST(LostKeyRecovery, ReleasedInputErrsTheLostResultAndItsDependents) {
+  // source -> consumer -> sink, with a slow task the sink also needs. Once
+  // the consumer finishes, the releasable source is forgotten; then the
+  // consumer's only replica dies while the sink still waits on the slow
+  // task. The consumer cannot be rebuilt, so it and the sink err.
+  const std::filesystem::path journal =
+      std::filesystem::temp_directory_path() /
+      ("recup_ft_released_input_" + std::to_string(::getpid()));
+  std::filesystem::remove_all(journal);
+  struct RemoveOnExit {
+    const std::filesystem::path& path;
+    ~RemoveOnExit() {
+      std::error_code ignored;
+      std::filesystem::remove_all(path, ignored);
+    }
+  } cleanup{journal};
   SchedulerConfig scheduler_config;
-  scheduler_config.shards = 2;
-  scheduler_config.foremen = foremen;
-  scheduler_config.foreman_window = window;  // > 0: workers retain unacked
-  scheduler_config.work_stealing = false;
-  scheduler_config.heartbeat_interval = 0.05;
-  scheduler_config.lease_misses = 4.0;  // foreman silence budget: 0.2 s
-  WorkerConfig worker_config;
-  worker_config.heartbeat_interval = 0.05;
-  return testing::MiniCluster(2, 2, 2, worker_config, scheduler_config);
+  scheduler_config.work_stealing = false;  // lets a stalled run drain
+  testing::MiniCluster mini(2, 2, 2, WorkerConfig{}, scheduler_config);
+  mini.scheduler.enable_durability({journal.string(), 0, false, {}});
+  TaskGraph g("released-input");
+  TaskSpec source;
+  source.key = {"source-aa01", 0};
+  source.work.compute = 0.01;
+  source.work.releasable = true;
+  g.add_task(source);
+  TaskSpec consumer;
+  consumer.key = {"consumer-aa02", 0};
+  consumer.dependencies.push_back(source.key);
+  consumer.work.compute = 0.01;
+  g.add_task(consumer);
+  TaskSpec slow;
+  slow.key = {"slow-aa03", 0};
+  slow.work.compute = 1.0;
+  g.add_task(slow);
+  TaskSpec sink;
+  sink.key = {"sink-aa04", 0};
+  sink.dependencies = {consumer.key, slow.key};
+  sink.work.compute = 0.01;
+  g.add_task(sink);
+
+  bool killed = false;
+  mini.engine.schedule_at(0.5, [&] {
+    ASSERT_FALSE(mini.scheduler.in_memory(source.key));  // forgotten
+    for (auto& worker : mini.workers) {
+      if (!worker->has_data(consumer.key)) continue;
+      worker->kill();
+      mini.scheduler.on_worker_failed(worker->id());
+      killed = true;
+      break;
+    }
+  });
+  EXPECT_TRUE(mini.run_graph(g));
+  ASSERT_TRUE(killed);
+
+  const auto states = final_states(mini.scheduler);
+  EXPECT_EQ(states.at(source.key.to_string()), "forgotten");
+  EXPECT_EQ(states.at(consumer.key.to_string()), "erred");
+  EXPECT_EQ(states.at(sink.key.to_string()), "erred");
+  EXPECT_EQ(states.at(slow.key.to_string()), "memory");
+  EXPECT_EQ(mini.scheduler.erred_tasks(), 2u);
+  // The sink's dead-letter warning names the input that erred.
+  ASSERT_EQ(mini.scheduler.warnings().size(), 1u);
+  EXPECT_EQ(mini.scheduler.warnings()[0].message,
+            "task " + sink.key.to_string() + ": dependency " +
+                consumer.key.to_string() + " erred");
+
+  // A later graph that needs the erred result errs at submission.
+  TaskGraph later("after-erred");
+  TaskSpec reader;
+  reader.key = {"reader-aa05", 0};
+  reader.dependencies.push_back(consumer.key);
+  later.add_task(reader);
+  EXPECT_TRUE(mini.run_graph(later));
+  EXPECT_EQ(final_states(mini.scheduler).at(reader.key.to_string()), "erred");
+  EXPECT_EQ(mini.scheduler.erred_tasks(), 3u);
+
+  // A restarted scheduler counts each erred task once too.
+  testing::MiniCluster restarted(2, 2, 2, WorkerConfig{}, scheduler_config);
+  restarted.scheduler.enable_durability({journal.string(), 0, false, {}});
+  restarted.scheduler.recover();
+  EXPECT_EQ(restarted.scheduler.erred_tasks(), 3u);
 }
 
-TEST(ForemanFault, DeadForemanPoolIsReHomedAndUnackedReportsReplayed) {
-  testing::MiniCluster mini = make_foreman_cluster(2, 0.05);
-  ASSERT_EQ(mini.scheduler.foremen().size(), 2u);
-
-  bool done = false;
-  mini.scheduler.submit_graph(testing::independent_graph(16, /*compute=*/0.3),
-                              [&](const std::string&) {
-                                done = true;
-                                mini.scheduler.stop();
-                                for (auto& worker : mini.workers) {
-                                  worker->stop();
-                                }
-                              });
-  for (auto& worker : mini.workers) worker->start_heartbeats();
-  mini.scheduler.start_lease_loop();
-  // Foreman 0 dies silently mid-run: its beats stop, buffered reports die
-  // with it, in-flight deliveries to its pool are dropped. Nobody tells
-  // the root — only beat silence can reveal it.
-  mini.engine.schedule_at(0.12, [&] { mini.scheduler.foremen()[0]->kill(); });
-  mini.engine.run();
-
-  EXPECT_TRUE(done);
-  EXPECT_EQ(mini.scheduler.foreman_failures(), 1u);
-  // The orphaned pool was adopted by the survivor: its pool now holds all
-  // four workers.
-  EXPECT_EQ(mini.scheduler.foremen()[1]->pool().size(), 4u);
-  // Pool workers survived the reclaim — only their foreman died.
-  for (WorkerId w = 0; w < 4; ++w) {
-    EXPECT_TRUE(mini.scheduler.worker_alive(w)) << w;
+TEST(LostKeyRecovery, FullXgboostRunReturnsAfterLosingReleasedInputs) {
+  // Full-size XGBOOST at cluster seed 7 loses worker 1 at t = 234 s (30% of
+  // its 780 s run): tree-reduce-r12 tasks 1 and 9 lose their only replicas
+  // after their histogram-r12 inputs were released, so update-model-r12
+  // and everything after it can never run.
+  workloads::Workload workload = workloads::make_workload("XGBOOST");
+  ClusterConfig config = workload.cluster;
+  config.seed = 7;
+  Cluster cluster(config);
+  workload.prepare(cluster.vfs());
+  RngStream graph_rng(config.seed ^ fnv1a64("graphs"));
+  std::vector<TaskGraph> graphs = workload.build_graphs(graph_rng);
+  std::size_t submitted = 0;
+  std::string tree_reduce;
+  std::string update_model;
+  for (const TaskGraph& graph : graphs) {
+    submitted += graph.size();
+    for (const auto& [key, spec] : graph.tasks()) {
+      if (key.prefix() == "tree-reduce-r12" && key.index == 1) {
+        tree_reduce = key.to_string();
+      }
+      if (key.prefix() == "update-model-r12") update_model = key.to_string();
+    }
   }
-  // At-least-once replay of the unacked tail never double-applies: every
-  // task reached memory exactly once.
-  EXPECT_EQ(mini.scheduler.tasks_in_memory(), 16u);
-  EXPECT_EQ(mini.scheduler.erred_tasks(), 0u);
-  std::map<std::string, int> memory_entries;
-  for (const auto& tr : mini.scheduler.transitions()) {
-    if (tr.to_state == "memory") ++memory_entries[tr.key.to_string()];
-  }
-  EXPECT_EQ(memory_entries.size(), 16u);
-  for (const auto& [key, count] : memory_entries) {
-    EXPECT_EQ(count, 1) << key << " applied more than once";
-  }
-}
+  cluster.fail_worker_at(1, 234.0);
+  const RunData run = cluster.run(std::move(graphs), "XGBOOST", 0);
 
-TEST(ForemanFault, LastForemanDeathFallsBackToDirectRootWiring) {
-  testing::MiniCluster mini = make_foreman_cluster(2, 0.05);
-  bool done = false;
-  mini.scheduler.submit_graph(testing::independent_graph(16, /*compute=*/0.3),
-                              [&](const std::string&) {
-                                done = true;
-                                mini.scheduler.stop();
-                                for (auto& worker : mini.workers) {
-                                  worker->stop();
-                                }
-                              });
-  for (auto& worker : mini.workers) worker->start_heartbeats();
-  mini.scheduler.start_lease_loop();
-  // Both foremen die: no successor survives, so both pools must fall back
-  // to direct-to-root report wiring with fresh root-side leases.
-  mini.engine.schedule_at(0.12, [&] { mini.scheduler.foremen()[0]->kill(); });
-  mini.engine.schedule_at(0.15, [&] { mini.scheduler.foremen()[1]->kill(); });
-  mini.engine.run();
-
-  EXPECT_TRUE(done);
-  EXPECT_EQ(mini.scheduler.foreman_failures(), 2u);
-  EXPECT_EQ(mini.scheduler.tasks_in_memory(), 16u);
-  EXPECT_EQ(mini.scheduler.erred_tasks(), 0u);
-  for (WorkerId w = 0; w < 4; ++w) {
-    EXPECT_TRUE(mini.scheduler.worker_alive(w)) << w;
+  const auto states = final_states(cluster.scheduler());
+  EXPECT_EQ(states.size(), submitted);
+  std::size_t erred = 0;
+  for (const auto& [key, state] : states) {
+    EXPECT_TRUE(state == "memory" || state == "forgotten" || state == "erred")
+        << key << " ended in " << state;
+    if (state == "erred") ++erred;
   }
+  EXPECT_EQ(states.at(tree_reduce), "erred");
+  EXPECT_EQ(states.at(update_model), "erred");
+  EXPECT_EQ(cluster.scheduler().erred_tasks(), erred);
+  EXPECT_LT(run.tasks.size(), submitted);
 }
 
 }  // namespace

@@ -506,6 +506,43 @@ TEST(BrokerWal, NonDurableCrashIsObservableTotalLoss) {
   EXPECT_FALSE(broker.topic_exists("t"));
 }
 
+/// Little-endian u32, the broker WAL's field framing.
+void put_le32(std::string& out, std::uint32_t v) {
+  for (int shift = 0; shift < 32; shift += 8) {
+    out.push_back(static_cast<char>((v >> shift) & 0xFF));
+  }
+}
+
+void put_le_str(std::string& out, const std::string& s) {
+  put_le32(out, static_cast<std::uint32_t>(s.size()));
+  out += s;
+}
+
+TEST(BrokerWal, JsonTextMetadataIsATypedError) {
+  // Event metadata in the broker WAL is wire-encoded only: a batch record
+  // whose metadata is JSON text is corruption, and replay reports it as a
+  // typed wire::WireError.
+  TempDir dir("broker_json_meta");
+  {
+    wal::WalWriter writer(dir.str());
+    std::string topic("T");
+    put_le_str(topic, "t");
+    put_le32(topic, 1);
+    writer.append(topic);
+    std::string batch("B");
+    put_le_str(batch, "t");
+    put_le32(batch, 0);  // partition
+    put_le32(batch, 1);  // events
+    put_le_str(batch, R"({"i":1})");
+    put_le_str(batch, "data");
+    writer.append(batch);
+  }
+  mochi::KeyValueStore kv;
+  mochi::BlobStore blobs;
+  EXPECT_THROW((void)mofka::Broker(kv, blobs, {dir.str(), {}}),
+               wire::WireError);
+}
+
 // ---------------------------------------------------------------------------
 // Scheduler checkpoint/restart.
 
@@ -766,9 +803,35 @@ TEST(SchedulerDurable, JsonTextJournalFrameIsATypedError) {
   EXPECT_THROW(mini.scheduler.recover(), wire::WireError);
 }
 
+TEST(SchedulerDurable, BareJournalFrameIsATypedError) {
+  // Every journal frame is a batch group. A well-formed wire record written
+  // as a frame of its own (no batch envelope) is corruption at both replay
+  // sites, reported as a typed wal::WalError.
+  std::string bare;
+  dtr::put_graph_record(bare, "g", 1);
+  {
+    TempDir dir("sched_bare_enable");
+    {
+      wal::WalWriter writer(dir.str());
+      writer.append(bare);
+    }
+    dtr::testing::MiniCluster mini;
+    EXPECT_THROW(mini.scheduler.enable_durability({dir.str(), 0, false, {}}),
+                 wal::WalError);
+  }
+  TempDir dir("sched_bare_recover");
+  dtr::testing::MiniCluster mini;
+  mini.scheduler.enable_durability({dir.str(), 0, false, {}});
+  {
+    wal::WalWriter writer(dir.str());
+    writer.append(bare);
+  }
+  EXPECT_THROW(mini.scheduler.recover(), wal::WalError);
+}
+
 // ---------------------------------------------------------------------------
-// Batched journal groups (DESIGN.md §11): with the batched intake every
-// WAL frame is a {"t":"batch","base":N,"recs":[...]} group carrying the
+// Batched journal groups (DESIGN.md §11): every WAL frame is a
+// {"t":"batch","base":N,"recs":[...]} group carrying the
 // logical index of its first record, so checkpoint offsets (logical) and
 // compaction watermarks (physical frames) stay consistent. A torn group is
 // atomically absent — WAL truncation drops whole frames, so a crash inside
@@ -802,56 +865,6 @@ TEST(SchedulerBatchedJournal, GroupsAmortizeFramesAndCarryLogicalBases) {
   });
   EXPECT_EQ(frames, mini.scheduler.journal_frames());
   EXPECT_EQ(next_logical, mini.scheduler.journal_records());
-}
-
-TEST(SchedulerBatchedJournal, LegacyModeWritesOneBareFramePerRecord) {
-  TempDir dir("sched_legacy_frames");
-  dtr::SchedulerConfig config;
-  config.legacy_intake = true;
-  dtr::testing::MiniCluster mini(2, 2, 2, dtr::WorkerConfig{}, config);
-  mini.scheduler.enable_durability({dir.str(), 0, false, {}});
-  ASSERT_TRUE(mini.run_graph(dtr::testing::independent_graph(16)));
-  EXPECT_EQ(mini.scheduler.journal_frames(), mini.scheduler.journal_records());
-  wal::WalWriter::replay(dir.str(), [&](std::string_view payload) {
-    const json::Value frame = wire::decode_value(payload);
-    EXPECT_NE(frame.get_string("t", ""), "batch");
-  });
-}
-
-TEST(SchedulerBatchedJournal, LegacyAndBatchedJournalsRecoverIdentically) {
-  // The same workload journaled through bare frames and through batch
-  // groups must rebuild byte-identical provenance on a cold restart: the
-  // group framing is pure transport.
-  TempDir legacy_dir("sched_equiv_legacy");
-  TempDir batched_dir("sched_equiv_batched");
-  {
-    dtr::SchedulerConfig config;
-    config.legacy_intake = true;
-    dtr::testing::MiniCluster mini(2, 2, 2, dtr::WorkerConfig{}, config);
-    mini.scheduler.enable_durability({legacy_dir.str(), 0, false, {}});
-    ASSERT_TRUE(mini.run_graph(dtr::testing::diamond_graph()));
-  }
-  {
-    dtr::SchedulerConfig config;
-    config.shards = 4;
-    dtr::testing::MiniCluster mini(2, 2, 2, dtr::WorkerConfig{}, config);
-    mini.scheduler.enable_durability({batched_dir.str(), 0, false, {}});
-    ASSERT_TRUE(mini.run_graph(dtr::testing::diamond_graph()));
-  }
-  dtr::testing::MiniCluster from_legacy;
-  from_legacy.scheduler.enable_durability({legacy_dir.str(), 0, false, {}});
-  from_legacy.scheduler.recover();
-  from_legacy.engine.run();
-  dtr::testing::MiniCluster from_batched;
-  from_batched.scheduler.enable_durability({batched_dir.str(), 0, false, {}});
-  from_batched.scheduler.recover();
-  from_batched.engine.run();
-  EXPECT_EQ(dump_records(from_batched.scheduler.transitions()),
-            dump_records(from_legacy.scheduler.transitions()));
-  EXPECT_EQ(dump_records(from_batched.scheduler.task_records()),
-            dump_records(from_legacy.scheduler.task_records()));
-  EXPECT_EQ(from_batched.scheduler.tasks_in_memory(),
-            from_legacy.scheduler.tasks_in_memory());
 }
 
 TEST(SchedulerBatchedJournal, TornBatchGroupIsAtomicallyAbsent) {
@@ -1295,6 +1308,24 @@ TEST(IngestDurable, CursorWalSurvivesLossOfBrokerCommits) {
   }
 }
 
+TEST(IngestDurable, JsonTextCursorRecordIsATypedError) {
+  // The cursor WAL is wire-encoded only: a JSON-text cursor record is
+  // corruption, and restoring the cursors reports it as a typed
+  // wire::WireError.
+  TempDir dir("ingest_json_cursor");
+  {
+    wal::WalWriter writer(dir.str());
+    writer.append(R"({"wms_tasks":[0]})");
+  }
+  mochi::KeyValueStore kv;
+  mochi::BlobStore blobs;
+  mofka::Broker broker(kv, blobs);
+  dtr::create_wms_topics(broker);
+  StoreCatalog catalog;
+  EXPECT_THROW((void)LiveIngestor(broker, catalog, "g", dir.str()),
+               wire::WireError);
+}
+
 TEST(IngestDurable, InjectedProcessCrashRestoresCursorsAndRepolls) {
   TempDir dir("ingest_crash");
   mochi::KeyValueStore kv;
@@ -1425,7 +1456,7 @@ DurableResult run_durable_pipeline(std::uint64_t cluster_seed,
   config.fault_plan = plan;
   config.producer.batch_size = 16;  // more append batches, more crash sites
   config.producer.max_retries = 32;
-  config.durability_dir = dir;
+  config.durability.dir = dir;
 
   dtr::Cluster cluster(config);
   const dtr::RunData direct = cluster.run(workload(), "durable", 0);

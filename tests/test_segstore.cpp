@@ -26,8 +26,10 @@
 #include "query/ir.hpp"
 #include "query/plan.hpp"
 #include "query/wire.hpp"
+#include "segstore/manifest.hpp"
 #include "segstore/segment.hpp"
 #include "segstore/store.hpp"
+#include "wire/codec.hpp"
 
 namespace recup {
 namespace {
@@ -697,9 +699,7 @@ TEST(UnifiedDurability, JsonNestedShapeRoundTrips) {
   config.segstore.compact_max_bytes = 1 << 20;
   config.segstore.verify_on_open = false;
 
-  const DurabilityParse parsed = durability_from_json(to_json(config));
-  EXPECT_TRUE(parsed.deprecated.empty());
-  const DurabilityConfig& back = parsed.config;
+  const DurabilityConfig back = durability_from_json(to_json(config));
   EXPECT_EQ(back.dir, config.dir);
   EXPECT_EQ(back.broker.wal.segment_bytes, 1024u);
   EXPECT_EQ(back.broker.wal.sync, wal::SyncPolicy::kOnAppend);
@@ -711,34 +711,41 @@ TEST(UnifiedDurability, JsonNestedShapeRoundTrips) {
   EXPECT_FALSE(back.segstore.verify_on_open);
 }
 
-TEST(UnifiedDurability, DeprecatedFlatAliasesMapAndWarn) {
-  const DurabilityParse parsed = durability_from_json(json::parse(R"({
+TEST(UnifiedDurability, RetiredFlatAliasesAreIgnored) {
+  // The pre-unification flat names are unknown keys now: they set nothing.
+  const DurabilityConfig parsed = durability_from_json(json::parse(R"({
     "durability_dir": "/old/root",
     "checkpoint_every": 9,
     "compact_on_checkpoint": true,
     "sync": "on_append",
     "segment_bytes": 2048
   })"));
-  EXPECT_EQ(parsed.config.dir, "/old/root");
-  EXPECT_EQ(parsed.config.scheduler.checkpoint_every, 9u);
-  EXPECT_TRUE(parsed.config.scheduler.compact_on_checkpoint);
-  EXPECT_EQ(parsed.config.broker.wal.sync, wal::SyncPolicy::kOnAppend);
-  EXPECT_EQ(parsed.config.segstore.wal.sync, wal::SyncPolicy::kOnAppend);
-  EXPECT_EQ(parsed.config.ingest.wal.segment_bytes, 2048u);
-  const std::vector<std::string> expected{
-      "durability_dir", "checkpoint_every", "compact_on_checkpoint", "sync",
-      "segment_bytes"};
-  EXPECT_EQ(parsed.deprecated, expected);
+  const DurabilityConfig defaults;
+  EXPECT_TRUE(parsed.dir.empty());
+  EXPECT_EQ(parsed.scheduler.checkpoint_every,
+            defaults.scheduler.checkpoint_every);
+  EXPECT_EQ(parsed.scheduler.compact_on_checkpoint,
+            defaults.scheduler.compact_on_checkpoint);
+  EXPECT_EQ(parsed.broker.wal.sync, defaults.broker.wal.sync);
+  EXPECT_EQ(parsed.segstore.wal.sync, defaults.segstore.wal.sync);
+  EXPECT_EQ(parsed.ingest.wal.segment_bytes,
+            defaults.ingest.wal.segment_bytes);
+  EXPECT_EQ(to_json(parsed).dump(), to_json(defaults).dump());
+}
 
-  // The nested shape wins over a conflicting alias.
-  const DurabilityParse nested_wins = durability_from_json(json::parse(R"({
-    "dir": "/new/root",
-    "durability_dir": "/old/root",
-    "scheduler": {"checkpoint_every": 3},
-    "checkpoint_every": 99
-  })"));
-  EXPECT_EQ(nested_wins.config.dir, "/new/root");
-  EXPECT_EQ(nested_wins.config.scheduler.checkpoint_every, 3u);
+TEST(SegstoreManifest, JsonTextRecordIsATypedError) {
+  // Manifest records are wire-encoded only: a JSON-text record is
+  // corruption, reported as a typed wire::WireError by writer and
+  // read-only replay alike.
+  TempDir dir("manifest_json");
+  {
+    wal::WalWriter writer(dir.str());
+    writer.append(R"({"op":"add","run":{"workflow":"w","run_index":0}})");
+  }
+  EXPECT_THROW((void)segstore::Manifest(dir.str(), {}, /*read_only=*/false),
+               wire::WireError);
+  EXPECT_THROW((void)segstore::Manifest(dir.str(), {}, /*read_only=*/true),
+               wire::WireError);
 }
 
 }  // namespace

@@ -267,19 +267,6 @@ TEST(WireCodec, VarintEdgeCases) {
   EXPECT_THROW((void)wire::get_varint(truncated, pos), wire::WireError);
 }
 
-TEST(WireCodec, LooksBinarySniffing) {
-  EXPECT_TRUE(wire::looks_binary(wire::encode_value(Value(nullptr))));
-  EXPECT_TRUE(wire::looks_binary(wire::encode_value(Value("text"))));
-  Object o;
-  o["k"] = 1;
-  EXPECT_TRUE(wire::looks_binary(wire::encode_value(Value(std::move(o)))));
-  EXPECT_FALSE(wire::looks_binary("{\"k\": 1}"));
-  EXPECT_FALSE(wire::looks_binary("  [1, 2]"));
-  EXPECT_FALSE(wire::looks_binary("123"));
-  EXPECT_FALSE(wire::looks_binary("\"str\""));
-  EXPECT_FALSE(wire::looks_binary(""));
-}
-
 TEST(WireCodec, FrameRoundTripAndTruncation) {
   std::string stream;
   wire::put_frame(stream, "first payload");

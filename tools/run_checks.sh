@@ -66,11 +66,12 @@ require_filter_matches ./build/tests/test_datastore \
   --gtest_filter='*DatastoreChaosOracle*:DataStoreCluster.*' >/dev/null
 echo "datastore chaos oracle passed"
 
-echo "== scheduler conformance: state-machine suite + 10-seed topology equivalence =="
+echo "== scheduler conformance: state-machine suite + 10-seed byte-identity oracle =="
 # Property-based conformance over random DAGs and worker-kill interleavings
-# (legal transition edges, dispatch causality, termination), then the
-# equivalence oracle: sharded/hierarchical topologies must reproduce the flat
-# scheduler's provenance views byte for byte, with and without chaos faults.
+# (legal transition edges, dispatch causality, termination, and transition
+# logs pinned to recorded digests), then the byte-identity oracle: every
+# provenance view of ten seeds must match its recorded digest, with and
+# without chaos faults.
 ./build/tests/test_scheduler_statemachine >/dev/null
 require_filter_matches ./build/tests/test_chaos '*SchedulerEquivalence*'
 ./build/tests/test_chaos --gtest_filter='*SchedulerEquivalence*' >/dev/null
@@ -110,7 +111,7 @@ else
     >/dev/null 2>&1)
   (cd "$bench_dir" && "$repo_root/build/bench/bench_datastore" \
     --out "$bench_dir/out" >/dev/null 2>&1)
-  # bench_scheduler exits nonzero if the hierarchical topology drops below
+  # bench_scheduler exits nonzero if its plain (non-durable) run drops below
   # the 100k transitions/sec floor, independent of the trajectory delta.
   (cd "$bench_dir" && "$repo_root/build/bench/bench_scheduler" \
     --out "$bench_dir/out" >/dev/null 2>&1)
@@ -219,14 +220,6 @@ TSAN_OPTIONS=halt_on_error=1 ./build-tsan/tests/test_datastore \
   --gtest_filter='DataStoreConcurrency.*:WarabiCapacity.*' >/dev/null
 TSAN_OPTIONS=halt_on_error=1 ./build-tsan/tests/test_mochi \
   --gtest_filter='Warabi.*' >/dev/null
-# Scheduler intake + shard hammers: real producer threads pushing into the
-# MPSC intake queue while the main thread drains batches, and concurrent
-# try_emplace/find/for_each across ShardedTaskMap shards.
-require_filter_matches ./build-tsan/tests/test_scheduler_statemachine \
-  'SchedulerIntakeConcurrency.*:ShardedTaskMapConcurrency.*'
-TSAN_OPTIONS=halt_on_error=1 ./build-tsan/tests/test_scheduler_statemachine \
-  --gtest_filter='SchedulerIntakeConcurrency.*:ShardedTaskMapConcurrency.*' \
-  >/dev/null
 # Segment store under real racing threads: replica refresh + mmap reads vs
 # a live writer's flush/compact/GC, and snapshot pins across compaction.
 TSAN_OPTIONS=halt_on_error=1 ./build-tsan/tests/test_segstore \
