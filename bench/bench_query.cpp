@@ -9,7 +9,6 @@
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
-#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
@@ -59,23 +58,17 @@ double median_ms(std::vector<double> samples) {
   return samples[samples.size() / 2];
 }
 
-/// Events/s through Broker::append_batch via a real producer. An empty
+/// Events/s through Broker::append_frame via a real producer. An empty
 /// `wal_dir` benchmarks the in-memory broker; otherwise the WAL-backed one.
 double ingest_events_per_s(const std::string& wal_dir, int events) {
   mochi::KeyValueStore kv;
   mochi::BlobStore blobs;
-  std::unique_ptr<mofka::Broker> broker;
-  if (wal_dir.empty()) {
-    broker = std::make_unique<mofka::Broker>(kv, blobs);
-  } else {
-    broker = std::make_unique<mofka::Broker>(
-        kv, blobs, mofka::BrokerDurability{wal_dir, {}});
-  }
-  broker->create_topic("ingest", {4, nullptr, nullptr});
+  mofka::Broker broker(kv, blobs, wal_dir);
+  broker.create_topic("ingest", {4, nullptr, nullptr});
   mofka::ProducerConfig config;
   config.batch_size = 256;
   config.background_flush = false;
-  mofka::Producer producer(*broker, "ingest", config);
+  mofka::Producer producer(broker, "ingest", config);
   const auto started = std::chrono::steady_clock::now();
   for (int i = 0; i < events; ++i) {
     json::Object metadata;
@@ -90,7 +83,7 @@ double ingest_events_per_s(const std::string& wal_dir, int events) {
 }
 
 /// Wire-size ratio of JSON text to binary frames for real provenance event
-/// metadata: pushes the events through a binary-wire producer, then
+/// metadata: pushes the events through a producer, then
 /// compares the frame bytes the broker received against the JSON dump of
 /// the exact same (sequence-stamped) events it stored.
 double event_wire_ratio(const std::vector<json::Value>& events,

@@ -67,7 +67,6 @@ BenchResult run_config(const std::string& label, bool durable) {
   Vfs vfs(engine, pfs);
   SchedulerConfig config;
   config.work_stealing = false;  // measure the dispatch/completion path
-  config.lease_liveness = false;
   Scheduler scheduler(engine, network, config, RngStream(33), logs);
   WorkerConfig worker_config;
   worker_config.nthreads = kThreads;

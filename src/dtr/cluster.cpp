@@ -27,14 +27,9 @@ Cluster::Cluster(ClusterConfig config)
            "suspect_after": 2, "dead_after": 5}
         ]
       })"));
-  if (config_.durability.broker_dir().empty()) {
-    broker_ = std::make_unique<mofka::Broker>(
-        services_->yokan("mofka-metadata"), services_->warabi("mofka-data"));
-  } else {
-    broker_ = std::make_unique<mofka::Broker>(
-        services_->yokan("mofka-metadata"), services_->warabi("mofka-data"),
-        mofka::BrokerDurability::from(config_.durability));
-  }
+  broker_ = std::make_unique<mofka::Broker>(
+      services_->yokan("mofka-metadata"), services_->warabi("mofka-data"),
+      config_.durability.broker_dir());
   if (!config_.fault_plan.empty()) {
     injector_ = std::make_shared<chaos::FaultInjector>(config_.fault_plan);
     broker_->set_fault_injector(injector_);

@@ -74,9 +74,9 @@ struct ClusterConfig {
   /// (push/pull/flush sites) and on every worker (dtr.worker site). Any
   /// failing run replays from (plan.seed, plan).
   chaos::FaultPlan fault_plan;
-  /// Unified durability knob tree (common/durability.hpp). When
-  /// durability.dir (or a component override) is non-empty the control
-  /// plane becomes durable: the broker WALs events/offsets under
+  /// Unified durability config (common/durability.hpp). When
+  /// durability.dir is non-empty the control plane becomes durable: the
+  /// broker WALs events/offsets under
   /// `<dir>/broker` and the scheduler journals + checkpoints under
   /// `<dir>/scheduler`. Required for the chaos process.{broker,scheduler}
   /// crash sites to fire.

@@ -693,7 +693,7 @@ void Scheduler::heartbeat(WorkerId worker) {
 }
 
 void Scheduler::start_lease_loop() {
-  if (!config_.lease_liveness || stopped_) return;
+  if (stopped_) return;
   engine_.schedule_after(config_.heartbeat_interval, [this] {
     if (stopped_) return;
     lease_round();
@@ -889,7 +889,7 @@ void Scheduler::journal_append(std::string_view record) {
     // Outside any group a record still gets a (singleton) group, so every
     // frame carries its logical base — recovery re-syncs logical indices
     // from it after compaction.
-    append_batch_frame(journal_records_, 1, record);
+    append_journal_frame(journal_records_, 1, record);
   }
   ++journal_records_;
   if (durability_->checkpoint_every > 0 && !recovering_ &&
@@ -910,14 +910,14 @@ void Scheduler::end_journal_group() {
 
 void Scheduler::flush_journal_group() {
   if (journal_group_count_ == 0) return;
-  append_batch_frame(journal_group_base_, journal_group_count_,
-                     journal_group_bytes_);
+  append_journal_frame(journal_group_base_, journal_group_count_,
+                       journal_group_bytes_);
   journal_group_bytes_.clear();
   journal_group_count_ = 0;
 }
 
-void Scheduler::append_batch_frame(std::size_t base, std::size_t count,
-                                   std::string_view recs) {
+void Scheduler::append_journal_frame(std::size_t base, std::size_t count,
+                                     std::string_view recs) {
   journal_frame_.clear();
   put_batch_frame(journal_frame_, base, count, recs);
   journal_->append(journal_frame_);

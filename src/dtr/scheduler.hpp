@@ -74,9 +74,6 @@ struct SchedulerConfig {
   /// lease is the backstop for hung or partitioned workers that never emit
   /// a death notification.
   double lease_misses = 12.0;
-  /// Master switch for lease-based liveness (the loop still has to be
-  /// started with start_lease_loop()).
-  bool lease_liveness = true;
 
   /// A worker's lease expires after strictly more than
   /// heartbeat_interval * lease_misses seconds of silence — at *exactly*
@@ -105,7 +102,7 @@ struct SchedulerDurability {
   bool compact_on_checkpoint = false;
   wal::WalOptions wal;
 
-  /// The scheduler's slice of the unified knob tree
+  /// The scheduler's slice of the unified durability config
   /// (common/durability.hpp).
   [[nodiscard]] static SchedulerDurability from(const DurabilityConfig& d) {
     SchedulerDurability s;
@@ -361,8 +358,8 @@ class Scheduler {
   void flush_journal_group();
   /// Appends one batch frame of `count` encoded records starting at logical
   /// index `base`.
-  void append_batch_frame(std::size_t base, std::size_t count,
-                          std::string_view recs);
+  void append_journal_frame(std::size_t base, std::size_t count,
+                            std::string_view recs);
   [[nodiscard]] Duration transfer_cost_estimate(const TaskInfo& info,
                                                 const Worker& worker) const;
   [[nodiscard]] Duration compute_estimate(const TaskInfo& info) const;

@@ -64,22 +64,18 @@ struct RecordReader {
 }  // namespace
 
 Broker::Broker(mochi::KeyValueStore& metadata_store,
-               mochi::BlobStore& data_store)
-    : metadata_store_(metadata_store), data_store_(data_store) {}
-
-Broker::Broker(mochi::KeyValueStore& metadata_store,
-               mochi::BlobStore& data_store, BrokerDurability durability)
+               mochi::BlobStore& data_store, std::string wal_dir)
     : metadata_store_(metadata_store),
       data_store_(data_store),
-      durability_(std::move(durability)) {
-  if (durability_.dir.empty()) return;
-  wal_ = std::make_unique<wal::WalWriter>(durability_.dir, durability_.wal);
+      wal_dir_(std::move(wal_dir)) {
+  if (wal_dir_.empty()) return;
+  wal_ = std::make_unique<wal::WalWriter>(wal_dir_);
   std::lock_guard lock(mutex_);
   replay_wal_locked();
 }
 
 void Broker::replay_wal_locked() {
-  wal::WalWriter::replay(durability_.dir,
+  wal::WalWriter::replay(wal_dir_,
                          [this](std::string_view record) {
                            wal_apply(record);
                          });

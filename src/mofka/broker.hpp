@@ -5,7 +5,7 @@
 // describes. The broker is fully thread-safe: producers append from
 // background flush threads while consumers pull concurrently.
 //
-// Delivery semantics: append_batch acts as the broker-side ack. Producers
+// Delivery semantics: append_frame acts as the broker-side ack. Producers
 // stamp events with per-producer sequence numbers ("_pid"/"_seq" metadata
 // fields); the broker tracks them per (topic, partition, producer) and
 // absorbs re-sent events, returning the offset of the original append. This
@@ -25,7 +25,6 @@
 #include <vector>
 
 #include "chaos/fault.hpp"
-#include "common/durability.hpp"
 #include "common/wal.hpp"
 #include "json/json.hpp"
 #include "mochi/warabi.hpp"
@@ -70,31 +69,14 @@ struct TopicConfig {
   PartitionSelector selector;        ///< optional; default round-robin
 };
 
-/// Write-ahead-log configuration. With a non-empty `dir` every topic
-/// creation, accepted append (post-dedup), and consumer-group offset commit
-/// is framed into the WAL before the ack returns, so a crashed broker
-/// rebuilds partitions, sequence-dedup state, and committed offsets with
-/// identical offsets on restart.
-struct BrokerDurability {
-  std::string dir;  ///< empty => in-memory only (no WAL)
-  wal::WalOptions wal;
-
-  /// The broker's slice of the unified knob tree
-  /// (common/durability.hpp). Prefer configuring a DurabilityConfig and
-  /// projecting it here over filling this struct by hand.
-  [[nodiscard]] static BrokerDurability from(const DurabilityConfig& d) {
-    return BrokerDurability{d.broker_dir(), d.broker.wal};
-  }
-};
-
 struct TopicStats {
   std::uint64_t events = 0;
   std::uint64_t batches = 0;
   std::uint64_t bytes_metadata = 0;
   std::uint64_t bytes_data = 0;
-  /// Frame bytes received through append_frame (the binary push path).
-  /// Comparing against the events' JSON text sizes measures the wire
-  /// savings of the tagged encoding plus session interning.
+  /// Frame bytes received through append_frame. Comparing against the
+  /// events' JSON text sizes measures the wire savings of the tagged
+  /// encoding plus session interning.
   std::uint64_t bytes_wire = 0;
   /// Re-sent events absorbed by sequence dedup (retries whose original
   /// append succeeded but whose ack was lost).
@@ -111,11 +93,14 @@ struct AppendResult {
 
 class Broker {
  public:
-  Broker(mochi::KeyValueStore& metadata_store, mochi::BlobStore& data_store);
-  /// Durable broker: replays any existing WAL under `durability.dir` into
-  /// the stores before serving (a broker "rebuilt from disk").
+  /// With a non-empty `wal_dir` the broker is durable: every topic
+  /// creation, accepted append (post-dedup), and consumer-group offset
+  /// commit is framed into a WAL there before the ack returns, and any
+  /// existing WAL is replayed into the stores before serving (a broker
+  /// "rebuilt from disk") with identical offsets, sequence-dedup state and
+  /// committed offsets. An empty `wal_dir` keeps everything in memory.
   Broker(mochi::KeyValueStore& metadata_store, mochi::BlobStore& data_store,
-         BrokerDurability durability);
+         std::string wal_dir = {});
 
   void create_topic(const std::string& name, TopicConfig config = {});
   /// Reattaches the non-serializable parts of a topic's configuration
@@ -135,28 +120,21 @@ class Broker {
   void set_fault_injector(std::shared_ptr<chaos::FaultInjector> injector);
   [[nodiscard]] std::shared_ptr<chaos::FaultInjector> fault_injector() const;
 
-  /// Appends a batch of (metadata, data) pairs to one partition atomically
-  /// and acks with per-event offsets. Runs the topic validator on every
-  /// event first; events carrying "_pid"/"_seq" are deduplicated against
-  /// the per-producer sequence window. Throws chaos::TransientFault for
-  /// injected retryable faults (the batch may or may not have landed —
-  /// exactly the ambiguity real producers face; retry and let dedup sort
-  /// it out).
-  AppendResult append_batch(
-      const std::string& topic, PartitionIndex partition,
-      const std::vector<std::pair<json::Value, std::string>>& events);
-
-  /// Binary push path: appends a batch encoded by mofka::encode_event_frame
-  /// under the producer's wire session. Frames of one session must arrive
-  /// in encode order (the producer serializes same-partition flushes);
+  /// The push path: appends a batch encoded by mofka::encode_event_frame
+  /// under the producer's wire session to one partition atomically and
+  /// acks with per-event offsets. Frames of one session must arrive in
+  /// encode order (the producer serializes same-partition flushes);
   /// retrying a frame's identical bytes is safe because dictionary
   /// definitions apply idempotently. Decoding happens before fault
   /// injection, so a frame whose ack is lost still teaches the session
   /// dictionary and the retry resolves its refs. Throws WireSessionError
   /// when the frame references session state this broker lacks (restart
   /// wiped it) — reset the encoder session and re-encode, don't retry the
-  /// same bytes. Delivery semantics are otherwise identical to
-  /// append_batch.
+  /// same bytes. Runs the topic validator on every event; events carrying
+  /// "_pid"/"_seq" are deduplicated against the per-producer sequence
+  /// window. Throws chaos::TransientFault for injected retryable faults
+  /// (the batch may or may not have landed — exactly the ambiguity real
+  /// producers face; retry and let dedup sort it out).
   AppendResult append_frame(const std::string& topic,
                             PartitionIndex partition, std::uint64_t session,
                             std::string_view frame);
@@ -218,6 +196,12 @@ class Broker {
                                             PartitionIndex partition,
                                             EventId offset);
 
+  /// append_frame after decoding: validation, fault injection, dedup, the
+  /// WAL record and the store writes.
+  AppendResult append_batch(
+      const std::string& topic, PartitionIndex partition,
+      const std::vector<std::pair<json::Value, std::string>>& events);
+
   // WAL record appliers (lock held, no re-logging). The WAL holds only
   // post-dedup appends, so replay re-inserts unconditionally and re-seeds
   // the sequence trackers from the "_pid"/"_seq" stamps in the metadata.
@@ -230,7 +214,7 @@ class Broker {
 
   mochi::KeyValueStore& metadata_store_;
   mochi::BlobStore& data_store_;
-  BrokerDurability durability_;
+  std::string wal_dir_;
   std::unique_ptr<wal::WalWriter> wal_;
   mutable std::mutex mutex_;
   std::map<std::string, Topic> topics_;

@@ -1,9 +1,10 @@
-// Mofka consumer: pull-based subscription with prefetching and a data
-// selector (paper §III-B). The same API serves both modes the paper relies
-// on: in situ consumption while the workflow runs, and bulk post-hoc reads
-// ("the API for consuming events is identical whether consumers process
-// events individually in real time or in bulk at the completion of a
-// workflow").
+// Mofka consumer: pull-based subscription with a data selector (paper
+// §III-B). Each pull() fetches the next event from the broker on demand;
+// nothing is buffered ahead of the application. The same API serves both
+// modes the paper relies on: in situ consumption while the workflow runs,
+// and bulk post-hoc reads ("the API for consuming events is identical
+// whether consumers process events individually in real time or in bulk at
+// the completion of a workflow").
 //
 // Delivery: the transport is at-least-once — the broker's fault injector
 // (chaos::sites::kMofkaConsumerPull) can hide the next event for a round
@@ -28,8 +29,6 @@
 namespace recup::mofka {
 
 struct ConsumerConfig {
-  /// Events prefetched ahead of the application per partition.
-  std::size_t prefetch = 32;
   /// Optional data selector; nullptr fetches full payloads.
   std::function<DataSelection(const json::Value&)> selector;
   /// Drop redelivered offsets instead of handing them to the application.

@@ -37,11 +37,9 @@ Producer::Producer(Broker& broker, std::string topic, ProducerConfig config)
   const PartitionIndex parts = broker_.partition_count(topic_);
   pending_.resize(parts);
   next_seq_.assign(parts, 0);
-  if (config_.binary_wire) {
-    wire_.reserve(parts);
-    for (PartitionIndex p = 0; p < parts; ++p) {
-      wire_.push_back(std::make_unique<WireSession>());
-    }
+  wire_.reserve(parts);
+  for (PartitionIndex p = 0; p < parts; ++p) {
+    wire_.push_back(std::make_unique<WireSession>());
   }
   if (config_.background_flush) {
     background_ = std::thread([this] { background_loop(); });
@@ -122,24 +120,18 @@ void Producer::flush_partition(PartitionIndex partition,
   for (auto& e : batch) {
     events.emplace_back(std::move(e.metadata), std::move(e.data));
   }
-  // Binary path: encode under the partition's wire lock and keep holding
-  // it through every retry, so this session's frames reach the broker in
-  // encode order and a retry re-sends the identical bytes.
-  std::unique_lock<std::mutex> wire_lock;
-  std::string frame;
+  // Encode under the partition's wire lock and keep holding it through
+  // every retry, so this session's frames reach the broker in encode order
+  // and a retry re-sends the identical bytes.
+  const std::lock_guard wire_lock(wire_[partition]->mutex);
+  std::string frame = encode_event_frame(wire_[partition]->encoder, events);
   const std::uint64_t wire_session =
       (pid_ << 32) ^ static_cast<std::uint64_t>(partition);
-  if (config_.binary_wire) {
-    wire_lock = std::unique_lock(wire_[partition]->mutex);
-    frame = encode_event_frame(wire_[partition]->encoder, events);
-  }
   std::size_t attempt = 0;
   for (;;) {
     try {
       const AppendResult ack =
-          config_.binary_wire
-              ? broker_.append_frame(topic_, partition, wire_session, frame)
-              : broker_.append_batch(topic_, partition, events);
+          broker_.append_frame(topic_, partition, wire_session, frame);
       for (std::size_t i = 0; i < batch.size(); ++i) {
         batch[i].promise.set_value(ack.offsets[i]);
       }

@@ -45,11 +45,6 @@ struct ProducerConfig {
   std::chrono::microseconds backoff_max{2000};
   /// Bound on buffered + unacked events before push() forces a flush.
   std::size_t max_in_flight = 1024;
-  /// Push batches as binary wire frames (Broker::append_frame) with one
-  /// interning encoder session per partition. False falls back to JSON
-  /// append_batch — the debug/interop path; delivery semantics are
-  /// identical either way.
-  bool binary_wire = true;
 };
 
 /// Backoff before retry `attempt` (0-based): min(base * 2^attempt, max).
@@ -104,9 +99,10 @@ class Producer {
     std::promise<EventId> promise;
   };
 
-  /// One binary-wire session per partition. The mutex is held across
-  /// encode + every retry of a frame, so the session's frames reach the
-  /// broker in encode order (a codec requirement) and a retry re-sends
+  /// One wire session per partition: batches travel as frames
+  /// (Broker::append_frame) from one interning encoder. The mutex is held
+  /// across encode + every retry of a frame, so the session's frames reach
+  /// the broker in encode order (a codec requirement) and a retry re-sends
   /// the identical bytes (which the broker decodes idempotently).
   struct WireSession {
     std::mutex mutex;

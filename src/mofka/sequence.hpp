@@ -6,17 +6,10 @@
 // watermark catches up. This is what makes dedup correct under *reorder*
 // faults — a naive "s <= max seen" test would mis-classify a held-back
 // earlier event as a duplicate and lose it.
-//
-// A Resequencer layers in-order release on top: values pushed with arbitrary
-// interleavings of drops (never pushed), duplicates (pushed twice), and
-// reorderings come back out in exact sequence order, each exactly once.
 #pragma once
 
 #include <cstdint>
-#include <map>
 #include <set>
-#include <utility>
-#include <vector>
 
 namespace recup::mofka {
 
@@ -35,33 +28,6 @@ class SequenceTracker {
  private:
   std::uint64_t watermark_ = 0;
   std::set<std::uint64_t> ahead_;
-};
-
-/// Releases values in sequence order, deduplicating along the way.
-template <typename T>
-class Resequencer {
- public:
-  /// Offers (seq, value); returns the values that became releasable, in
-  /// order. Duplicates release nothing.
-  std::vector<T> push(std::uint64_t seq, T value) {
-    if (!tracker_.accept(seq)) return {};
-    held_.emplace(seq, std::move(value));
-    std::vector<T> out;
-    while (!held_.empty() && held_.begin()->first == next_) {
-      out.push_back(std::move(held_.begin()->second));
-      held_.erase(held_.begin());
-      ++next_;
-    }
-    return out;
-  }
-
-  [[nodiscard]] std::uint64_t next_expected() const { return next_; }
-  [[nodiscard]] std::size_t held() const { return held_.size(); }
-
- private:
-  SequenceTracker tracker_;
-  std::map<std::uint64_t, T> held_;
-  std::uint64_t next_ = 0;
 };
 
 }  // namespace recup::mofka

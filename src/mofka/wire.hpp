@@ -7,8 +7,7 @@
 // encoder session must reach the paired StreamDecoder in first-delivery
 // order; the producer guarantees that by serializing same-partition flushes
 // and retrying a frame's exact bytes (str-defs carry explicit ids, so
-// re-delivery is idempotent). JSON batches via Broker::append_batch remain
-// the debug/interop fallback.
+// re-delivery is idempotent). Broker::append_frame is the one push entry.
 #pragma once
 
 #include <string>

@@ -68,7 +68,6 @@ QueryResponse QueryClient::attempt(const json::Value& query_doc,
   request["query"] = query_doc;
   if (explain) request["explain"] = true;
   if (config_.timeout_ms > 0.0) request["timeout_ms"] = config_.timeout_ms;
-  if (config_.binary_results) request["accept"] = "binary";
 
   std::future<json::Value> future = resolver_().submit(std::move(request));
   QueryResponse out;
@@ -91,8 +90,6 @@ QueryResponse QueryClient::attempt(const json::Value& query_doc,
   out.explain = out.raw.get_string("explain", "");
   if (out.ok && out.raw.contains("result_bin")) {
     out.frame = frame_from_binary(out.raw.at("result_bin").as_string());
-  } else if (out.ok && out.raw.contains("result")) {
-    out.frame = frame_from_json(out.raw.at("result"));
   }
   return out;
 }

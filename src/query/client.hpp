@@ -45,10 +45,6 @@ class QueryClient {
     std::size_t max_retries = 0;
     std::chrono::microseconds backoff_base{200};
     std::chrono::microseconds backoff_max{5000};
-    /// Ask for columnar binary result frames ("accept": "binary"). The
-    /// client always decodes whichever format the response carries, so a
-    /// server that ignores the field still works (JSON fallback).
-    bool binary_results = true;
   };
 
   /// Resolves the server anew on every attempt — the handle a real client

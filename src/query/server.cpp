@@ -132,14 +132,7 @@ json::Value QueryServer::handle(const json::Value& doc) {
       response["ok"] = true;
       response["epoch"] = result.epoch;
       response["cached"] = result.cached;
-      // Result format negotiation: clients asking for "binary" get the
-      // columnar frame (result_bin); everyone else gets the JSON rows —
-      // the debug/interop fallback.
-      if (doc.get_string("accept", "json") == "binary") {
-        response["result_bin"] = frame_to_binary(*result.frame);
-      } else {
-        response["result"] = frame_to_json(*result.frame);
-      }
+      response["result_bin"] = frame_to_binary(*result.frame);
     }
     completed_.fetch_add(1);
   } catch (const std::exception& e) {

@@ -20,13 +20,6 @@ std::string column_type_name(ColumnType type) {
   return "?";
 }
 
-ColumnType column_type_from_name(const std::string& name) {
-  if (name == "int64") return ColumnType::kInt64;
-  if (name == "double") return ColumnType::kDouble;
-  if (name == "string") return ColumnType::kString;
-  throw QueryError("unknown column type '" + name + "'");
-}
-
 json::Value frame_to_json(const DataFrame& frame) {
   json::Array columns;
   columns.reserve(frame.width());
@@ -61,45 +54,6 @@ json::Value frame_to_json(const DataFrame& frame) {
   out["columns"] = std::move(columns);
   out["rows"] = std::move(rows);
   return out;
-}
-
-DataFrame frame_from_json(const json::Value& doc) {
-  if (!doc.is_object() || !doc.contains("columns") || !doc.contains("rows")) {
-    throw QueryError("malformed result frame: expected columns + rows");
-  }
-  const json::Array& columns = doc.at("columns").as_array();
-  std::vector<std::pair<std::string, ColumnType>> schema;
-  schema.reserve(columns.size());
-  for (const json::Value& col : columns) {
-    schema.emplace_back(col.at("name").as_string(),
-                        column_type_from_name(col.at("type").as_string()));
-  }
-  DataFrame frame(std::move(schema));
-  const json::Array& rows = doc.at("rows").as_array();
-  frame.reserve(rows.size());
-  for (const json::Value& row : rows) {
-    const json::Array& cells = row.as_array();
-    if (cells.size() != frame.width()) {
-      throw QueryError("malformed result frame: row width mismatch");
-    }
-    std::vector<analysis::Cell> out;
-    out.reserve(cells.size());
-    for (std::size_t c = 0; c < cells.size(); ++c) {
-      switch (frame.col(c).type()) {
-        case ColumnType::kInt64:
-          out.emplace_back(cells[c].as_int());
-          break;
-        case ColumnType::kDouble:
-          out.emplace_back(cells[c].as_double());
-          break;
-        case ColumnType::kString:
-          out.emplace_back(cells[c].as_string());
-          break;
-      }
-    }
-    frame.add_row(std::move(out));
-  }
-  return frame;
 }
 
 namespace {

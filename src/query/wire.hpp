@@ -1,28 +1,24 @@
 // Wire framing for the query service, in recup::json.
 //
 // Request document:
-//   {"id": 7, "query": {...IR...}, "explain": false, "timeout_ms": 250.0,
-//    "accept": "binary"}
+//   {"id": 7, "query": {...IR...}, "explain": false, "timeout_ms": 250.0}
 // Response document:
 //   {"id": 7, "ok": true, "epoch": 3, "cached": false, "elapsed_ms": 1.2,
-//    "result": {"columns": [{"name": "...", "type": "int64"}, ...],
-//               "rows": [[...], ...]}}
-// or, when the request asked for "accept": "binary", the result rides as
-//   {"result_bin": "<columnar binary frame>"} instead of "result";
-// or on explain: {"explain": "plan: ..."} instead of "result";
+//    "result_bin": "<columnar binary frame>"}
+// or on explain: {"explain": "plan: ..."} instead of "result_bin";
 // or on failure: {"ok": false, "error": "...", "epoch": ...}.
-//
-// The JSON frame codec keeps column types explicit so int64 identifiers and
-// doubles round-trip exactly (json::Value keeps integers distinct).
 //
 // The binary frame is columnar: a header (column count, row count, per
 // column a name + type tag) followed by each column's payload — zigzag
 // varints for int64, 8-byte little-endian doubles, and for string columns
 // the dictionary (distinct values) plus one varint code per row, so a
 // million-row column of a handful of distinct prefixes ships each value
-// once. Clients negotiate it per request via "accept"; servers that
-// predate the field ignore it and answer in JSON, which clients must keep
-// handling — that is the fallback contract.
+// once.
+//
+// frame_to_json renders a frame as {"columns": [{"name", "type"}, ...],
+// "rows": [[...], ...]} with explicit column types, so int64 identifiers
+// and doubles print exactly; its dump() is the canonical digest of a
+// result that tests and benches compare.
 #pragma once
 
 #include <string>
@@ -34,7 +30,6 @@
 namespace recup::query {
 
 json::Value frame_to_json(const analysis::DataFrame& frame);
-analysis::DataFrame frame_from_json(const json::Value& doc);
 
 /// Columnar binary result frame (see file comment). Decoding validates
 /// lengths and dictionary codes and throws QueryError on malformed input.
@@ -42,6 +37,5 @@ std::string frame_to_binary(const analysis::DataFrame& frame);
 analysis::DataFrame frame_from_binary(std::string_view bytes);
 
 std::string column_type_name(analysis::ColumnType type);
-analysis::ColumnType column_type_from_name(const std::string& name);
 
 }  // namespace recup::query

@@ -149,10 +149,9 @@ std::set<std::string> ManifestVersion::files() const {
   return out;
 }
 
-Manifest::Manifest(std::string dir, wal::WalOptions options, bool read_only)
-    : dir_(std::move(dir)), options_(options) {
+Manifest::Manifest(std::string dir, bool read_only) : dir_(std::move(dir)) {
   if (!read_only) {
-    writer_ = std::make_unique<wal::WalWriter>(dir_, options_);
+    writer_ = std::make_unique<wal::WalWriter>(dir_);
   }
   std::lock_guard lock(mutex_);
   install_locked(replay_locked());

@@ -66,7 +66,7 @@ class Manifest {
   /// Opens the manifest WAL under `dir` (created if absent) and replays it.
   /// In read-only mode no WalWriter is constructed — the log is replayed
   /// in place and commits throw.
-  Manifest(std::string dir, wal::WalOptions options, bool read_only);
+  Manifest(std::string dir, bool read_only);
 
   /// The latest committed version. The returned handle pins it: files it
   /// references survive garbage collection until the handle drops.
@@ -104,7 +104,6 @@ class Manifest {
   [[nodiscard]] ManifestVersion replay_locked() const;
 
   std::string dir_;
-  wal::WalOptions options_;
   std::unique_ptr<wal::WalWriter> writer_;
   mutable std::mutex mutex_;
   std::shared_ptr<const ManifestVersion> current_;

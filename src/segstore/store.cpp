@@ -22,6 +22,8 @@ namespace {
 
 constexpr int kMaxAttempts = 8;
 constexpr const char* kSegmentSuffix = ".rsg";
+/// Segments at or above this size are left alone by the compactor.
+constexpr std::uint64_t kCompactMaxBytes = 64ULL << 20;
 
 std::string read_file(const std::string& path) {
   std::ifstream in(path, std::ios::binary);
@@ -62,8 +64,7 @@ SegmentStore::SegmentStore(SegmentStoreConfig config)
     fs::create_directories(config_.dir);
   }
   manifest_ = std::make_unique<Manifest>(
-      (fs::path(config_.dir) / "manifest").string(), config_.manifest_wal,
-      config_.read_only);
+      (fs::path(config_.dir) / "manifest").string(), config_.read_only);
 
   // Resume the segment sequence past every existing file — committed or
   // orphaned — so a name is never reused.
@@ -137,22 +138,20 @@ std::shared_ptr<const MappedSegment> SegmentStore::map_segment(
   auto mapped = std::shared_ptr<MappedSegment>(new MappedSegment());
   const std::string path = segment_path(file);
   bool ok = false;
-  if (config_.mmap_reads) {
-    const int fd = ::open(path.c_str(), O_RDONLY);
-    if (fd >= 0) {
-      struct stat st {};
-      if (::fstat(fd, &st) == 0 && st.st_size > 0) {
-        void* addr = ::mmap(nullptr, static_cast<std::size_t>(st.st_size),
-                            PROT_READ, MAP_SHARED, fd, 0);
-        if (addr != MAP_FAILED) {
-          mapped->data_ = static_cast<const char*>(addr);
-          mapped->size_ = static_cast<std::size_t>(st.st_size);
-          mapped->mmapped_ = true;
-          ok = true;
-        }
+  const int fd = ::open(path.c_str(), O_RDONLY);
+  if (fd >= 0) {
+    struct stat st {};
+    if (::fstat(fd, &st) == 0 && st.st_size > 0) {
+      void* addr = ::mmap(nullptr, static_cast<std::size_t>(st.st_size),
+                          PROT_READ, MAP_SHARED, fd, 0);
+      if (addr != MAP_FAILED) {
+        mapped->data_ = static_cast<const char*>(addr);
+        mapped->size_ = static_cast<std::size_t>(st.st_size);
+        mapped->mmapped_ = true;
+        ok = true;
       }
-      ::close(fd);
     }
+    ::close(fd);
   }
   if (!ok) {
     mapped->heap_ = read_file(path);
@@ -240,7 +239,7 @@ std::size_t SegmentStore::compact() {
   for (const auto& [view, segments] : version->views) {
     std::vector<std::shared_ptr<const SegmentInfo>> inputs;
     for (const auto& segment : segments) {
-      if (segment->file_bytes < config_.compact_max_bytes) {
+      if (segment->file_bytes < kCompactMaxBytes) {
         inputs.push_back(segment);
       }
     }

@@ -39,32 +39,26 @@
 
 namespace recup::segstore {
 
+/// Reads go through mmap, falling back to buffered reads when mmap fails
+/// (e.g. on filesystems without support). The manifest WAL runs on the
+/// default WalOptions; its commits always fsync.
 struct SegmentStoreConfig {
   std::string dir;
-  wal::WalOptions manifest_wal;  ///< rotation etc.; commits always fsync
   /// Compaction trigger: a view is merged when it holds at least this many
-  /// segments smaller than `compact_max_bytes`. <= 1 disables.
+  /// segments smaller than 64 MiB (larger ones are left alone). <= 1
+  /// disables.
   std::size_t compact_min_segments = 4;
-  /// Segments at or above this size are left alone by the compactor.
-  std::uint64_t compact_max_bytes = 64ULL << 20;
   /// Verify every referenced segment's footer CRC at open (the cold-start
   /// "CRC-checked footer scan"). Corruption throws SegstoreError.
   bool verify_on_open = true;
-  /// Serve reads through mmap (falls back to buffered reads when mmap
-  /// fails, e.g. on filesystems without support).
-  bool mmap_reads = true;
   bool read_only = false;
 
-  /// The segment store's slice of the unified knob tree
-  /// (common/durability.hpp). Replicas flip read_only afterwards.
+  /// The segment store's slice of the unified durability config
+  /// (common/durability.hpp): `<dir>/segstore` with the defaults above.
+  /// Replicas flip read_only afterwards.
   [[nodiscard]] static SegmentStoreConfig from(const DurabilityConfig& d) {
     SegmentStoreConfig c;
     c.dir = d.segstore_dir();
-    c.manifest_wal = d.segstore.wal;
-    c.compact_min_segments = d.segstore.compact_min_segments;
-    c.compact_max_bytes = d.segstore.compact_max_bytes;
-    c.verify_on_open = d.segstore.verify_on_open;
-    c.mmap_reads = d.segstore.mmap_reads;
     return c;
   }
 };

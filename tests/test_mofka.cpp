@@ -257,7 +257,10 @@ TEST_F(MofkaTest, FetchOutOfRangeReturnsNullopt) {
 
 TEST_F(MofkaTest, EmptyBatchRejected) {
   broker_.create_topic("t");
-  EXPECT_THROW(broker_.append_batch("t", 0, {}), MofkaError);
+  wire::StreamEncoder encoder;
+  EXPECT_THROW(broker_.append_frame("t", 0, /*session=*/1,
+                                    encode_event_frame(encoder, {})),
+               MofkaError);
 }
 
 // --- Binary wire path -------------------------------------------------------
@@ -338,13 +341,8 @@ TEST_F(MofkaTest, BrokerRestartWipesWireSessions) {
 
 TEST_F(MofkaTest, BinaryProducerMatchesJsonProducerAndSavesWireBytes) {
   broker_.create_topic("bin");
-  broker_.create_topic("json");
-  ProducerConfig binary_config{8, std::chrono::milliseconds(5), false};
-  binary_config.binary_wire = true;
-  ProducerConfig json_config = binary_config;
-  json_config.binary_wire = false;
-  Producer binary_producer(broker_, "bin", binary_config);
-  Producer json_producer(broker_, "json", json_config);
+  Producer producer(broker_, "bin",
+                    ProducerConfig{8, std::chrono::milliseconds(5), false});
   std::uint64_t json_text_bytes = 0;
   for (int i = 0; i < 64; ++i) {
     json::Object o;
@@ -353,26 +351,13 @@ TEST_F(MofkaTest, BinaryProducerMatchesJsonProducerAndSavesWireBytes) {
     o["i"] = i;
     const json::Value metadata(std::move(o));
     json_text_bytes += metadata.dump().size();
-    binary_producer.push(metadata, "data");
-    json_producer.push(metadata, "data");
+    producer.push(metadata, "data");
   }
-  binary_producer.flush();
-  json_producer.flush();
-  // Same events land regardless of transport. (Full metadata equality
-  // cannot hold: each producer stamps its own _pid/_seq for dedup.)
-  for (int i = 0; i < 64; ++i) {
-    const auto a = broker_.fetch("bin", 0, static_cast<EventId>(i));
-    const auto b = broker_.fetch("json", 0, static_cast<EventId>(i));
-    ASSERT_TRUE(a.has_value() && b.has_value());
-    EXPECT_EQ(a->metadata.at("i"), b->metadata.at("i"));
-    EXPECT_EQ(a->metadata.at("task_state"), b->metadata.at("task_state"));
-    EXPECT_EQ(a->metadata.at("worker"), b->metadata.at("worker"));
-    EXPECT_EQ(a->data, b->data);
-  }
+  producer.flush();
+  // The frames the broker received are smaller than the events' JSON text.
   const TopicStats stats = broker_.topic_stats("bin");
   EXPECT_GT(stats.bytes_wire, 0u);
   EXPECT_LT(stats.bytes_wire, json_text_bytes);
-  EXPECT_EQ(broker_.topic_stats("json").bytes_wire, 0u);
 }
 
 }  // namespace

@@ -276,55 +276,6 @@ TEST_P(SequenceProperties, TrackerAcceptsEachSequenceExactlyOnce) {
   for (std::uint64_t seq = 0; seq < n; ++seq) EXPECT_TRUE(tracker.seen(seq));
 }
 
-TEST_P(SequenceProperties, ResequencerReconstructsOriginalOrder) {
-  RngStream rng(5000u + static_cast<unsigned>(GetParam()));
-  const std::uint64_t n = 150;
-  const auto arrivals = faulted_arrivals(rng, n, 0.3, 0.0);
-
-  mofka::Resequencer<std::uint64_t> reseq;
-  std::vector<std::uint64_t> released;
-  for (const std::uint64_t seq : arrivals) {
-    for (const std::uint64_t value : reseq.push(seq, seq)) {
-      released.push_back(value);
-    }
-  }
-  // Arbitrary duplicate+reorder interleavings reconstruct the exact
-  // original sequence: 0..n-1 in order, each exactly once.
-  ASSERT_EQ(released.size(), n);
-  for (std::uint64_t i = 0; i < n; ++i) EXPECT_EQ(released[i], i);
-  EXPECT_EQ(reseq.next_expected(), n);
-  EXPECT_EQ(reseq.held(), 0u);
-}
-
-TEST_P(SequenceProperties, ResequencerHoldsBackEverythingPastADrop) {
-  RngStream rng(6000u + static_cast<unsigned>(GetParam()));
-  const std::uint64_t n = 100;
-  const auto arrivals = faulted_arrivals(rng, n, 0.2, 0.1);
-  std::set<std::uint64_t> kept(arrivals.begin(), arrivals.end());
-  std::uint64_t first_missing = n;
-  for (std::uint64_t seq = 0; seq < n; ++seq) {
-    if (kept.count(seq) == 0) {
-      first_missing = seq;
-      break;
-    }
-  }
-
-  mofka::Resequencer<std::uint64_t> reseq;
-  std::vector<std::uint64_t> released;
-  for (const std::uint64_t seq : arrivals) {
-    for (const std::uint64_t value : reseq.push(seq, seq)) {
-      released.push_back(value);
-    }
-  }
-  // In-order release may not skip a gap: exactly the contiguous prefix
-  // below the first dropped sequence comes out, the rest is held for a
-  // retry to fill the hole.
-  ASSERT_EQ(released.size(), first_missing);
-  for (std::uint64_t i = 0; i < first_missing; ++i) EXPECT_EQ(released[i], i);
-  EXPECT_EQ(reseq.next_expected(), first_missing);
-  EXPECT_EQ(reseq.held(), kept.size() - first_missing);
-}
-
 INSTANTIATE_TEST_SUITE_P(Sweep, SequenceProperties, ::testing::Range(1, 11));
 
 TEST(BackoffProperties, MonotoneBoundedAndOverflowSafe) {

@@ -429,22 +429,6 @@ TEST(QueryCache, ByteBudgetEvictsLru) {
 // ---------------------------------------------------------------------------
 // Wire framing
 
-TEST(QueryWire, FrameRoundTrip) {
-  DataFrame df({{"name", ColumnType::kString},
-                {"count", ColumnType::kInt64},
-                {"score", ColumnType::kDouble}});
-  df.add_row({"a", std::int64_t{1}, 0.25});
-  df.add_row({"b", std::int64_t{-7}, 1e9});
-  const DataFrame back = frame_from_json(frame_to_json(df));
-  ASSERT_EQ(back.rows(), 2u);
-  ASSERT_EQ(back.width(), 3u);
-  EXPECT_EQ(back.col("count").type(), ColumnType::kInt64);
-  EXPECT_EQ(back.col("name").str(1), "b");
-  EXPECT_EQ(back.col("count").i64(1), -7);
-  EXPECT_DOUBLE_EQ(back.col("score").f64(1), 1e9);
-  EXPECT_THROW(frame_from_json(json::parse("[]")), QueryError);
-}
-
 TEST(QueryWire, BinaryFrameRoundTrip) {
   DataFrame df({{"name", ColumnType::kString},
                 {"count", ColumnType::kInt64},
@@ -539,36 +523,27 @@ TEST(QueryServer, NegotiatesBinaryResultsAndFallsBackToJson) {
   catalog.add_run(make_run("A", 0));
   QueryServer server(catalog);
 
-  json::Object request;
-  request["id"] = 1;
-  request["query"] = json::parse(
+  const json::Value query = json::parse(
       R"({"from": "tasks", "group_by": ["prefix"],
           "aggregates": [{"col": "duration", "op": "mean", "as": "m"}],
           "order_by": {"col": "prefix"}})");
-  // Default (no "accept") stays on the JSON result for old clients.
-  const json::Value json_response =
-      server.submit(json::Value(json::Object(request))).get();
-  ASSERT_TRUE(json_response.get_bool("ok", false)) << json_response.dump();
-  EXPECT_TRUE(json_response.contains("result"));
-  EXPECT_FALSE(json_response.contains("result_bin"));
-
-  // "accept": "binary" switches the payload to the columnar frame.
-  request["id"] = 2;
-  request["accept"] = std::string("binary");
-  const json::Value bin_response =
+  json::Object request;
+  request["id"] = 1;
+  request["query"] = query;
+  // A raw request names no format: the result always rides as the
+  // columnar frame.
+  const json::Value response =
       server.submit(json::Value(std::move(request))).get();
-  ASSERT_TRUE(bin_response.get_bool("ok", false)) << bin_response.dump();
-  EXPECT_FALSE(bin_response.contains("result"));
-  ASSERT_TRUE(bin_response.contains("result_bin"));
-  const DataFrame via_binary =
-      frame_from_binary(bin_response.at("result_bin").as_string());
-  const DataFrame via_json = frame_from_json(json_response.at("result"));
-  ASSERT_EQ(via_binary.rows(), via_json.rows());
-  ASSERT_EQ(via_binary.width(), via_json.width());
-  for (std::size_t r = 0; r < via_binary.rows(); ++r) {
-    EXPECT_EQ(via_binary.col("prefix").str(r), via_json.col("prefix").str(r));
-    EXPECT_DOUBLE_EQ(via_binary.col("m").f64(r), via_json.col("m").f64(r));
-  }
+  ASSERT_TRUE(response.get_bool("ok", false)) << response.dump();
+  EXPECT_FALSE(response.contains("result"));
+  ASSERT_TRUE(response.contains("result_bin"));
+  const DataFrame via_server =
+      frame_from_binary(response.at("result_bin").as_string());
+  const ExecutionResult direct =
+      execute_query(parse_query(query), catalog, nullptr);
+  EXPECT_EQ(frame_to_json(via_server).dump(),
+            frame_to_json(*direct.frame).dump());
+  EXPECT_EQ(via_server.rows(), 2u);
 }
 
 TEST(QueryServer, ErrorsComeBackAsResponses) {

@@ -42,6 +42,7 @@
 #include "mofka/broker.hpp"
 #include "mofka/consumer.hpp"
 #include "mofka/producer.hpp"
+#include "mofka/wire.hpp"
 #include "query/catalog.hpp"
 #include "query/client.hpp"
 #include "query/ingest.hpp"
@@ -434,27 +435,41 @@ json::Value stamped(int i, std::uint64_t pid, std::uint64_t seq) {
   return json::Value(std::move(o));
 }
 
+/// One simulated producer's wire session: its frames come from one encoder
+/// and reach the broker under one session id, in encode order.
+struct FrameSession {
+  std::uint64_t id;
+  wire::StreamEncoder encoder;
+
+  std::string frame(
+      const std::vector<std::pair<json::Value, std::string>>& events) {
+    return mofka::encode_event_frame(encoder, events);
+  }
+};
+
 TEST(BrokerWal, RebuildsFromDiskWithIdenticalOffsets) {
   TempDir dir("broker_rebuild");
   {
     mochi::KeyValueStore kv;
     mochi::BlobStore blobs;
-    mofka::Broker broker(kv, blobs, {dir.str(), {}});
+    mofka::Broker broker(kv, blobs, dir.str());
     EXPECT_TRUE(broker.durable());
     broker.create_topic("t", {2, nullptr, nullptr});
+    FrameSession s0{1, {}};
     std::vector<std::pair<json::Value, std::string>> p0;
     for (int i = 0; i < 10; ++i) p0.emplace_back(numbered(i), "d" + std::to_string(i));
-    broker.append_batch("t", 0, p0);
+    broker.append_frame("t", 0, s0.id, s0.frame(p0));
+    FrameSession s1{2, {}};
     std::vector<std::pair<json::Value, std::string>> p1;
     for (int i = 0; i < 5; ++i) p1.emplace_back(numbered(100 + i), "");
-    broker.append_batch("t", 1, p1);
+    broker.append_frame("t", 1, s1.id, s1.frame(p1));
     broker.commit_offset("t", "grp", 0, 7);
     EXPECT_GT(broker.wal_bytes(), 0u);
   }
   // A cold restart: fresh stores, same directory.
   mochi::KeyValueStore kv;
   mochi::BlobStore blobs;
-  mofka::Broker rebuilt(kv, blobs, {dir.str(), {}});
+  mofka::Broker rebuilt(kv, blobs, dir.str());
   ASSERT_TRUE(rebuilt.topic_exists("t"));
   EXPECT_EQ(rebuilt.partition_count("t"), 2u);
   EXPECT_EQ(rebuilt.partition_size("t", 0), 10u);
@@ -471,11 +486,16 @@ TEST(BrokerWal, CrashRecoveryPreservesOffsetsAndAbsorbsRetries) {
   TempDir dir("broker_crash");
   mochi::KeyValueStore kv;
   mochi::BlobStore blobs;
-  mofka::Broker broker(kv, blobs, {dir.str(), {}});
+  mofka::Broker broker(kv, blobs, dir.str());
   broker.create_topic("t", {});
   std::vector<std::pair<json::Value, std::string>> batch;
   for (int i = 0; i < 12; ++i) batch.emplace_back(stamped(i, 7, i), "");
-  const mofka::AppendResult first = broker.append_batch("t", 0, batch);
+  FrameSession producer{7, {}};
+  // A session's first frame carries no dictionary refs, so its identical
+  // bytes still decode on the restarted broker's fresh session.
+  const std::string frame = producer.frame(batch);
+  const mofka::AppendResult first =
+      broker.append_frame("t", 0, producer.id, frame);
   EXPECT_EQ(first.duplicates, 0u);
 
   broker.crash_and_recover();
@@ -486,7 +506,8 @@ TEST(BrokerWal, CrashRecoveryPreservesOffsetsAndAbsorbsRetries) {
   // lost in the crash) must be absorbed with the original offsets: the
   // sequence-dedup state was rebuilt from the WAL, so retry-across-restart
   // is still exactly-once.
-  const mofka::AppendResult retried = broker.append_batch("t", 0, batch);
+  const mofka::AppendResult retried =
+      broker.append_frame("t", 0, producer.id, frame);
   EXPECT_EQ(retried.duplicates, batch.size());
   EXPECT_EQ(retried.offsets, first.offsets);
   EXPECT_EQ(broker.partition_size("t", 0), 12u);
@@ -500,7 +521,9 @@ TEST(BrokerWal, NonDurableCrashIsObservableTotalLoss) {
   EXPECT_FALSE(broker.durable());
   EXPECT_EQ(broker.wal_bytes(), 0u);
   broker.create_topic("t", {});
-  broker.append_batch("t", 0, {{numbered(1), "data"}});
+  FrameSession producer{1, {}};
+  broker.append_frame("t", 0, producer.id,
+                      producer.frame({{numbered(1), "data"}}));
   broker.crash_and_recover();
   EXPECT_EQ(broker.recoveries(), 1u);
   EXPECT_FALSE(broker.topic_exists("t"));
@@ -539,8 +562,7 @@ TEST(BrokerWal, JsonTextMetadataIsATypedError) {
   }
   mochi::KeyValueStore kv;
   mochi::BlobStore blobs;
-  EXPECT_THROW((void)mofka::Broker(kv, blobs, {dir.str(), {}}),
-               wire::WireError);
+  EXPECT_THROW((void)mofka::Broker(kv, blobs, dir.str()), wire::WireError);
 }
 
 // ---------------------------------------------------------------------------

@@ -21,7 +21,6 @@
 #include "chaos/fault.hpp"
 #include "common/durability.hpp"
 #include "dtr/scheduler.hpp"
-#include "mofka/broker.hpp"
 #include "query/catalog.hpp"
 #include "query/ir.hpp"
 #include "query/plan.hpp"
@@ -652,85 +651,34 @@ TEST(SegstoreFsck, CleanStorePassesAndBitRotFails) {
 
 TEST(UnifiedDurability, ComponentDirsAndLegacyFactories) {
   DurabilityConfig config;
-  EXPECT_FALSE(config.enabled());
   EXPECT_EQ(config.broker_dir(), "");
+  EXPECT_EQ(config.scheduler_dir(), "");
+  EXPECT_EQ(config.ingest_dir(), "");
+  EXPECT_EQ(config.segstore_dir(), "");
 
   config.dir = "/runs/demo";
   config.scheduler.checkpoint_every = 64;
   config.scheduler.compact_on_checkpoint = true;
+  config.scheduler.wal.segment_bytes = 64 << 10;
   config.scheduler.wal.sync = wal::SyncPolicy::kOnAppend;
-  config.ingest.dir = "/fast-ssd/cursors";  // per-component override
-  config.segstore.compact_min_segments = 7;
-  config.segstore.mmap_reads = false;
 
-  EXPECT_TRUE(config.enabled());
   EXPECT_EQ(config.broker_dir(), "/runs/demo/broker");
   EXPECT_EQ(config.scheduler_dir(), "/runs/demo/scheduler");
-  EXPECT_EQ(config.ingest_dir(), "/fast-ssd/cursors");
+  EXPECT_EQ(config.ingest_dir(), "/runs/demo/ingest");
   EXPECT_EQ(config.segstore_dir(), "/runs/demo/segstore");
-
-  const mofka::BrokerDurability broker = mofka::BrokerDurability::from(config);
-  EXPECT_EQ(broker.dir, "/runs/demo/broker");
 
   const dtr::SchedulerDurability scheduler =
       dtr::SchedulerDurability::from(config);
   EXPECT_EQ(scheduler.dir, "/runs/demo/scheduler");
   EXPECT_EQ(scheduler.checkpoint_every, 64u);
   EXPECT_TRUE(scheduler.compact_on_checkpoint);
+  EXPECT_EQ(scheduler.wal.segment_bytes, 64u << 10);
   EXPECT_EQ(scheduler.wal.sync, wal::SyncPolicy::kOnAppend);
 
   const segstore::SegmentStoreConfig store =
       segstore::SegmentStoreConfig::from(config);
   EXPECT_EQ(store.dir, "/runs/demo/segstore");
-  EXPECT_EQ(store.compact_min_segments, 7u);
-  EXPECT_FALSE(store.mmap_reads);
   EXPECT_FALSE(store.read_only);
-}
-
-TEST(UnifiedDurability, JsonNestedShapeRoundTrips) {
-  DurabilityConfig config;
-  config.dir = "/runs/x";
-  config.broker.wal.segment_bytes = 1024;
-  config.broker.wal.sync = wal::SyncPolicy::kOnAppend;
-  config.scheduler.checkpoint_every = 16;
-  config.scheduler.compact_on_checkpoint = true;
-  config.ingest.dir = "/elsewhere";
-  config.segstore.compact_min_segments = 5;
-  config.segstore.compact_max_bytes = 1 << 20;
-  config.segstore.verify_on_open = false;
-
-  const DurabilityConfig back = durability_from_json(to_json(config));
-  EXPECT_EQ(back.dir, config.dir);
-  EXPECT_EQ(back.broker.wal.segment_bytes, 1024u);
-  EXPECT_EQ(back.broker.wal.sync, wal::SyncPolicy::kOnAppend);
-  EXPECT_EQ(back.scheduler.checkpoint_every, 16u);
-  EXPECT_TRUE(back.scheduler.compact_on_checkpoint);
-  EXPECT_EQ(back.ingest.dir, "/elsewhere");
-  EXPECT_EQ(back.segstore.compact_min_segments, 5u);
-  EXPECT_EQ(back.segstore.compact_max_bytes, 1u << 20);
-  EXPECT_FALSE(back.segstore.verify_on_open);
-}
-
-TEST(UnifiedDurability, RetiredFlatAliasesAreIgnored) {
-  // The pre-unification flat names are unknown keys now: they set nothing.
-  const DurabilityConfig parsed = durability_from_json(json::parse(R"({
-    "durability_dir": "/old/root",
-    "checkpoint_every": 9,
-    "compact_on_checkpoint": true,
-    "sync": "on_append",
-    "segment_bytes": 2048
-  })"));
-  const DurabilityConfig defaults;
-  EXPECT_TRUE(parsed.dir.empty());
-  EXPECT_EQ(parsed.scheduler.checkpoint_every,
-            defaults.scheduler.checkpoint_every);
-  EXPECT_EQ(parsed.scheduler.compact_on_checkpoint,
-            defaults.scheduler.compact_on_checkpoint);
-  EXPECT_EQ(parsed.broker.wal.sync, defaults.broker.wal.sync);
-  EXPECT_EQ(parsed.segstore.wal.sync, defaults.segstore.wal.sync);
-  EXPECT_EQ(parsed.ingest.wal.segment_bytes,
-            defaults.ingest.wal.segment_bytes);
-  EXPECT_EQ(to_json(parsed).dump(), to_json(defaults).dump());
 }
 
 TEST(SegstoreManifest, JsonTextRecordIsATypedError) {
@@ -742,9 +690,9 @@ TEST(SegstoreManifest, JsonTextRecordIsATypedError) {
     wal::WalWriter writer(dir.str());
     writer.append(R"({"op":"add","run":{"workflow":"w","run_index":0}})");
   }
-  EXPECT_THROW((void)segstore::Manifest(dir.str(), {}, /*read_only=*/false),
+  EXPECT_THROW((void)segstore::Manifest(dir.str(), /*read_only=*/false),
                wire::WireError);
-  EXPECT_THROW((void)segstore::Manifest(dir.str(), {}, /*read_only=*/true),
+  EXPECT_THROW((void)segstore::Manifest(dir.str(), /*read_only=*/true),
                wire::WireError);
 }
 

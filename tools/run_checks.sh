@@ -88,15 +88,59 @@ require_filter_matches ./build/tests/test_segstore \
   --gtest_filter='*SegstoreCrashOracle*:SegstoreSnapshot.*' >/dev/null
 segstore_dir=$(mktemp -d "${TMPDIR:-/tmp}/recup_checks_segstore.XXXXXX")
 ./build/tools/recup_segstore synth "$segstore_dir/store" --runs 5 >/dev/null
+cp -r "$segstore_dir/store" "$segstore_dir/corrupt"
 ./build/tools/recup_segstore fsck "$segstore_dir/store" >/dev/null
 ./build/tools/recup_segstore compact "$segstore_dir/store" >/dev/null
 ./build/tools/recup_segstore fsck "$segstore_dir/store" >/dev/null
+# fsck on a corrupted copy: one byte inverted in the middle of two segments
+# must fail with exit 1 and name both files (not stop at the first).
+corrupt_segments="seg-000000-tasks.rsg seg-000001-transitions.rsg"
+for segment in $corrupt_segments; do
+  file="$segstore_dir/corrupt/$segment"
+  offset=$(( $(stat -c %s "$file") / 2 ))
+  byte=$(od -An -tu1 -j "$offset" -N1 "$file" | tr -d ' ')
+  printf "$(printf '\\%03o' $(( 255 - byte )))" |
+    dd of="$file" bs=1 seek="$offset" conv=notrunc status=none
+done
+fsck_status=0
+./build/tools/recup_segstore fsck "$segstore_dir/corrupt" \
+  >"$segstore_dir/fsck.out" 2>&1 || fsck_status=$?
+for segment in $corrupt_segments; do
+  if [[ "$fsck_status" -ne 1 ]] ||
+    ! grep -q "$segment" "$segstore_dir/fsck.out"; then
+    echo "error: fsck of a corrupted store must exit 1 naming $segment" \
+      "(exit $fsck_status)" >&2
+    cat "$segstore_dir/fsck.out" >&2
+    exit 1
+  fi
+done
 rm -rf "$segstore_dir"
 echo "segstore oracle + fsck passed"
 
 if [[ "$skip_bench" == 1 ]]; then
-  echo "== perf trajectory skipped (--skip-bench) =="
+  echo "== repo benchmark, figures and perf trajectory skipped (--skip-bench) =="
 else
+  echo "== repo benchmark: smoke + same-seed determinism =="
+  # perfbench's own suite: every workload at tiny size with its output
+  # checks, exact counters and query digest repeating for a seed, and
+  # stats.py refusing to compare across fingerprints.
+  python3 perfbench/test_perfbench.py
+
+  echo "== committed figures: regenerate and byte-compare =="
+  # The seeded figure benches are deterministic, so each committed output
+  # they produce must regenerate byte for byte (~2 min, fig3 ~40 s).
+  fig_dir=$(mktemp -d "${TMPDIR:-/tmp}/recup_checks_figs.XXXXXX")
+  for bench in table1 fig3 fig4 fig5 fig6 fig7 fig8 ablation; do
+    (cd "$fig_dir" && "$repo_root/build/bench/bench_$bench" \
+      --out "$fig_dir/out" >/dev/null 2>&1)
+  done
+  for figure in table1.csv fig3.csv fig4.csv fig5.csv fig6.csv \
+    fig6_categories.csv fig7.csv fig8_chart.json fig8_lineage.json \
+    ablation.csv; do
+    cmp "$fig_dir/out/$figure" "bench_out/$figure"
+  done
+  rm -rf "$fig_dir"
+
   echo "== perf trajectory: bench headlines vs committed baseline =="
   # Re-run the query, datastore, and scheduler benches and compare their
   # headline metrics (cold query latencies, wire compression ratio, ingest
@@ -120,29 +164,6 @@ else
     "$bench_dir/BENCH_query.json" "$bench_dir/BENCH_datastore.json" \
     "$bench_dir/BENCH_scheduler.json"
   rm -rf "$bench_dir"
-
-  echo "== repo benchmark: smoke + same-seed determinism =="
-  # perfbench's own suite: every workload at tiny size with its output
-  # checks, exact counters and query digest repeating for a seed, and
-  # stats.py refusing to compare across fingerprints.
-  python3 perfbench/test_perfbench.py
-
-  echo "== committed figures: regenerate and byte-compare =="
-  # The seeded figure benches are deterministic, so each committed output
-  # they produce must regenerate byte for byte. fig3.csv, fig4.csv,
-  # fig5.csv, fig6.csv and fig6_categories.csv are stale (they no longer
-  # match the current code, though each regenerates deterministically) and
-  # stay out of this gate until they are re-recorded.
-  fig_dir=$(mktemp -d "${TMPDIR:-/tmp}/recup_checks_figs.XXXXXX")
-  for bench in table1 fig7 fig8 ablation; do
-    (cd "$fig_dir" && "$repo_root/build/bench/bench_$bench" \
-      --out "$fig_dir/out" >/dev/null 2>&1)
-  done
-  for figure in table1.csv fig7.csv fig8_chart.json fig8_lineage.json \
-    ablation.csv; do
-    cmp "$fig_dir/out/$figure" "bench_out/$figure"
-  done
-  rm -rf "$fig_dir"
 fi
 
 if [[ "$skip_sanitize" == 1 ]]; then
