@@ -1,6 +1,6 @@
 #include "analysis/readers.hpp"
 
-#include "dtr/mofka_plugins.hpp"
+#include "dtr/schema.hpp"
 #include "mofka/consumer.hpp"
 
 namespace recup::analysis {
@@ -283,28 +283,30 @@ MofkaRunRecords read_wms_topics(mofka::Broker& broker,
   {
     mofka::Consumer c(broker, "wms_transitions", consumer_group);
     while (auto event = c.pull()) {
-      out.transitions.push_back(dtr::transition_from_json(event->metadata));
+      out.transitions.push_back(
+          dtr::from_json<dtr::TransitionRecord>(event->metadata));
     }
     c.commit();
   }
   {
     mofka::Consumer c(broker, "wms_tasks", consumer_group);
     while (auto event = c.pull()) {
-      out.tasks.push_back(dtr::task_from_json(event->metadata));
+      out.tasks.push_back(dtr::from_json<dtr::TaskRecord>(event->metadata));
     }
     c.commit();
   }
   {
     mofka::Consumer c(broker, "wms_comms", consumer_group);
     while (auto event = c.pull()) {
-      out.comms.push_back(dtr::comm_from_json(event->metadata));
+      out.comms.push_back(dtr::from_json<dtr::CommRecord>(event->metadata));
     }
     c.commit();
   }
   {
     mofka::Consumer c(broker, "wms_warnings", consumer_group);
     while (auto event = c.pull()) {
-      out.warnings.push_back(dtr::warning_from_json(event->metadata));
+      out.warnings.push_back(
+          dtr::from_json<dtr::WarningRecord>(event->metadata));
     }
     c.commit();
   }
@@ -312,7 +314,7 @@ MofkaRunRecords read_wms_topics(mofka::Broker& broker,
     mofka::Consumer c(broker, "wms_cluster", consumer_group);
     while (auto event = c.pull()) {
       if (event->metadata.get_string("kind", "") == "steal") {
-        out.steals.push_back(dtr::steal_from_json(event->metadata));
+        out.steals.push_back(dtr::from_json<dtr::StealRecord>(event->metadata));
       }
     }
     c.commit();

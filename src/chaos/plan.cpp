@@ -10,7 +10,7 @@ namespace recup::chaos {
 
 namespace {
 
-json::Value spec_to_json(const SiteSpec& spec) {
+json::Value site_to_json(const SiteSpec& spec) {
   json::Object o;
   o["drop"] = spec.drop;
   o["duplicate"] = spec.duplicate;
@@ -36,7 +36,7 @@ json::Value spec_to_json(const SiteSpec& spec) {
   return json::Value(std::move(o));
 }
 
-SiteSpec spec_from_json(const json::Value& v) {
+SiteSpec site_from_json(const json::Value& v) {
   SiteSpec spec;
   spec.drop = v.get_double("drop", 0.0);
   spec.duplicate = v.get_double("duplicate", 0.0);
@@ -69,7 +69,7 @@ json::Value FaultPlan::to_json() const {
   json::Object o;
   o["seed"] = seed;
   json::Object site_map;
-  for (const auto& [name, spec] : sites) site_map[name] = spec_to_json(spec);
+  for (const auto& [name, spec] : sites) site_map[name] = site_to_json(spec);
   o["sites"] = json::Value(std::move(site_map));
   return json::Value(std::move(o));
 }
@@ -78,7 +78,7 @@ FaultPlan FaultPlan::from_json(const json::Value& v) {
   FaultPlan plan;
   plan.seed = static_cast<std::uint64_t>(v.at("seed").as_int());
   for (const auto& [name, spec] : v.at("sites").as_object()) {
-    plan.sites[name] = spec_from_json(spec);
+    plan.sites[name] = site_from_json(spec);
   }
   return plan;
 }

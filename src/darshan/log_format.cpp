@@ -63,17 +63,40 @@ class Reader {
     std::memcpy(out, bytes_.data() + pos_, size);
     pos_ += size;
   }
+  /// A record count, rejected unless the remaining bytes can hold that many
+  /// records of at least `min_bytes` each: a corrupt count must not size an
+  /// allocation.
+  std::uint64_t count(std::size_t min_bytes) {
+    const std::uint64_t n = u64();
+    if (n > (bytes_.size() - pos_) / min_bytes) {
+      throw LogFormatError("darshan log record count exceeds its bytes");
+    }
+    return n;
+  }
   [[nodiscard]] bool done() const { return pos_ == bytes_.size(); }
 
  private:
   void need(std::uint64_t size) const {
-    if (pos_ + size > bytes_.size()) {
+    if (size > bytes_.size() - pos_) {
       throw LogFormatError("darshan log truncated");
     }
   }
   const std::string& bytes_;
   std::size_t pos_ = 0;
 };
+
+// Smallest encoded size of each counted element (every string empty), so a
+// count can be checked against the bytes left before anything is reserved.
+constexpr std::size_t kStrMin = sizeof(std::uint64_t);
+constexpr std::size_t kPosixMin =
+    2 * kStrMin + sizeof(std::uint32_t) + 7 * sizeof(std::uint64_t) +
+    8 * sizeof(double) +
+    2 * SizeHistogram::kBucketCount * sizeof(std::uint64_t);
+constexpr std::size_t kDxtMin = 2 * kStrMin + sizeof(std::uint32_t) +
+                                sizeof(std::uint8_t) +
+                                2 * sizeof(std::uint64_t);
+constexpr std::size_t kSegmentMin =
+    sizeof(std::uint8_t) + 3 * sizeof(std::uint64_t) + 2 * sizeof(double);
 
 // Representative byte size landing in bucket `index` (used to rebuild
 // histograms from serialized per-bucket counts).
@@ -182,7 +205,7 @@ LogFile deserialize_log(const std::string& bytes) {
   log.job.end_time = r.f64();
   log.job.run_seed = r.u64();
 
-  const std::uint64_t posix_count = r.u64();
+  const std::uint64_t posix_count = r.count(kPosixMin);
   log.posix.reserve(posix_count);
   for (std::uint64_t i = 0; i < posix_count; ++i) {
     PosixRecord rec;
@@ -209,7 +232,7 @@ LogFile deserialize_log(const std::string& bytes) {
     log.posix.push_back(std::move(rec));
   }
 
-  const std::uint64_t dxt_count = r.u64();
+  const std::uint64_t dxt_count = r.count(kDxtMin);
   log.dxt.reserve(dxt_count);
   for (std::uint64_t i = 0; i < dxt_count; ++i) {
     DxtRecord rec;
@@ -218,11 +241,15 @@ LogFile deserialize_log(const std::string& bytes) {
     rec.hostname = r.str();
     rec.truncated = r.u8() != 0;
     rec.dropped_segments = r.u64();
-    const std::uint64_t seg_count = r.u64();
+    const std::uint64_t seg_count = r.count(kSegmentMin);
     rec.segments.reserve(seg_count);
     for (std::uint64_t s = 0; s < seg_count; ++s) {
       DxtSegment seg;
-      seg.op = static_cast<IoOp>(r.u8());
+      const std::uint8_t op = r.u8();
+      if (op > static_cast<std::uint8_t>(IoOp::kWrite)) {
+        throw LogFormatError("bad darshan DXT op " + std::to_string(op));
+      }
+      seg.op = static_cast<IoOp>(op);
       seg.offset = r.u64();
       seg.length = r.u64();
       seg.start = r.f64();

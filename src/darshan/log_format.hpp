@@ -1,7 +1,8 @@
 // Binary log format for Darshan-analog logs (".rdshan" files).
 //
 // Layout: magic + version header, job header, POSIX record array, DXT record
-// array. All integers little-endian fixed width; strings length-prefixed.
+// array. All integers and doubles fixed width in host byte order, so a log
+// reads back only on a host of the same endianness; strings length-prefixed.
 // One log file per instrumented worker process per run, mirroring how the
 // paper collects one Darshan log per Dask worker.
 #pragma once

@@ -1,32 +1,16 @@
-// JSON round-trip for the scheduler's durable control state: task keys and
-// full task specs (what the checkpoint/journal persists so a restarted
-// scheduler can rebuild its state machine), plus state-name parsing — the
-// inverse of to_string(SchedulerTaskState).
-//
-// Record-type serialization (TransitionRecord etc.) lives in
-// mofka_plugins.hpp; this header covers the spec side that only the
-// durability layer needs, and the journal's record framing.
+// The scheduler's durable control state: state-name parsing (the inverse of
+// to_string(SchedulerTaskState)) and the journal's record framing. The
+// records and task specs inside the frames are written by the schema
+// codecs of dtr/schema.hpp.
 #pragma once
 
 #include <cstddef>
 #include <string>
 #include <string_view>
 
-#include "dtr/records.hpp"
-#include "dtr/task.hpp"
-#include "json/json.hpp"
+#include "dtr/schema.hpp"
 
 namespace recup::dtr {
-
-json::Value to_json(const TaskKey& key);
-TaskKey key_from_json(const json::Value& v);
-/// Appends the bytes of wire::encode_value(to_json(key)).
-void to_wire(const TaskKey& key, std::string& out);
-
-json::Value to_json(const TaskSpec& spec);
-TaskSpec spec_from_json(const json::Value& v);
-/// Appends the bytes of wire::encode_value(to_json(spec)).
-void to_wire(const TaskSpec& spec, std::string& out);
 
 SchedulerTaskState scheduler_state_from_string(const std::string& name);
 

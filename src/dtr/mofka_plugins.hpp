@@ -15,6 +15,7 @@
 #include <string>
 
 #include "dtr/plugins.hpp"
+#include "dtr/schema.hpp"
 #include "mofka/broker.hpp"
 #include "mofka/producer.hpp"
 
@@ -23,25 +24,6 @@ namespace recup::dtr {
 /// Creates the five WMS topics on a broker (idempotent per topic name).
 void create_wms_topics(mofka::Broker& broker,
                        mofka::PartitionIndex partitions = 1);
-
-json::Value to_json(const TransitionRecord& record);
-json::Value to_json(const TaskRecord& record);
-json::Value to_json(const CommRecord& record);
-json::Value to_json(const WarningRecord& record);
-json::Value to_json(const StealRecord& record);
-
-/// Wire writers for the scheduler journal: each appends the bytes of
-/// wire::encode_value(to_json(record)) without building the tree.
-void to_wire(const TransitionRecord& record, std::string& out);
-void to_wire(const TaskRecord& record, std::string& out);
-void to_wire(const WarningRecord& record, std::string& out);
-void to_wire(const StealRecord& record, std::string& out);
-
-TransitionRecord transition_from_json(const json::Value& v);
-TaskRecord task_from_json(const json::Value& v);
-CommRecord comm_from_json(const json::Value& v);
-WarningRecord warning_from_json(const json::Value& v);
-StealRecord steal_from_json(const json::Value& v);
 
 class MofkaSchedulerPlugin final : public SchedulerPlugin {
  public:

@@ -170,7 +170,7 @@ void write_run_dir(const RunData& run, const std::string& dir) {
 
 namespace {
 
-TaskKey parse_key(const std::string& text) {
+TaskKey key_from_string(const std::string& text) {
   // Formats: "group" or "('group', index)".
   if (text.size() > 4 && text.front() == '(') {
     const std::size_t quote_end = text.rfind('\'');
@@ -225,7 +225,7 @@ RunData read_run_dir(const std::string& dir) {
 
   for (const auto& r : load_rows("tasks.csv")) {
     TaskRecord t;
-    t.key = parse_key(r.at(0));
+    t.key = key_from_string(r.at(0));
     t.graph = r.at(1);
     t.prefix = r.at(2);
     t.worker = static_cast<WorkerId>(std::stoul(r.at(3)));
@@ -262,7 +262,7 @@ RunData read_run_dir(const std::string& dir) {
 
   for (const auto& r : load_rows("transitions.csv")) {
     TransitionRecord t;
-    t.key = parse_key(r.at(0));
+    t.key = key_from_string(r.at(0));
     t.graph = r.at(1);
     t.from_state = r.at(2);
     t.to_state = r.at(3);
@@ -274,7 +274,7 @@ RunData read_run_dir(const std::string& dir) {
 
   for (const auto& r : load_rows("comms.csv")) {
     CommRecord c;
-    c.key = parse_key(r.at(0));
+    c.key = key_from_string(r.at(0));
     c.source = static_cast<WorkerId>(std::stoul(r.at(1)));
     c.destination = static_cast<WorkerId>(std::stoul(r.at(2)));
     c.source_address = r.at(3);
@@ -300,7 +300,7 @@ RunData read_run_dir(const std::string& dir) {
 
   for (const auto& r : load_rows("steals.csv")) {
     StealRecord s;
-    s.key = parse_key(r.at(0));
+    s.key = key_from_string(r.at(0));
     s.victim = static_cast<WorkerId>(std::stoul(r.at(1)));
     s.thief = static_cast<WorkerId>(std::stoul(r.at(2)));
     s.time = std::stod(r.at(3));

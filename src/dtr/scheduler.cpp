@@ -1118,7 +1118,7 @@ void Scheduler::recover() {
   std::vector<TaskKey> spec_order;
   if (have_cp && cp.contains("specs")) {
     for (const json::Value& s : cp.at("specs").as_array()) {
-      TaskSpec spec = spec_from_json(s.at("spec"));
+      TaskSpec spec = from_json<TaskSpec>(s.at("spec"));
       const TaskKey key = spec.key;
       TaskInfo& info = tasks_[key];
       info.spec = std::move(spec);
@@ -1133,7 +1133,7 @@ void Scheduler::recover() {
       GraphInfo& graph = graphs_[name];
       graph.name = name;
     } else if (type == "spec") {
-      TaskSpec spec = spec_from_json(rec.at("spec"));
+      TaskSpec spec = from_json<TaskSpec>(rec.at("spec"));
       const TaskKey key = spec.key;
       const auto [it, inserted] = tasks_.try_emplace(key);
       if (!inserted) continue;  // already in checkpoint specs
@@ -1142,13 +1142,13 @@ void Scheduler::recover() {
       info.graph = rec.get_string("graph", "");
       spec_order.push_back(key);
     } else if (type == "transition") {
-      transitions_.push_back(transition_from_json(rec.at("r")));
+      transitions_.push_back(from_json<TransitionRecord>(rec.at("r")));
     } else if (type == "task") {
-      task_records_.push_back(task_from_json(rec.at("r")));
+      task_records_.push_back(from_json<TaskRecord>(rec.at("r")));
     } else if (type == "steal") {
-      steals_.push_back(steal_from_json(rec.at("r")));
+      steals_.push_back(from_json<StealRecord>(rec.at("r")));
     } else if (type == "warning") {
-      warnings_.push_back(warning_from_json(rec.at("r")));
+      warnings_.push_back(from_json<WarningRecord>(rec.at("r")));
     }
   }
   // Dependent registration follows journal order, which is submission
@@ -1183,7 +1183,7 @@ void Scheduler::recover() {
     }
     if (cp.contains("tasks")) {
       for (const json::Value& t : cp.at("tasks").as_array()) {
-        const TaskKey key = key_from_json(t.at("key"));
+        const TaskKey key = from_json<TaskKey>(t.at("key"));
         TaskInfo* info = find_task(key);
         if (info == nullptr) continue;
         info->state =
@@ -1197,7 +1197,7 @@ void Scheduler::recover() {
     }
     if (cp.contains("queued")) {
       for (const json::Value& q : cp.at("queued").as_array()) {
-        queued_cp.push_back(key_from_json(q));
+        queued_cp.push_back(from_json<TaskKey>(q));
       }
     }
   }
@@ -1211,7 +1211,7 @@ void Scheduler::recover() {
     const json::Value& rec = records[i];
     const std::string type = rec.get_string("t", "");
     if (type == "transition") {
-      const TransitionRecord tr = transition_from_json(rec.at("r"));
+      const TransitionRecord tr = from_json<TransitionRecord>(rec.at("r"));
       TaskInfo* found = find_task(tr.key);
       if (found == nullptr) continue;
       TaskInfo& info = *found;
@@ -1232,13 +1232,13 @@ void Scheduler::recover() {
         }
       }
     } else if (type == "spec") {
-      const TaskKey key = key_from_json(rec.at("spec").at("key"));
+      const TaskKey key = from_json<TaskKey>(rec.at("spec").at("key"));
       for (const TaskKey& dep : tasks_.at(key).spec.dependencies) {
         TaskInfo* dep_info = find_task(dep);
         if (dep_info != nullptr) ++dep_info->remaining_dependents;
       }
     } else if (type == "task") {
-      const TaskRecord tr = task_from_json(rec.at("r"));
+      const TaskRecord tr = from_json<TaskRecord>(rec.at("r"));
       auto& [sum, count] = prefix_durations_[tr.key.prefix()];
       sum += tr.end_time - tr.start_time;
       ++count;

@@ -2,7 +2,6 @@
 
 #include <charconv>
 #include <cstdio>
-#include <fstream>
 #include <stdexcept>
 
 namespace recup::mochi {
@@ -92,54 +91,6 @@ std::size_t KeyValueStore::size() const {
 YokanStats KeyValueStore::stats() const {
   std::lock_guard lock(mutex_);
   return stats_;
-}
-
-namespace {
-
-void write_u64(std::ofstream& out, std::uint64_t value) {
-  out.write(reinterpret_cast<const char*>(&value), sizeof(value));
-}
-
-std::uint64_t read_u64(std::ifstream& in) {
-  std::uint64_t value = 0;
-  in.read(reinterpret_cast<char*>(&value), sizeof(value));
-  if (!in) throw std::runtime_error("yokan: truncated store file");
-  return value;
-}
-
-}  // namespace
-
-void KeyValueStore::save(const std::string& path) const {
-  std::lock_guard lock(mutex_);
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  if (!out) throw std::runtime_error("yokan: cannot open " + path);
-  write_u64(out, data_.size());
-  for (const auto& [key, value] : data_) {
-    write_u64(out, key.size());
-    out.write(key.data(), static_cast<std::streamsize>(key.size()));
-    write_u64(out, value.size());
-    out.write(value.data(), static_cast<std::streamsize>(value.size()));
-  }
-  if (!out) throw std::runtime_error("yokan: write failed for " + path);
-}
-
-void KeyValueStore::load(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) throw std::runtime_error("yokan: cannot open " + path);
-  const std::uint64_t count = read_u64(in);
-  std::map<std::string, std::string> loaded;
-  for (std::uint64_t i = 0; i < count; ++i) {
-    const std::uint64_t key_size = read_u64(in);
-    std::string key(key_size, '\0');
-    in.read(key.data(), static_cast<std::streamsize>(key_size));
-    const std::uint64_t value_size = read_u64(in);
-    std::string value(value_size, '\0');
-    in.read(value.data(), static_cast<std::streamsize>(value_size));
-    if (!in) throw std::runtime_error("yokan: truncated store file");
-    loaded.emplace(std::move(key), std::move(value));
-  }
-  std::lock_guard lock(mutex_);
-  data_ = std::move(loaded);
 }
 
 }  // namespace recup::mochi

@@ -1,6 +1,6 @@
-// Yokan-analog: a thread-safe ordered key/value store with prefix iteration
-// and optional file persistence. Mofka stores event metadata and topic
-// bookkeeping here (paper §III-B: "Yokan to store key/value data").
+// Yokan-analog: a thread-safe ordered key/value store with prefix iteration.
+// Mofka stores event metadata and topic bookkeeping here (paper §III-B:
+// "Yokan to store key/value data"); the broker's WAL makes it durable.
 #pragma once
 
 #include <cstdint>
@@ -43,11 +43,6 @@ class KeyValueStore {
   [[nodiscard]] std::size_t size() const;
   [[nodiscard]] const std::string& name() const { return name_; }
   [[nodiscard]] YokanStats stats() const;
-
-  /// Persists the full store to `path` (length-prefixed binary records).
-  void save(const std::string& path) const;
-  /// Replaces contents with the records in `path`. Throws on I/O failure.
-  void load(const std::string& path);
 
  private:
   std::string name_;

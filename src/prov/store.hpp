@@ -26,12 +26,6 @@ class ProvenanceStore {
  public:
   void add_run(dtr::RunData run);
 
-  /// True when a run with this id is already stored — the check behind the
-  /// catalog's idempotent (exactly-once) publication.
-  [[nodiscard]] bool has_run(const RunId& id) const {
-    return runs_.count(id) != 0;
-  }
-
   [[nodiscard]] std::vector<RunId> runs() const;
   [[nodiscard]] const dtr::RunData& run(const RunId& id) const;
   [[nodiscard]] std::vector<const dtr::RunData*> runs_of(

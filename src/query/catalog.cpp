@@ -120,8 +120,7 @@ bool StoreCatalog::add_run(dtr::RunData run) {
   }
 
   std::lock_guard lock(store_mutex_);
-  if (store_.has_run(id)) return false;
-  store_.add_run(std::move(run));
+  if (!store_.try_emplace(id, std::move(run)).second) return false;
   auto next = std::make_shared<std::vector<prov::RunId>>(*mem_runs_);
   next->push_back(id);
   std::sort(next->begin(), next->end());
@@ -232,7 +231,7 @@ std::shared_ptr<const analysis::DataFrame> StoreCatalog::Snapshot::frame(
   const dtr::RunData* run = nullptr;
   {
     std::lock_guard lock(catalog_->store_mutex_);
-    run = &catalog_->store_.run(id);
+    run = &catalog_->store_.at(id);
   }
   auto built = std::make_shared<const analysis::DataFrame>(
       materialize_frame(view, id, *run));
@@ -248,7 +247,7 @@ std::size_t StoreCatalog::Snapshot::estimated_rows(
   const dtr::RunData* runp = nullptr;
   {
     std::lock_guard lock(catalog_->store_mutex_);
-    runp = &catalog_->store_.run(id);
+    runp = &catalog_->store_.at(id);
   }
   const dtr::RunData& run = *runp;
   switch (view) {

@@ -1,9 +1,9 @@
 // StoreCatalog: the shared, live-updating run store behind the query
 // service, with two interchangeable backends:
 //
-//   - *memory* (default): runs live in a prov::ProvenanceStore and view
-//     frames materialize lazily from the raw records — the original PR 3
-//     path, still the right tool for tests and short-lived sessions;
+//   - *memory* (default): runs live in a map of their raw records and view
+//     frames materialize lazily from them — the right tool for tests and
+//     short-lived sessions;
 //   - *segment* (durable): every published run is flushed through a
 //     recup::segstore::SegmentStore as immutable columnar segments, view
 //     frames decode from (mmap'ed) segment files, and a cold start
@@ -163,7 +163,7 @@ class StoreCatalog {
       std::shared_ptr<const analysis::DataFrame> frame) const;
 
   // --- Memory backend ------------------------------------------------------
-  prov::ProvenanceStore store_;
+  std::map<prov::RunId, dtr::RunData> store_;
   mutable std::mutex store_mutex_;  ///< guards store_ map ops + version swap
   /// Copy-on-write visible-run list; snapshot() pins the current one.
   std::shared_ptr<const std::vector<prov::RunId>> mem_runs_;

@@ -5,7 +5,7 @@
 #include <utility>
 
 #include "dtr/darshan_bridge.hpp"
-#include "dtr/mofka_plugins.hpp"
+#include "dtr/schema.hpp"
 #include "wire/codec.hpp"
 
 namespace recup::query {
@@ -168,24 +168,26 @@ std::size_t LiveIngestor::poll() {
 std::size_t LiveIngestor::poll_locked() {
   std::size_t consumed = 0;
   while (auto event = transitions_.pull()) {
-    keep(pending_.transitions, dtr::transition_from_json(event->metadata));
+    keep(pending_.transitions,
+         dtr::from_json<dtr::TransitionRecord>(event->metadata));
     ++consumed;
   }
   while (auto event = tasks_.pull()) {
-    keep(pending_.tasks, dtr::task_from_json(event->metadata));
+    keep(pending_.tasks, dtr::from_json<dtr::TaskRecord>(event->metadata));
     ++consumed;
   }
   while (auto event = comms_.pull()) {
-    keep(pending_.comms, dtr::comm_from_json(event->metadata));
+    keep(pending_.comms, dtr::from_json<dtr::CommRecord>(event->metadata));
     ++consumed;
   }
   while (auto event = warnings_.pull()) {
-    keep(pending_.warnings, dtr::warning_from_json(event->metadata));
+    keep(pending_.warnings,
+         dtr::from_json<dtr::WarningRecord>(event->metadata));
     ++consumed;
   }
   while (auto event = cluster_.pull()) {
     if (event->metadata.get_string("kind", "") == "steal") {
-      keep(pending_.steals, dtr::steal_from_json(event->metadata));
+      keep(pending_.steals, dtr::from_json<dtr::StealRecord>(event->metadata));
     }
     ++consumed;
   }

@@ -10,7 +10,8 @@
 // manifest record is the commit point. Records:
 //   {"kind":"add",     "workflow":w, "run_index":n, "segments":[...]}
 //   {"kind":"compact", "view":v, "replaces":[file...], "segment":{...}}
-// encoded with wire::encode_value (sniffed JSON fallback stays readable).
+// encoded with wire::encode_value; a record that is not wire bytes is an
+// error.
 //
 // Readers never lock against writers: ManifestVersion is immutable and held
 // by shared_ptr; a query pins the version it started with while commits

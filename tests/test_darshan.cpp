@@ -2,7 +2,10 @@
 // thread ids, buffer-limit truncation, log format round trip, report API.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <cstring>
 #include <filesystem>
+#include <string>
 
 #include "darshan/heatmap.hpp"
 #include "darshan/log_format.hpp"
@@ -179,6 +182,37 @@ TEST(LogFormat, CorruptionDetected) {
   EXPECT_THROW(deserialize_log(serialize_log(make_log()) + "junk"),
                LogFormatError);
   EXPECT_THROW(read_log("/nonexistent.rdshan"), LogFormatError);
+}
+
+/// Overwrites the host-order u64 ending `from_end` bytes before the end.
+void set_u64(std::string& bytes, std::size_t from_end, std::uint64_t value) {
+  std::memcpy(bytes.data() + bytes.size() - from_end, &value, sizeof(value));
+}
+
+TEST(LogFormat, HugePosixCountRejectedBeforeAllocating) {
+  // An empty log ends with its POSIX and DXT record counts.
+  std::string bytes = serialize_log(LogFile{});
+  set_u64(bytes, 16, std::uint64_t{1} << 40);
+  EXPECT_THROW(deserialize_log(bytes), LogFormatError);
+}
+
+TEST(LogFormat, HugeSegmentCountRejectedBeforeAllocating) {
+  // A log whose one DXT record has no segments ends with the segment count.
+  LogFile log;
+  log.dxt.push_back(DxtRecord{});
+  std::string bytes = serialize_log(log);
+  set_u64(bytes, 8, std::uint64_t{1} << 40);
+  EXPECT_THROW(deserialize_log(bytes), LogFormatError);
+}
+
+TEST(LogFormat, UnknownDxtOpRejected) {
+  LogFile log;
+  log.dxt.push_back(DxtRecord{});
+  log.dxt[0].segments.push_back(DxtSegment{IoOp::kWrite, 0, 1, 0.0, 0.1, 1});
+  std::string bytes = serialize_log(log);
+  // The segment is the last 41 bytes: op, offset, length, start, end, tid.
+  bytes[bytes.size() - 41] = 2;
+  EXPECT_THROW(deserialize_log(bytes), LogFormatError);
 }
 
 TEST(Report, TotalsAndFiles) {

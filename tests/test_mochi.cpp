@@ -2,7 +2,6 @@
 // SSG membership/fault detection, Bedrock bootstrapping.
 #include <gtest/gtest.h>
 
-#include <filesystem>
 #include <thread>
 
 #include "mochi/bedrock.hpp"
@@ -55,27 +54,6 @@ TEST(Yokan, IncrementAtomicCounter) {
   EXPECT_EQ(kv.increment("n", -2), 4);
   kv.put("bad", "not-a-number");
   EXPECT_THROW(kv.increment("bad"), std::runtime_error);
-}
-
-TEST(Yokan, SaveLoadRoundTrip) {
-  const std::string path = std::filesystem::temp_directory_path() /
-                           "recup_yokan_test.bin";
-  KeyValueStore kv;
-  kv.put("key with spaces", std::string("binary\0data", 11));
-  kv.put("empty", "");
-  kv.save(path);
-  KeyValueStore loaded;
-  loaded.load(path);
-  EXPECT_EQ(loaded.size(), 2u);
-  EXPECT_EQ(loaded.get("key with spaces").value(),
-            std::string("binary\0data", 11));
-  EXPECT_EQ(loaded.get("empty").value(), "");
-  std::filesystem::remove(path);
-}
-
-TEST(Yokan, LoadMissingFileThrows) {
-  KeyValueStore kv;
-  EXPECT_THROW(kv.load("/nonexistent/path/xyz"), std::runtime_error);
 }
 
 TEST(Yokan, ConcurrentPuts) {

@@ -1,9 +1,9 @@
 #!/usr/bin/env bash
-# Full check pipeline: the tier-1 verify line (build + ctest), the 10-seed
-# crash-recovery oracle, then an AddressSanitizer + UndefinedBehaviorSanitizer
-# test pass (RECUP_SANITIZE) and a ThreadSanitizer pass (RECUP_TSAN) over the
-# concurrency-heavy subsystems (mofka delivery, chaos pipeline, query
-# service, durability/recovery).
+# Full check pipeline: the tier-1 verify line (build + ctest), one run of
+# each example, the 10-seed crash-recovery oracle, then an AddressSanitizer
+# + UndefinedBehaviorSanitizer test pass (RECUP_SANITIZE) and a
+# ThreadSanitizer pass (RECUP_TSAN) over the concurrency-heavy subsystems
+# (mofka delivery, chaos pipeline, query service, durability/recovery).
 #
 # Usage: tools/run_checks.sh [--skip-sanitize] [--skip-tsan] [--skip-bench]
 set -euo pipefail
@@ -44,6 +44,20 @@ echo "== tier-1 verify: build + ctest =="
 cmake -B build -S .
 cmake --build build -j
 (cd build && ctest --output-on-failure -j"$(nproc)" --timeout "$ctest_timeout")
+
+echo "== examples: run each once =="
+# Tier-1 builds the examples but no test runs them. They drive whole paths
+# end to end: streaming_consumer reads the WMS topics back through the
+# record schema, provenance_explorer round-trips a run directory.
+for example in quickstart image_pipeline_study xgboost_variability \
+  provenance_explorer streaming_consumer gpu_profile_study insitu_monitor \
+  query_service; do
+  if ! timeout 300 "./build/examples/$example" >/dev/null; then
+    echo "error: example $example failed" >&2
+    exit 1
+  fi
+done
+echo "examples passed"
 
 echo "== crash-recovery oracle: 10-seed byte-identity check =="
 # The durability stack end to end: WAL-backed broker, scheduler
