@@ -1,6 +1,8 @@
 #include "dtr/scheduler.hpp"
 
 #include <algorithm>
+#include <bit>
+#include <cmath>
 #include <filesystem>
 #include <fstream>
 #include <iterator>
@@ -14,6 +16,9 @@
 namespace recup::dtr {
 
 namespace {
+
+/// Occupancy of a position that never wins a placement.
+constexpr double kNeverPicked = std::numeric_limits<double>::infinity();
 
 /// A task that can still run: neither finished (memory, forgotten),
 /// terminally erred, nor mid-submission (released).
@@ -34,7 +39,95 @@ json::Value decode_journal_frame(std::string_view payload) {
   return frame;
 }
 
+/// A count the checkpoint stores as an integer. A negative value or one
+/// too large for T is corruption, never wrapped into range by a cast.
+template <typename T>
+T checkpoint_count(const json::Value& object, const std::string& key) {
+  const std::int64_t value = object.at(key).as_int();
+  if (value < 0 ||
+      static_cast<std::uint64_t>(value) > std::numeric_limits<T>::max()) {
+    throw wal::WalError("scheduler checkpoint: " + key + " out of range: " +
+                        std::to_string(value));
+  }
+  return static_cast<T>(value);
+}
+
 }  // namespace
+
+void OccupancyIndex::add() {
+  occupancy_.push_back(kNeverPicked);
+  // Padding leaves already hold +inf; only outgrowing the tree needs work.
+  if (occupancy_.size() > capacity_) stale_ = true;
+}
+
+void OccupancyIndex::set(std::size_t position, std::size_t in_flight,
+                         std::size_t nthreads, bool alive) {
+  // The scan's occupancy, bit for bit. A position whose score could never
+  // beat the scan's initial +inf (dead, or an infinite or NaN occupancy)
+  // is held at +inf.
+  const double occupancy =
+      static_cast<double>(in_flight) / static_cast<double>(nthreads);
+  const double value =
+      alive && occupancy < kNeverPicked ? occupancy : kNeverPicked;
+  occupancy_[position] = value;
+  if (stale_) return;
+  std::size_t node = capacity_ + position;
+  tree_[node] = value;
+  for (node /= 2; node > 0; node /= 2) {
+    const double lowest = std::min(tree_[2 * node], tree_[2 * node + 1]);
+    if (tree_[node] == lowest) break;  // the ancestors keep their minima
+    tree_[node] = lowest;
+  }
+}
+
+std::size_t OccupancyIndex::pick(std::size_t offset, double est) {
+  if (occupancy_.empty()) return npos;
+  if (stale_) rebuild();
+  // The scan keeps a score only when it beats the kept one, starting from
+  // +inf: it returns the first position in rotated order whose score is
+  // the minimum, and nothing when the minimum is not finite. The minimum is
+  // the lowest occupancy's product, since est >= 0 keeps the product
+  // monotone.
+  const double best = tree_[1] * est;
+  if (!(best < kNeverPicked)) return npos;
+  const std::size_t start = offset % occupancy_.size();
+  const std::size_t found = first_from(start, est, best);
+  return found != npos ? found : first_from(0, est, best);
+}
+
+std::size_t OccupancyIndex::first_from(std::size_t from, double est,
+                                       double best) const {
+  // A subtree holds a tying position exactly when its minimum ties
+  // (monotone product; +inf * 0 is NaN and ties nothing). Climb to the
+  // first such subtree at or right of the leaf, then descend to its
+  // leftmost tying leaf.
+  const auto ties = [&](std::size_t node) { return tree_[node] * est <= best; };
+  std::size_t node = capacity_ + from;
+  while (!ties(node)) {
+    // Up past right children, then over to the next subtree on the right.
+    while (node % 2 == 1) {
+      if (node == 1) return npos;  // the root: no subtree right of it
+      node /= 2;
+    }
+    ++node;
+  }
+  while (node < capacity_) {
+    node *= 2;
+    if (!ties(node)) ++node;
+  }
+  return node - capacity_;
+}
+
+void OccupancyIndex::rebuild() {
+  capacity_ = std::bit_ceil(occupancy_.size());
+  tree_.assign(2 * capacity_, kNeverPicked);
+  std::copy(occupancy_.begin(), occupancy_.end(),
+            tree_.begin() + static_cast<std::ptrdiff_t>(capacity_));
+  for (std::size_t node = capacity_ - 1; node > 0; --node) {
+    tree_[node] = std::min(tree_[2 * node], tree_[2 * node + 1]);
+  }
+  stale_ = false;
+}
 
 Scheduler::Scheduler(sim::Engine& engine, platform::Network& network,
                      SchedulerConfig config, RngStream rng,
@@ -43,12 +136,29 @@ Scheduler::Scheduler(sim::Engine& engine, platform::Network& network,
       network_(network),
       config_(config),
       rng_(rng),
-      logs_(logs) {}
+      logs_(logs) {
+  // The occupancy index needs the estimate finite and non-negative, and
+  // prefix means of simulated durations always are.
+  if (!std::isfinite(config_.default_task_duration) ||
+      config_.default_task_duration < 0.0) {
+    throw std::invalid_argument(
+        "SchedulerConfig::default_task_duration must be finite and >= 0");
+  }
+}
 
 void Scheduler::add_worker(Worker* worker) {
+  // Per-worker state is filled by position and read both by position and
+  // by worker id, so the two must agree.
+  if (worker->id() != workers_.size()) {
+    throw std::invalid_argument(
+        "add_worker: worker id " + std::to_string(worker->id()) +
+        " is not its position " + std::to_string(workers_.size()));
+  }
   workers_.push_back(worker);
-  worker_alive_.push_back(true);
+  worker_alive_.push_back(false);
   in_flight_.push_back(0);
+  occupancy_.add();
+  set_worker_load(worker->id(), 0, true);
   last_heartbeat_.push_back(engine_.now());
   // Each report is applied as it arrives, inside one journal group, so a
   // report that journals anything lands as one WAL frame.
@@ -84,15 +194,35 @@ const Scheduler::TaskInfo* Scheduler::find_task(const TaskKey& key) const {
   return it == tasks_.end() ? nullptr : &it->second;
 }
 
-std::vector<Scheduler::TaskInfo*> Scheduler::tasks_in_key_order() {
-  std::vector<TaskInfo*> ordered;
-  ordered.reserve(tasks_.size());
-  for (auto& [key, info] : tasks_) ordered.push_back(&info);
-  std::sort(ordered.begin(), ordered.end(),
-            [](const TaskInfo* a, const TaskInfo* b) {
-              return a->spec.key < b->spec.key;
-            });
-  return ordered;
+Scheduler::TaskInfo* Scheduler::insert_task(TaskSpec spec,
+                                            const std::string& graph) {
+  const auto [it, inserted] = tasks_.try_emplace(spec.key);
+  if (!inserted) return nullptr;
+  TaskInfo& info = it->second;
+  info.spec = std::move(spec);
+  info.graph = graph;
+  key_order_.push_back(&info);
+  return &info;
+}
+
+const std::vector<Scheduler::TaskInfo*>& Scheduler::tasks_in_key_order() {
+  // Sorting the unmerged tail here, not when a submission ends, keeps the
+  // order right for a checkpoint fired mid-submission and after a
+  // submission that threw.
+  const auto by_key = [](const TaskInfo* a, const TaskInfo* b) {
+    return a->spec.key < b->spec.key;
+  };
+  const auto tail =
+      key_order_.begin() + static_cast<std::ptrdiff_t>(key_order_sorted_);
+  if (tail != key_order_.end()) {
+    // A graph's tasks arrive in key order already.
+    if (!std::is_sorted(tail, key_order_.end(), by_key)) {
+      std::sort(tail, key_order_.end(), by_key);
+    }
+    std::inplace_merge(key_order_.begin(), tail, key_order_.end(), by_key);
+    key_order_sorted_ = key_order_.size();
+  }
+  return key_order_;
 }
 
 void Scheduler::transition(TaskInfo& info, SchedulerTaskState to,
@@ -144,14 +274,14 @@ void Scheduler::submit_graph(const TaskGraph& graph, GraphDoneFn on_done) {
 
   // Materialize TaskInfo for every task, wiring dependency counts against
   // both in-graph tasks and results of earlier graphs already in memory.
-  std::vector<TaskKey> runnable;
+  std::vector<TaskInfo*> submitted;
+  submitted.reserve(graph.size());
   for (const auto& [key, spec] : graph.tasks()) {
-    auto [it, inserted] = tasks_.try_emplace(key);
-    if (!inserted) {
+    TaskInfo* info = insert_task(spec, graph.name());
+    if (info == nullptr) {
       throw std::invalid_argument("task key resubmitted: " + key.to_string());
     }
-    it->second.spec = spec;
-    it->second.graph = graph.name();
+    submitted.push_back(info);
     spec_order_.push_back(key);
     if (journal_ && !recovering_) {
       journal_record_.clear();
@@ -159,10 +289,12 @@ void Scheduler::submit_graph(const TaskGraph& graph, GraphDoneFn on_done) {
       journal_append(journal_record_);
     }
   }
-  for (const auto& [key, spec] : graph.tasks()) {
-    TaskInfo& info = tasks_.at(key);
+  std::vector<TaskInfo*> runnable;
+  for (TaskInfo* submitted_info : submitted) {
+    TaskInfo& info = *submitted_info;
+    const TaskKey& key = info.spec.key;
     const TaskKey* erred_dep = nullptr;
-    for (const auto& dep : spec.dependencies) {
+    for (const auto& dep : info.spec.dependencies) {
       TaskInfo* dep_info = find_task(dep);
       if (dep_info == nullptr) {
         throw std::invalid_argument("dependency never submitted: " +
@@ -193,19 +325,16 @@ void Scheduler::submit_graph(const TaskGraph& graph, GraphDoneFn on_done) {
     if (erred_dep != nullptr) {
       dead_letter(info, "dependency " + erred_dep->to_string() + " erred");
     } else if (info.waiting_on == 0) {
-      runnable.push_back(key);
+      runnable.push_back(&info);
     }
   }
   // Dispatch runnable tasks in priority order (dask.order analog): lower
   // priority value first, key order as tie-break.
   std::stable_sort(runnable.begin(), runnable.end(),
-                   [this](const TaskKey& a, const TaskKey& b) {
-                     return tasks_.at(a).spec.priority <
-                            tasks_.at(b).spec.priority;
+                   [](const TaskInfo* a, const TaskInfo* b) {
+                     return a->spec.priority < b->spec.priority;
                    });
-  for (const auto& key : runnable) {
-    dispatch(tasks_.at(key), "update-graph");
-  }
+  for (TaskInfo* info : runnable) dispatch(*info, "update-graph");
 }
 
 Duration Scheduler::transfer_cost_estimate(const TaskInfo& info,
@@ -259,27 +388,16 @@ Worker* Scheduler::decide_worker(const TaskInfo& info) {
         {&dep_info->who_has, dep_info->spec.work.output_bytes});
   }
   const double est = compute_estimate(info);
-  Worker* best = nullptr;
-  double best_score = std::numeric_limits<double>::infinity();
   const std::size_t offset = rr_counter_++;
   if (dep_transfers.empty()) {
     // No remote-replica dependencies: the transfer term is identically zero
-    // for every worker (0.0 * bias + occ * est == occ * est), so the scan
-    // reduces to pure occupancy.
-    for (std::size_t i = 0; i < workers_.size(); ++i) {
-      const std::size_t index = (i + offset) % workers_.size();
-      if (!worker_alive_[index]) continue;
-      Worker* worker = workers_[index];
-      const double occupancy = static_cast<double>(in_flight_[index]) /
-                               static_cast<double>(worker->nthreads());
-      const double score = occupancy * est;
-      if (score < best_score) {
-        best_score = score;
-        best = worker;
-      }
-    }
-    return best;
+    // for every worker (0.0 * bias + occ * est == occ * est), so the choice
+    // reduces to pure occupancy, which the index answers without a scan.
+    const std::size_t position = occupancy_.pick(offset, est);
+    return position == OccupancyIndex::npos ? nullptr : workers_[position];
   }
+  Worker* best = nullptr;
+  double best_score = std::numeric_limits<double>::infinity();
   for (std::size_t i = 0; i < workers_.size(); ++i) {
     const std::size_t index = (i + offset) % workers_.size();
     if (!worker_alive_[index]) continue;
@@ -307,6 +425,13 @@ Worker* Scheduler::decide_worker(const TaskInfo& info) {
   return best;
 }
 
+void Scheduler::set_worker_load(std::size_t position, std::size_t in_flight,
+                                bool alive) {
+  in_flight_[position] = in_flight;
+  worker_alive_[position] = alive;
+  occupancy_.set(position, in_flight, workers_[position]->nthreads(), alive);
+}
+
 void Scheduler::dispatch(TaskInfo& info, const std::string& stimulus) {
   Worker* worker = workers_.empty() ? nullptr : decide_worker(info);
   if (worker == nullptr) {
@@ -329,9 +454,11 @@ void Scheduler::send_to_worker(TaskInfo& info, Worker* worker,
   // A steal re-sends a task already counted in flight on the victim; it is
   // removed there and re-assigned here.
   if (stolen && info.assigned != nullptr) {
-    --in_flight_[info.assigned->id()];
+    const WorkerId victim = info.assigned->id();
+    set_worker_load(victim, in_flight_[victim] - 1, worker_alive_[victim]);
   }
-  ++in_flight_[worker->id()];
+  set_worker_load(worker->id(), in_flight_[worker->id()] + 1,
+                  worker_alive_[worker->id()]);
   info.assigned = worker;
   info.stolen = stolen;
 
@@ -391,7 +518,8 @@ void Scheduler::on_task_finished(const TaskKey& key, const TaskRecord& record,
   }
   if (info.state != SchedulerTaskState::kProcessing) return;
   if (info.assigned != nullptr) {
-    --in_flight_[info.assigned->id()];
+    const WorkerId id = info.assigned->id();
+    set_worker_load(id, in_flight_[id] - 1, worker_alive_[id]);
     info.assigned = nullptr;
   }
 
@@ -775,8 +903,10 @@ void Scheduler::dead_letter(TaskInfo& info, const std::string& reason) {
 
 void Scheduler::settle_erred(TaskInfo& info) {
   if (info.assigned != nullptr) {
-    std::size_t& in_flight = in_flight_[info.assigned->id()];
-    if (in_flight > 0) --in_flight;
+    const WorkerId id = info.assigned->id();
+    if (in_flight_[id] > 0) {
+      set_worker_load(id, in_flight_[id] - 1, worker_alive_[id]);
+    }
     info.assigned = nullptr;
   }
   // Like Dask, an erred task errs its dependents. Indexed: a graph
@@ -822,9 +952,8 @@ void Scheduler::requeue_after_failure(TaskInfo& info) {
 
 void Scheduler::on_worker_failed(WorkerId worker) {
   if (worker >= workers_.size() || !worker_alive_[worker]) return;
-  worker_alive_[worker] = false;
+  set_worker_load(worker, 0, false);
   Worker* dead = workers_[worker];
-  in_flight_[worker] = 0;
   // Ownership transfer on worker death: entries owned by the dead shard
   // re-pin to a surviving replica; entries with no survivor are dropped
   // from the store and recomputed below like any other lost result.
@@ -842,15 +971,18 @@ void Scheduler::on_worker_failed(WorkerId worker) {
   for (auto& [key, info] : tasks_) info.who_has.erase(worker);
   // Re-dispatch its in-flight tasks, then recompute results whose only
   // copies died with it (only those some dependent still needs). Both
-  // sweeps bear side effects, so they run in global key order.
-  for (TaskInfo* info : tasks_in_key_order()) {
+  // sweeps bear side effects, so they run in global key order, each over a
+  // copy: a graph completing inside one may submit another.
+  const std::vector<TaskInfo*> requeue_order = tasks_in_key_order();
+  for (TaskInfo* info : requeue_order) {
     if (info->state == SchedulerTaskState::kProcessing &&
         info->assigned == dead) {
       info->assigned = nullptr;
       requeue_after_failure(*info);
     }
   }
-  for (TaskInfo* info : tasks_in_key_order()) {
+  const std::vector<TaskInfo*> recompute_order = tasks_in_key_order();
+  for (TaskInfo* info : recompute_order) {
     if (info->state == SchedulerTaskState::kMemory && info->who_has.empty() &&
         info->remaining_dependents > 0) {
       recompute_lost(*info);
@@ -1059,8 +1191,11 @@ void Scheduler::recover() {
     cp = wire::decode_value(bytes);
     have_cp = true;
   }
+  // The checkpoint has no CRC of its own, so every key its writer always
+  // emits is read strictly: a missing one is a json::TypeError, a negative
+  // count a wal::WalError.
   const std::size_t cp_records =
-      have_cp ? static_cast<std::size_t>(cp.get_int("journal_records", 0)) : 0;
+      have_cp ? checkpoint_count<std::size_t>(cp, "journal_records") : 0;
 
   // Every frame is a wire-encoded batch group: other bytes are a typed
   // WireError, another value a WalError.
@@ -1116,13 +1251,14 @@ void Scheduler::recover() {
   // compacted prefix used to hold — load those first (they precede every
   // surviving journal spec in submission order).
   std::vector<TaskKey> spec_order;
-  if (have_cp && cp.contains("specs")) {
+  if (have_cp && cp.contains("specs")) {  // only compacting checkpoints
     for (const json::Value& s : cp.at("specs").as_array()) {
       TaskSpec spec = from_json<TaskSpec>(s.at("spec"));
       const TaskKey key = spec.key;
-      TaskInfo& info = tasks_[key];
-      info.spec = std::move(spec);
-      info.graph = s.get_string("graph", "");
+      if (insert_task(std::move(spec), s.at("graph").as_string()) == nullptr) {
+        throw wal::WalError("scheduler checkpoint: spec " + key.to_string() +
+                            " listed twice");
+      }
       spec_order.push_back(key);
     }
   }
@@ -1135,11 +1271,10 @@ void Scheduler::recover() {
     } else if (type == "spec") {
       TaskSpec spec = from_json<TaskSpec>(rec.at("spec"));
       const TaskKey key = spec.key;
-      const auto [it, inserted] = tasks_.try_emplace(key);
-      if (!inserted) continue;  // already in checkpoint specs
-      TaskInfo& info = it->second;
-      info.spec = std::move(spec);
-      info.graph = rec.get_string("graph", "");
+      if (insert_task(std::move(spec), rec.get_string("graph", "")) ==
+          nullptr) {
+        continue;  // already in checkpoint specs
+      }
       spec_order.push_back(key);
     } else if (type == "transition") {
       transitions_.push_back(from_json<TransitionRecord>(rec.at("r")));
@@ -1164,41 +1299,38 @@ void Scheduler::recover() {
   // Apply the checkpointed control state.
   std::vector<TaskKey> queued_cp;
   if (have_cp) {
-    rr_counter_ = static_cast<std::size_t>(cp.get_int("rr_counter", 0));
-    erred_ = static_cast<std::uint64_t>(cp.get_int("erred", 0));
-    if (cp.contains("prefix_durations")) {
-      for (const json::Value& p : cp.at("prefix_durations").as_array()) {
-        prefix_durations_[p.get_string("prefix", "")] = {
-            p.get_double("sum", 0.0),
-            static_cast<std::uint64_t>(p.get_int("count", 0))};
+    rr_counter_ = checkpoint_count<std::size_t>(cp, "rr_counter");
+    erred_ = checkpoint_count<std::uint64_t>(cp, "erred");
+    for (const json::Value& p : cp.at("prefix_durations").as_array()) {
+      // A duration sum is a sum of non-negative durations; the occupancy
+      // index relies on the mean being finite and non-negative.
+      const double sum = p.at("sum").as_double();
+      if (!std::isfinite(sum) || sum < 0.0) {
+        throw wal::WalError("scheduler checkpoint: duration sum " +
+                            std::to_string(sum) + " out of range");
       }
+      prefix_durations_[p.at("prefix").as_string()] = {
+          sum, checkpoint_count<std::uint64_t>(p, "count")};
     }
-    if (cp.contains("graphs")) {
-      for (const json::Value& g : cp.at("graphs").as_array()) {
-        GraphInfo& graph = graphs_[g.get_string("name", "")];
-        graph.name = g.get_string("name", "");
-        graph.remaining = static_cast<std::size_t>(g.get_int("remaining", 0));
-        graph.done_fired = g.get_bool("done_fired", false);
-      }
+    for (const json::Value& g : cp.at("graphs").as_array()) {
+      const std::string& name = g.at("name").as_string();
+      GraphInfo& graph = graphs_[name];
+      graph.name = name;
+      graph.remaining = checkpoint_count<std::size_t>(g, "remaining");
+      graph.done_fired = g.at("done_fired").as_bool();
     }
-    if (cp.contains("tasks")) {
-      for (const json::Value& t : cp.at("tasks").as_array()) {
-        const TaskKey key = from_json<TaskKey>(t.at("key"));
-        TaskInfo* info = find_task(key);
-        if (info == nullptr) continue;
-        info->state =
-            scheduler_state_from_string(t.get_string("state", "released"));
-        info->retries = static_cast<std::uint32_t>(t.get_int("retries", 0));
-        info->resubmissions =
-            static_cast<std::uint32_t>(t.get_int("resubmissions", 0));
-        info->remaining_dependents =
-            static_cast<std::size_t>(t.get_int("remaining_dependents", 0));
-      }
+    for (const json::Value& t : cp.at("tasks").as_array()) {
+      const TaskKey key = from_json<TaskKey>(t.at("key"));
+      TaskInfo* info = find_task(key);
+      if (info == nullptr) continue;
+      info->state = scheduler_state_from_string(t.at("state").as_string());
+      info->retries = checkpoint_count<std::uint32_t>(t, "retries");
+      info->resubmissions = checkpoint_count<std::uint32_t>(t, "resubmissions");
+      info->remaining_dependents =
+          checkpoint_count<std::size_t>(t, "remaining_dependents");
     }
-    if (cp.contains("queued")) {
-      for (const json::Value& q : cp.at("queued").as_array()) {
-        queued_cp.push_back(from_json<TaskKey>(q));
-      }
+    for (const json::Value& q : cp.at("queued").as_array()) {
+      queued_cp.push_back(from_json<TaskKey>(q));
     }
   }
 
@@ -1250,11 +1382,11 @@ void Scheduler::recover() {
   // Reconcile against the workers that survived the crash: they are the
   // ground truth for replica placement and still-executing tasks.
   for (std::size_t i = 0; i < workers_.size(); ++i) {
-    worker_alive_[i] = workers_[i]->alive();
-    in_flight_[i] = 0;
+    set_worker_load(i, 0, workers_[i]->alive());
     last_heartbeat_[i] = engine_.now();  // fresh leases after restart
   }
   std::vector<TaskKey> orphaned;
+  // In place: this sweep only records placements and never inserts a task.
   for (TaskInfo* info : tasks_in_key_order()) {
     const TaskKey& key = info->spec.key;
     info->assigned = nullptr;
@@ -1272,7 +1404,7 @@ void Scheduler::recover() {
       for (std::size_t i = 0; i < workers_.size(); ++i) {
         if (worker_alive_[i] && workers_[i]->has_task(key)) {
           info->assigned = workers_[i];
-          ++in_flight_[i];
+          set_worker_load(i, in_flight_[i] + 1, true);
           break;
         }
       }
@@ -1325,7 +1457,10 @@ void Scheduler::recover() {
     transition(info, SchedulerTaskState::kWaiting, "scheduler-restart");
     redispatch_waiting(info, "scheduler-restart");
   }
-  for (TaskInfo* info : tasks_in_key_order()) {
+  // The sweeps below iterate copies of the order: a graph completing inside
+  // one may submit another.
+  const std::vector<TaskInfo*> recompute_order = tasks_in_key_order();
+  for (TaskInfo* info : recompute_order) {
     if (info->state == SchedulerTaskState::kMemory && info->who_has.empty() &&
         info->remaining_dependents > 0) {
       recompute_lost(*info);
@@ -1348,7 +1483,8 @@ void Scheduler::recover() {
       if (info->state == SchedulerTaskState::kMemory) recompute_lost(*info);
     }
   }
-  for (TaskInfo* info : tasks_in_key_order()) {
+  const std::vector<TaskInfo*> dispatch_order = tasks_in_key_order();
+  for (TaskInfo* info : dispatch_order) {
     if (info->state == SchedulerTaskState::kWaiting && info->waiting_on == 0) {
       dispatch(*info, "scheduler-restart");
     }
@@ -1369,6 +1505,8 @@ void Scheduler::crash_and_recover() {
   // batch group (records buffered in this process's memory) dies with it —
   // recovery sees the group atomically absent.
   journal_->flush();
+  key_order_.clear();  // its pointers die with the table
+  key_order_sorted_ = 0;
   tasks_.clear();
   graphs_.clear();
   queued_.clear();
@@ -1386,7 +1524,9 @@ void Scheduler::crash_and_recover() {
   journal_group_count_ = 0;
   spec_order_.clear();
   pending_fetch_waiters_.clear();
-  std::fill(in_flight_.begin(), in_flight_.end(), 0);
+  for (std::size_t i = 0; i < workers_.size(); ++i) {
+    set_worker_load(i, 0, worker_alive_[i]);
+  }
   recover();
 }
 

@@ -114,10 +114,51 @@ struct SchedulerDurability {
   }
 };
 
+/// Workers by occupancy (in-flight tasks per thread), indexed by position.
+/// Answers decide_worker for a task with no remote-replica dependencies in
+/// O(log W): a min-tree over the positions, dead ones held at +infinity.
+///
+/// pick() returns exactly what the rotated O(W) scan returns: visiting
+/// positions (offset + i) % W for i = 0..W-1, the first alive one whose
+/// occupancy * est is the minimum over alive positions, where occupancy is
+/// double(in_flight) / double(nthreads); none when that minimum is not
+/// finite. For est >= 0 the product is monotone in occupancy, so the
+/// positions that tie are those with occupancy * est <= the lowest
+/// occupancy's product. That is usually only the lowest level, but
+/// rounding (or est == 0) can pull higher levels into the tie, and the
+/// descent tests the product, not the level, so it finds them too.
+class OccupancyIndex {
+ public:
+  static constexpr std::size_t npos = static_cast<std::size_t>(-1);
+
+  /// Appends a dead position. O(1) amortized: outgrowing the tree only
+  /// marks it for a rebuild at the next pick().
+  void add();
+  /// Records a position's load; a dead position is never picked.
+  void set(std::size_t position, std::size_t in_flight, std::size_t nthreads,
+           bool alive);
+  /// The scan's choice for `est` (>= 0, or not finite), or npos.
+  [[nodiscard]] std::size_t pick(std::size_t offset, double est);
+
+ private:
+  /// First position >= `from` with occupancy * est <= best, or npos.
+  [[nodiscard]] std::size_t first_from(std::size_t from, double est,
+                                       double best) const;
+  void rebuild();
+
+  std::vector<double> occupancy_;  ///< per position; +inf never wins
+  /// Heap-ordered minima: root at 1, position p's leaf at capacity_ + p.
+  std::vector<double> tree_;
+  std::size_t capacity_ = 0;
+  bool stale_ = false;
+};
+
 class Scheduler {
  public:
   using GraphDoneFn = std::function<void(const std::string& graph)>;
 
+  /// Throws std::invalid_argument unless config.default_task_duration is
+  /// finite and >= 0 (the occupancy index relies on it).
   Scheduler(sim::Engine& engine, platform::Network& network,
             SchedulerConfig config, RngStream rng, LogCollector& logs);
   // Workers' report callbacks hold `this`.
@@ -125,6 +166,8 @@ class Scheduler {
   Scheduler& operator=(const Scheduler&) = delete;
 
   // --- Cluster membership ----------------------------------------------------
+  /// Worker ids are positions: throws std::invalid_argument unless
+  /// worker->id() == workers().size().
   void add_worker(Worker* worker);
   [[nodiscard]] const std::vector<Worker*>& workers() const {
     return workers_;
@@ -279,8 +322,13 @@ class Scheduler {
   void dispatch(TaskInfo& info, const std::string& stimulus);
   /// Dask's decide_worker: minimize expected dep-transfer cost, tie-break
   /// on occupancy. Dependency lookups are hoisted out of the per-worker
-  /// scan; tasks with no remote-replica deps take a pure occupancy scan.
+  /// scan; a task with no remote-replica deps is answered by the occupancy
+  /// index (OccupancyIndex::pick) without visiting the workers.
   Worker* decide_worker(const TaskInfo& info);
+  /// The one writer of in_flight_ and worker_alive_: keeps occupancy_ in
+  /// step with them.
+  void set_worker_load(std::size_t position, std::size_t in_flight,
+                       bool alive);
   void send_to_worker(TaskInfo& info, Worker* worker,
                       const std::string& stimulus, bool stolen);
   void on_task_finished(const TaskKey& key, const TaskRecord& record,
@@ -327,8 +375,14 @@ class Scheduler {
   [[nodiscard]] TaskInfo* find_task(const TaskKey& key);
   [[nodiscard]] const TaskInfo* find_task(const TaskKey& key) const;
   /// Every task, sorted by TaskKey: the visiting order of each sweep whose
-  /// side effects depend on order, and of the checkpoint's task list.
-  [[nodiscard]] std::vector<TaskInfo*> tasks_in_key_order();
+  /// side effects depend on order, and of the checkpoint's task list. Sorts
+  /// only the tasks inserted since the last call and merges them in. The
+  /// reference is invalidated by the next insertion, so a sweep that may
+  /// reach submit_graph (through a graph's on_done) iterates a copy.
+  [[nodiscard]] const std::vector<TaskInfo*>& tasks_in_key_order();
+  /// Inserts a task into the table and the key-order list; nullptr when
+  /// its key is already present.
+  [[nodiscard]] TaskInfo* insert_task(TaskSpec spec, const std::string& graph);
   /// Completion bookkeeping shared by on_task_finished and dead_letter:
   /// fires on_done once, checkpoints, and consults the process-crash fault
   /// site.
@@ -377,8 +431,14 @@ class Scheduler {
   /// asking workers, because assignments are still in flight on the wire
   /// when the next decision is made.
   std::vector<std::size_t> in_flight_;
+  OccupancyIndex occupancy_;
   /// Only the scheduler's thread touches the table, so it takes no lock.
   std::unordered_map<TaskKey, TaskInfo, TaskKeyHash> tasks_;
+  /// Every task of tasks_ (whose nodes never move): the first
+  /// key_order_sorted_ in key order, then the ones inserted since, in
+  /// insertion order, until tasks_in_key_order() merges them in.
+  std::vector<TaskInfo*> key_order_;
+  std::size_t key_order_sorted_ = 0;
   std::map<std::string, GraphInfo> graphs_;
   std::deque<TaskKey> queued_;  ///< runnable tasks waiting for capacity
 

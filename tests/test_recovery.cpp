@@ -15,10 +15,13 @@
 #include <sys/resource.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <cinttypes>
 #include <csignal>
 #include <cstdint>
+#include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <iterator>
@@ -28,6 +31,7 @@
 #include <set>
 #include <string>
 #include <thread>
+#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -849,6 +853,209 @@ TEST(SchedulerDurable, BareJournalFrameIsATypedError) {
     writer.append(bare);
   }
   EXPECT_THROW(mini.scheduler.recover(), wal::WalError);
+}
+
+void write_bytes(const std::filesystem::path& path, const std::string& bytes) {
+  std::ofstream out(path, std::ios::binary | std::ios::trunc);
+  out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+}
+
+std::filesystem::path checkpoint_path(const std::string& dir) {
+  return std::filesystem::path(dir) / "checkpoint.bin";
+}
+
+TEST(SchedulerDurable, FlippedCheckpointKeyIsATypedError) {
+  // checkpoint.bin carries no CRC, so recovery requires every key the
+  // writer always emits: one flipped bit in the "tasks" key must fail it,
+  // not recover with no task state.
+  TempDir dir("sched_cp_bitflip");
+  dtr::testing::MiniCluster mini;
+  mini.scheduler.enable_durability({dir.str(), 0, false, {}});
+  ASSERT_TRUE(mini.run_graph(dtr::testing::independent_graph(8)));
+  std::string bytes = read_bytes(checkpoint_path(dir.str()));
+  const std::size_t at = bytes.find("tasks");
+  ASSERT_NE(at, std::string::npos);
+  ASSERT_EQ(bytes.find("tasks", at + 1), std::string::npos);
+  bytes[at] = static_cast<char>(bytes[at] ^ 0x01);  // "tasks" -> "uasks"
+  write_bytes(checkpoint_path(dir.str()), bytes);
+  EXPECT_THROW(mini.scheduler.crash_and_recover(), json::TypeError);
+}
+
+TEST(SchedulerDurable, NegativeCheckpointCountIsATypedError) {
+  // A negative count must fail recovery, not wrap through a cast to an
+  // unsigned type.
+  TempDir dir("sched_cp_negative");
+  dtr::testing::MiniCluster mini;
+  mini.scheduler.enable_durability({dir.str(), 0, false, {}});
+  ASSERT_TRUE(mini.run_graph(dtr::testing::independent_graph(8)));
+  const std::string bytes = read_bytes(checkpoint_path(dir.str()));
+  json::Value cp = wire::decode_value(bytes);
+  ASSERT_EQ(wire::encode_value(cp), bytes);  // re-encoding is faithful
+  cp["tasks"].as_array().at(0)["retries"] = json::Value(std::int64_t{-1});
+  write_bytes(checkpoint_path(dir.str()), wire::encode_value(cp));
+  EXPECT_THROW(mini.scheduler.crash_and_recover(), wal::WalError);
+}
+
+/// The keys of a checkpoint's task list, in the order it lists them.
+std::vector<dtr::TaskKey> checkpoint_task_keys(const std::string& dir) {
+  const json::Value cp = wire::decode_value(read_bytes(checkpoint_path(dir)));
+  std::vector<dtr::TaskKey> keys;
+  for (const json::Value& task : cp.at("tasks").as_array()) {
+    keys.push_back(dtr::from_json<dtr::TaskKey>(task.at("key")));
+  }
+  return keys;
+}
+
+void expect_strictly_ascending(const std::vector<dtr::TaskKey>& keys) {
+  for (std::size_t i = 1; i < keys.size(); ++i) {
+    EXPECT_LT(keys[i - 1], keys[i])
+        << keys[i - 1].to_string() << " listed before " << keys[i].to_string();
+  }
+}
+
+/// Twelve tasks whose keys sort before, among (same group, later indices)
+/// and after independent_graph's "embarrassing-def456" keys, with mixed
+/// priorities and some dependencies on those results.
+dtr::TaskGraph interleaved_graph() {
+  dtr::TaskGraph graph("interleaved");
+  const char* const groups[] = {"alpha-0a0a", "embarrassing-def456",
+                                "zeta-9f9f"};
+  for (int g = 0; g < 3; ++g) {
+    for (int i = 0; i < 4; ++i) {
+      dtr::TaskSpec task;
+      task.key = {groups[g], g == 1 ? 8 + i : i};
+      task.priority = (g + i) % 3;
+      if (i % 2 == 1) {
+        task.dependencies.push_back({"embarrassing-def456", g + i});
+      }
+      task.work.compute = 0.01;
+      task.work.output_bytes = 4096;
+      graph.add_task(task);
+    }
+  }
+  return graph;
+}
+
+/// Runs independent_graph(8), then submits interleaved_graph() without
+/// running it; returns the journal records each part wrote.
+std::pair<std::size_t, std::size_t> run_then_submit(const std::string& dir,
+                                                    std::size_t every) {
+  dtr::testing::MiniCluster mini;
+  dtr::SchedulerDurability durability;
+  durability.dir = dir;
+  durability.checkpoint_every = every;
+  mini.scheduler.enable_durability(durability);
+  EXPECT_TRUE(mini.run_graph(dtr::testing::independent_graph(8)));
+  const std::size_t first = mini.scheduler.journal_records();
+  mini.scheduler.submit_graph(interleaved_graph(), nullptr);
+  return {first, mini.scheduler.journal_records() - first};
+}
+
+TEST(SchedulerDurable, MidSubmissionCheckpointsMatchPinnedDigests) {
+  // checkpoint_every = records after the first graph + k fires the last
+  // checkpoint at the k-th record of the second graph's submission, while
+  // its specs and transitions are still being journaled. Each snapshot's
+  // bytes are pinned to digests recorded before the task list became a
+  // maintained key order, and each lists its tasks in key order.
+  static constexpr std::uint64_t kDigests[] = {
+      0x7e38c336ba9deba1ull, 0xe2967ce1fc1ca92eull, 0xc50b4218966f6b71ull,
+      0x2107943c53186f1eull, 0x9c8fc34aafbe9175ull, 0xe90cc10780177eadull,
+      0xa8c379eaff66a11dull, 0xbb7f8e752ae01e91ull, 0xdc4fed0be2b4c6a9ull,
+      0xe81776a744b35213ull, 0xb65cb05441415055ull, 0x6d33d2cadc35f063ull,
+      0xf42d77880b2d61cdull, 0x975224dc1ad53992ull, 0x2e9e1c56946b6223ull,
+      0x76bcdef83831bbccull, 0xca450d46f564f565ull, 0xc2cca757d707b502ull,
+      0x4ce01b21b206b57bull, 0xfa06db3badc74980ull, 0x059823e0e44ed4edull,
+      0x31acbcdee24bb062ull, 0x938102cea52f6694ull, 0xd6a605ca13769f0dull,
+      0x4d803514b8f35662ull, 0xd83ffdfa2e1cbce9ull, 0x41d4a8f341ab1e4eull,
+      0xe25d1c889fe2eae9ull, 0x03c2ce1a258b179aull, 0x3cbc8f93984d3bb3ull,
+      0x2ffdbd6ecc8dda7aull, 0x7cfc546eee430c3full, 0x2505b5adea5c3566ull,
+      0x8d1b3e19e8a4505dull, 0x37428ebce79297daull, 0x03b000c42cffbe35ull,
+      0xc9c1a1207f818d62ull,
+  };
+  std::size_t first = 0;
+  std::size_t submission = 0;
+  {
+    TempDir probe("sched_midsubmit_probe");
+    std::tie(first, submission) = run_then_submit(probe.str(), 0);
+  }
+  ASSERT_EQ(submission, std::size(kDigests));
+  for (std::size_t k = 1; k <= submission; ++k) {
+    TempDir dir("sched_midsubmit");
+    run_then_submit(dir.str(), first + k);
+    const std::string bytes = read_bytes(checkpoint_path(dir.str()));
+    const std::uint64_t digest = fnv1a64(bytes);
+    char hex[19];
+    std::snprintf(hex, sizeof(hex), "0x%016" PRIx64, digest);
+    EXPECT_EQ(digest, kDigests[k - 1]) << "k=" << k << " digest " << hex;
+    const std::vector<dtr::TaskKey> keys = checkpoint_task_keys(dir.str());
+    // The graph record comes first, then one spec record per insertion.
+    EXPECT_EQ(keys.size(), 8 + std::min<std::size_t>(k - 1, 12)) << "k=" << k;
+    expect_strictly_ascending(keys);
+  }
+}
+
+/// Calls submit_graph and expects the std::invalid_argument that names
+/// `reason`.
+void expect_submit_throws(dtr::Scheduler& scheduler,
+                          const dtr::TaskGraph& graph,
+                          const std::string& reason) {
+  try {
+    scheduler.submit_graph(graph, nullptr);
+    ADD_FAILURE() << "submit_graph(" << graph.name() << ") did not throw";
+  } catch (const std::invalid_argument& error) {
+    EXPECT_NE(std::string(error.what()).find(reason), std::string::npos)
+        << error.what();
+  }
+}
+
+TEST(SchedulerDurable, CheckpointStaysInKeyOrderAfterAThrowingSubmit) {
+  // A submission that throws leaves the tasks it inserted in the table; the
+  // next checkpoint must still list every task in key order, and so must
+  // the ones after a crash and recovery.
+  TempDir dir("sched_throwing_submit");
+  dtr::testing::MiniCluster mini;
+  mini.scheduler.enable_durability({dir.str(), 0, false, {}});
+  ASSERT_TRUE(mini.run_graph(dtr::testing::independent_graph(8)));
+  const auto expect_checkpoint_in_key_order = [&] {
+    const std::vector<dtr::TaskKey> keys = checkpoint_task_keys(dir.str());
+    EXPECT_EQ(keys.size(), mini.scheduler.tasks_total());
+    expect_strictly_ascending(keys);
+  };
+
+  // Keys sorting before the duplicate are inserted before it throws.
+  dtr::TaskGraph duplicate("duplicate");
+  for (const dtr::TaskKey& key :
+       {dtr::TaskKey{"alpha-0a0a", 2}, dtr::TaskKey{"alpha-0a0a", 0},
+        dtr::TaskKey{"beta-1b1b", 0}, dtr::TaskKey{"embarrassing-def456", 3},
+        dtr::TaskKey{"zeta-9f9f", 0}}) {
+    dtr::TaskSpec task;
+    task.key = key;
+    duplicate.add_task(task);
+  }
+  expect_submit_throws(mini.scheduler, duplicate, "task key resubmitted");
+  EXPECT_EQ(mini.scheduler.tasks_total(), 11u);
+  mini.scheduler.checkpoint();
+  expect_checkpoint_in_key_order();
+
+  // Recovery rebuilds the table in journal order and checkpoints it.
+  mini.scheduler.crash_and_recover();
+  EXPECT_EQ(mini.scheduler.tasks_total(), 11u);
+  expect_checkpoint_in_key_order();
+  mini.scheduler.checkpoint();
+  expect_checkpoint_in_key_order();
+
+  // The whole graph is inserted before a dependency is found missing.
+  dtr::TaskGraph orphan("orphan");
+  for (const char* group : {"gamma-2c2c", "aardvark-3d3d"}) {
+    dtr::TaskSpec task;
+    task.key = {group, 0};
+    task.dependencies.push_back({"never-4e4e", 0});
+    orphan.add_task(task);
+  }
+  expect_submit_throws(mini.scheduler, orphan, "dependency never submitted");
+  EXPECT_EQ(mini.scheduler.tasks_total(), 13u);
+  mini.scheduler.checkpoint();
+  expect_checkpoint_in_key_order();
 }
 
 // ---------------------------------------------------------------------------

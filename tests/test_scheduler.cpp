@@ -1,8 +1,14 @@
 // Scheduler tests: state-machine invariants, locality-aware placement,
-// queueing under saturation, retries, and work stealing.
+// queueing under saturation, retries, and work stealing, plus the
+// occupancy index against the O(W) scan it replaced.
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstdint>
+#include <limits>
 #include <map>
+#include <random>
+#include <vector>
 
 #include "dtr_fixture.hpp"
 
@@ -249,6 +255,38 @@ TEST(Scheduler, PriorityTasksRunFirst) {
   EXPECT_EQ(readers_in_first_three, 3);
 }
 
+TEST(Scheduler, AddWorkerRejectsAnIdThatIsNotItsPosition) {
+  // Per-worker state is filled by position but also read by worker id.
+  sim::Engine engine;
+  LogCollector logs;
+  const platform::Topology topology = platform::make_polaris_like(1);
+  platform::Network network(engine, topology, platform::NetworkConfig{},
+                            RngStream(1));
+  platform::Pfs pfs(engine, platform::PfsConfig{}, RngStream(2));
+  Vfs vfs(engine, pfs);
+  Scheduler scheduler(engine, network, SchedulerConfig{}, RngStream(3), logs);
+  Worker worker(engine, network, vfs, /*id=*/3, /*node=*/0,
+                "tcp://10.0.0.2:9003", WorkerConfig{}, RngStream(4), logs,
+                darshan::RuntimeConfig{});
+  EXPECT_THROW(scheduler.add_worker(&worker), std::invalid_argument);
+  EXPECT_TRUE(scheduler.workers().empty());
+}
+
+TEST(Scheduler, RejectsANegativeOrNonFiniteDefaultTaskDuration) {
+  for (const double bad : {-0.05, std::numeric_limits<double>::infinity(),
+                           std::numeric_limits<double>::quiet_NaN()}) {
+    SchedulerConfig config;
+    config.default_task_duration = bad;
+    EXPECT_THROW(MiniCluster(1, 1, 1, WorkerConfig{}, config),
+                 std::invalid_argument)
+        << bad;
+  }
+  SchedulerConfig zero;
+  zero.default_task_duration = 0.0;
+  MiniCluster mini(1, 2, 1, WorkerConfig{}, zero);
+  EXPECT_TRUE(mini.run_graph(independent_graph(8)));
+}
+
 TEST(Scheduler, ResubmittingSameKeyThrows) {
   MiniCluster mini;
   mini.run_graph(independent_graph(1));
@@ -377,6 +415,170 @@ TEST(Scheduler, CommRecordsMatchRemoteDependencies) {
       EXPECT_NE(c.source, c.destination);
     }
   }
+}
+
+// ---------------------------------------------------------------------------
+// Occupancy index: the differential check against the O(W) scan that
+// decide_worker ran for tasks with no remote-replica dependencies.
+
+constexpr std::size_t kNone = OccupancyIndex::npos;
+
+/// The scan the index replaced, kept verbatim as the reference: from
+/// position offset % W onwards with wrap-around, the first alive position
+/// whose occupancy * est beats every score before it, starting from +inf.
+std::size_t reference_scan(const std::vector<std::size_t>& in_flight,
+                           const std::vector<std::size_t>& nthreads,
+                           const std::vector<bool>& alive, std::size_t offset,
+                           double est) {
+  std::size_t best = kNone;
+  double best_score = std::numeric_limits<double>::infinity();
+  for (std::size_t i = 0; i < in_flight.size(); ++i) {
+    const std::size_t index = (i + offset) % in_flight.size();
+    if (!alive[index]) continue;
+    const double occupancy = static_cast<double>(in_flight[index]) /
+                             static_cast<double>(nthreads[index]);
+    const double score = occupancy * est;
+    if (score < best_score) {
+      best_score = score;
+      best = index;
+    }
+  }
+  return best;
+}
+
+/// Per-position state as the scheduler keeps it, mirrored into an index.
+struct Positions {
+  std::vector<std::size_t> in_flight;
+  std::vector<std::size_t> nthreads;
+  std::vector<bool> alive;
+  OccupancyIndex index;
+
+  void add(std::size_t threads) {
+    in_flight.push_back(0);
+    nthreads.push_back(threads);
+    alive.push_back(false);
+    index.add();
+    set(in_flight.size() - 1, 0, true);
+  }
+  void set(std::size_t position, std::size_t tasks, bool up) {
+    in_flight[position] = tasks;
+    alive[position] = up;
+    index.set(position, tasks, nthreads[position], up);
+  }
+  [[nodiscard]] std::size_t scan(std::size_t offset, double est) const {
+    return reference_scan(in_flight, nthreads, alive, offset, est);
+  }
+};
+
+TEST(OccupancyIndex, MatchesTheScanOnRandomLoadSequences) {
+  const double kEstimates[] = {0.0, 0.05, 1.0,
+                               std::numeric_limits<double>::denorm_min(),
+                               1e-310, 1e308};
+  std::size_t picks = 0;
+  std::size_t multi_level_ties = 0;
+  for (const std::size_t workers : {1u, 2u, 7u, 1000u}) {
+    for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+      std::mt19937_64 rng(seed * 7919 + workers);
+      const auto below = [&rng](std::uint64_t n) { return rng() % n; };
+      Positions p;
+      // rr_counter_ checkpoints through an int64, so offsets far beyond
+      // any cluster size occur after long runs.
+      std::size_t rr = (std::size_t{1} << 40) + below(1u << 20);
+      const std::size_t steps = workers == 1000 ? 12000 : 4000;
+      for (std::size_t step = 0; step < steps; ++step) {
+        // Workers join over the first steps, interleaved with picks, so
+        // the tree is rebuilt as it grows.
+        if (p.in_flight.size() < workers && below(3) == 0) {
+          p.add(1 + below(8));
+          continue;
+        }
+        if (p.in_flight.empty()) continue;
+        const std::size_t w = below(p.in_flight.size());
+        const std::uint64_t op = below(100);
+        if (op < 30) {  // a completion
+          if (p.in_flight[w] > 0) p.set(w, p.in_flight[w] - 1, p.alive[w]);
+        } else if (op < 33) {  // an arbitrary load, as after recovery
+          p.set(w, below(40), p.alive[w]);
+        } else if (op < 36) {  // a death
+          p.set(w, 0, false);
+        } else if (op < 39) {  // a revival at restart
+          p.set(w, 0, true);
+        } else {  // a placement: the choice then takes the task
+          double est = 0.0;
+          const std::uint64_t kind = below(4);
+          if (kind == 0) {
+            est = kEstimates[below(std::size(kEstimates))];
+          } else if (kind == 1) {
+            est = static_cast<double>(rng() >> 11) * 0x1p-53;
+          } else {
+            est = std::ldexp(static_cast<double>(rng() >> 11) * 0x1p-53,
+                             static_cast<int>(below(2098)) - 1074);
+          }
+          const std::size_t expected = p.scan(rr, est);
+          ASSERT_EQ(p.index.pick(rr, est), expected)
+              << "W=" << workers << " seed=" << seed << " step=" << step
+              << " est=" << est;
+          if (expected != kNone) {
+            // Count picks that a lowest-level-only search would miss.
+            double lowest = std::numeric_limits<double>::infinity();
+            for (std::size_t i = 0; i < p.in_flight.size(); ++i) {
+              if (!p.alive[i]) continue;
+              lowest = std::min(lowest, static_cast<double>(p.in_flight[i]) /
+                                            static_cast<double>(p.nthreads[i]));
+            }
+            const double chosen =
+                static_cast<double>(p.in_flight[expected]) /
+                static_cast<double>(p.nthreads[expected]);
+            if (chosen != lowest) ++multi_level_ties;
+            p.set(expected, p.in_flight[expected] + 1, true);
+          }
+          ++picks;
+          ++rr;
+        }
+      }
+    }
+  }
+  EXPECT_GT(picks, 30000u);
+  // The sequences reach ties across occupancy levels (est == 0 and
+  // subnormal estimates), not only ties within the lowest level.
+  EXPECT_GT(multi_level_ties, 100u);
+}
+
+TEST(OccupancyIndex, TieAcrossLevelsPicksTheFirstInRotatedOrder) {
+  // Occupancy 0.25 * denorm_min rounds to 0, the lowest level's product,
+  // so the scan takes the busier position 5 when it comes first.
+  Positions p;
+  for (int i = 0; i < 8; ++i) p.add(4);
+  for (std::size_t i = 0; i < 8; ++i) p.set(i, 8, true);
+  p.set(2, 0, true);
+  p.set(5, 1, true);
+  const double tiny = std::numeric_limits<double>::denorm_min();
+  EXPECT_EQ(p.scan(4, tiny), 5u);
+  EXPECT_EQ(p.index.pick(4, tiny), 5u);
+  EXPECT_EQ(p.index.pick(6, tiny), 2u);
+  EXPECT_EQ(p.index.pick(6, 0.05), 2u);
+  // est == 0: every alive position ties, dead ones never win.
+  p.set(4, 0, false);
+  EXPECT_EQ(p.index.pick(4, 0.0), 5u);
+  EXPECT_EQ(p.index.pick(8 * 1000 + 7, 0.0), 7u);
+}
+
+TEST(OccupancyIndex, PicksNothingWhenNoScoreIsFinite) {
+  Positions p;
+  EXPECT_EQ(p.index.pick(0, 0.05), kNone);  // no positions at all
+  p.add(1);
+  p.add(1);
+  p.set(0, 0, false);
+  p.set(1, 0, false);
+  EXPECT_EQ(p.index.pick(3, 0.05), kNone);  // all dead
+  p.set(1, 2, true);
+  EXPECT_EQ(p.scan(0, 1e308), kNone);  // 2 * 1e308 overflows to +inf
+  EXPECT_EQ(p.index.pick(0, 1e308), kNone);
+  EXPECT_EQ(p.index.pick(0, 1e307), 1u);
+  p.set(1, 0, true);
+  const double inf = std::numeric_limits<double>::infinity();
+  EXPECT_EQ(p.scan(0, inf), kNone);  // 0 * inf is NaN
+  EXPECT_EQ(p.index.pick(0, inf), kNone);
 }
 
 }  // namespace

@@ -63,11 +63,11 @@ echo "== crash-recovery oracle: 10-seed byte-identity check =="
 # The durability stack end to end: WAL-backed broker, scheduler
 # checkpoint/journal restart, and durable ingest cursors under injected
 # process crashes. Every seed must reproduce the fault-free views exactly.
-require_filter_matches ./build/tests/test_recovery \
-  '*CrashRecoveryOracle*:SchedulerLease.*:SchedulerBatchedJournal.*'
-./build/tests/test_recovery \
-  --gtest_filter='*CrashRecoveryOracle*:SchedulerLease.*:SchedulerBatchedJournal.*' \
-  >/dev/null
+# SchedulerDurable.* adds the checkpoint suite: strict checkpoint reads and
+# mid-submission snapshots pinned to recorded digests.
+recovery_filter='*CrashRecoveryOracle*:SchedulerLease.*:SchedulerBatchedJournal.*:SchedulerDurable.*'
+require_filter_matches ./build/tests/test_recovery "$recovery_filter"
+./build/tests/test_recovery --gtest_filter="$recovery_filter" >/dev/null
 echo "crash-recovery oracle passed"
 
 echo "== datastore chaos oracle: 10-seed byte-identity under data-plane faults =="
@@ -80,13 +80,16 @@ require_filter_matches ./build/tests/test_datastore \
   --gtest_filter='*DatastoreChaosOracle*:DataStoreCluster.*' >/dev/null
 echo "datastore chaos oracle passed"
 
-echo "== scheduler conformance: state-machine suite + 10-seed byte-identity oracle =="
+echo "== scheduler conformance: state-machine suite + occupancy index + 10-seed byte-identity oracle =="
 # Property-based conformance over random DAGs and worker-kill interleavings
 # (legal transition edges, dispatch causality, termination, and transition
-# logs pinned to recorded digests), then the byte-identity oracle: every
-# provenance view of ten seeds must match its recorded digest, with and
-# without chaos faults.
+# logs pinned to recorded digests), the occupancy index checked against the
+# O(W) placement scan it replaced on seeded random load sequences, then the
+# byte-identity oracle: every provenance view of ten seeds must match its
+# recorded digest, with and without chaos faults.
 ./build/tests/test_scheduler_statemachine >/dev/null
+require_filter_matches ./build/tests/test_scheduler 'OccupancyIndex.*'
+./build/tests/test_scheduler --gtest_filter='OccupancyIndex.*' >/dev/null
 require_filter_matches ./build/tests/test_chaos '*SchedulerEquivalence*'
 ./build/tests/test_chaos --gtest_filter='*SchedulerEquivalence*' >/dev/null
 echo "scheduler conformance passed"
