@@ -1,5 +1,7 @@
 #include "analysis/readers.hpp"
 
+#include <type_traits>
+
 #include "dtr/schema.hpp"
 #include "mofka/consumer.hpp"
 
@@ -280,45 +282,22 @@ DataFrame system_metrics_frame(const dtr::RunData& run) {
 MofkaRunRecords read_wms_topics(mofka::Broker& broker,
                                 const std::string& consumer_group) {
   MofkaRunRecords out;
-  {
-    mofka::Consumer c(broker, "wms_transitions", consumer_group);
-    while (auto event = c.pull()) {
-      out.transitions.push_back(
-          dtr::from_json<dtr::TransitionRecord>(event->metadata));
-    }
-    c.commit();
-  }
-  {
-    mofka::Consumer c(broker, "wms_tasks", consumer_group);
-    while (auto event = c.pull()) {
-      out.tasks.push_back(dtr::from_json<dtr::TaskRecord>(event->metadata));
-    }
-    c.commit();
-  }
-  {
-    mofka::Consumer c(broker, "wms_comms", consumer_group);
-    while (auto event = c.pull()) {
-      out.comms.push_back(dtr::from_json<dtr::CommRecord>(event->metadata));
-    }
-    c.commit();
-  }
-  {
-    mofka::Consumer c(broker, "wms_warnings", consumer_group);
-    while (auto event = c.pull()) {
-      out.warnings.push_back(
-          dtr::from_json<dtr::WarningRecord>(event->metadata));
-    }
-    c.commit();
-  }
-  {
-    mofka::Consumer c(broker, "wms_cluster", consumer_group);
-    while (auto event = c.pull()) {
-      if (event->metadata.get_string("kind", "") == "steal") {
-        out.steals.push_back(dtr::from_json<dtr::StealRecord>(event->metadata));
+  // Records come straight from each event's stored metadata bytes.
+  const auto read = [&](const char* topic, auto& records, const char* kind) {
+    using Record = typename std::decay_t<decltype(records)>::value_type;
+    mofka::Consumer c(broker, topic, consumer_group);
+    while (auto event = c.pull_wire()) {
+      if (kind == nullptr || dtr::kind_of(event->metadata) == kind) {
+        records.push_back(dtr::from_wire<Record>(event->metadata));
       }
     }
     c.commit();
-  }
+  };
+  read("wms_transitions", out.transitions, nullptr);
+  read("wms_tasks", out.tasks, nullptr);
+  read("wms_comms", out.comms, nullptr);
+  read("wms_warnings", out.warnings, nullptr);
+  read("wms_cluster", out.steals, "steal");  // steals share wms_cluster
   return out;
 }
 

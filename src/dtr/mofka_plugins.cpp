@@ -1,5 +1,7 @@
 #include "dtr/mofka_plugins.hpp"
 
+#include "wire/codec.hpp"
+
 namespace recup::dtr {
 namespace {
 
@@ -8,6 +10,22 @@ constexpr const char* kTasks = "wms_tasks";
 constexpr const char* kComms = "wms_comms";
 constexpr const char* kWarnings = "wms_warnings";
 constexpr const char* kCluster = "wms_cluster";
+
+/// A worker-added/-removed event on wms_cluster, keys in ascending order.
+std::string worker_event(const char* kind, WorkerId worker,
+                         const std::string& address, TimePoint time) {
+  std::string out;
+  wire::put_object(out, 4);
+  wire::put_str(out, "address");
+  wire::put_str(out, address);
+  wire::put_str(out, "kind");
+  wire::put_str(out, kind);
+  wire::put_str(out, "time");
+  wire::put_double(out, time);
+  wire::put_str(out, "worker");
+  wire::put_int(out, static_cast<std::int64_t>(worker));
+  return out;
+}
 
 }  // namespace
 
@@ -31,46 +49,41 @@ MofkaSchedulerPlugin::MofkaSchedulerPlugin(mofka::Broker& broker,
 void MofkaSchedulerPlugin::on_graph_received(const std::string& graph_name,
                                              std::size_t task_count,
                                              TimePoint time) {
-  json::Object o;
-  o["kind"] = "graph-received";
-  o["graph"] = graph_name;
-  o["tasks"] = task_count;
-  o["time"] = time;
-  cluster_.push(json::Value(std::move(o)));
+  std::string out;
+  wire::put_object(out, 4);
+  wire::put_str(out, "graph");
+  wire::put_str(out, graph_name);
+  wire::put_str(out, "kind");
+  wire::put_str(out, "graph-received");
+  wire::put_str(out, "tasks");
+  wire::put_int(out, static_cast<std::int64_t>(task_count));
+  wire::put_str(out, "time");
+  wire::put_double(out, time);
+  cluster_.push_wire(std::move(out));
 }
 
 void MofkaSchedulerPlugin::on_transition(const TransitionRecord& record) {
-  transitions_.push(to_json(record));
+  transitions_.push_wire(to_wire(record));
 }
 
 void MofkaSchedulerPlugin::on_worker_added(WorkerId worker,
                                            const std::string& address,
                                            TimePoint time) {
-  json::Object o;
-  o["kind"] = "worker-added";
-  o["worker"] = static_cast<std::int64_t>(worker);
-  o["address"] = address;
-  o["time"] = time;
-  cluster_.push(json::Value(std::move(o)));
+  cluster_.push_wire(worker_event("worker-added", worker, address, time));
 }
 
 void MofkaSchedulerPlugin::on_worker_removed(WorkerId worker,
                                              const std::string& address,
                                              TimePoint time) {
-  json::Object o;
-  o["kind"] = "worker-removed";
-  o["worker"] = static_cast<std::int64_t>(worker);
-  o["address"] = address;
-  o["time"] = time;
-  cluster_.push(json::Value(std::move(o)));
+  cluster_.push_wire(worker_event("worker-removed", worker, address, time));
 }
 
 void MofkaSchedulerPlugin::on_steal(const StealRecord& record) {
-  cluster_.push(to_json(record));
+  cluster_.push_wire(to_wire(record));
 }
 
 void MofkaSchedulerPlugin::on_warning(const WarningRecord& record) {
-  warnings_.push(to_json(record));
+  warnings_.push_wire(to_wire(record));
 }
 
 void MofkaSchedulerPlugin::flush() {
@@ -87,19 +100,19 @@ MofkaWorkerPlugin::MofkaWorkerPlugin(mofka::Broker& broker,
       warnings_(broker, kWarnings, config) {}
 
 void MofkaWorkerPlugin::on_transition(const TransitionRecord& record) {
-  transitions_.push(to_json(record));
+  transitions_.push_wire(to_wire(record));
 }
 
 void MofkaWorkerPlugin::on_task_done(const TaskRecord& record) {
-  tasks_.push(to_json(record));
+  tasks_.push_wire(to_wire(record));
 }
 
 void MofkaWorkerPlugin::on_incoming_transfer(const CommRecord& record) {
-  comms_.push(to_json(record));
+  comms_.push_wire(to_wire(record));
 }
 
 void MofkaWorkerPlugin::on_warning(const WarningRecord& record) {
-  warnings_.push(to_json(record));
+  warnings_.push_wire(to_wire(record));
 }
 
 void MofkaWorkerPlugin::flush() {

@@ -1,7 +1,8 @@
 // Dask–Mofka plugins (paper §III-E2): scheduler and worker plugins that
 // intercept runtime events and stream them as Mofka events. Metadata is the
-// JSON part of each event; topics separate the record kinds so the analysis
-// consumer can subscribe selectively.
+// JSON part of each event, written as wire bytes straight from the record's
+// field list (dtr/schema.hpp); topics separate the record kinds so the
+// analysis consumer can subscribe selectively.
 //
 // Topics produced:
 //   wms_transitions — every task state transition (both sides)

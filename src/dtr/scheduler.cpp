@@ -250,8 +250,30 @@ void Scheduler::submit_graph(const TaskGraph& graph, GraphDoneFn on_done) {
     throw std::invalid_argument("graph name already submitted: " +
                                 graph.name());
   }
-  // The whole submission journals as one batch group; the scope balances
-  // the group across the validation throws below.
+  // Check the whole graph before anything is registered, journaled or
+  // emitted: a rejected graph leaves no trace, and a corrected one can
+  // reuse its name.
+  for (const auto& [key, spec] : graph.tasks()) {
+    if (find_task(key) != nullptr) {
+      throw std::invalid_argument("task key resubmitted: " + key.to_string());
+    }
+  }
+  for (const auto& [key, spec] : graph.tasks()) {
+    for (const auto& dep : spec.dependencies) {
+      if (graph.contains(dep)) continue;
+      const TaskInfo* dep_info = find_task(dep);
+      if (dep_info == nullptr) {
+        throw std::invalid_argument("dependency never submitted: " +
+                                    dep.to_string());
+      }
+      if (dep_info->state == SchedulerTaskState::kForgotten) {
+        throw std::invalid_argument(
+            "dependency was already released (mark it non-releasable): " +
+            dep.to_string());
+      }
+    }
+  }
+  // The whole submission journals as one batch group.
   const JournalGroup group(*this);
 
   GraphInfo& graph_info = graphs_[graph.name()];
@@ -277,11 +299,7 @@ void Scheduler::submit_graph(const TaskGraph& graph, GraphDoneFn on_done) {
   std::vector<TaskInfo*> submitted;
   submitted.reserve(graph.size());
   for (const auto& [key, spec] : graph.tasks()) {
-    TaskInfo* info = insert_task(spec, graph.name());
-    if (info == nullptr) {
-      throw std::invalid_argument("task key resubmitted: " + key.to_string());
-    }
-    submitted.push_back(info);
+    submitted.push_back(insert_task(spec, graph.name()));
     spec_order_.push_back(key);
     if (journal_ && !recovering_) {
       journal_record_.clear();
@@ -295,16 +313,7 @@ void Scheduler::submit_graph(const TaskGraph& graph, GraphDoneFn on_done) {
     const TaskKey& key = info.spec.key;
     const TaskKey* erred_dep = nullptr;
     for (const auto& dep : info.spec.dependencies) {
-      TaskInfo* dep_info = find_task(dep);
-      if (dep_info == nullptr) {
-        throw std::invalid_argument("dependency never submitted: " +
-                                    dep.to_string());
-      }
-      if (dep_info->state == SchedulerTaskState::kForgotten) {
-        throw std::invalid_argument(
-            "dependency was already released (mark it non-releasable): " +
-            dep.to_string());
-      }
+      TaskInfo* dep_info = find_task(dep);  // checked above
       dep_info->dependents.push_back(key);
       ++dep_info->remaining_dependents;
       if (dep_info->state == SchedulerTaskState::kMemory) {

@@ -4,7 +4,6 @@
 #include <charconv>
 #include <cmath>
 #include <cstdio>
-#include <sstream>
 
 namespace recup::json {
 
@@ -112,107 +111,115 @@ bool Value::get_bool(const std::string& key, bool fallback) const {
   return contains(key) ? at(key).as_bool() : fallback;
 }
 
-namespace {
-
-void write_escaped(std::ostringstream& out, const std::string& s) {
-  out << '"';
+void write_string(std::string& out, std::string_view s) {
+  out += '"';
   for (const char c : s) {
     switch (c) {
       case '"':
-        out << "\\\"";
+        out += "\\\"";
         break;
       case '\\':
-        out << "\\\\";
+        out += "\\\\";
         break;
       case '\n':
-        out << "\\n";
+        out += "\\n";
         break;
       case '\r':
-        out << "\\r";
+        out += "\\r";
         break;
       case '\t':
-        out << "\\t";
+        out += "\\t";
         break;
       default:
         if (static_cast<unsigned char>(c) < 0x20) {
           char buf[8];
           std::snprintf(buf, sizeof(buf), "\\u%04x",
                         static_cast<unsigned>(c));
-          out << buf;
+          out += buf;
         } else {
-          out << c;
+          out += c;
         }
     }
   }
-  out << '"';
+  out += '"';
 }
 
-void write_value(std::ostringstream& out, const Value& value, int indent,
-                 int depth);
+void write_int(std::string& out, std::int64_t i) {
+  char buf[24];
+  const auto result = std::to_chars(buf, buf + sizeof(buf), i);
+  out.append(buf, result.ptr);
+}
 
-void write_indent(std::ostringstream& out, int indent, int depth) {
-  if (indent >= 0) {
-    out << '\n' << std::string(static_cast<std::size_t>(indent * depth), ' ');
+void write_double(std::string& out, double d) {
+  if (std::isfinite(d)) {
+    char buf[64];
+    const int n = std::snprintf(buf, sizeof(buf), "%.17g", d);
+    out.append(buf, static_cast<std::size_t>(n));
+  } else {
+    out += "null";  // JSON has no representation for inf/nan
   }
 }
 
-void write_array(std::ostringstream& out, const Array& arr, int indent,
-                 int depth) {
+namespace {
+
+void write_value(std::string& out, const Value& value, int indent, int depth);
+
+void write_indent(std::string& out, int indent, int depth) {
+  if (indent >= 0) {
+    out += '\n';
+    out.append(static_cast<std::size_t>(indent * depth), ' ');
+  }
+}
+
+void write_array(std::string& out, const Array& arr, int indent, int depth) {
   if (arr.empty()) {
-    out << "[]";
+    out += "[]";
     return;
   }
-  out << '[';
+  out += '[';
   bool first = true;
   for (const auto& item : arr) {
-    if (!first) out << ',';
+    if (!first) out += ',';
     first = false;
     write_indent(out, indent, depth + 1);
     write_value(out, item, indent, depth + 1);
   }
   write_indent(out, indent, depth);
-  out << ']';
+  out += ']';
 }
 
-void write_object(std::ostringstream& out, const Object& obj, int indent,
+void write_object(std::string& out, const Object& obj, int indent,
                   int depth) {
   if (obj.empty()) {
-    out << "{}";
+    out += "{}";
     return;
   }
-  out << '{';
+  out += '{';
   bool first = true;
   for (const auto& [key, item] : obj) {
-    if (!first) out << ',';
+    if (!first) out += ',';
     first = false;
     write_indent(out, indent, depth + 1);
-    write_escaped(out, key);
-    out << (indent >= 0 ? ": " : ":");
+    write_string(out, key);
+    out += indent >= 0 ? ": " : ":";
     write_value(out, item, indent, depth + 1);
   }
   write_indent(out, indent, depth);
-  out << '}';
+  out += '}';
 }
 
-void write_value(std::ostringstream& out, const Value& value, int indent,
+void write_value(std::string& out, const Value& value, int indent,
                  int depth) {
   if (value.is_null()) {
-    out << "null";
+    out += "null";
   } else if (value.is_bool()) {
-    out << (value.as_bool() ? "true" : "false");
+    out += value.as_bool() ? "true" : "false";
   } else if (value.is_int()) {
-    out << value.as_int();
+    write_int(out, value.as_int());
   } else if (value.is_double()) {
-    const double d = value.as_double();
-    if (std::isfinite(d)) {
-      char buf[64];
-      std::snprintf(buf, sizeof(buf), "%.17g", d);
-      out << buf;
-    } else {
-      out << "null";  // JSON has no representation for inf/nan
-    }
+    write_double(out, value.as_double());
   } else if (value.is_string()) {
-    write_escaped(out, value.as_string());
+    write_string(out, value.as_string());
   } else if (value.is_array()) {
     write_array(out, value.as_array(), indent, depth);
   } else {
@@ -436,9 +443,9 @@ class Parser {
 }  // namespace
 
 std::string Value::dump(int indent) const {
-  std::ostringstream out;
+  std::string out;
   write_value(out, *this, indent, 0);
-  return out.str();
+  return out;
 }
 
 Value parse(std::string_view text) { return Parser(text).parse_document(); }

@@ -104,4 +104,12 @@ class Value {
 /// Parses a JSON document; throws ParseError with position info on failure.
 Value parse(std::string_view text);
 
+// --- Scalar writers: append exactly what dump() writes for one value --------
+/// A quoted string with dump()'s escapes (\" \\ \n \r \t, \u00XX for other
+/// control bytes; every other byte verbatim).
+void write_string(std::string& out, std::string_view s);
+void write_int(std::string& out, std::int64_t i);
+/// %.17g, or null for NaN and the infinities.
+void write_double(std::string& out, double d);
+
 }  // namespace recup::json

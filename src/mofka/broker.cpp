@@ -5,8 +5,6 @@
 #include <cstring>
 #include <thread>
 
-#include "mofka/wire.hpp"
-
 namespace recup::mofka {
 
 namespace {
@@ -95,6 +93,10 @@ void Broker::wal_apply(std::string_view record) {
       const std::string topic = reader.str();
       const auto partition = static_cast<PartitionIndex>(reader.u32());
       const std::uint32_t count = reader.u32();
+      // Each event takes at least its two 4-byte length prefixes.
+      if (count > (record.size() - reader.pos) / 8) {
+        throw MofkaError("mofka: WAL batch count exceeds its record");
+      }
       std::vector<std::pair<std::string, std::string>> events;
       events.reserve(count);
       for (std::uint32_t i = 0; i < count; ++i) {
@@ -122,6 +124,12 @@ void Broker::wal_apply(std::string_view record) {
 
 void Broker::apply_create_topic(const std::string& name,
                                 PartitionIndex partitions) {
+  if (partitions == 0) {
+    throw MofkaError("mofka: WAL topic '" + name + "' has no partition");
+  }
+  if (topics_.count(name) != 0) {
+    throw MofkaError("mofka: WAL creates topic '" + name + "' twice");
+  }
   Topic topic;
   topic.config.partitions = partitions;
   topic.next_offset.assign(partitions, 0);
@@ -136,16 +144,16 @@ void Broker::apply_append(
   const auto it = topics_.find(topic);
   if (it == topics_.end()) throw MofkaError("mofka: WAL batch for unknown topic");
   Topic& t = it->second;
+  if (partition >= t.config.partitions) {
+    throw MofkaError("mofka: WAL batch for a partition out of range");
+  }
   for (const auto& [serialized, data] : events) {
-    const json::Value metadata = wire::decode_value(serialized);
     ProducerSeqState* pstate = nullptr;
     std::uint64_t seq = 0;
-    if (metadata.is_object() && metadata.contains("_pid") &&
-        metadata.contains("_seq")) {
-      const auto pid =
-          static_cast<std::uint64_t>(metadata.at("_pid").as_int());
-      seq = static_cast<std::uint64_t>(metadata.at("_seq").as_int());
-      pstate = &t.producers[partition][pid];
+    // Checks the logged bytes as the frame transcode checked them live.
+    if (const auto stamps = read_stamps(serialized)) {
+      seq = stamps->seq;
+      pstate = &t.producers[partition][stamps->pid];
       // The WAL holds only post-dedup appends, so this re-seeds the
       // tracker; a producer retrying across the restart is then absorbed
       // exactly as it would have been by the original process.
@@ -292,9 +300,9 @@ std::string Broker::meta_key(const std::string& topic,
   return "t/" + topic + buf;
 }
 
-AppendResult Broker::append_batch(
-    const std::string& topic, PartitionIndex partition,
-    const std::vector<std::pair<json::Value, std::string>>& events) {
+AppendResult Broker::append_batch(const std::string& topic,
+                                  PartitionIndex partition,
+                                  const std::vector<EventBytes>& events) {
   if (events.empty()) throw MofkaError("mofka: empty batch");
   Validator validator;
   std::shared_ptr<chaos::FaultInjector> injector;
@@ -309,7 +317,9 @@ AppendResult Broker::append_batch(
     injector = injector_;
   }
   if (validator) {
-    for (const auto& [metadata, data] : events) validator(metadata);
+    for (const auto& [metadata, data] : events) {
+      validator(wire::decode_value(metadata));
+    }
   }
 
   // Fault injection point: "drop"-like actions lose the request before it
@@ -357,16 +367,13 @@ AppendResult Broker::append_batch(
     // in the log before the ack can return.
     std::string wal_record;
     std::uint32_t wal_events = 0;
-    for (const auto& [metadata, data] : events) {
+    for (const auto& [serialized, data] : events) {
       // Sequence dedup for producer-stamped events.
       ProducerSeqState* pstate = nullptr;
       std::uint64_t seq = 0;
-      if (metadata.is_object() && metadata.contains("_pid") &&
-          metadata.contains("_seq")) {
-        const auto pid = static_cast<std::uint64_t>(metadata.at("_pid")
-                                                        .as_int());
-        seq = static_cast<std::uint64_t>(metadata.at("_seq").as_int());
-        pstate = &t.producers[partition][pid];
+      if (const auto stamps = read_stamps(serialized)) {
+        seq = stamps->seq;
+        pstate = &t.producers[partition][stamps->pid];
         if (!pstate->tracker.accept(seq)) {
           ++result.duplicates;
           ++t.stats.duplicates_absorbed;
@@ -378,7 +385,6 @@ AppendResult Broker::append_batch(
         }
       }
       const EventId offset = t.next_offset[partition]++;
-      const std::string serialized = wire::encode_value(metadata);
       // Metadata in yokan, payload in warabi, linked by region id order.
       metadata_store_.put(meta_key(topic, partition, offset), serialized);
       t.data_regions[partition].push_back(data_store_.create_sealed(data));
@@ -420,7 +426,7 @@ AppendResult Broker::append_frame(const std::string& topic,
                                   PartitionIndex partition,
                                   std::uint64_t session,
                                   std::string_view frame) {
-  std::vector<std::pair<json::Value, std::string>> events;
+  std::vector<EventBytes> events;
   {
     // Decode before fault injection so a frame whose ack is lost still
     // teaches the session dictionary: the retried identical bytes then
@@ -450,14 +456,14 @@ AppendResult Broker::append_frame(const std::string& topic,
 }
 
 PartitionIndex Broker::select_partition(const std::string& topic,
-                                        const json::Value& metadata) {
+                                        std::string_view metadata) {
   std::lock_guard lock(mutex_);
   const auto it = topics_.find(topic);
   if (it == topics_.end()) throw MofkaError("mofka: unknown topic " + topic);
   Topic& t = it->second;
   if (t.config.selector) {
-    const PartitionIndex chosen =
-        t.config.selector(metadata, t.config.partitions);
+    const PartitionIndex chosen = t.config.selector(
+        wire::decode_value(metadata), t.config.partitions);
     if (chosen >= t.config.partitions) {
       throw MofkaError("mofka: partition selector out of range");
     }
@@ -481,7 +487,7 @@ EventId Broker::partition_size(const std::string& topic,
   return it->second.next_offset[partition];
 }
 
-std::optional<Event> Broker::fetch(
+std::optional<WireEvent> Broker::fetch_wire(
     const std::string& topic, PartitionIndex partition, EventId offset,
     const std::function<DataSelection(const json::Value&)>& selection) const {
   mochi::RegionId region = 0;
@@ -495,22 +501,34 @@ std::optional<Event> Broker::fetch(
     if (offset >= it->second.next_offset[partition]) return std::nullopt;
     region = it->second.data_regions[partition][offset];
   }
-  const auto serialized = metadata_store_.get(meta_key(topic, partition,
-                                                       offset));
+  auto serialized = metadata_store_.get(meta_key(topic, partition, offset));
   if (!serialized) {
     throw MofkaError("mofka: metadata missing for committed event");
   }
-  Event event;
+  WireEvent event;
   event.topic = topic;
   event.partition = partition;
   event.id = offset;
-  event.metadata = wire::decode_value(*serialized);
+  event.metadata = std::move(*serialized);
   DataSelection sel;
-  if (selection) sel = selection(event.metadata);
+  if (selection) sel = selection(wire::decode_value(event.metadata));
   if (sel.fetch) {
     event.data = data_store_.read(region, sel.offset, sel.length);
   }
   return event;
+}
+
+std::optional<Event> Broker::fetch(
+    const std::string& topic, PartitionIndex partition, EventId offset,
+    const std::function<DataSelection(const json::Value&)>& selection) const {
+  auto event = fetch_wire(topic, partition, offset, selection);
+  if (!event) return std::nullopt;
+  return decode_event(std::move(*event));
+}
+
+Event decode_event(WireEvent event) {
+  return Event{std::move(event.topic), event.partition, event.id,
+               wire::decode_value(event.metadata), std::move(event.data)};
 }
 
 void Broker::commit_offset(const std::string& topic, const std::string& group,

@@ -5,6 +5,12 @@
 // describes. The broker is fully thread-safe: producers append from
 // background flush threads while consumers pull concurrently.
 //
+// Metadata stays bytes inside the broker: a frame's events are transcoded to
+// canonical self-contained wire bytes as they enter (which also validates
+// them), then stored, logged, replayed and served as those bytes. A
+// json::Value is built only for an installed validator or selector, and by
+// fetch() for callers that want the tree.
+//
 // Delivery semantics: append_frame acts as the broker-side ack. Producers
 // stamp events with per-producer sequence numbers ("_pid"/"_seq" metadata
 // fields); the broker tracks them per (topic, partition, producer) and
@@ -31,6 +37,7 @@
 #include "mochi/yokan.hpp"
 #include "mofka/event.hpp"
 #include "mofka/sequence.hpp"
+#include "mofka/wire.hpp"
 #include "wire/codec.hpp"
 
 namespace recup::mofka {
@@ -121,16 +128,17 @@ class Broker {
   [[nodiscard]] std::shared_ptr<chaos::FaultInjector> fault_injector() const;
 
   /// The push path: appends a batch encoded by mofka::encode_event_frame
-  /// under the producer's wire session to one partition atomically and
-  /// acks with per-event offsets. Frames of one session must arrive in
-  /// encode order (the producer serializes same-partition flushes);
-  /// retrying a frame's identical bytes is safe because dictionary
-  /// definitions apply idempotently. Decoding happens before fault
-  /// injection, so a frame whose ack is lost still teaches the session
-  /// dictionary and the retry resolves its refs. Throws WireSessionError
-  /// when the frame references session state this broker lacks (restart
-  /// wiped it) — reset the encoder session and re-encode, don't retry the
-  /// same bytes. Runs the topic validator on every event; events carrying
+  /// (from self-contained metadata bytes) under the producer's wire
+  /// session to one partition atomically and acks with per-event offsets.
+  /// Frames of one session must arrive in encode order (the producer
+  /// serializes same-partition flushes); retrying a frame's identical bytes
+  /// is safe because dictionary definitions apply idempotently. Decoding
+  /// happens before fault injection, so a frame whose ack is lost still
+  /// teaches the session dictionary and the retry resolves its refs. Throws
+  /// WireSessionError when the frame is malformed or references session
+  /// state this broker lacks (restart wiped it) — reset the encoder session
+  /// and re-encode, don't retry the same bytes. Runs the topic validator
+  /// (if any) on every event's decoded tree; events carrying
   /// "_pid"/"_seq" are deduplicated against the per-producer sequence
   /// window. Throws chaos::TransientFault for injected retryable faults
   /// (the batch may or may not have landed — exactly the ambiguity real
@@ -139,15 +147,22 @@ class Broker {
                             PartitionIndex partition, std::uint64_t session,
                             std::string_view frame);
 
-  /// Chooses a partition for the given metadata via the topic's selector.
+  /// Chooses a partition for an event's self-contained metadata bytes via
+  /// the topic's selector (which alone gets them decoded), else round-robin.
   [[nodiscard]] PartitionIndex select_partition(const std::string& topic,
-                                                const json::Value& metadata);
+                                                std::string_view metadata);
 
   /// Number of events currently in a partition.
   [[nodiscard]] EventId partition_size(const std::string& topic,
                                        PartitionIndex partition) const;
 
-  /// Fetches one event; `selection(metadata)` controls data fetching.
+  /// Fetches one event as stored; `selection(metadata)` controls data
+  /// fetching, and only a set `selection` gets the metadata decoded.
+  [[nodiscard]] std::optional<WireEvent> fetch_wire(
+      const std::string& topic, PartitionIndex partition, EventId offset,
+      const std::function<DataSelection(const json::Value&)>& selection =
+          nullptr) const;
+  /// fetch_wire with the metadata decoded into a tree.
   [[nodiscard]] std::optional<Event> fetch(
       const std::string& topic, PartitionIndex partition, EventId offset,
       const std::function<DataSelection(const json::Value&)>& selection =
@@ -198,13 +213,16 @@ class Broker {
 
   /// append_frame after decoding: validation, fault injection, dedup, the
   /// WAL record and the store writes.
-  AppendResult append_batch(
-      const std::string& topic, PartitionIndex partition,
-      const std::vector<std::pair<json::Value, std::string>>& events);
+  AppendResult append_batch(const std::string& topic,
+                            PartitionIndex partition,
+                            const std::vector<EventBytes>& events);
 
   // WAL record appliers (lock held, no re-logging). The WAL holds only
   // post-dedup appends, so replay re-inserts unconditionally and re-seeds
   // the sequence trackers from the "_pid"/"_seq" stamps in the metadata.
+  // A record is trusted no further than a live call: replay applies the
+  // live paths' checks (partition counts and indexes, one self-contained
+  // metadata value per event) and throws MofkaError or wire::WireError.
   void wal_apply(std::string_view record);
   void apply_create_topic(const std::string& name, PartitionIndex partitions);
   void apply_append(const std::string& topic, PartitionIndex partition,
@@ -227,5 +245,8 @@ class Broker {
   std::shared_ptr<chaos::FaultInjector> injector_;
   std::uint64_t recoveries_ = 0;
 };
+
+/// The event with its metadata decoded into a tree.
+[[nodiscard]] Event decode_event(WireEvent event);
 
 }  // namespace recup::mofka

@@ -16,7 +16,7 @@ Consumer::Consumer(Broker& broker, std::string topic, std::string group,
   }
 }
 
-std::optional<Event> Consumer::pull() {
+std::optional<WireEvent> Consumer::pull_wire() {
   const auto parts = static_cast<PartitionIndex>(next_offset_.size());
   const auto injector = broker_.fault_injector();
   for (PartitionIndex i = 0; i < parts; ++i) {
@@ -39,8 +39,8 @@ std::optional<Event> Consumer::pull() {
     if (fault.action == chaos::FaultAction::kDuplicate &&
         next_offset_[p] > 0) {
       // The wire redelivers the previously delivered offset.
-      auto dup = broker_.fetch(topic_, p, next_offset_[p] - 1,
-                               config_.selector);
+      auto dup = broker_.fetch_wire(topic_, p, next_offset_[p] - 1,
+                                    config_.selector);
       if (dup) {
         ++stats_.redeliveries;
         if (!config_.dedup) {
@@ -54,7 +54,8 @@ std::optional<Event> Consumer::pull() {
       }
     }
 
-    auto event = broker_.fetch(topic_, p, next_offset_[p], config_.selector);
+    auto event =
+        broker_.fetch_wire(topic_, p, next_offset_[p], config_.selector);
     if (event) {
       ++next_offset_[p];
       rr_ = static_cast<PartitionIndex>((p + 1) % parts);
@@ -67,16 +68,30 @@ std::optional<Event> Consumer::pull() {
   return std::nullopt;
 }
 
-std::vector<Event> Consumer::pull_all() {
-  std::vector<Event> out;
+std::optional<Event> Consumer::pull() {
+  auto event = pull_wire();
+  if (!event) return std::nullopt;
+  return decode_event(std::move(*event));
+}
+
+std::vector<WireEvent> Consumer::pull_all_wire() {
+  std::vector<WireEvent> out;
   for (;;) {
-    if (auto event = pull()) {
+    if (auto event = pull_wire()) {
       out.push_back(std::move(*event));
       continue;
     }
     // pull() can return nullopt while events remain (injected drop /
     // partition outage); only stop once every partition is truly drained.
     if (drained()) break;
+  }
+  return out;
+}
+
+std::vector<Event> Consumer::pull_all() {
+  std::vector<Event> out;
+  for (WireEvent& event : pull_all_wire()) {
+    out.push_back(decode_event(std::move(event)));
   }
   return out;
 }

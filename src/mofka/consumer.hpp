@@ -53,10 +53,15 @@ class Consumer {
 
   /// Pulls the next event in offset order, round-robining across
   /// partitions; returns nullopt when fully drained (or when every
-  /// partition's next event is transiently unavailable).
+  /// partition's next event is transiently unavailable). The metadata comes
+  /// as the broker stores it: self-contained wire bytes that typed readers
+  /// (dtr::from_wire) take records from without a tree.
+  std::optional<WireEvent> pull_wire();
+  /// pull_wire with the metadata decoded into a tree.
   std::optional<Event> pull();
 
   /// Pulls every remaining event (bulk post-processing mode).
+  std::vector<WireEvent> pull_all_wire();
   std::vector<Event> pull_all();
 
   /// Persists this consumer's position for its group.

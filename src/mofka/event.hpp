@@ -21,6 +21,17 @@ struct Event {
   std::string data;
 };
 
+/// An event as the broker stores it: the metadata as self-contained wire
+/// bytes (wire::decode_value gives Event::metadata's tree). Typed readers
+/// take records straight from these bytes.
+struct WireEvent {
+  std::string topic;
+  PartitionIndex partition = 0;
+  EventId id = 0;  ///< offset within the partition
+  std::string metadata;
+  std::string data;
+};
+
 /// Chooses which byte range (if any) of an event's data a consumer fetches,
 /// based on the metadata — Mofka's "data selector". Returning {0,0} skips
 /// the data payload entirely.

@@ -2,8 +2,6 @@
 
 #include <atomic>
 
-#include "mofka/wire.hpp"
-
 namespace recup::mofka {
 
 namespace {
@@ -57,21 +55,26 @@ Producer::~Producer() {
 }
 
 std::future<EventId> Producer::push(json::Value metadata, std::string data) {
+  return push_wire(wire::encode_value(metadata), std::move(data));
+}
+
+std::future<EventId> Producer::push_wire(std::string metadata,
+                                         std::string data) {
   const PartitionIndex partition =
       broker_.select_partition(topic_, metadata);
   PendingEvent event;
-  event.data = std::move(data);
   std::future<EventId> future = event.promise.get_future();
 
   std::vector<PendingEvent> ready;
   {
     std::lock_guard lock(mutex_);
     // Sequence stamping makes retried appends idempotent at the broker.
-    if (metadata.is_object()) {
-      metadata["_pid"] = pid_;
-      metadata["_seq"] = next_seq_[partition]++;
+    // It also checks the bytes, so a malformed event fails its own push
+    // rather than the batch it would have joined.
+    if (stamp_metadata(metadata, Stamps{pid_, next_seq_[partition]})) {
+      ++next_seq_[partition];
     }
-    event.metadata = std::move(metadata);
+    event.event = {std::move(metadata), std::move(data)};
     ++stats_.pushed;
     ++inflight_;
     auto& queue = pending_[partition];
@@ -115,11 +118,9 @@ void Producer::flush() {
 
 void Producer::flush_partition(PartitionIndex partition,
                                std::vector<PendingEvent> batch) {
-  std::vector<std::pair<json::Value, std::string>> events;
+  std::vector<EventBytes> events;
   events.reserve(batch.size());
-  for (auto& e : batch) {
-    events.emplace_back(std::move(e.metadata), std::move(e.data));
-  }
+  for (auto& e : batch) events.push_back(std::move(e.event));
   // Encode under the partition's wire lock and keep holding it through
   // every retry, so this session's frames reach the broker in encode order
   // and a retry re-sends the identical bytes.

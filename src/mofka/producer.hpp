@@ -3,12 +3,16 @@
 // background network and processing threads, batching strategies").
 //
 // push() buffers the event and returns a future resolved with the event's
-// partition offset once its batch commits. Batches flush when they reach
+// partition offset once its batch commits. Metadata is kept as
+// self-contained wire bytes from push to frame: push_wire takes them as a
+// typed writer produced them (dtr::to_wire), and push(json::Value) encodes
+// the tree once and takes the same path. Batches flush when they reach
 // `batch_size` events or when the background thread's `flush_interval`
 // expires, whichever comes first.
 //
-// Delivery: every pushed event is stamped with this producer's id and a
-// per-partition sequence number ("_pid"/"_seq"); retryable append failures
+// Delivery: every pushed object is stamped with this producer's id and a
+// per-partition sequence number ("_pid"/"_seq", written into its bytes at
+// their key-order positions); retryable append failures
 // (chaos::TransientFault) are retried with exponential backoff up to
 // `max_retries`, and the broker's sequence dedup makes the retries
 // idempotent. The in-flight buffer (buffered + unacked events) is bounded
@@ -82,6 +86,10 @@ class Producer {
   /// Buffers an event; nonblocking except for the internal lock, unless the
   /// in-flight bound forces a synchronous flush.
   std::future<EventId> push(json::Value metadata, std::string data = {});
+  /// push() for metadata already in self-contained wire bytes
+  /// (wire::encode_value's format). Throws wire::WireError unless they hold
+  /// exactly one value.
+  std::future<EventId> push_wire(std::string metadata, std::string data = {});
 
   /// Flushes all pending batches and waits for concurrently in-flight
   /// flushes: a full delivery barrier.
@@ -94,8 +102,7 @@ class Producer {
 
  private:
   struct PendingEvent {
-    json::Value metadata;
-    std::string data;
+    EventBytes event;  ///< stamped metadata bytes, data
     std::promise<EventId> promise;
   };
 

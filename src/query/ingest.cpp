@@ -16,11 +16,14 @@ constexpr std::array<const char*, 5> kTopics = {
     "wms_transitions", "wms_tasks", "wms_comms", "wms_warnings",
     "wms_cluster"};
 
-/// Appends a consumed record with its canonical key. The key is built here,
-/// on the tailing thread, so publish only compares strings.
-template <typename Keyed, typename Record>
-void keep(std::vector<Keyed>& pending, Record record) {
-  std::string key = dtr::to_json(record).dump();
+/// Reads a consumed record from its metadata bytes and appends it with its
+/// canonical key. The key is built here, on the tailing thread, so publish
+/// only compares strings.
+template <typename Keyed>
+void keep(std::vector<Keyed>& pending, std::string_view metadata) {
+  auto record = dtr::from_wire<decltype(Keyed::record)>(metadata);
+  std::string key;
+  dtr::to_json_text(record, key);
   pending.push_back(Keyed{std::move(key), std::move(record)});
 }
 
@@ -167,27 +170,25 @@ std::size_t LiveIngestor::poll() {
 
 std::size_t LiveIngestor::poll_locked() {
   std::size_t consumed = 0;
-  while (auto event = transitions_.pull()) {
-    keep(pending_.transitions,
-         dtr::from_json<dtr::TransitionRecord>(event->metadata));
+  while (auto event = transitions_.pull_wire()) {
+    keep(pending_.transitions, event->metadata);
     ++consumed;
   }
-  while (auto event = tasks_.pull()) {
-    keep(pending_.tasks, dtr::from_json<dtr::TaskRecord>(event->metadata));
+  while (auto event = tasks_.pull_wire()) {
+    keep(pending_.tasks, event->metadata);
     ++consumed;
   }
-  while (auto event = comms_.pull()) {
-    keep(pending_.comms, dtr::from_json<dtr::CommRecord>(event->metadata));
+  while (auto event = comms_.pull_wire()) {
+    keep(pending_.comms, event->metadata);
     ++consumed;
   }
-  while (auto event = warnings_.pull()) {
-    keep(pending_.warnings,
-         dtr::from_json<dtr::WarningRecord>(event->metadata));
+  while (auto event = warnings_.pull_wire()) {
+    keep(pending_.warnings, event->metadata);
     ++consumed;
   }
-  while (auto event = cluster_.pull()) {
-    if (event->metadata.get_string("kind", "") == "steal") {
-      keep(pending_.steals, dtr::from_json<dtr::StealRecord>(event->metadata));
+  while (auto event = cluster_.pull_wire()) {
+    if (dtr::kind_of(event->metadata) == "steal") {
+      keep(pending_.steals, event->metadata);
     }
     ++consumed;
   }

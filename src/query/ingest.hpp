@@ -82,7 +82,8 @@ class LiveIngestor {
 
  private:
   /// A consumed record beside its canonical sort key: the record's compact
-  /// JSON (`dtr::to_json(record).dump()`), built once as it is polled.
+  /// JSON, written once as it is polled by dtr::to_json_text from the
+  /// record's field list, byte for byte what dumping its JSON tree gives.
   template <typename Record>
   struct Keyed {
     std::string key;

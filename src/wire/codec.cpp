@@ -1,5 +1,6 @@
 #include "wire/codec.hpp"
 
+#include <algorithm>
 #include <cstring>
 
 namespace recup::wire {
@@ -26,14 +27,6 @@ std::string_view need_bytes(std::string_view bytes, std::size_t& pos,
   std::string_view out = bytes.substr(pos, n);
   pos += n;
   return out;
-}
-
-std::size_t need_count(std::string_view bytes, std::size_t& pos) {
-  const std::uint64_t n = get_varint(bytes, pos);
-  // Every element costs at least one byte, so a count larger than the
-  // remaining payload is corrupt — reject it before reserving memory.
-  if (n > bytes.size() - pos) throw WireError("wire: implausible count");
-  return static_cast<std::size_t>(n);
 }
 
 }  // namespace
@@ -153,21 +146,75 @@ std::string encode_value(const json::Value& v) {
   return out;
 }
 
-namespace {
+// --- Value readers ----------------------------------------------------------
 
-double decode_double(std::string_view bytes, std::size_t& pos) {
+std::uint8_t get_tag(std::string_view bytes, std::size_t& pos) {
+  return need_byte(bytes, pos);
+}
+
+std::size_t get_count(std::string_view bytes, std::size_t& pos) {
+  const std::uint64_t n = get_varint(bytes, pos);
+  // Every element costs at least one byte, so a count larger than the
+  // remaining payload is corrupt — reject it before reserving memory.
+  if (n > bytes.size() - pos) throw WireError("wire: implausible count");
+  return static_cast<std::size_t>(n);
+}
+
+std::string_view get_str(std::string_view bytes, std::size_t& pos) {
+  const std::size_t n = get_count(bytes, pos);
+  return need_bytes(bytes, pos, n);
+}
+
+double get_double(std::string_view bytes, std::size_t& pos) {
   const std::uint64_t bits = get_fixed64(bytes, pos);
   double d;
   std::memcpy(&d, &bits, sizeof(d));
   return d;
 }
 
-std::string decode_inline_string(std::string_view bytes, std::size_t& pos) {
-  const std::size_t n = need_count(bytes, pos);
-  return std::string(need_bytes(bytes, pos, n));
+std::string_view get_key(std::string_view bytes, std::size_t& pos) {
+  if (need_byte(bytes, pos) != kStr) {
+    throw WireError("wire: object key must be an inline string here");
+  }
+  return get_str(bytes, pos);
 }
 
-}  // namespace
+void skip_value(std::string_view bytes, std::size_t& pos) {
+  const std::uint8_t tag = need_byte(bytes, pos);
+  switch (tag) {
+    case kNull:
+    case kFalse:
+    case kTrue:
+      return;
+    case kInt:
+      (void)get_varint(bytes, pos);
+      return;
+    case kDouble:
+      (void)need_bytes(bytes, pos, 8);
+      return;
+    case kStr:
+      (void)get_str(bytes, pos);
+      return;
+    case kArray: {
+      const std::size_t n = get_count(bytes, pos);
+      for (std::size_t i = 0; i < n; ++i) skip_value(bytes, pos);
+      return;
+    }
+    case kObject: {
+      const std::size_t n = get_count(bytes, pos);
+      for (std::size_t i = 0; i < n; ++i) {
+        (void)get_key(bytes, pos);
+        skip_value(bytes, pos);
+      }
+      return;
+    }
+    case kStrDef:
+    case kStrRef:
+      throw WireError("wire: interned string outside a stream session");
+    default:
+      throw WireError("wire: unknown tag byte");
+  }
+}
 
 json::Value decode_value(std::string_view bytes, std::size_t& pos) {
   const std::uint8_t tag = need_byte(bytes, pos);
@@ -181,11 +228,11 @@ json::Value decode_value(std::string_view bytes, std::size_t& pos) {
     case kInt:
       return json::Value(get_zigzag(bytes, pos));
     case kDouble:
-      return json::Value(decode_double(bytes, pos));
+      return json::Value(get_double(bytes, pos));
     case kStr:
-      return json::Value(decode_inline_string(bytes, pos));
+      return json::Value(get_str(bytes, pos));
     case kArray: {
-      const std::size_t n = need_count(bytes, pos);
+      const std::size_t n = get_count(bytes, pos);
       json::Array a;
       a.reserve(n);
       for (std::size_t i = 0; i < n; ++i)
@@ -193,13 +240,10 @@ json::Value decode_value(std::string_view bytes, std::size_t& pos) {
       return json::Value(std::move(a));
     }
     case kObject: {
-      const std::size_t n = need_count(bytes, pos);
+      const std::size_t n = get_count(bytes, pos);
       json::Object o;
       for (std::size_t i = 0; i < n; ++i) {
-        const std::uint8_t ktag = need_byte(bytes, pos);
-        if (ktag != kStr)
-          throw WireError("wire: object key must be an inline string here");
-        std::string key = decode_inline_string(bytes, pos);
+        std::string key(get_key(bytes, pos));
         o.emplace(std::move(key), decode_value(bytes, pos));
       }
       return json::Value(std::move(o));
@@ -221,14 +265,15 @@ json::Value decode_value(std::string_view bytes) {
 
 // --- StreamEncoder ----------------------------------------------------------
 
-void StreamEncoder::encode_string(const std::string& s, std::string& out) {
+void StreamEncoder::encode_string(std::string_view s, std::string& out) {
   if (s.size() < kMinInternLength || ids_.size() >= kMaxEntries) {
     put_str(out, s);
     return;
   }
-  auto [it, inserted] = ids_.try_emplace(s, kPendingId);
-  if (inserted) {
+  const auto it = ids_.find(s);
+  if (it == ids_.end()) {
     // First sighting: ship inline; intern only if it repeats.
+    ids_.emplace(std::string(s), kPendingId);
     put_str(out, s);
     return;
   }
@@ -244,23 +289,44 @@ void StreamEncoder::encode_string(const std::string& s, std::string& out) {
   put_varint(out, it->second);
 }
 
-void StreamEncoder::encode(const json::Value& v, std::string& out) {
-  if (v.is_string()) {
-    encode_string(v.as_string(), out);
-  } else if (v.is_array()) {
-    const auto& a = v.as_array();
-    put_array(out, a.size());
-    for (const auto& e : a) encode(e, out);
-  } else if (v.is_object()) {
-    const auto& o = v.as_object();
-    put_object(out, o.size());
-    for (const auto& [k, e] : o) {
-      encode_string(k, out);
-      encode(e, out);
+void StreamEncoder::transcode_value(std::string_view bytes, std::size_t& pos,
+                                    std::string& out) {
+  const std::uint8_t tag = need_byte(bytes, pos);
+  switch (tag) {
+    case kStr:
+      encode_string(get_str(bytes, pos), out);
+      return;
+    case kArray: {
+      const std::size_t n = get_count(bytes, pos);
+      put_array(out, n);
+      for (std::size_t i = 0; i < n; ++i) transcode_value(bytes, pos, out);
+      return;
     }
-  } else {
-    encode_value(v, out);  // scalars carry no session state
+    case kObject: {
+      const std::size_t n = get_count(bytes, pos);
+      put_object(out, n);
+      for (std::size_t i = 0; i < n; ++i) {
+        encode_string(get_key(bytes, pos), out);
+        transcode_value(bytes, pos, out);
+      }
+      return;
+    }
+    case kInt:
+      put_int(out, get_zigzag(bytes, pos));  // canonical varint
+      return;
+    default: {
+      // The other scalars carry no session state: copy them once checked.
+      const std::size_t begin = --pos;
+      skip_value(bytes, pos);
+      out.append(bytes.substr(begin, pos - begin));
+    }
   }
+}
+
+void StreamEncoder::transcode(std::string_view value, std::string& out) {
+  std::size_t pos = 0;
+  transcode_value(value, pos, out);
+  if (pos != value.size()) throw WireError("wire: trailing bytes after value");
 }
 
 std::string StreamEncoder::encode(const json::Value& v) {
@@ -271,65 +337,140 @@ std::string StreamEncoder::encode(const json::Value& v) {
 
 // --- StreamDecoder ----------------------------------------------------------
 
-std::string StreamDecoder::decode_string(std::string_view bytes,
-                                         std::size_t& pos, std::uint8_t tag) {
+namespace {
+
+/// Rewrites the object whose self-contained encoding starts at out[header]
+/// (its `n` entries already appended) the way a json::Object holds it:
+/// entries sorted by key, the first of each duplicate key kept.
+void canonicalize_object(std::string& out, std::size_t header) {
+  struct Entry {
+    std::string_view key;
+    std::size_t begin;
+    std::size_t end;
+  };
+  const std::string_view bytes = out;
+  std::size_t pos = header + 1;
+  const std::uint64_t n = get_varint(bytes, pos);
+  std::vector<Entry> entries;
+  entries.reserve(n);
+  for (std::uint64_t i = 0; i < n; ++i) {
+    Entry entry{{}, pos, 0};
+    entry.key = get_key(bytes, pos);
+    skip_value(bytes, pos);
+    entry.end = pos;
+    entries.push_back(entry);
+  }
+  std::stable_sort(entries.begin(), entries.end(),
+                   [](const Entry& a, const Entry& b) { return a.key < b.key; });
+  entries.erase(std::unique(entries.begin(), entries.end(),
+                            [](const Entry& a, const Entry& b) {
+                              return a.key == b.key;
+                            }),
+                entries.end());
+  std::string body;
+  for (const Entry& entry : entries) {
+    body.append(bytes.substr(entry.begin, entry.end - entry.begin));
+  }
+  out.resize(header);
+  put_object(out, entries.size());
+  out += body;
+}
+
+}  // namespace
+
+void StreamDecoder::transcode_string(std::string_view bytes, std::size_t& pos,
+                                     std::uint8_t tag, std::string& out) {
   switch (tag) {
     case kStr:
-      return decode_inline_string(bytes, pos);
+      put_str(out, get_str(bytes, pos));
+      return;
     case kStrDef: {
       const std::uint64_t id = get_varint(bytes, pos);
-      std::string s = decode_inline_string(bytes, pos);
+      const std::string_view s = get_str(bytes, pos);
       if (id < dict_.size()) {
         // Retried frame: the definition must match what we already have.
         if (dict_[id] != s)
           throw WireError("wire: conflicting dictionary definition");
       } else if (id == dict_.size()) {
-        dict_.push_back(s);
+        dict_.emplace_back(s);
       } else {
         throw WireError("wire: dictionary gap (frames out of order?)");
       }
-      return s;
+      put_str(out, s);
+      return;
     }
     case kStrRef: {
       const std::uint64_t id = get_varint(bytes, pos);
       if (id >= dict_.size())
         throw WireError("wire: dangling dictionary reference");
-      return dict_[static_cast<std::size_t>(id)];
+      // Copied out before the next token: a definition may grow dict_ and
+      // move its strings.
+      put_str(out, dict_[static_cast<std::size_t>(id)]);
+      return;
     }
     default:
       throw WireError("wire: expected a string tag");
   }
 }
 
-json::Value StreamDecoder::decode(std::string_view bytes, std::size_t& pos) {
+void StreamDecoder::transcode(std::string_view bytes, std::size_t& pos,
+                              std::string& out) {
   const std::uint8_t tag = need_byte(bytes, pos);
   switch (tag) {
     case kStr:
     case kStrDef:
     case kStrRef:
-      return json::Value(decode_string(bytes, pos, tag));
+      transcode_string(bytes, pos, tag, out);
+      return;
     case kArray: {
-      const std::size_t n = need_count(bytes, pos);
-      json::Array a;
-      a.reserve(n);
-      for (std::size_t i = 0; i < n; ++i) a.push_back(decode(bytes, pos));
-      return json::Value(std::move(a));
+      const std::size_t n = get_count(bytes, pos);
+      put_array(out, n);
+      for (std::size_t i = 0; i < n; ++i) transcode(bytes, pos, out);
+      return;
     }
     case kObject: {
-      const std::size_t n = need_count(bytes, pos);
-      json::Object o;
+      const std::size_t header = out.size();
+      const std::size_t n = get_count(bytes, pos);
+      put_object(out, n);
+      // Keys in ascending order, as every encoder of a json::Object or a
+      // field list writes them, pass straight through; anything else is
+      // put in canonical order once the whole object is out.
+      bool ordered = true;
+      std::size_t last_key = 0;
+      std::size_t last_size = 0;
       for (std::size_t i = 0; i < n; ++i) {
-        const std::uint8_t ktag = need_byte(bytes, pos);
-        std::string key = decode_string(bytes, pos, ktag);
-        o.emplace(std::move(key), decode(bytes, pos));
+        const std::size_t key_at = out.size();
+        transcode_string(bytes, pos, need_byte(bytes, pos), out);
+        std::size_t key_pos = key_at + 1;
+        const std::size_t key_size = get_count(out, key_pos);
+        const std::string_view written = out;
+        if (i > 0 && written.substr(last_key, last_size) >=
+                         written.substr(key_pos, key_size)) {
+          ordered = false;
+        }
+        last_key = key_pos;
+        last_size = key_size;
+        transcode(bytes, pos, out);
       }
-      return json::Value(std::move(o));
+      if (!ordered) canonicalize_object(out, header);
+      return;
     }
-    default:
-      // Scalars are identical to the self-contained form; rewind the tag.
-      --pos;
-      return decode_value(bytes, pos);
+    case kInt:
+      put_int(out, get_zigzag(bytes, pos));  // canonical varint
+      return;
+    default: {
+      // The other scalars are identical to the self-contained form.
+      const std::size_t begin = --pos;
+      skip_value(bytes, pos);
+      out.append(bytes.substr(begin, pos - begin));
+    }
   }
+}
+
+json::Value StreamDecoder::decode(std::string_view bytes, std::size_t& pos) {
+  std::string value;
+  transcode(bytes, pos, value);
+  return decode_value(value);
 }
 
 json::Value StreamDecoder::decode(std::string_view bytes) {

@@ -33,10 +33,17 @@
 // Self-contained values (encode_value/decode_value) never intern (tags
 // 0x05 only), so they can be stored, replayed, and read without session
 // state — that is the mode WAL payloads and the metadata store use.
+//
+// A session transcodes bytes: StreamEncoder turns one self-contained value
+// into session bytes and StreamDecoder turns them back into canonical
+// self-contained bytes, so provenance events travel from a typed writer to a
+// typed reader without a json::Value in between. The json::Value entry
+// points are thin wrappers over the same pair.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
+#include <functional>
 #include <stdexcept>
 #include <string>
 #include <string_view>
@@ -109,6 +116,26 @@ void encode_value(const json::Value& v, std::string& out);
 /// Decodes a whole buffer as exactly one value (trailing bytes -> error).
 [[nodiscard]] json::Value decode_value(std::string_view bytes);
 
+// --- Value readers (self-contained, no tree) --------------------------------
+// The steps decode_value takes, for readers that walk a value's bytes
+// instead of building it. Each advances pos and throws WireError on
+// truncated or malformed input.
+[[nodiscard]] std::uint8_t get_tag(std::string_view bytes, std::size_t& pos);
+/// A varint element count or string length, rejected when it exceeds the
+/// bytes left (every element costs at least one byte).
+[[nodiscard]] std::size_t get_count(std::string_view bytes, std::size_t& pos);
+/// The payload of a kStr value whose tag has been read.
+[[nodiscard]] std::string_view get_str(std::string_view bytes,
+                                       std::size_t& pos);
+/// The payload of a kDouble value whose tag has been read.
+[[nodiscard]] double get_double(std::string_view bytes, std::size_t& pos);
+/// The key of an object entry: an inline string, as decode_value requires.
+[[nodiscard]] std::string_view get_key(std::string_view bytes,
+                                       std::size_t& pos);
+/// Checks one value from bytes[pos...) exactly as decode_value does and
+/// advances past it, without building it.
+void skip_value(std::string_view bytes, std::size_t& pos);
+
 // --- Interning sessions -----------------------------------------------------
 
 /// Encoder half of a connection. Interns strings it has seen before; the
@@ -124,18 +151,35 @@ class StreamEncoder {
   /// pathological high-cardinality stream from growing the map unboundedly.
   static constexpr std::size_t kMaxEntries = 1 << 20;
 
-  void encode(const json::Value& v, std::string& out);
+  /// Appends the session encoding of `value`, which must hold exactly one
+  /// self-contained value (WireError otherwise). Entries keep their order;
+  /// the decoder restores canonical key order if they were out of it.
+  void transcode(std::string_view value, std::string& out);
+
+  void encode(const json::Value& v, std::string& out) {
+    transcode(encode_value(v), out);
+  }
   [[nodiscard]] std::string encode(const json::Value& v);
 
   [[nodiscard]] std::size_t dictionary_size() const { return ids_.size(); }
 
  private:
-  void encode_string(const std::string& s, std::string& out);
+  void transcode_value(std::string_view bytes, std::size_t& pos,
+                       std::string& out);
+  void encode_string(std::string_view s, std::string& out);
+
+  struct StringHash {
+    using is_transparent = void;
+    std::size_t operator()(std::string_view s) const {
+      return std::hash<std::string_view>{}(s);
+    }
+  };
 
   // id when interned; kPendingId after the first sighting (interned on the
   // second so one-shot strings never pollute the dictionary).
   static constexpr std::uint32_t kPendingId = 0xFFFFFFFF;
-  std::unordered_map<std::string, std::uint32_t> ids_;
+  std::unordered_map<std::string, std::uint32_t, StringHash, std::equal_to<>>
+      ids_;
   std::uint32_t next_id_ = 0;
 };
 
@@ -145,6 +189,11 @@ class StreamEncoder {
 /// their definitions — out of first-delivery order).
 class StreamDecoder {
  public:
+  /// Reads one session value from bytes[pos...) and appends its canonical
+  /// self-contained encoding: the bytes of encode_value(decode(bytes, pos)),
+  /// with object keys in ascending order and the first of duplicate keys.
+  void transcode(std::string_view bytes, std::size_t& pos, std::string& out);
+
   [[nodiscard]] json::Value decode(std::string_view bytes, std::size_t& pos);
   /// Whole buffer as exactly one value (trailing bytes -> error).
   [[nodiscard]] json::Value decode(std::string_view bytes);
@@ -152,8 +201,9 @@ class StreamDecoder {
   [[nodiscard]] std::size_t dictionary_size() const { return dict_.size(); }
 
  private:
-  std::string decode_string(std::string_view bytes, std::size_t& pos,
-                            std::uint8_t tag);
+  /// Appends the string a kStr/kStrDef/kStrRef token names, inline.
+  void transcode_string(std::string_view bytes, std::size_t& pos,
+                        std::uint8_t tag, std::string& out);
   std::vector<std::string> dict_;
 };
 

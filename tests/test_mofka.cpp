@@ -3,8 +3,12 @@
 // consumer groups, and concurrent production.
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
+#include <filesystem>
 #include <thread>
 
+#include "common/wal.hpp"
 #include "mochi/bedrock.hpp"
 #include "mofka/broker.hpp"
 #include "mofka/consumer.hpp"
@@ -268,13 +272,14 @@ TEST_F(MofkaTest, EmptyBatchRejected) {
 TEST_F(MofkaTest, EventFrameRoundTripsAndShrinksWithInterning) {
   wire::StreamEncoder encoder;
   wire::StreamDecoder decoder;
-  std::vector<std::pair<json::Value, std::string>> events;
+  std::vector<EventBytes> events;
   for (int i = 0; i < 4; ++i) {
     json::Object o;
     o["task_state"] = std::string("TASK_COMPLETED");
     o["worker"] = std::string("nid004512");
     o["seq"] = i;
-    events.emplace_back(json::Value(std::move(o)), "payload" + std::to_string(i));
+    events.emplace_back(wire::encode_value(json::Value(std::move(o))),
+                        "payload" + std::to_string(i));
   }
   const std::string f1 = encode_event_frame(encoder, events);
   const std::string f2 = encode_event_frame(encoder, events);
@@ -289,8 +294,10 @@ TEST_F(MofkaTest, EventFrameRoundTripsAndShrinksWithInterning) {
 TEST_F(MofkaTest, AppendFrameStoresEventsAndCountsWireBytes) {
   broker_.create_topic("t");
   wire::StreamEncoder encoder;
-  std::vector<std::pair<json::Value, std::string>> events;
-  for (int i = 0; i < 3; ++i) events.emplace_back(meta(i), "d" + std::to_string(i));
+  std::vector<EventBytes> events;
+  for (int i = 0; i < 3; ++i) {
+    events.emplace_back(wire::encode_value(meta(i)), "d" + std::to_string(i));
+  }
   const std::string frame = encode_event_frame(encoder, events);
   const AppendResult ack = broker_.append_frame("t", 0, /*session=*/1, frame);
   ASSERT_EQ(ack.offsets.size(), 3u);
@@ -310,7 +317,7 @@ TEST_F(MofkaTest, MalformedFrameRejected) {
   // The poisoned session state was discarded: a clean frame on the same
   // session id decodes fine afterwards.
   wire::StreamEncoder encoder;
-  const std::string frame = encode_event_frame(encoder, {{meta(0), "d"}});
+  const std::string frame = encode_event_frame(encoder, {{wire::encode_value(meta(0)), "d"}});
   EXPECT_EQ(broker_.append_frame("t", 0, 1, frame).offsets.size(), 1u);
 }
 
@@ -319,7 +326,7 @@ TEST_F(MofkaTest, BrokerRestartWipesWireSessions) {
   wire::StreamEncoder encoder;
   json::Object o;
   o["shared_key_name"] = std::string("shared_value_text");
-  const json::Value metadata(std::move(o));
+  const std::string metadata = wire::encode_value(json::Value(std::move(o)));
   // Frame 1 sights the strings, frame 2 defines them, frame 3 is refs-only.
   (void)broker_.append_frame("t", 0, 7, encode_event_frame(encoder, {{metadata, ""}}));
   (void)broker_.append_frame("t", 0, 7, encode_event_frame(encoder, {{metadata, ""}}));
@@ -358,6 +365,208 @@ TEST_F(MofkaTest, BinaryProducerMatchesJsonProducerAndSavesWireBytes) {
   const TopicStats stats = broker_.topic_stats("bin");
   EXPECT_GT(stats.bytes_wire, 0u);
   EXPECT_LT(stats.bytes_wire, json_text_bytes);
+}
+
+/// Event metadata around the producer's stamps: keys sorting before "_pid",
+/// between the stamps and after them, stamps already present, and values
+/// that are no object (pushed unstamped).
+std::vector<json::Value> stamp_cases() {
+  std::vector<json::Value> out;
+  const char* const keys[] = {"A", "0", "_a", "_q", "a"};
+  for (int i = 0; i < 10; ++i) {
+    json::Object o;
+    for (int k = 0; k < 5; ++k) {
+      if ((i + k) % 3 != 0) o[keys[k]] = json::Value(i * 10 + k);
+    }
+    if (i % 4 == 1) {
+      o["_pid"] = "stale";
+      o["_seq"] = json::Array{};
+    }
+    out.emplace_back(std::move(o));
+  }
+  out.emplace_back("not an object");
+  out.emplace_back(json::Array{json::Object{{"_pid", 1}, {"_seq", 2}}});
+  return out;
+}
+
+/// What one producer's pushes left in a durable broker.
+struct Stored {
+  std::uint64_t pid = 0;
+  std::vector<EventId> acks;
+  /// Per partition, in offset order: the Yokan values, and the metadata of
+  /// the broker WAL's batch records.
+  std::vector<std::vector<std::string>> values;
+  std::vector<std::vector<std::string>> logged;
+  std::uint64_t bytes_wire = 0;
+};
+
+/// Pushes stamp_cases() into a fresh two-partition durable broker, as trees
+/// or as their wire bytes.
+Stored push_stamp_cases(const std::string& dir, bool as_bytes) {
+  std::filesystem::remove_all(dir);
+  mochi::KeyValueStore kv;
+  mochi::BlobStore blobs;
+  Stored stored;
+  {
+    Broker broker(kv, blobs, dir);
+    broker.create_topic("t", TopicConfig{2, nullptr, nullptr});
+    Producer producer(broker, "t",
+                      ProducerConfig{4, std::chrono::milliseconds(5), false});
+    stored.pid = producer.producer_id();
+    std::vector<std::future<EventId>> acks;
+    int i = 0;
+    for (const json::Value& metadata : stamp_cases()) {
+      std::string data = "data" + std::to_string(i++);
+      acks.push_back(as_bytes ? producer.push_wire(wire::encode_value(metadata),
+                                                   std::move(data))
+                              : producer.push(metadata, std::move(data)));
+    }
+    producer.flush();
+    for (auto& ack : acks) stored.acks.push_back(ack.get());
+    stored.values.resize(2);
+    for (PartitionIndex p = 0; p < 2; ++p) {
+      for (EventId offset = 0; offset < broker.partition_size("t", p);
+           ++offset) {
+        char key[64];
+        std::snprintf(key, sizeof(key), "t/t/%08u/%020llu", p,
+                      static_cast<unsigned long long>(offset));
+        stored.values[p].push_back(kv.get(key).value_or("missing"));
+      }
+    }
+    stored.bytes_wire = broker.topic_stats("t").bytes_wire;
+  }
+  // Batch records: 'B', then length-prefixed topic, partition, count and
+  // (metadata, data) pairs, little-endian.
+  stored.logged.resize(2);
+  wal::WalWriter::replay(dir, [&](std::string_view record) {
+    if (record[0] != 'B') return;
+    std::size_t pos = 1;
+    const auto u32 = [&] {
+      std::uint32_t v = 0;
+      for (int b = 0; b < 4; ++b) {
+        v |= static_cast<std::uint32_t>(
+                 static_cast<unsigned char>(record[pos + b]))
+             << (8 * b);
+      }
+      pos += 4;
+      return v;
+    };
+    const auto str = [&] {
+      const std::uint32_t n = u32();
+      const std::string out(record.substr(pos, n));
+      pos += n;
+      return out;
+    };
+    (void)str();  // topic
+    const std::uint32_t partition = u32();
+    const std::uint32_t count = u32();
+    for (std::uint32_t e = 0; e < count; ++e) {
+      stored.logged.at(partition).push_back(str());
+      (void)str();  // data
+    }
+  });
+  std::filesystem::remove_all(dir);
+  return stored;
+}
+
+TEST_F(MofkaTest, TreePushAndBytePushStoreTheSameBytes) {
+  // push(json::Value) and push_wire(bytes) send the same frames and store,
+  // log and ack the same bytes: encode_value of the tree stamped with the
+  // producer's id and per-partition sequence, as the tree path always has.
+  const std::string dir = (std::filesystem::temp_directory_path() /
+                           ("recup_mofka_push_" + std::to_string(::getpid())))
+                              .string();
+  const Stored by_tree = push_stamp_cases(dir, false);
+  const Stored by_bytes = push_stamp_cases(dir, true);
+  EXPECT_EQ(by_tree.acks, by_bytes.acks);
+  for (const Stored* stored : {&by_tree, &by_bytes}) {
+    // Round-robin over two partitions; objects take the next sequence.
+    std::vector<std::vector<std::string>> expected(2);
+    std::vector<std::uint64_t> next_seq(2, 0);
+    std::uint64_t frame_bytes = 0;
+    std::vector<wire::StreamEncoder> encoders(2);
+    std::vector<std::vector<EventBytes>> batches(2);
+    const auto flush = [&](PartitionIndex p) {
+      if (batches[p].empty()) return;
+      frame_bytes += encode_event_frame(encoders[p], batches[p]).size();
+      batches[p].clear();
+    };
+    int i = 0;
+    for (json::Value metadata : stamp_cases()) {
+      const auto p = static_cast<PartitionIndex>(i % 2);
+      if (metadata.is_object()) {
+        metadata["_pid"] = stored->pid;
+        metadata["_seq"] = next_seq[p]++;
+      }
+      expected[p].push_back(wire::encode_value(metadata));
+      batches[p].emplace_back(expected[p].back(), "data" + std::to_string(i));
+      if (batches[p].size() == 4) flush(p);
+      ++i;
+    }
+    flush(0);
+    flush(1);
+    EXPECT_EQ(stored->values, expected);
+    EXPECT_EQ(stored->logged, expected);
+    EXPECT_EQ(stored->bytes_wire, frame_bytes);
+  }
+}
+
+TEST_F(MofkaTest, ValidatorAndSelectorsStillSeeTheTree) {
+  // Installed hooks get decoded trees: the topic validator the stamped
+  // metadata, the partition selector the metadata as pushed, and the
+  // consumer's data selector the metadata as stored.
+  std::vector<json::Value> validated;
+  std::vector<json::Value> selected;
+  broker_.create_topic(
+      "t", TopicConfig{2,
+                       [&](const json::Value& metadata) {
+                         validated.push_back(metadata);
+                         if (metadata.contains("reject")) {
+                           throw MofkaError("rejected by validator");
+                         }
+                       },
+                       [&](const json::Value& metadata, PartitionIndex) {
+                         selected.push_back(metadata);
+                         return static_cast<PartitionIndex>(
+                             metadata.at("i").as_int() % 2);
+                       }});
+  Producer producer(broker_, "t",
+                    ProducerConfig{8, std::chrono::milliseconds(5), false});
+  for (int i = 0; i < 4; ++i) {
+    (void)producer.push_wire(wire::encode_value(meta(i)), "payload");
+  }
+  producer.flush();
+  ASSERT_EQ(selected.size(), 4u);
+  ASSERT_EQ(validated.size(), 4u);
+  for (const json::Value& metadata : selected) {
+    EXPECT_FALSE(metadata.contains("_pid"));
+  }
+  for (const json::Value& metadata : validated) {
+    EXPECT_EQ(metadata.at("_pid").as_int(),
+              static_cast<std::int64_t>(producer.producer_id()));
+  }
+  json::Object rejected;
+  rejected["i"] = 0;
+  rejected["reject"] = true;
+  auto failed = producer.push_wire(wire::encode_value(json::Value(rejected)));
+  producer.flush();
+  EXPECT_THROW(failed.get(), MofkaError);
+
+  std::vector<json::Value> seen;
+  ConsumerConfig config;
+  config.selector = [&](const json::Value& metadata) {
+    seen.push_back(metadata);
+    return DataSelection{0, 3, true};
+  };
+  Consumer consumer(broker_, "t", "g", config);
+  std::size_t pulled = 0;
+  while (auto event = consumer.pull_wire()) {
+    EXPECT_EQ(event->data, "pay");
+    EXPECT_EQ(wire::encode_value(seen.back()), event->metadata);
+    ++pulled;
+  }
+  EXPECT_EQ(pulled, 4u);
+  EXPECT_EQ(seen.size(), 4u);
 }
 
 }  // namespace

@@ -1,5 +1,6 @@
 // Tests for the "fully online" future-work features: the Darshan-to-Mofka
-// streaming bridge and the adaptive capture plugin.
+// streaming bridge and the adaptive capture plugin, and the WMS plugins'
+// cluster events.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -8,6 +9,9 @@
 #include "dtr/adaptive.hpp"
 #include "dtr/cluster.hpp"
 #include "dtr/darshan_bridge.hpp"
+#include "dtr/mofka_plugins.hpp"
+#include "mofka/wire.hpp"
+#include "wire/codec.hpp"
 
 namespace recup::dtr {
 namespace {
@@ -74,6 +78,47 @@ TEST(DarshanBridge, StreamedRecordsMatchPostHocCollection) {
     }
   }
   EXPECT_EQ(online_segments, direct_segments);
+}
+
+TEST(MofkaPlugins, ClusterEventsMatchTheTreesTheyReplace) {
+  // graph-received and worker-added/-removed have no field list: the
+  // scheduler plugin writes their keys in order by hand. Stored, they must
+  // be the bytes of the trees the plugin used to build, stamps included.
+  mochi::KeyValueStore kv;
+  mochi::BlobStore blobs;
+  mofka::Broker broker(kv, blobs);
+  create_wms_topics(broker);
+  MofkaSchedulerPlugin plugin(
+      broker, mofka::ProducerConfig{8, std::chrono::milliseconds(5), false});
+  plugin.on_graph_received("graph-7", 12, 1.5);
+  plugin.on_worker_added(3, "tcp://10.0.1.2:9003", 2.25);
+  plugin.on_worker_removed(3, "tcp://10.0.1.2:9003", 9.0);
+  plugin.flush();
+
+  std::vector<json::Value> trees(3);
+  trees[0]["kind"] = "graph-received";
+  trees[0]["graph"] = "graph-7";
+  trees[0]["tasks"] = std::uint64_t{12};
+  trees[0]["time"] = 1.5;
+  for (int i = 1; i < 3; ++i) {
+    trees[i]["kind"] = i == 1 ? "worker-added" : "worker-removed";
+    trees[i]["worker"] = std::int64_t{3};
+    trees[i]["address"] = "tcp://10.0.1.2:9003";
+    trees[i]["time"] = i == 1 ? 2.25 : 9.0;
+  }
+  ASSERT_EQ(broker.partition_size("wms_cluster", 0), 3u);
+  for (mofka::EventId offset = 0; offset < 3; ++offset) {
+    const auto event = broker.fetch_wire("wms_cluster", 0, offset);
+    ASSERT_TRUE(event.has_value());
+    const auto stamps = mofka::read_stamps(event->metadata);
+    ASSERT_TRUE(stamps.has_value());
+    EXPECT_EQ(stamps->seq, offset);
+    json::Value expected = trees[offset];
+    expected["_pid"] = stamps->pid;
+    expected["_seq"] = stamps->seq;
+    EXPECT_EQ(event->metadata, wire::encode_value(expected))
+        << expected.dump();
+  }
 }
 
 TEST(DarshanBridge, DisabledByDefault) {

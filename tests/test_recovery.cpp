@@ -447,7 +447,11 @@ struct FrameSession {
 
   std::string frame(
       const std::vector<std::pair<json::Value, std::string>>& events) {
-    return mofka::encode_event_frame(encoder, events);
+    std::vector<mofka::EventBytes> bytes;
+    for (const auto& [metadata, data] : events) {
+      bytes.emplace_back(wire::encode_value(metadata), data);
+    }
+    return mofka::encode_event_frame(encoder, bytes);
   }
 };
 
@@ -567,6 +571,62 @@ TEST(BrokerWal, JsonTextMetadataIsATypedError) {
   mochi::KeyValueStore kv;
   mochi::BlobStore blobs;
   EXPECT_THROW((void)mofka::Broker(kv, blobs, dir.str()), wire::WireError);
+}
+
+/// A broker WAL holding the creation of topic "t" with `partitions`
+/// partitions, then `batch` unless it is empty: CRC-valid records whose
+/// fields replay must still check.
+void write_broker_wal(const std::string& dir, std::uint32_t partitions,
+                      const std::string& batch) {
+  wal::WalWriter writer(dir);
+  std::string topic("T");
+  put_le_str(topic, "t");
+  put_le32(topic, partitions);
+  writer.append(topic);
+  if (!batch.empty()) writer.append(batch);
+}
+
+TEST(BrokerWal, ZeroPartitionTopicIsATypedError) {
+  // create_topic rejects a topic without partitions; replay must too, or
+  // the first round-robin selection divides by zero.
+  TempDir dir("broker_zero_partitions");
+  write_broker_wal(dir.str(), 0, "");
+  mochi::KeyValueStore kv;
+  mochi::BlobStore blobs;
+  EXPECT_THROW((void)mofka::Broker(kv, blobs, dir.str()), mofka::MofkaError);
+}
+
+TEST(BrokerWal, BatchPartitionOutOfRangeIsATypedError) {
+  // A batch for partition 1,000,000 of a one-partition topic would index
+  // past the topic's per-partition state.
+  TempDir dir("broker_partition_range");
+  std::string batch("B");
+  put_le_str(batch, "t");
+  put_le32(batch, 1'000'000);  // partition
+  put_le32(batch, 1);          // events
+  put_le_str(batch, wire::encode_value(json::Value(json::Object{})));
+  put_le_str(batch, "data");
+  write_broker_wal(dir.str(), 1, batch);
+  mochi::KeyValueStore kv;
+  mochi::BlobStore blobs;
+  EXPECT_THROW((void)mofka::Broker(kv, blobs, dir.str()), mofka::MofkaError);
+}
+
+TEST(BrokerWal, BatchCountBeyondItsRecordIsATypedError) {
+  // Each event takes at least its two 4-byte length prefixes, so a count
+  // of 0xFFFFFFFF in a short record is corruption, found before anything
+  // is reserved for it.
+  TempDir dir("broker_batch_count");
+  std::string batch("B");
+  put_le_str(batch, "t");
+  put_le32(batch, 0);            // partition
+  put_le32(batch, 0xFFFFFFFFu);  // events
+  put_le_str(batch, wire::encode_value(json::Value(json::Object{})));
+  put_le_str(batch, "data");
+  write_broker_wal(dir.str(), 1, batch);
+  mochi::KeyValueStore kv;
+  mochi::BlobStore blobs;
+  EXPECT_THROW((void)mofka::Broker(kv, blobs, dir.str()), mofka::MofkaError);
 }
 
 // ---------------------------------------------------------------------------
@@ -1009,9 +1069,9 @@ void expect_submit_throws(dtr::Scheduler& scheduler,
 }
 
 TEST(SchedulerDurable, CheckpointStaysInKeyOrderAfterAThrowingSubmit) {
-  // A submission that throws leaves the tasks it inserted in the table; the
-  // next checkpoint must still list every task in key order, and so must
-  // the ones after a crash and recovery.
+  // A submission that throws leaves no task in the table; the next
+  // checkpoint must still list every task in key order, and so must the
+  // ones after a crash and recovery.
   TempDir dir("sched_throwing_submit");
   dtr::testing::MiniCluster mini;
   mini.scheduler.enable_durability({dir.str(), 0, false, {}});
@@ -1022,7 +1082,7 @@ TEST(SchedulerDurable, CheckpointStaysInKeyOrderAfterAThrowingSubmit) {
     expect_strictly_ascending(keys);
   };
 
-  // Keys sorting before the duplicate are inserted before it throws.
+  // Keys sorting before the duplicate are rejected with it.
   dtr::TaskGraph duplicate("duplicate");
   for (const dtr::TaskKey& key :
        {dtr::TaskKey{"alpha-0a0a", 2}, dtr::TaskKey{"alpha-0a0a", 0},
@@ -1033,18 +1093,18 @@ TEST(SchedulerDurable, CheckpointStaysInKeyOrderAfterAThrowingSubmit) {
     duplicate.add_task(task);
   }
   expect_submit_throws(mini.scheduler, duplicate, "task key resubmitted");
-  EXPECT_EQ(mini.scheduler.tasks_total(), 11u);
+  EXPECT_EQ(mini.scheduler.tasks_total(), 8u);
   mini.scheduler.checkpoint();
   expect_checkpoint_in_key_order();
 
   // Recovery rebuilds the table in journal order and checkpoints it.
   mini.scheduler.crash_and_recover();
-  EXPECT_EQ(mini.scheduler.tasks_total(), 11u);
+  EXPECT_EQ(mini.scheduler.tasks_total(), 8u);
   expect_checkpoint_in_key_order();
   mini.scheduler.checkpoint();
   expect_checkpoint_in_key_order();
 
-  // The whole graph is inserted before a dependency is found missing.
+  // The whole graph is rejected when a dependency is missing.
   dtr::TaskGraph orphan("orphan");
   for (const char* group : {"gamma-2c2c", "aardvark-3d3d"}) {
     dtr::TaskSpec task;
@@ -1053,9 +1113,105 @@ TEST(SchedulerDurable, CheckpointStaysInKeyOrderAfterAThrowingSubmit) {
     orphan.add_task(task);
   }
   expect_submit_throws(mini.scheduler, orphan, "dependency never submitted");
-  EXPECT_EQ(mini.scheduler.tasks_total(), 13u);
+  EXPECT_EQ(mini.scheduler.tasks_total(), 8u);
   mini.scheduler.checkpoint();
   expect_checkpoint_in_key_order();
+}
+
+/// FNV-1a of each file directly under `dir`, by file name.
+std::map<std::string, std::uint64_t> file_digests(const std::string& dir) {
+  std::map<std::string, std::uint64_t> out;
+  for (const auto& entry : std::filesystem::directory_iterator(dir)) {
+    out[entry.path().filename().string()] = fnv1a64(read_bytes(entry.path()));
+  }
+  return out;
+}
+
+TEST(SchedulerDurable, RejectedSubmitLeavesNoTrace) {
+  // submit_graph checks a whole graph before it registers, journals or
+  // streams any of it. A rejected graph leaves the journal segments,
+  // checkpoint.bin and the Mofka stream as a twin run that never saw it
+  // has them, recovery succeeds, and the corrected graph can reuse the
+  // name and complete.
+  const auto task = [](const char* group, std::vector<dtr::TaskKey> deps) {
+    dtr::TaskSpec spec;
+    spec.key = {group, 0};
+    spec.dependencies = std::move(deps);
+    spec.work.compute = 0.01;
+    spec.work.output_bytes = 1024;
+    return spec;
+  };
+  // A releasable intermediate, forgotten once its consumer finishes, and a
+  // result kept in memory.
+  dtr::TaskGraph base("base");
+  dtr::TaskSpec intermediate = task("intermediate-aa00", {});
+  intermediate.work.releasable = true;
+  base.add_task(intermediate);
+  base.add_task(task("consumer-cc22", {intermediate.key}));
+  base.add_task(task("kept-bb11", {}));
+  const auto second = [&](std::vector<dtr::TaskSpec> specs) {
+    dtr::TaskGraph graph("second");
+    for (dtr::TaskSpec& spec : specs) graph.add_task(std::move(spec));
+    return graph;
+  };
+  const dtr::TaskGraph corrected =
+      second({task("alpha-0a0a", {{"kept-bb11", 0}})});
+  const std::pair<const char*, dtr::TaskGraph> rejected[] = {
+      // "alpha" sorts before the resubmitted key, so it came first.
+      {"task key resubmitted",
+       second({task("alpha-0a0a", {}), task("consumer-cc22", {})})},
+      {"dependency never submitted",
+       second({task("alpha-0a0a", {{"never-4e4e", 0}})})},
+      {"dependency was already released",
+       second({task("alpha-0a0a", {intermediate.key})})},
+  };
+
+  struct Trace {
+    std::map<std::string, std::uint64_t> after_submit;
+    std::map<std::string, std::uint64_t> at_end;
+    std::uint64_t cluster_events = 0;
+    std::uint64_t cluster_bytes = 0;
+  };
+  const auto run = [&](const std::string& dir, const char* reason,
+                       const dtr::TaskGraph* bad) {
+    Trace trace;
+    mochi::KeyValueStore kv;
+    mochi::BlobStore blobs;
+    mofka::Broker broker(kv, blobs);
+    dtr::create_wms_topics(broker);
+    dtr::MofkaSchedulerPlugin plugin(
+        broker, mofka::ProducerConfig{64, std::chrono::milliseconds(5), false});
+    dtr::testing::MiniCluster mini;
+    mini.scheduler.add_plugin(&plugin);
+    mini.scheduler.enable_durability({dir, 0, false, {}});
+    EXPECT_TRUE(mini.run_graph(base));
+    if (bad != nullptr) expect_submit_throws(mini.scheduler, *bad, reason);
+    EXPECT_EQ(mini.scheduler.tasks_total(), 3u);
+    mini.scheduler.checkpoint();
+    plugin.flush();
+    trace.after_submit = file_digests(dir);
+    const mofka::TopicStats cluster = broker.topic_stats("wms_cluster");
+    trace.cluster_events = cluster.events;
+    trace.cluster_bytes = cluster.bytes_metadata;
+    EXPECT_NO_THROW(mini.scheduler.crash_and_recover());
+    EXPECT_TRUE(mini.run_graph(corrected));
+    mini.scheduler.checkpoint();
+    trace.at_end = file_digests(dir);
+    return trace;
+  };
+
+  TempDir twin_dir("sched_rejected_twin");
+  const Trace twin = run(twin_dir.str(), "", nullptr);
+  ASSERT_TRUE(twin.after_submit.count("checkpoint.bin"));
+  for (const auto& [reason, bad] : rejected) {
+    SCOPED_TRACE(reason);
+    TempDir dir("sched_rejected");
+    const Trace trace = run(dir.str(), reason, &bad);
+    EXPECT_EQ(trace.after_submit, twin.after_submit);
+    EXPECT_EQ(trace.at_end, twin.at_end);
+    EXPECT_EQ(trace.cluster_events, twin.cluster_events);
+    EXPECT_EQ(trace.cluster_bytes, twin.cluster_bytes);
+  }
 }
 
 // ---------------------------------------------------------------------------

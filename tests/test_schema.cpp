@@ -1,5 +1,5 @@
 // Tests for the provenance record schema (dtr/schema.hpp): each record type's
-// one field list and the three codecs derived from it.
+// one field list and the five codecs derived from it.
 //
 // - Pinned digests hold the bytes of to_wire(r) and to_json(r).dump() for
 //   every type over a seeded generator, so Mofka metadata, the broker WAL and
@@ -8,6 +8,9 @@
 //   omitted list back as empty and ignores keys outside the schema.
 // - A record read back from its tree, or from the tree decoded off the wire,
 //   encodes to the same bytes.
+// - The wire reader and the text writer agree with the tree codecs they
+//   stand in for: from_wire with from_json(wire::decode_value(bytes)) on
+//   valid, mutated and truncated bytes, to_json_text with to_json(r).dump().
 #include <gtest/gtest.h>
 
 #include <cinttypes>
@@ -167,6 +170,36 @@ class Gen {
                        .estimated_transfer_cost = real(),
                        .estimated_compute_cost = real()};
   }
+  darshan::PosixRecord posix() {
+    darshan::PosixRecord r;
+    r.file_path = text();
+    r.process_id = u32();
+    r.hostname = text();
+    r.opens = u64();
+    r.reads = u64();
+    r.writes = u64();
+    r.bytes_read = u64();
+    r.bytes_written = u64();
+    r.max_byte_read = u64();
+    r.max_byte_written = u64();
+    r.read_time = real();
+    r.write_time = real();
+    r.meta_time = real();
+    return r;
+  }
+  DxtSegmentEvent dxt() {
+    DxtSegmentEvent e;
+    e.file_path = text();
+    e.process_id = u32();
+    e.hostname = text();
+    e.segment.op = coin() ? darshan::IoOp::kRead : darshan::IoOp::kWrite;
+    e.segment.offset = u64();
+    e.segment.length = u64();
+    e.segment.start = real();
+    e.segment.end = real();
+    e.segment.thread_id = u64();
+    return e;
+  }
 
  private:
   std::mt19937_64 rng_;
@@ -192,6 +225,14 @@ void for_each_type(Check&& check) {
         [](Gen& g, int i) { return g.work(i % 8); });
   check("IoOpSpec", {}, [](Gen& g, int) { return g.io(); });
   check("KernelSpec", {}, [](Gen& g, int) { return g.kernel(); });
+}
+
+/// for_each_type plus the Darshan bridge's two event shapes.
+template <typename Check>
+void for_each_streamed_type(Check&& check) {
+  for_each_type(check);
+  check("PosixRecord", {}, [](Gen& g, int) { return g.posix(); });
+  check("DxtSegmentEvent", {}, [](Gen& g, int) { return g.dxt(); });
 }
 
 std::string wired(const auto& record) {
@@ -350,6 +391,215 @@ TEST(RecordSchema, ReadBackEncodesToTheSameBytes) {
           << type;
     }
   });
+}
+
+TEST(RecordSchema, DarshanEventsMatchPinnedDigests) {
+  // As EncodingsMatchPinnedDigests, for the Darshan bridge's events: the
+  // digests were recorded from the hand-written posix_to_json and
+  // segment_to_json the field lists replaced, over the same generator.
+  static const std::map<std::string, std::pair<std::uint64_t, std::uint64_t>>
+      kPinned = {
+          {"PosixRecord", {0xce1c12ec61c81c37ULL, 0x9b1d4348d2944626ULL}},
+          {"DxtSegmentEvent", {0x0b8494ab0d35916aULL, 0x8958a062142ff5f6ULL}},
+      };
+  const auto check = [](const char* type, auto make) {
+    Gen gen(0x736368656d61ULL);  // "schema"
+    std::string bytes;
+    std::string lines;
+    for (int i = 0; i < kRecords; ++i) {
+      const auto record = make(gen);
+      to_wire(record, bytes);
+      to_json_text(record, lines);
+      lines += '\n';
+    }
+    const std::pair digests{fnv1a64(bytes), fnv1a64(lines)};
+    char now[64];
+    std::snprintf(now, sizeof(now), "{0x%" PRIx64 "ULL, 0x%" PRIx64 "ULL}",
+                  digests.first, digests.second);
+    EXPECT_EQ(digests, kPinned.at(type)) << type << " is now " << now;
+  };
+  check("PosixRecord", [](Gen& g) { return g.posix(); });
+  check("DxtSegmentEvent", [](Gen& g) { return g.dxt(); });
+}
+
+TEST(RecordSchema, JsonTextEqualsTreeDump) {
+  for_each_streamed_type([](const char* type, const std::set<std::string>&,
+                            auto make) {
+    Gen gen(13);
+    for (int i = 0; i < kRecords; ++i) {
+      const auto record = make(gen, i);
+      std::string text = "prefix:";  // appends, as the writers all do
+      to_json_text(record, text);
+      EXPECT_EQ(text, "prefix:" + to_json(record).dump()) << type;
+    }
+  });
+}
+
+/// What reading `bytes` as a T ends in: the record's wire bytes, or the
+/// type of the exception thrown.
+template <typename T, typename Read>
+std::string outcome(Read read) {
+  try {
+    return "record " + wired(read());
+  } catch (const wire::WireError&) {
+    return "wire::WireError";
+  } catch (const json::TypeError&) {
+    return "json::TypeError";
+  } catch (const std::exception& e) {
+    return std::string("other: ") + e.what();
+  }
+}
+
+/// Both readers' outcomes for `bytes`: the wire reader's and the tree
+/// reader's over the decoded tree.
+template <typename T>
+std::pair<std::string, std::string> both_outcomes(const std::string& bytes) {
+  return {outcome<T>([&] { return from_wire<T>(bytes); }),
+          outcome<T>([&] { return from_json<T>(wire::decode_value(bytes)); })};
+}
+
+TEST(RecordSchema, WireReaderAgreesWithTreeReader) {
+  for_each_streamed_type([](const char* type, const std::set<std::string>&,
+                            auto make) {
+    Gen gen(11);
+    for (int i = 0; i < kRecords; ++i) {
+      const auto record = make(gen, i);
+      using T = std::remove_const_t<decltype(record)>;
+      const std::string bytes = wired(record);
+      EXPECT_EQ(wired(from_wire<T>(bytes)), bytes) << type;
+      // Keys outside the schema are skipped, whatever they hold.
+      json::Value tree = to_json(record);
+      tree.as_object()["_pid"] = 3;
+      tree.as_object()["_seq"] = json::Array{1, "two", json::Object{}};
+      tree.as_object()["zz_extra"] = json::Object{{"nested", nullptr}};
+      EXPECT_EQ(wired(from_wire<T>(wire::encode_value(tree))), bytes) << type;
+    }
+  });
+}
+
+TEST(RecordSchema, WireReaderMatchesTreeReaderOnEveryMutation) {
+  // Deleting, nulling or retyping any one key, at any depth, ends the same
+  // way on both readers: the same exception type, or equal records.
+  const std::vector<json::Value> retypes = {
+      json::Value(7), json::Value(2.5), json::Value("text"), json::Value(true),
+      json::Value(json::Array{}), json::Value(json::Object{})};
+  std::size_t mutations = 0;
+  for_each_streamed_type([&](const char* type, const std::set<std::string>&,
+                             auto make) {
+    Gen gen(17);
+    for (int i = 0; i < 16; ++i) {
+      const auto record = make(gen, i);
+      using T = std::remove_const_t<decltype(record)>;
+      const json::Value tree = to_json(record);
+      std::vector<Path> paths;
+      Path path;
+      key_paths(tree, path, paths);
+      for (const Path& key : paths) {
+        SCOPED_TRACE(std::string(type) + " at " + join(key));
+        std::vector<json::Value> mutated;
+        json::Value cut = tree;
+        node_at(cut, Path(key.begin(), key.end() - 1))
+            .as_object()
+            .erase(key.back());
+        mutated.push_back(std::move(cut));
+        mutated.push_back(tree);
+        node_at(mutated.back(), key) = nullptr;
+        for (const json::Value& retype : retypes) {
+          mutated.push_back(tree);
+          node_at(mutated.back(), key) = retype;
+        }
+        for (const json::Value& variant : mutated) {
+          const auto [by_wire, by_tree] =
+              both_outcomes<T>(wire::encode_value(variant));
+          EXPECT_EQ(by_wire, by_tree) << variant.dump();
+          ++mutations;
+        }
+      }
+    }
+  });
+  EXPECT_GT(mutations, 10000u);
+}
+
+TEST(RecordSchema, WireReaderRejectsEveryTruncation) {
+  for_each_streamed_type([](const char* type, const std::set<std::string>&,
+                            auto make) {
+    Gen gen(19);
+    for (int i = 0; i < 4; ++i) {
+      const auto record = make(gen, i);
+      using T = std::remove_const_t<decltype(record)>;
+      const std::string bytes = wired(record);
+      for (std::size_t cut = 0; cut < bytes.size(); ++cut) {
+        const auto [by_wire, by_tree] =
+            both_outcomes<T>(bytes.substr(0, cut));
+        EXPECT_EQ(by_wire, "wire::WireError") << type << " cut " << cut;
+        EXPECT_EQ(by_tree, "wire::WireError") << type << " cut " << cut;
+      }
+      // Trailing bytes after the record are malformed too.
+      EXPECT_EQ(both_outcomes<T>(bytes + '\0').first, "wire::WireError");
+    }
+  });
+}
+
+TEST(RecordSchema, WireReaderRejectsKeysOutOfOrder) {
+  // Every encoder writes keys in std::map order; the wire reader relies on
+  // it and rejects anything else, including a repeated key.
+  Gen gen(23);
+  const TransitionRecord record = gen.transition();
+  const json::Value tree = to_json(record);
+  const json::Object& object = tree.as_object();
+  const auto encode = [](const std::vector<std::pair<std::string,
+                                                     json::Value>>& entries) {
+    std::string out;
+    wire::put_object(out, entries.size());
+    for (const auto& [key, value] : entries) {
+      wire::put_str(out, key);
+      wire::encode_value(value, out);
+    }
+    return out;
+  };
+  std::vector<std::pair<std::string, json::Value>> entries(object.begin(),
+                                                           object.end());
+  ASSERT_EQ(wired(from_wire<TransitionRecord>(encode(entries))),
+            wired(record));
+  for (std::size_t i = 0; i + 1 < entries.size(); ++i) {
+    auto swapped = entries;
+    std::swap(swapped[i], swapped[i + 1]);
+    EXPECT_THROW((void)from_wire<TransitionRecord>(encode(swapped)),
+                 wire::WireError)
+        << "swapped " << entries[i].first;
+  }
+  auto repeated = entries;
+  repeated.insert(repeated.begin() + 1, entries[1]);
+  EXPECT_THROW((void)from_wire<TransitionRecord>(encode(repeated)),
+               wire::WireError);
+  // Out of order inside a nested record too: the task key's two entries.
+  std::string bytes;
+  wire::put_object(bytes, entries.size());
+  for (const auto& [key, value] : entries) {
+    wire::put_str(bytes, key);
+    if (key == "key") {
+      wire::put_object(bytes, 2);
+      wire::put_str(bytes, "index");
+      wire::encode_value(value.at("index"), bytes);
+      wire::put_str(bytes, "group");
+      wire::encode_value(value.at("group"), bytes);
+    } else {
+      wire::encode_value(value, bytes);
+    }
+  }
+  EXPECT_THROW((void)from_wire<TransitionRecord>(bytes), wire::WireError);
+}
+
+TEST(RecordSchema, KindOfReadsTheKindKey) {
+  Gen gen(29);
+  EXPECT_EQ(kind_of(wired(gen.steal())), "steal");
+  EXPECT_EQ(kind_of(wired(gen.posix())), "posix");
+  EXPECT_EQ(kind_of(wired(gen.dxt())), "dxt");
+  EXPECT_EQ(kind_of(wired(gen.transition())), "");  // no kind key
+  EXPECT_EQ(kind_of(wire::encode_value(json::Value("kind"))), "");
+  json::Value mistyped = to_json(gen.steal());
+  mistyped.as_object()["kind"] = 1;
+  EXPECT_THROW((void)kind_of(wire::encode_value(mistyped)), json::TypeError);
 }
 
 }  // namespace

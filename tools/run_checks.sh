@@ -63,9 +63,12 @@ echo "== crash-recovery oracle: 10-seed byte-identity check =="
 # The durability stack end to end: WAL-backed broker, scheduler
 # checkpoint/journal restart, and durable ingest cursors under injected
 # process crashes. Every seed must reproduce the fault-free views exactly.
-# SchedulerDurable.* adds the checkpoint suite: strict checkpoint reads and
-# mid-submission snapshots pinned to recorded digests.
-recovery_filter='*CrashRecoveryOracle*:SchedulerLease.*:SchedulerBatchedJournal.*:SchedulerDurable.*'
+# SchedulerDurable.* adds the checkpoint suite: strict checkpoint reads,
+# mid-submission snapshots pinned to recorded digests and rejected graphs
+# that leave no trace. BrokerWal.* adds the broker WAL: rebuilds with
+# identical offsets and dedup state, and replay rejecting records a live
+# call would have rejected.
+recovery_filter='*CrashRecoveryOracle*:SchedulerLease.*:SchedulerBatchedJournal.*:SchedulerDurable.*:BrokerWal.*'
 require_filter_matches ./build/tests/test_recovery "$recovery_filter"
 ./build/tests/test_recovery --gtest_filter="$recovery_filter" >/dev/null
 echo "crash-recovery oracle passed"
@@ -230,9 +233,19 @@ ASAN_OPTIONS=detect_leaks=1 UBSAN_OPTIONS=halt_on_error=1 \
 echo "== sanitized wire codec: round-trip + corrupt-frame suite =="
 # The binary codec parses untrusted bytes (truncated frames, corrupt tags,
 # lying length prefixes); run its property suite under ASan/UBSan where an
-# out-of-bounds read or overflow actually traps.
+# out-of-bounds read or overflow actually traps. The session transcoders
+# and the producer's stamps walk frame bytes, and the record schema's wire
+# reader walks stored bytes, without a tree: their differential suites
+# (against the tree codecs kept as references) run here too.
+transcoder_filter='WireCodec.Transcoded*:WireCodec.*SessionFrame*:WireCodec.SkipValue*:WireCodec.Stamping*'
+byte_reader_filter='RecordSchema.WireReader*:RecordSchema.JsonText*:RecordSchema.Darshan*:RecordSchema.KindOf*'
+require_filter_matches ./build-asan/tests/test_wire "$transcoder_filter"
+require_filter_matches ./build-asan/tests/test_schema "$byte_reader_filter"
 ASAN_OPTIONS=detect_leaks=1 UBSAN_OPTIONS=halt_on_error=1 \
   ./build-asan/tests/test_wire >/dev/null
+ASAN_OPTIONS=detect_leaks=1 UBSAN_OPTIONS=halt_on_error=1 \
+  ./build-asan/tests/test_schema --gtest_filter="$byte_reader_filter" \
+  >/dev/null
 
 if [[ "$skip_tsan" == 1 ]]; then
   echo "== TSan pass skipped (--skip-tsan) =="
