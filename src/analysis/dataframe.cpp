@@ -635,6 +635,75 @@ class RowKeyTable {
   std::vector<std::uint32_t> slots_;
 };
 
+/// Group ids without hashing. When every key is a string column (its
+/// dictionary codes) or an int64 column (offsets from its minimum) and the
+/// key space — the product of the dictionary sizes and value ranges — has
+/// at most max(2 * rows, 4096) slots, each row's mixed-radix slot index
+/// addresses a flat id table directly. Ids are handed out in
+/// first-appearance order with each group's first row appended to `heads`,
+/// exactly as RowKeyTable::insert numbers them (code equality is the
+/// equality group_by hashes on). Returns false, touching nothing, when the
+/// keys do not qualify; doubles never do.
+bool dense_group_ids(const std::vector<KeyCol>& cols, std::size_t rows,
+                     std::vector<std::size_t>& heads,
+                     std::vector<std::uint32_t>& gid) {
+  if (rows == 0) return false;
+  const std::uint64_t bound =
+      std::max<std::uint64_t>(2 * static_cast<std::uint64_t>(rows), 4096);
+  if (bound >= RowKeyTable::kNone) return false;  // slot indices are 32-bit
+  std::vector<std::uint64_t> radix(cols.size());
+  std::vector<std::int64_t> lows(cols.size(), 0);
+  std::uint64_t space = 1;
+  for (std::size_t k = 0; k < cols.size(); ++k) {
+    const Column& c = *cols[k].col;
+    std::uint64_t card = 0;
+    if (c.type() == ColumnType::kString) {
+      card = c.dict().size();
+    } else if (c.type() == ColumnType::kInt64) {
+      const auto [lo, hi] = std::minmax_element(c.ints().begin(), c.ints().end());
+      // Unsigned difference: exact even across the whole int64 range.
+      const std::uint64_t span =
+          static_cast<std::uint64_t>(*hi) - static_cast<std::uint64_t>(*lo);
+      if (span >= bound) return false;
+      lows[k] = *lo;
+      card = span + 1;
+    } else {
+      return false;
+    }
+    if (card == 0 || card > bound / space) return false;
+    radix[k] = card;
+    space *= card;
+  }
+
+  // gid holds each row's slot index until the id pass overwrites it.
+  std::fill(gid.begin(), gid.end(), 0u);
+  for (std::size_t k = 0; k < cols.size(); ++k) {
+    const auto base = static_cast<std::uint32_t>(radix[k]);
+    const Column& c = *cols[k].col;
+    if (c.type() == ColumnType::kString) {
+      const auto& codes = c.codes();
+      for (std::size_t r = 0; r < rows; ++r) gid[r] = gid[r] * base + codes[r];
+    } else {
+      const auto& v = c.ints();
+      const auto lo = static_cast<std::uint64_t>(lows[k]);
+      for (std::size_t r = 0; r < rows; ++r) {
+        gid[r] = gid[r] * base +
+                 static_cast<std::uint32_t>(static_cast<std::uint64_t>(v[r]) - lo);
+      }
+    }
+  }
+  std::vector<std::uint32_t> ids(space, RowKeyTable::kNone);
+  for (std::size_t r = 0; r < rows; ++r) {
+    std::uint32_t& id = ids[gid[r]];
+    if (id == RowKeyTable::kNone) {
+      id = static_cast<std::uint32_t>(heads.size());
+      heads.push_back(r);
+    }
+    gid[r] = id;
+  }
+  return true;
+}
+
 /// Applies fn(double) over src at rows [begin, end) with one type dispatch.
 template <typename Fn>
 void for_each_numeric(const Column& src, const std::size_t* begin,
@@ -780,17 +849,15 @@ DataFrame DataFrame::filter(
   return take(rows);
 }
 
-DataFrame DataFrame::filter_mask(const std::vector<char>& keep) const {
-  if (keep.size() != rows_) {
-    throw DataFrameError("filter_mask size mismatch");
-  }
+std::vector<std::size_t> selected_rows(const std::vector<char>& keep) {
   // Branch-free selection build: unconditionally store the row index, then
   // advance the cursor by 0 or 1. Morsels count matches in parallel, an
   // exclusive scan assigns each morsel its output slice, and the fill pass
   // writes disjoint ranges — output order stays ascending by row.
-  const std::size_t morsels = parallel::morsel_count(rows_);
+  const std::size_t n_rows = keep.size();
+  const std::size_t morsels = parallel::morsel_count(n_rows);
   std::vector<std::size_t> counts(morsels, 0);
-  parallel::for_morsels(rows_,
+  parallel::for_morsels(n_rows,
                         [&](std::size_t m, std::size_t b, std::size_t e) {
                           std::size_t n = 0;
                           for (std::size_t r = b; r < e; ++r) {
@@ -806,7 +873,7 @@ DataFrame DataFrame::filter_mask(const std::vector<char>& keep) const {
   }
   std::vector<std::size_t> rows(total);
   parallel::for_morsels(
-      rows_, [&](std::size_t m, std::size_t b, std::size_t e) {
+      n_rows, [&](std::size_t m, std::size_t b, std::size_t e) {
         // Local scratch: the unconditional store runs one slot past the
         // last match, which must not spill into the neighbor's slice.
         std::vector<std::size_t> local(e - b);
@@ -818,30 +885,49 @@ DataFrame DataFrame::filter_mask(const std::vector<char>& keep) const {
         std::copy(local.begin(), local.begin() + static_cast<std::ptrdiff_t>(k),
                   rows.begin() + static_cast<std::ptrdiff_t>(counts[m]));
       });
-  return take(rows);
+  return rows;
 }
 
-DataFrame DataFrame::sort_by(const std::string& column, bool ascending) const {
+DataFrame DataFrame::filter_mask(const std::vector<char>& keep) const {
+  if (keep.size() != rows_) {
+    throw DataFrameError("filter_mask size mismatch");
+  }
+  return take(selected_rows(keep));
+}
+
+DataFrame DataFrame::sort_by(const std::string& column, bool ascending,
+                             std::size_t limit) const {
   const Column& key = col(column);
   std::vector<std::size_t> rows(rows_);
   std::iota(rows.begin(), rows.end(), 0);
-  const auto order = [&](auto less) {
+  // Stable-sorts rows [0, end) by `less`, reversed for descending order.
+  const auto order = [&](auto end, auto less) {
     if (ascending) {
-      std::stable_sort(rows.begin(), rows.end(), less);
+      std::stable_sort(rows.begin(), end, less);
     } else {
-      std::stable_sort(rows.begin(), rows.end(),
+      std::stable_sort(rows.begin(), end,
                        [&](std::size_t a, std::size_t b) { return less(b, a); });
     }
   };
   switch (key.type()) {
     case ColumnType::kInt64: {
       const auto& v = key.ints();
-      order([&](std::size_t a, std::size_t b) { return v[a] < v[b]; });
+      order(rows.end(),
+            [&](std::size_t a, std::size_t b) { return v[a] < v[b]; });
       break;
     }
     case ColumnType::kDouble: {
+      // `<` is no strict weak order once NaN is in play, so NaN rows are
+      // moved behind the numbers first (a stable partition keeps them in
+      // row order) and only the numbers are sorted. A NaN-free column
+      // partitions to itself.
       const auto& v = key.doubles();
-      order([&](std::size_t a, std::size_t b) { return v[a] < v[b]; });
+      const auto numbers_end =
+          std::stable_partition(rows.begin(), rows.end(), [&](std::size_t r) {
+            return !std::isnan(v[r]);
+          });
+      order(numbers_end,
+            [&](std::size_t a, std::size_t b) { return v[a] < v[b]; });
       break;
     }
     case ColumnType::kString: {
@@ -856,12 +942,13 @@ DataFrame DataFrame::sort_by(const std::string& column, bool ascending) const {
                 [&](std::uint32_t a, std::uint32_t b) { return d[a] < d[b]; });
       std::vector<std::uint32_t> rank(d.size());
       for (std::uint32_t i = 0; i < by_lex.size(); ++i) rank[by_lex[i]] = i;
-      order([&](std::size_t a, std::size_t b) {
+      order(rows.end(), [&](std::size_t a, std::size_t b) {
         return rank[codes[a]] < rank[codes[b]];
       });
       break;
     }
   }
+  if (limit < rows.size()) rows.resize(limit);
   return take(rows);
 }
 
@@ -912,10 +999,11 @@ DataFrame DataFrame::group_by(const std::vector<std::string>& keys,
     key_cols.push_back({&c, kind_of(c.type()), /*code_keys=*/true});
   }
 
-  // Pass 1: map every row to a dense group id via the typed-key hash table.
+  // Pass 1: map every row to a group id, from the key codes directly when
+  // the key space is small enough, else via the typed-key hash table.
   std::vector<std::size_t> heads;  // first row of each group
   std::vector<std::uint32_t> gid(rows_);
-  {
+  if (!dense_group_ids(key_cols, rows_, heads, gid)) {
     RowKeyTable table(key_cols, rows_);
     for (std::size_t r = 0; r < rows_; ++r) gid[r] = table.insert(r, heads);
   }
@@ -982,6 +1070,27 @@ DataFrame DataFrame::group_by(const std::vector<std::string>& keys,
       dst.gather(src, ordered_heads);
       continue;
     }
+    if (agg.op == Agg::kCountDistinct &&
+        src.type() == ColumnType::kString) {
+      // Distinct codes == distinct values within one column, so a stamp
+      // per dictionary entry marks what the group has seen: no hashing,
+      // and "clearing" between groups is an epoch bump.
+      dst.ints_.reserve(n_groups);
+      const auto& codes = src.codes();
+      std::vector<std::uint32_t> seen(src.dict().size(), 0);
+      std::uint32_t epoch = 0;
+      for (const std::size_t g : order) {
+        ++epoch;
+        std::int64_t distinct = 0;
+        for (std::size_t i = offsets[g]; i < offsets[g + 1]; ++i) {
+          std::uint32_t& stamp = seen[codes[flat[i]]];
+          distinct += static_cast<std::int64_t>(stamp != epoch);
+          stamp = epoch;
+        }
+        dst.ints_.push_back(distinct);
+      }
+      continue;
+    }
     if (agg.op == Agg::kCountDistinct) {
       dst.ints_.reserve(n_groups);
       // One epoch-stamped open-addressing set sized for the largest group,
@@ -1044,14 +1153,8 @@ DataFrame DataFrame::group_by(const std::vector<std::string>& keys,
               });
           break;
         }
-        case ColumnType::kString: {
-          // Distinct codes == distinct values within one column, so the
-          // set runs on 32-bit integers without touching string bytes.
-          const auto& v = src.codes();
-          run_groups([&](std::size_t r) { return mix_u64(v[r]); },
-                     [&](std::size_t a, std::size_t b) { return v[a] == v[b]; });
-          break;
-        }
+        case ColumnType::kString:
+          break;  // handled above
       }
       continue;
     }

@@ -8,11 +8,15 @@
 //
 // Execution model: operations are columnar. Row selections (filter, sort,
 // head, take) materialize a row-index vector once and then gather whole
-// typed column slices, never touching per-row Cell variants. Group-by,
-// join, distinct, and asof-merge key on a typed composite hash
-// (hash-combine over raw int64 values, double bit patterns, and strings);
-// output ordering stays deterministic by sorting group heads on the typed
-// key values themselves, and joins/asof-merges emit rows in left-row order.
+// typed column slices, never touching per-row Cell variants; a sort with a
+// limit gathers only the first `limit` rows of its permutation. Join,
+// distinct, and asof-merge key on a typed composite hash (hash-combine over
+// raw int64 values, double bit patterns, and strings). Group-by skips the
+// hash when every key is a dictionary-coded string or a narrow int64 range:
+// the codes / offsets then index a dense id table directly. Either way
+// group ids follow first appearance, output ordering stays deterministic by
+// sorting group heads on the typed key values themselves, and
+// joins/asof-merges emit rows in left-row order.
 #pragma once
 
 #include <cstdint>
@@ -70,9 +74,14 @@ class Column {
   /// per-row variant boxing). Indices equal to kMissingRow append the
   /// type's default (0 / 0.0 / ""), which asof_merge uses for unmatched
   /// left rows. Types must match exactly, except int64 -> double widening.
+  /// String columns: a column with neither codes nor dictionary yet adopts
+  /// the source dictionary whole (unless a row is kMissingRow); otherwise
+  /// every source entry is interned in dictionary order. The query scan
+  /// relies on this merge order to reproduce result dictionaries exactly.
   static constexpr std::size_t kMissingRow = static_cast<std::size_t>(-1);
   void gather(const Column& src, const std::vector<std::size_t>& rows);
-  /// Appends the contiguous slice src[begin, end).
+  /// Appends the contiguous slice src[begin, end), merging string
+  /// dictionaries as gather() does.
   void append_slice(const Column& src, std::size_t begin, std::size_t end);
 
   [[nodiscard]] std::int64_t i64(std::size_t row) const;
@@ -201,8 +210,13 @@ class DataFrame {
   /// into row indices, then whole typed columns are gathered — no per-row
   /// predicate callback.
   [[nodiscard]] DataFrame filter_mask(const std::vector<char>& keep) const;
+  static constexpr std::size_t kAllRows = static_cast<std::size_t>(-1);
+  /// Every row, or with `limit` only the first `limit` rows, of one stable
+  /// permutation: values in the requested direction with ties in row
+  /// order, and NaN rows last in either direction, in row order.
   [[nodiscard]] DataFrame sort_by(const std::string& column,
-                                  bool ascending = true) const;
+                                  bool ascending = true,
+                                  std::size_t limit = kAllRows) const;
   [[nodiscard]] DataFrame select(const std::vector<std::string>& names) const;
   [[nodiscard]] DataFrame head(std::size_t n) const;
   /// Copy of this frame with one computed column appended.
@@ -210,7 +224,11 @@ class DataFrame {
       const std::string& name, ColumnType type,
       const std::function<Cell(const DataFrame&, std::size_t)>& fn) const;
   /// Group by key columns, computing the given aggregates per group.
-  /// Output groups are ordered by the typed key values ascending.
+  /// Output groups are ordered by the typed key values ascending. Group ids
+  /// come from a dense table indexed by the key codes when every key is a
+  /// string or int64 column and the product of the dictionary sizes /
+  /// value ranges is at most max(2 * rows, 4096); otherwise from the
+  /// composite-key hash table. Both number groups by first appearance.
   [[nodiscard]] DataFrame group_by(const std::vector<std::string>& keys,
                                    const std::vector<AggSpec>& aggs) const;
   /// Inner join on equality of the named key columns (hashed; output rows
@@ -257,5 +275,9 @@ class DataFrame {
   std::map<std::string, std::size_t> by_name_;
   std::size_t rows_ = 0;
 };
+
+/// Ascending indices of the rows with keep[r] != 0: the selection vector
+/// filter_mask gathers through, built morsel-parallel.
+std::vector<std::size_t> selected_rows(const std::vector<char>& keep);
 
 }  // namespace recup::analysis

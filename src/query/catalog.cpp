@@ -187,8 +187,9 @@ std::vector<prov::RunId> StoreCatalog::Snapshot::runs(
   out.reserve(all.size());
   for (const prov::RunId& id : all) {
     if (workflow && id.workflow != *workflow) continue;
-    if (run_index &&
-        id.run_index != static_cast<std::uint32_t>(*run_index)) {
+    // Compared in int64: an index outside the stored uint32 range matches
+    // no run instead of wrapping onto one.
+    if (run_index && static_cast<std::int64_t>(id.run_index) != *run_index) {
       continue;
     }
     out.push_back(id);
@@ -203,21 +204,27 @@ std::shared_ptr<const analysis::DataFrame> StoreCatalog::Snapshot::frame(
 
   if (seg_ != nullptr) {
     const segstore::RunKey run_key{id.workflow, id.run_index};
+    // Replica racing the writer's compaction GC: the pinned version can
+    // name a file that was merged away and unlinked before we mapped it.
+    // Compaction never changes logical content and runs are immutable, so
+    // a later version's copy of (view, run) is the same frame — refresh
+    // and re-read. The re-read can lose the same race to the writer's next
+    // compaction, so it repeats against ever newer versions, a bounded
+    // number of times (writer mode pins files via live versions, so this
+    // path cannot trigger there).
+    constexpr int kReadAttempts = 8;
+    std::shared_ptr<const segstore::ManifestVersion> version = seg_;
     std::shared_ptr<const analysis::DataFrame> decoded;
-    try {
-      decoded = catalog_->segstore_->read_frame(*seg_, view_name(view),
-                                                run_key);
-    } catch (const segstore::SegstoreError&) {
-      // Replica racing the writer's compaction GC: the pinned version can
-      // name a file that was merged away and unlinked before we mapped it.
-      // Compaction never changes logical content and runs are immutable,
-      // so the current version's copy of (view, run) is the same frame —
-      // refresh and re-read (writer mode pins files via live versions, so
-      // this path cannot trigger there).
-      catalog_->segstore_->refresh();
-      const auto current = catalog_->segstore_->version();
-      decoded = catalog_->segstore_->read_frame(*current, view_name(view),
-                                                run_key);
+    for (int attempt = 1;; ++attempt) {
+      try {
+        decoded = catalog_->segstore_->read_frame(*version, view_name(view),
+                                                  run_key);
+        break;
+      } catch (const segstore::SegstoreError&) {
+        if (attempt == kReadAttempts) throw;
+        catalog_->segstore_->refresh();
+        version = catalog_->segstore_->version();
+      }
     }
     if (decoded == nullptr) {
       return std::make_shared<const analysis::DataFrame>(

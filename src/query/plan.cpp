@@ -1,6 +1,8 @@
 #include "query/plan.hpp"
 
 #include <algorithm>
+#include <map>
+#include <set>
 #include <sstream>
 #include <utility>
 
@@ -328,18 +330,145 @@ std::string Plan::to_string() const {
   return out.str();
 }
 
+namespace {
+
+/// The zero-row schema frame of every view, built once: plan-time
+/// validation and the column types of the scan's output.
+const DataFrame& view_schema(ViewId view) {
+  static const std::vector<DataFrame> kSchemas = [] {
+    std::vector<DataFrame> out;
+    for (std::size_t v = 0; v < view_names().size(); ++v) {
+      out.push_back(empty_view_frame(static_cast<ViewId>(v)));
+    }
+    return out;
+  }();
+  return kSchemas[static_cast<std::size_t>(view)];
+}
+
+/// The predicates ANDed into one 0/1 byte mask over `frame`.
+std::vector<char> predicate_mask(const DataFrame& frame,
+                                 const std::vector<Predicate>& preds) {
+  std::vector<char> keep(frame.rows(), 1);
+  for (const Predicate& p : preds) narrow_mask_one(frame, p, keep);
+  return keep;
+}
+
+analysis::AsofSpec asof_spec(const AsofJoin& join) {
+  analysis::AsofSpec spec;
+  spec.left_on = join.left_on;
+  spec.right_on = join.right_on;
+  for (const auto& [l, r] : join.by) {
+    spec.left_by.push_back(l);
+    spec.right_by.push_back(r);
+  }
+  // Run identity joins implicitly: a row never matches across runs.
+  spec.left_by.emplace_back("workflow");
+  spec.right_by.emplace_back("workflow");
+  spec.left_by.emplace_back("run");
+  spec.right_by.emplace_back("run");
+  spec.right_valid_until = join.right_valid_until;
+  spec.tolerance = join.tolerance;
+  spec.keep_unmatched = join.keep_unmatched;
+  return spec;
+}
+
+std::string list_display(const std::vector<std::string>& names) {
+  std::string out;
+  for (const std::string& n : names) {
+    if (!out.empty()) out += ", ";
+    out += n;
+  }
+  return out;
+}
+
+/// `schema`'s columns that are in `wanted`, in schema order.
+std::vector<std::string> in_schema_order(const DataFrame& schema,
+                                         const std::set<std::string>& wanted) {
+  std::vector<std::string> out;
+  for (std::string& name : schema.column_names()) {
+    if (wanted.count(name) != 0) out.push_back(std::move(name));
+  }
+  return out;
+}
+
+/// Post-scan column names the query reads: the group keys and aggregate
+/// inputs (count reads none), else the selected columns plus the sort
+/// column, else every column.
+std::vector<std::string> names_read(const Query& query,
+                                    const DataFrame& post_join_schema) {
+  if (!query.group_by.empty()) {
+    std::vector<std::string> names = query.group_by;
+    for (const AggregateTerm& a : query.aggregates) {
+      if (a.op != analysis::Agg::kCount) names.push_back(a.column);
+    }
+    return names;
+  }
+  if (!query.select.empty()) {
+    std::vector<std::string> names = query.select;
+    if (query.order_by) names.push_back(query.order_by->column);
+    return names;
+  }
+  return post_join_schema.column_names();
+}
+
+/// Fills plan.columns / plan.right_columns: which columns each scanned
+/// view must supply for the post-scan names in `read`.
+void plan_scan_columns(const Query& query, const std::vector<std::string>& read,
+                       const DataFrame& schema, const DataFrame* right_schema,
+                       Plan& plan) {
+  if (!query.asof_join) {
+    plan.columns =
+        in_schema_order(schema, std::set<std::string>(read.begin(), read.end()));
+    return;
+  }
+  const AsofJoin& join = *query.asof_join;
+  const analysis::AsofSpec spec = asof_spec(join);
+  const std::set<std::string> right_by(spec.right_by.begin(),
+                                       spec.right_by.end());
+  // asof_merge keeps every left column and appends the right's non-by
+  // columns, renamed `<name>_right` when the left frame has `<name>`.
+  std::map<std::string, std::string> from_right;
+  for (const std::string& name : right_schema->column_names()) {
+    if (right_by.count(name) != 0) continue;
+    from_right[schema.has_column(name) ? name + "_right" : name] = name;
+  }
+  std::set<std::string> left;
+  std::set<std::string> right;
+  for (const std::string& name : read) {
+    if (schema.has_column(name)) {
+      left.insert(name);
+    } else if (const auto it = from_right.find(name); it != from_right.end()) {
+      right.insert(it->second);
+    }
+  }
+  left.insert(spec.left_on);
+  left.insert(spec.left_by.begin(), spec.left_by.end());
+  right.insert(spec.right_on);
+  right.insert(spec.right_by.begin(), spec.right_by.end());
+  if (!spec.right_valid_until.empty()) right.insert(spec.right_valid_until);
+  // The merge names a right column `<name>_right` only while the left frame
+  // holds `<name>`, so a colliding right column keeps its namesake.
+  for (const std::string& name : right) {
+    if (right_by.count(name) == 0 && schema.has_column(name)) {
+      left.insert(name);
+    }
+  }
+  plan.columns = in_schema_order(schema, left);
+  plan.right_columns = in_schema_order(*right_schema, right);
+}
+
+}  // namespace
+
 DataFrame apply_predicates(const DataFrame& frame,
                            const std::vector<Predicate>& preds) {
   if (preds.empty()) return frame;
-  std::vector<char> keep(frame.rows(), 1);
-  for (const Predicate& p : preds) narrow_mask_one(frame, p, keep);
-  return frame.filter_mask(keep);
+  return frame.filter_mask(predicate_mask(frame, preds));
 }
 
 Plan plan_query(const Query& query, const StoreCatalog::Snapshot& snapshot) {
   Plan plan;
   plan.view = view_from_name(query.from);
-  const DataFrame schema = empty_view_frame(plan.view);
+  const DataFrame& schema = view_schema(plan.view);
 
   Pushdown push = extract_pushdown(query);
   for (const Predicate& p : push.residual) {
@@ -373,6 +502,87 @@ Plan plan_query(const Query& query, const StoreCatalog::Snapshot& snapshot) {
     plan.estimated_rows += snapshot.estimated_rows(plan.view, id);
   }
 
+  // Validate every later stage against the frame it applies to; the scan's
+  // column sets derive from the same schemas.
+  DataFrame post_join_schema = schema;
+  const DataFrame* right_schema = nullptr;
+  if (query.asof_join) {
+    const AsofJoin& join = *query.asof_join;
+    right_schema = &view_schema(view_from_name(join.right_view));
+    for (const Predicate& p : join.where) {
+      check_predicate(*right_schema, p, join.right_view);
+    }
+    check_numeric_column(schema, join.left_on, query.from, "asof left_on");
+    check_numeric_column(*right_schema, join.right_on, join.right_view,
+                         "asof right_on");
+    if (!join.right_valid_until.empty()) {
+      check_numeric_column(*right_schema, join.right_valid_until,
+                           join.right_view, "asof right_valid_until");
+    }
+    for (const auto& [l, r] : join.by) {
+      if (!schema.has_column(l)) {
+        throw QueryError("view '" + query.from + "' has no column '" + l +
+                         "' (asof by)");
+      }
+      if (!right_schema->has_column(r)) {
+        throw QueryError("view '" + join.right_view + "' has no column '" +
+                         r + "' (asof by)");
+      }
+    }
+    // The merge's output schema, computed on the empty schema frames.
+    try {
+      post_join_schema = schema.asof_merge(*right_schema, asof_spec(join));
+    } catch (const analysis::DataFrameError& e) {
+      throw QueryError(std::string("asof_join: ") + e.what());
+    }
+  }
+
+  std::vector<analysis::AggSpec> aggs;
+  DataFrame shaped = post_join_schema;  // the frame order_by / select see
+  if (!query.group_by.empty()) {
+    for (const std::string& k : query.group_by) {
+      if (!post_join_schema.has_column(k)) {
+        throw QueryError("group_by column '" + k + "' does not exist");
+      }
+    }
+    for (const AggregateTerm& a : query.aggregates) {
+      if (!a.column.empty() && !post_join_schema.has_column(a.column)) {
+        throw QueryError("aggregate column '" + a.column + "' does not exist");
+      }
+      const bool numeric_only = a.op == analysis::Agg::kSum ||
+                                a.op == analysis::Agg::kMean ||
+                                a.op == analysis::Agg::kStd;
+      if (numeric_only &&
+          post_join_schema.col(a.column).type() == ColumnType::kString) {
+        throw QueryError(agg_op_name(a.op) + " needs a numeric column; '" +
+                         a.column + "' is a string column");
+      }
+      aggs.push_back({a.column, a.op, a.as});
+    }
+    try {
+      shaped = post_join_schema.group_by(query.group_by, aggs);
+    } catch (const analysis::DataFrameError& e) {
+      throw QueryError(std::string("group_by: ") + e.what());
+    }
+  }
+  const char* shape = query.group_by.empty() ? "" : " after group_by";
+  if (query.order_by && !shaped.has_column(query.order_by->column)) {
+    throw QueryError("order_by column '" + query.order_by->column +
+                     "' does not exist" + shape);
+  }
+  for (std::size_t i = 0; i < query.select.size(); ++i) {
+    const std::string& c = query.select[i];
+    if (!shaped.has_column(c)) {
+      throw QueryError("select column '" + c + "' does not exist" + shape);
+    }
+    if (std::find(query.select.begin(), query.select.begin() + i, c) !=
+        query.select.begin() + i) {
+      throw QueryError("select names column '" + c + "' twice");
+    }
+  }
+  plan_scan_columns(query, names_read(query, post_join_schema), schema,
+                    right_schema, plan);
+
   {
     std::string detail = "view=" + query.from + " runs=[" +
                          run_list_display(plan.runs) + "] ~" +
@@ -388,44 +598,24 @@ Plan plan_query(const Query& query, const StoreCatalog::Snapshot& snapshot) {
       detail += "; zone-pruned " + std::to_string(plan.zone_pruned) +
                 " runs via column min/max";
     }
+    detail += "; columns=[" + list_display(plan.columns) + "]";
     plan.steps.push_back({"scan", detail});
   }
   if (!push.residual.empty()) {
     plan.steps.push_back({"filter", predicates_display(push.residual) +
                                         " (typed columnar mask)"});
   }
-
-  DataFrame post_join_schema = schema;
   if (query.asof_join) {
     const AsofJoin& join = *query.asof_join;
-    const ViewId right_view = view_from_name(join.right_view);
-    const DataFrame right_schema = empty_view_frame(right_view);
-    for (const Predicate& p : join.where) {
-      check_predicate(right_schema, p, join.right_view);
-    }
-    check_numeric_column(schema, join.left_on, query.from, "asof left_on");
-    check_numeric_column(right_schema, join.right_on, join.right_view,
-                         "asof right_on");
-    if (!join.right_valid_until.empty()) {
-      check_numeric_column(right_schema, join.right_valid_until,
-                           join.right_view, "asof right_valid_until");
-    }
     std::string by_display;
     for (const auto& [l, r] : join.by) {
-      if (!schema.has_column(l)) {
-        throw QueryError("view '" + query.from + "' has no column '" + l +
-                         "' (asof by)");
-      }
-      if (!right_schema.has_column(r)) {
-        throw QueryError("view '" + join.right_view + "' has no column '" +
-                         r + "' (asof by)");
-      }
       if (!by_display.empty()) by_display += ", ";
       by_display += l + "=" + r;
     }
     std::size_t right_rows = 0;
     for (const prov::RunId& id : plan.runs) {
-      right_rows += snapshot.estimated_rows(right_view, id);
+      right_rows += snapshot.estimated_rows(view_from_name(join.right_view),
+                                            id);
     }
     std::string detail = "right=" + join.right_view + " ~" +
                          std::to_string(right_rows) + " rows; on " +
@@ -443,47 +633,19 @@ Plan plan_query(const Query& query, const StoreCatalog::Snapshot& snapshot) {
       detail += "; tolerance " + tol.str();
     }
     if (join.keep_unmatched) detail += "; keep_unmatched";
+    detail += "; right columns=[" + list_display(plan.right_columns) + "]";
     plan.steps.push_back({"asof_join", detail});
-
-    // Approximate output schema for downstream validation: asof_merge keeps
-    // all left columns and appends the right's non-by columns (renamed on
-    // collision) — compute it on the empty schema frames.
-    analysis::AsofSpec spec;
-    spec.left_on = join.left_on;
-    spec.right_on = join.right_on;
-    for (const auto& [l, r] : join.by) {
-      spec.left_by.push_back(l);
-      spec.right_by.push_back(r);
-    }
-    spec.left_by.emplace_back("workflow");
-    spec.right_by.emplace_back("workflow");
-    spec.left_by.emplace_back("run");
-    spec.right_by.emplace_back("run");
-    if (!join.right_valid_until.empty()) {
-      spec.right_valid_until = join.right_valid_until;
-    }
-    post_join_schema = schema.asof_merge(right_schema, spec);
   }
-
   if (!query.group_by.empty()) {
-    std::string keys;
-    for (const std::string& k : query.group_by) {
-      if (!post_join_schema.has_column(k)) {
-        throw QueryError("group_by column '" + k + "' does not exist");
-      }
-      if (!keys.empty()) keys += ", ";
-      keys += k;
-    }
-    std::string aggs;
+    std::string agg_display;
     for (const AggregateTerm& a : query.aggregates) {
-      if (!a.column.empty() && !post_join_schema.has_column(a.column)) {
-        throw QueryError("aggregate column '" + a.column + "' does not exist");
-      }
-      if (!aggs.empty()) aggs += ", ";
-      aggs += agg_op_name(a.op) + "(" + a.column + ") as " + a.as;
+      if (!agg_display.empty()) agg_display += ", ";
+      agg_display += agg_op_name(a.op) + "(" + a.column + ") as " + a.as;
     }
-    plan.steps.push_back({"group_by", "keys=[" + keys + "]; aggs=[" + aggs +
-                                          "] (hashed typed keys)"});
+    plan.steps.push_back(
+        {"group_by", "keys=[" + list_display(query.group_by) + "]; aggs=[" +
+                         agg_display +
+                         "] (typed keys: dense code ids or hashed)"});
   }
   if (query.order_by) {
     plan.steps.push_back({"sort", query.order_by->column +
@@ -494,63 +656,70 @@ Plan plan_query(const Query& query, const StoreCatalog::Snapshot& snapshot) {
     plan.steps.push_back({"limit", std::to_string(*query.limit)});
   }
   if (!query.select.empty()) {
-    std::string cols;
-    for (const std::string& c : query.select) {
-      if (!cols.empty()) cols += ", ";
-      cols += c;
-    }
-    plan.steps.push_back({"project", "[" + cols + "]"});
+    plan.steps.push_back({"project", "[" + list_display(query.select) + "]"});
   }
   return plan;
 }
 
 namespace {
 
-/// Materializes + filters + concatenates one view across the plan's runs.
+/// Reads one view across the plan's runs, copying only `columns`: each
+/// run's memoized frame is masked by `preds` in place, then its surviving
+/// rows are appended once, straight into the output columns. String
+/// dictionaries merge exactly as DataFrame::concat merged them — the first
+/// run's is adopted whole, each later run's entries are interned in
+/// dictionary order — which is why every run is visited, even one that
+/// keeps no rows.
 DataFrame scan_view(ViewId view, const std::vector<prov::RunId>& runs,
                     const std::vector<Predicate>& preds,
+                    const std::vector<std::string>& columns,
                     const StoreCatalog::Snapshot& snapshot) {
-  if (runs.empty()) return empty_view_frame(view);
-  bool first = true;
-  DataFrame acc;
+  std::vector<std::shared_ptr<const DataFrame>> frames;
+  std::vector<std::vector<std::size_t>> selections;
+  frames.reserve(runs.size());
+  selections.reserve(runs.size());
+  std::size_t rows = 0;
   for (const prov::RunId& id : runs) {
-    const auto frame = snapshot.frame(view, id);
-    DataFrame filtered = apply_predicates(*frame, preds);
-    acc = first ? std::move(filtered) : acc.concat(filtered);
-    first = false;
+    frames.push_back(snapshot.frame(view, id));
+    const DataFrame& frame = *frames.back();
+    if (preds.empty()) {
+      rows += frame.rows();
+      continue;
+    }
+    selections.push_back(
+        analysis::selected_rows(predicate_mask(frame, preds)));
+    rows += selections.back().size();
   }
-  return acc;
+  const DataFrame& schema = view_schema(view);
+  std::vector<analysis::Column> out;
+  out.reserve(columns.size());
+  for (const std::string& name : columns) {
+    analysis::Column& dst = out.emplace_back(name, schema.col(name).type());
+    dst.reserve(rows);
+    for (std::size_t i = 0; i < frames.size(); ++i) {
+      const analysis::Column& src = frames[i]->col(name);
+      if (preds.empty()) {
+        dst.append_slice(src, 0, src.size());
+      } else {
+        dst.gather(src, selections[i]);
+      }
+    }
+  }
+  return DataFrame::from_columns(std::move(out));
 }
 
 DataFrame run_plan(const Query& query, const Plan& plan,
                    const StoreCatalog::Snapshot& snapshot) {
-  Pushdown push = extract_pushdown(query);
-  DataFrame current =
-      scan_view(plan.view, plan.runs, push.residual, snapshot);
+  const Pushdown push = extract_pushdown(query);
+  DataFrame current = scan_view(plan.view, plan.runs, push.residual,
+                                plan.columns, snapshot);
 
   if (query.asof_join) {
     const AsofJoin& join = *query.asof_join;
-    const ViewId right_view = view_from_name(join.right_view);
-    DataFrame right =
-        scan_view(right_view, plan.runs, join.where, snapshot);
-    analysis::AsofSpec spec;
-    spec.left_on = join.left_on;
-    spec.right_on = join.right_on;
-    for (const auto& [l, r] : join.by) {
-      spec.left_by.push_back(l);
-      spec.right_by.push_back(r);
-    }
-    // Run identity joins implicitly: a row never matches across runs.
-    spec.left_by.emplace_back("workflow");
-    spec.right_by.emplace_back("workflow");
-    spec.left_by.emplace_back("run");
-    spec.right_by.emplace_back("run");
-    if (!join.right_valid_until.empty()) {
-      spec.right_valid_until = join.right_valid_until;
-    }
-    spec.tolerance = join.tolerance;
-    spec.keep_unmatched = join.keep_unmatched;
-    current = current.asof_merge(right, spec);
+    const DataFrame right =
+        scan_view(view_from_name(join.right_view), plan.runs, join.where,
+                  plan.right_columns, snapshot);
+    current = current.asof_merge(right, asof_spec(join));
   }
 
   if (!query.group_by.empty()) {
@@ -562,10 +731,11 @@ DataFrame run_plan(const Query& query, const Plan& plan,
     current = current.group_by(query.group_by, aggs);
   }
   if (query.order_by) {
-    current = current.sort_by(query.order_by->column,
-                              !query.order_by->descending);
-  }
-  if (query.limit) {
+    current = current.sort_by(
+        query.order_by->column, !query.order_by->descending,
+        query.limit ? static_cast<std::size_t>(*query.limit)
+                    : DataFrame::kAllRows);
+  } else if (query.limit) {
     current = current.head(static_cast<std::size_t>(*query.limit));
   }
   if (!query.select.empty()) {

@@ -2,17 +2,25 @@
 // DataFrame engine and runs it against one StoreCatalog snapshot.
 //
 // Plan shape, in order:
-//   scan       — materialize the view for every visible run. Equality
-//                predicates on the `workflow` / `run` identifier columns are
-//                *pushed down* here: they prune which runs are materialized
-//                at all instead of filtering rows afterwards.
+//   scan       — for every visible run, read the view's memoized frame.
+//                Equality predicates on the `workflow` / `run` identifier
+//                columns are *pushed down* here: they prune which runs are
+//                read at all instead of filtering rows afterwards. The plan
+//                names the columns the rest of the query reads (group keys
+//                and aggregate inputs, else the selected and sort columns,
+//                plus what an asof_join matches on); only those are copied.
 //   filter     — residual predicates, evaluated with typed columnar loops
-//                into a selection mask (no per-row variant boxing).
-//   asof_join  — nearest-earlier merge against a second view; the run
-//                identifier columns are appended to the by-keys so rows
-//                never match across runs.
-//   group_by   — hashed aggregation on typed composite keys.
-//   sort/limit/project — final shaping.
+//                into a selection mask over each run's frame in place (no
+//                per-row variant boxing); the scan then appends the
+//                surviving rows of its columns once, run by run, straight
+//                into the output columns.
+//   asof_join  — nearest-earlier merge against a second view, scanned the
+//                same way; the run identifier columns are appended to the
+//                by-keys so rows never match across runs.
+//   group_by   — aggregation on typed composite keys: dense ids straight
+//                from dictionary codes / narrow int ranges, else hashed.
+//   sort/limit/project — final shaping; a sort with a limit gathers only
+//                the first `limit` rows of its permutation.
 //
 // `plan_query` only plans (explain); `execute_query` plans, consults the
 // result cache keyed by (fingerprint, snapshot epoch), and executes on miss.
@@ -42,6 +50,11 @@ struct Plan {
   /// Runs dropped because a residual predicate can never match their zone
   /// maps (segment backend only; 0 when no stats are available).
   std::size_t zone_pruned = 0;
+  /// Columns the scan copies out of each run of `view`, in schema order. A
+  /// column only a predicate reads is evaluated in place and not listed.
+  std::vector<std::string> columns;
+  /// The same for the asof_join right view (empty without a join).
+  std::vector<std::string> right_columns;
   std::vector<PlanStep> steps;
 
   /// Deterministic multi-line rendering (the `explain` wire payload).
@@ -55,7 +68,10 @@ struct ExecutionResult {
 };
 
 /// Builds the plan for a query against one snapshot; throws QueryError on
-/// unknown views/columns or type mismatches.
+/// unknown views/columns or type mismatches — including `order_by` and
+/// `select` columns missing from the frame they apply to, duplicate
+/// `select` names and non-numeric sum/mean/std inputs — so explain rejects
+/// what execution would.
 Plan plan_query(const Query& query, const StoreCatalog::Snapshot& snapshot);
 
 /// Executes a query against the catalog under one snapshot. `cache` may be
@@ -64,7 +80,8 @@ Plan plan_query(const Query& query, const StoreCatalog::Snapshot& snapshot);
 ExecutionResult execute_query(const Query& query, const StoreCatalog& catalog,
                               ResultCache* cache);
 
-/// Typed columnar predicate filter over a frame (exposed for tests).
+/// Typed columnar predicate filter over a frame: the scan's mask plus one
+/// gather of every column (exposed for tests).
 analysis::DataFrame apply_predicates(const analysis::DataFrame& frame,
                                      const std::vector<Predicate>& preds);
 

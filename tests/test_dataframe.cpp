@@ -4,7 +4,10 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
+#include <limits>
 #include <map>
+#include <set>
 #include <utility>
 
 #include "analysis/dataframe.hpp"
@@ -615,6 +618,238 @@ TEST_P(DataFrameProperty, DistinctMatchesNaiveReference) {
     }
   }
   EXPECT_EQ(df.distinct("v"), ref);
+}
+
+
+TEST(DataFrameTest, SortByPutsNaNLastInRowOrder) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const auto frame_of = [](const std::vector<double>& values) {
+    DataFrame df({{"v", ColumnType::kDouble}, {"row", ColumnType::kInt64}});
+    for (std::size_t i = 0; i < values.size(); ++i) {
+      df.add_row({values[i], static_cast<std::int64_t>(i)});
+    }
+    return df;
+  };
+  const auto rows_of = [](const DataFrame& f) {
+    std::vector<std::int64_t> out;
+    for (std::size_t r = 0; r < f.rows(); ++r) out.push_back(f.col("row").i64(r));
+    return out;
+  };
+  using Rows = std::vector<std::int64_t>;
+  const DataFrame df = frame_of({3, nan, 1, 2, nan, 0.5, 5, 4});
+  // Numbers in the requested direction, then the NaN rows (1 and 4) in
+  // row order, ascending and descending alike.
+  EXPECT_EQ(rows_of(df.sort_by("v")), (Rows{5, 2, 3, 0, 7, 6, 1, 4}));
+  EXPECT_EQ(rows_of(df.sort_by("v", false)), (Rows{6, 7, 0, 3, 2, 5, 1, 4}));
+  // A limit keeps a prefix of the same permutation.
+  EXPECT_EQ(rows_of(df.sort_by("v", false, 3)), (Rows{6, 7, 0}));
+  EXPECT_EQ(rows_of(df.sort_by("v", true, 7)), (Rows{5, 2, 3, 0, 7, 6, 1}));
+  EXPECT_EQ(rows_of(df.sort_by("v", true, 0)), Rows{});
+  EXPECT_EQ(rows_of(df.sort_by("v", true, 100)).size(), 8u);
+  EXPECT_EQ(rows_of(frame_of({nan, nan}).sort_by("v", false)), (Rows{0, 1}));
+  // Without NaN, ties keep row order in both directions, as before.
+  const DataFrame ties = frame_of({2, 1, 2, 1});
+  EXPECT_EQ(rows_of(ties.sort_by("v")), (Rows{1, 3, 0, 2}));
+  EXPECT_EQ(rows_of(ties.sort_by("v", false)), (Rows{0, 2, 1, 3}));
+}
+
+// Key columns for the group-by reference check.
+struct GroupKeySpec {
+  ColumnType type = ColumnType::kInt64;
+  std::vector<std::int64_t> ints;  ///< int64 palette
+  std::size_t dict = 0;            ///< string dictionary size
+};
+
+/// A key column of `rows` values: ints drawn from the palette, doubles on a
+/// quarter grid, or strings coded into a `dict`-entry dictionary of which
+/// the rows use only some entries (like a merged scan dictionary).
+Column group_key_column(const std::string& name, const GroupKeySpec& spec,
+                        std::size_t rows, RngStream& rng) {
+  if (spec.type == ColumnType::kString) {
+    std::vector<std::string> dict;
+    for (std::size_t i = 0; i < spec.dict; ++i) {
+      dict.push_back("k" + std::to_string((i * 7919) % (spec.dict + 13)));
+    }
+    // Half to all of the entries appear, spread over the whole dictionary.
+    const auto dict_size = static_cast<std::int64_t>(spec.dict);
+    const std::int64_t used = std::max<std::int64_t>(
+        1, dict_size - dict_size * rng.uniform_int(0, 2) / 4);
+    std::vector<std::uint32_t> codes;
+    for (std::size_t r = 0; r < rows; ++r) {
+      codes.push_back(static_cast<std::uint32_t>(
+          rng.uniform_int(0, used - 1) * static_cast<std::int64_t>(spec.dict) /
+          used));
+    }
+    return Column::from_dict(name, std::move(dict), std::move(codes));
+  }
+  Column col(name, spec.type);
+  for (std::size_t r = 0; r < rows; ++r) {
+    if (spec.type == ColumnType::kInt64) {
+      col.push_i64(spec.ints[static_cast<std::size_t>(rng.uniform_int(
+          0, static_cast<std::int64_t>(spec.ints.size()) - 1))]);
+    } else {
+      col.push_f64(static_cast<double>(rng.uniform_int(-40, 40)) / 4.0);
+    }
+  }
+  return col;
+}
+
+std::uint64_t bits_of(double d) {
+  std::uint64_t b = 0;
+  std::memcpy(&b, &d, sizeof b);
+  return b;
+}
+
+// group_by must reproduce a naive ordered-map reference whichever way it
+// numbers groups (dense ids from dictionary codes / int offsets, or the
+// hash table): groups ascending by typed key, `first` from each group's
+// first row, and bit-identical sums accumulated in row order.
+TEST(DataFrameTest, GroupByMatchesNaiveReference) {
+  const auto range = [](std::int64_t lo, std::int64_t n) {
+    std::vector<std::int64_t> out;
+    for (std::int64_t i = 0; i < n; ++i) out.push_back(lo + i);
+    return out;
+  };
+  constexpr std::int64_t kMin = std::numeric_limits<std::int64_t>::min();
+  constexpr std::int64_t kMax = std::numeric_limits<std::int64_t>::max();
+  const GroupKeySpec narrow{ColumnType::kInt64, range(-5, 11), 0};
+  const GroupKeySpec negative{ColumnType::kInt64, range(-1000000000, 100), 0};
+  const GroupKeySpec wide{ColumnType::kInt64, {0, 1000003, 5000000000LL, 7}, 0};
+  const GroupKeySpec extremes{ColumnType::kInt64, {kMin, kMin + 1, -1, 0, kMax}, 0};
+  const GroupKeySpec top{ColumnType::kInt64, range(kMax - 15, 16), 0};
+  const GroupKeySpec bottom{ColumnType::kInt64, range(kMin, 16), 0};
+  const GroupKeySpec grid{ColumnType::kDouble, {}, 0};
+  const auto strings = [](std::size_t dict) {
+    return GroupKeySpec{ColumnType::kString, {}, dict};
+  };
+  const std::vector<std::vector<GroupKeySpec>> key_sets = {
+      {strings(1)},          {strings(7)},
+      {strings(300)},        {strings(5000)},
+      {narrow},              {negative},
+      {wide},                {extremes},
+      {top},                 {bottom},
+      {grid},                {strings(40), narrow},
+      {strings(3000), negative}, {narrow, grid},
+      {strings(12), top, strings(5)}, {narrow, strings(9)},
+      {bottom, extremes}};
+  const std::vector<std::size_t> sizes = {0, 1, 37, 2000, 6000, 50000};
+
+  RngStream rng(20261017);
+  std::size_t dense_cases = 0;
+  std::size_t hashed_cases = 0;
+  for (const auto& specs : key_sets) {
+    for (const std::size_t n : sizes) {
+      std::vector<Column> cols;
+      std::vector<std::string> keys;
+      // The dense-id rule: every key a string or int64 column, key space
+      // (dictionary sizes x value ranges) within max(2 * rows, 4096).
+      bool dense = n > 0;
+      long double space = 1;
+      for (std::size_t k = 0; k < specs.size(); ++k) {
+        keys.push_back("k" + std::to_string(k));
+        cols.push_back(group_key_column(keys.back(), specs[k], n, rng));
+        if (specs[k].type == ColumnType::kDouble) dense = false;
+        if (specs[k].type == ColumnType::kString) space *= specs[k].dict;
+        if (specs[k].type == ColumnType::kInt64 && n > 0) {
+          const auto& v = cols.back().ints();
+          const auto [lo, hi] = std::minmax_element(v.begin(), v.end());
+          space *= static_cast<long double>(*hi) -
+                   static_cast<long double>(*lo) + 1;
+        }
+      }
+      dense = dense && space <= std::max<long double>(2.0L * n, 4096);
+      (dense ? dense_cases : hashed_cases) += 1;
+
+      Column v("v", ColumnType::kDouble);
+      Column i("i", ColumnType::kInt64);
+      Column s = group_key_column("s", strings(60), n, rng);
+      for (std::size_t r = 0; r < n; ++r) {
+        v.push_f64(static_cast<double>(rng.uniform_int(-400, 400)) / 8.0);
+        i.push_i64(rng.uniform_int(0, 30));
+      }
+      cols.push_back(std::move(v));
+      cols.push_back(std::move(i));
+      cols.push_back(std::move(s));
+      const DataFrame df = DataFrame::from_columns(std::move(cols));
+      const DataFrame out = df.group_by(
+          keys, {{"v", Agg::kSum, "sum"},
+                 {"v", Agg::kMean, "mean"},
+                 {"", Agg::kCount, "n"},
+                 {"v", Agg::kMin, "lo"},
+                 {"v", Agg::kMax, "hi"},
+                 {"v", Agg::kStd, "sd"},
+                 {"v", Agg::kFirst, "first"},
+                 {"s", Agg::kFirst, "s_first"},
+                 {"s", Agg::kMin, "s_lo"},
+                 {"s", Agg::kCountDistinct, "s_distinct"},
+                 {"i", Agg::kCountDistinct, "i_distinct"},
+                 {"v", Agg::kCountDistinct, "v_distinct"}});
+
+      using RefKey = std::vector<Cell>;
+      std::map<RefKey, std::vector<std::size_t>> ref;
+      for (std::size_t r = 0; r < n; ++r) {
+        RefKey key;
+        for (const std::string& k : keys) key.push_back(df.col(k).cell(r));
+        ref[key].push_back(r);
+      }
+      const std::string where = "keys " + std::to_string(specs.size()) +
+                                " (first type " +
+                                std::to_string(static_cast<int>(specs[0].type)) +
+                                "), rows " + std::to_string(n);
+      ASSERT_EQ(out.rows(), ref.size()) << where;
+      std::size_t g = 0;
+      for (const auto& [key, members] : ref) {
+        for (std::size_t k = 0; k < keys.size(); ++k) {
+          ASSERT_EQ(out.col(keys[k]).cell(g), key[k]) << where << " group " << g;
+        }
+        double sum = 0.0;
+        double lo = 0.0;
+        double hi = 0.0;
+        std::set<double> vs;
+        std::set<std::string> ss;
+        std::set<std::int64_t> is;
+        std::string s_lo = df.col("s").str(members[0]);
+        for (std::size_t m = 0; m < members.size(); ++m) {
+          const double x = df.col("v").f64(members[m]);
+          sum += x;
+          lo = m == 0 ? x : std::min(lo, x);
+          hi = m == 0 ? x : std::max(hi, x);
+          vs.insert(x);
+          ss.insert(df.col("s").str(members[m]));
+          is.insert(df.col("i").i64(members[m]));
+          s_lo = std::min(s_lo, df.col("s").str(members[m]));
+        }
+        const auto count = static_cast<double>(members.size());
+        const double mean = sum / count;
+        double m2 = 0.0;
+        for (const std::size_t r : members) {
+          const double x = df.col("v").f64(r);
+          m2 += (x - mean) * (x - mean);
+        }
+        const double sd = count > 1.0 ? std::sqrt(m2 / (count - 1.0)) : 0.0;
+        EXPECT_EQ(bits_of(out.col("sum").f64(g)), bits_of(sum)) << where;
+        EXPECT_EQ(bits_of(out.col("mean").f64(g)), bits_of(mean)) << where;
+        EXPECT_EQ(out.col("n").i64(g), static_cast<std::int64_t>(members.size()));
+        EXPECT_EQ(bits_of(out.col("lo").f64(g)), bits_of(lo)) << where;
+        EXPECT_EQ(bits_of(out.col("hi").f64(g)), bits_of(hi)) << where;
+        EXPECT_EQ(bits_of(out.col("sd").f64(g)), bits_of(sd)) << where;
+        EXPECT_EQ(bits_of(out.col("first").f64(g)),
+                  bits_of(df.col("v").f64(members[0])));
+        EXPECT_EQ(out.col("s_first").str(g), df.col("s").str(members[0]));
+        EXPECT_EQ(out.col("s_lo").str(g), s_lo);
+        EXPECT_EQ(out.col("s_distinct").i64(g),
+                  static_cast<std::int64_t>(ss.size()));
+        EXPECT_EQ(out.col("i_distinct").i64(g),
+                  static_cast<std::int64_t>(is.size()));
+        EXPECT_EQ(out.col("v_distinct").i64(g),
+                  static_cast<std::int64_t>(vs.size()));
+        ++g;
+      }
+    }
+  }
+  // Inputs on both sides of the dense-id rule.
+  EXPECT_GT(dense_cases, 20u);
+  EXPECT_GT(hashed_cases, 20u);
 }
 
 INSTANTIATE_TEST_SUITE_P(Sweep, DataFrameProperty,

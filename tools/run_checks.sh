@@ -207,6 +207,14 @@ echo "== sanitized query service: concurrent smoke + short bench =="
 ASAN_OPTIONS=detect_leaks=1 UBSAN_OPTIONS=halt_on_error=1 \
   ./build-asan/tests/test_query \
   --gtest_filter='QueryIngestTest.*:QueryServer.*' >/dev/null
+# The executor suites: plan-time validation and scan column sets, pinned
+# result bytes, and late materialization against the scan / filter /
+# concat executor it replaced — every per-run mask, gather and dictionary
+# merge of the scan runs here under the sanitizers.
+executor_filter='QueryExec.*:QueryPlan.*'
+require_filter_matches ./build-asan/tests/test_query "$executor_filter"
+ASAN_OPTIONS=detect_leaks=1 UBSAN_OPTIONS=halt_on_error=1 \
+  ./build-asan/tests/test_query --gtest_filter="$executor_filter" >/dev/null
 ASAN_OPTIONS=detect_leaks=1 UBSAN_OPTIONS=halt_on_error=1 \
   ./build-asan/tools/recup_query --synthetic 2 --bench 4 10 >/dev/null
 ASAN_OPTIONS=detect_leaks=1 UBSAN_OPTIONS=halt_on_error=1 \
@@ -276,10 +284,13 @@ TSAN_OPTIONS=halt_on_error=1 ./build-tsan/tests/test_mochi \
 TSAN_OPTIONS=halt_on_error=1 ./build-tsan/tests/test_segstore \
   --gtest_filter='SegstoreReplica.*:SegstoreSnapshot.*' >/dev/null
 # Parallel-kernel smoke: force the morsel pool to multiple workers so the
-# columnar scan/aggregate fan-outs actually race under TSan.
+# columnar scan/aggregate fan-outs actually race under TSan (the executor
+# suites' first run holds enough transitions for the scan mask to fan out).
 RECUP_THREADS=4 TSAN_OPTIONS=halt_on_error=1 \
   ./build-tsan/tests/test_dataframe >/dev/null
+require_filter_matches ./build-tsan/tests/test_query \
+  "$executor_filter:QueryWire.*"
 RECUP_THREADS=4 TSAN_OPTIONS=halt_on_error=1 ./build-tsan/tests/test_query \
-  --gtest_filter='QueryExec.*:QueryWire.*' >/dev/null
+  --gtest_filter="$executor_filter:QueryWire.*" >/dev/null
 
 echo "== all checks passed (${repo_root}) =="
