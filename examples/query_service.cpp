@@ -13,6 +13,7 @@
 #include "dtr/cluster.hpp"
 #include "query/client.hpp"
 #include "query/ingest.hpp"
+#include "query/ir.hpp"
 #include "query/server.hpp"
 #include "workloads/image_processing.hpp"
 
@@ -63,9 +64,9 @@ int main() {
     ingestor.start(std::chrono::milliseconds(1));
     std::thread monitor([&server] {
       query::QueryClient client(server);
-      const query::QueryResponse r = client.query(std::string(
+      const query::QueryResponse r = client.query(
           R"({"from": "tasks", "group_by": ["workflow", "run"],
-              "aggregates": [{"col": "key", "op": "count", "as": "tasks"}]})"));
+              "aggregates": [{"col": "key", "op": "count", "as": "tasks"}]})");
       std::cout << "[monitor] store has " << r.frame.rows()
                 << " runs at epoch " << r.epoch << "\n";
     });
@@ -85,7 +86,7 @@ int main() {
 
   // Fig. 6-shaped: where does task time go, by task category?
   show("mean duration and I/O share by prefix",
-       client.query(std::string(R"({
+       client.query(R"({
          "from": "tasks",
          "group_by": ["prefix"],
          "aggregates": [{"col": "key", "op": "count", "as": "n"},
@@ -93,11 +94,11 @@ int main() {
                         {"col": "io_time", "op": "mean", "as": "mean_io_s"}],
          "order_by": {"col": "mean_s", "desc": true},
          "limit": 8
-       })")));
+       })"));
 
   // Run-to-run comparison across the two ingested runs.
   show("per-run totals",
-       client.query(std::string(R"({
+       client.query(R"({
          "from": "tasks",
          "group_by": ["run"],
          "aggregates": [{"col": "key", "op": "count", "as": "tasks"},
@@ -105,12 +106,12 @@ int main() {
                         {"col": "worker", "op": "count_distinct",
                          "as": "workers"}],
          "order_by": {"col": "run"}
-       })")));
+       })"));
 
   // Fig. 8-shaped: fuse I/O segments with the tasks that issued them and
   // rank files by time spent, per operation.
   show("I/O time by file and op (fused task_io view)",
-       client.query(std::string(R"({
+       client.query(R"({
          "from": "task_io",
          "group_by": ["file", "op"],
          "aggregates": [{"col": "duration", "op": "sum", "as": "total_s"},
@@ -118,15 +119,16 @@ int main() {
                          "as": "tasks"}],
          "order_by": {"col": "total_s", "desc": true},
          "limit": 6
-       })")));
+       })"));
 
   // The planner's view of a pushed-down query.
-  const query::QueryResponse plan = client.explain(json::parse(R"({
+  const query::QueryResponse plan =
+      client.explain(query::parse_query(std::string(R"({
     "from": "tasks", "run": 1,
     "where": [{"col": "duration", "op": ">", "value": 0.05}],
     "group_by": ["worker"],
     "aggregates": [{"col": "duration", "op": "sum", "as": "busy"}]
-  })"));
+  })")));
   std::cout << "== explain\n" << plan.explain << "\n";
 
   const query::ServerStats stats = server.stats();

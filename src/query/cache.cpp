@@ -1,6 +1,5 @@
 #include "query/cache.hpp"
 
-#include <functional>
 #include <utility>
 
 namespace recup::query {
@@ -30,36 +29,24 @@ std::size_t approx_frame_bytes(const analysis::DataFrame& frame) {
 
 ResultCache::ResultCache() : ResultCache(Config{}) {}
 
-ResultCache::ResultCache(Config config) {
-  const std::size_t n = config.shards == 0 ? 1 : config.shards;
-  shard_budget_ = config.byte_budget / n;
-  shards_.reserve(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    shards_.push_back(std::make_unique<Shard>());
-  }
-}
+ResultCache::ResultCache(Config config) : budget_(config.byte_budget) {}
 
 std::string ResultCache::make_key(const std::string& fingerprint,
                                   const StoreCatalog::Snapshot& snapshot) {
   return fingerprint + "@" + snapshot.cache_key();
 }
 
-ResultCache::Shard& ResultCache::shard_for(const std::string& key) {
-  return *shards_[std::hash<std::string>{}(key) % shards_.size()];
-}
-
 std::shared_ptr<const analysis::DataFrame> ResultCache::get(
     const std::string& fingerprint, const StoreCatalog::Snapshot& snapshot) {
   const std::string key = make_key(fingerprint, snapshot);
-  Shard& shard = shard_for(key);
-  std::lock_guard lock(shard.mutex);
-  const auto it = shard.index.find(key);
-  if (it == shard.index.end()) {
-    ++shard.stats.misses;
+  std::lock_guard lock(mutex_);
+  const auto it = index_.find(key);
+  if (it == index_.end()) {
+    ++stats_.misses;
     return nullptr;
   }
-  ++shard.stats.hits;
-  shard.lru.splice(shard.lru.begin(), shard.lru, it->second);
+  ++stats_.hits;
+  lru_.splice(lru_.begin(), lru_, it->second);
   return it->second->frame;
 }
 
@@ -69,39 +56,32 @@ void ResultCache::put(const std::string& fingerprint,
   if (frame == nullptr) return;
   const std::string key = make_key(fingerprint, snapshot);
   const std::size_t bytes = approx_frame_bytes(*frame);
-  Shard& shard = shard_for(key);
-  std::lock_guard lock(shard.mutex);
-  if (const auto it = shard.index.find(key); it != shard.index.end()) {
-    shard.bytes -= it->second->bytes;
-    shard.lru.erase(it->second);
-    shard.index.erase(it);
+  std::lock_guard lock(mutex_);
+  if (const auto it = index_.find(key); it != index_.end()) {
+    bytes_ -= it->second->bytes;
+    lru_.erase(it->second);
+    index_.erase(it);
   }
-  if (bytes > shard_budget_) return;  // would evict the whole shard
-  shard.lru.push_front(Entry{key, std::move(frame), bytes});
-  shard.index[key] = shard.lru.begin();
-  shard.bytes += bytes;
-  ++shard.stats.insertions;
-  while (shard.bytes > shard_budget_ && !shard.lru.empty()) {
-    const Entry& victim = shard.lru.back();
-    shard.bytes -= victim.bytes;
-    shard.index.erase(victim.key);
-    shard.lru.pop_back();
-    ++shard.stats.evictions;
+  if (bytes > budget_) return;  // would evict the whole cache
+  lru_.push_front(Entry{key, std::move(frame), bytes});
+  index_[key] = lru_.begin();
+  bytes_ += bytes;
+  ++stats_.insertions;
+  while (bytes_ > budget_ && !lru_.empty()) {
+    const Entry& victim = lru_.back();
+    bytes_ -= victim.bytes;
+    index_.erase(victim.key);
+    lru_.pop_back();
+    ++stats_.evictions;
   }
 }
 
 CacheStats ResultCache::stats() const {
-  CacheStats total;
-  for (const auto& shard : shards_) {
-    std::lock_guard lock(shard->mutex);
-    total.hits += shard->stats.hits;
-    total.misses += shard->stats.misses;
-    total.insertions += shard->stats.insertions;
-    total.evictions += shard->stats.evictions;
-    total.entries += shard->lru.size();
-    total.bytes += shard->bytes;
-  }
-  return total;
+  std::lock_guard lock(mutex_);
+  CacheStats out = stats_;
+  out.entries = lru_.size();
+  out.bytes = bytes_;
+  return out;
 }
 
 }  // namespace recup::query

@@ -1,11 +1,11 @@
-// Result cache: a sharded LRU over executed query results, keyed by
-// (canonical query fingerprint, snapshot cache key). Keys derive from the
-// Snapshot handle the query executed under — ingestion installs a new
-// catalog version with a new key, so a result computed against an older
-// snapshot can never be returned for a newer store state; stale entries
-// simply stop being referenced and age out of the LRU. Each shard carries
-// its own lock and its share of the byte budget; eviction is by
-// least-recently-used entry until the shard is back under budget.
+// Result cache: one LRU over executed query results, under one mutex,
+// keyed by (canonical query fingerprint, snapshot cache key). Keys derive
+// from the Snapshot handle the query executed under — ingestion installs a
+// new catalog version with a new key, so a result computed against an
+// older snapshot can never be returned for a newer store state; stale
+// entries simply stop being referenced and age out of the LRU. Eviction is
+// by least-recently-used entry until the cache is back under its byte
+// budget.
 #pragma once
 
 #include <cstdint>
@@ -14,7 +14,6 @@
 #include <mutex>
 #include <string>
 #include <unordered_map>
-#include <vector>
 
 #include "analysis/dataframe.hpp"
 #include "query/catalog.hpp"
@@ -37,8 +36,7 @@ std::size_t approx_frame_bytes(const analysis::DataFrame& frame);
 class ResultCache {
  public:
   struct Config {
-    std::size_t shards = 8;
-    std::size_t byte_budget = 64u << 20;  ///< total across all shards
+    std::size_t byte_budget = 64u << 20;
   };
 
   ResultCache();  // default Config
@@ -53,8 +51,8 @@ class ResultCache {
       const std::string& fingerprint, const StoreCatalog::Snapshot& snapshot);
 
   /// Inserts (replacing any entry with the same key), then evicts LRU
-  /// entries until the shard is within budget. An entry larger than the
-  /// whole shard budget is not cached at all.
+  /// entries until the cache is within budget. An entry larger than the
+  /// whole budget is not cached at all.
   void put(const std::string& fingerprint,
            const StoreCatalog::Snapshot& snapshot,
            std::shared_ptr<const analysis::DataFrame> frame);
@@ -68,20 +66,15 @@ class ResultCache {
     std::size_t bytes = 0;
   };
 
-  struct Shard {
-    std::mutex mutex;
-    std::list<Entry> lru;  ///< front = most recently used
-    std::unordered_map<std::string, std::list<Entry>::iterator> index;
-    std::size_t bytes = 0;
-    CacheStats stats;
-  };
-
-  [[nodiscard]] Shard& shard_for(const std::string& key);
   static std::string make_key(const std::string& fingerprint,
                               const StoreCatalog::Snapshot& snapshot);
 
-  std::size_t shard_budget_;
-  std::vector<std::unique_ptr<Shard>> shards_;
+  const std::size_t budget_;
+  mutable std::mutex mutex_;
+  std::list<Entry> lru_;  ///< front = most recently used
+  std::unordered_map<std::string, std::list<Entry>::iterator> index_;
+  std::size_t bytes_ = 0;
+  CacheStats stats_;
 };
 
 }  // namespace recup::query

@@ -1,5 +1,6 @@
 #include "query/ir.hpp"
 
+#include <string_view>
 #include <utility>
 
 namespace recup::query {
@@ -80,23 +81,51 @@ std::vector<Predicate> parse_predicates(const json::Value& arr,
   return out;
 }
 
-json::Value value_to_json(const analysis::Cell& cell) {
-  if (const auto* i = std::get_if<std::int64_t>(&cell)) return *i;
-  if (const auto* d = std::get_if<double>(&cell)) return *d;
-  return std::get<std::string>(cell);
+/// Separates a member or element from the one before it; the first one
+/// follows the '{' or '[' that opened its container.
+void separate(std::string& out) {
+  if (out.back() != '{' && out.back() != '[') out += ',';
 }
 
-json::Value predicates_to_json(const std::vector<Predicate>& preds) {
-  json::Array arr;
-  arr.reserve(preds.size());
-  for (const Predicate& p : preds) {
-    json::Object o;
-    o["col"] = p.column;
-    o["op"] = cmp_op_name(p.op);
-    o["value"] = value_to_json(p.value);
-    arr.emplace_back(std::move(o));
+void put_key(std::string& out, std::string_view key) {
+  separate(out);
+  json::write_string(out, key);
+  out += ':';
+}
+
+void put_string(std::string& out, std::string_view key,
+                std::string_view value) {
+  put_key(out, key);
+  json::write_string(out, value);
+}
+
+void put_strings(std::string& out, const std::vector<std::string>& items) {
+  out += '[';
+  for (const std::string& item : items) {
+    separate(out);
+    json::write_string(out, item);
   }
-  return arr;
+  out += ']';
+}
+
+void put_predicates(std::string& out, const std::vector<Predicate>& preds) {
+  out += '[';
+  for (const Predicate& p : preds) {
+    separate(out);
+    out += '{';
+    put_string(out, "col", p.column);
+    put_string(out, "op", cmp_op_name(p.op));
+    put_key(out, "value");
+    if (const auto* i = std::get_if<std::int64_t>(&p.value)) {
+      json::write_int(out, *i);
+    } else if (const auto* d = std::get_if<double>(&p.value)) {
+      json::write_double(out, *d);
+    } else {
+      json::write_string(out, std::get<std::string>(p.value));
+    }
+    out += '}';
+  }
+  out += ']';
 }
 
 }  // namespace
@@ -279,63 +308,86 @@ Query parse_query(const std::string& text) {
   return parse_query(doc);
 }
 
-json::Value to_json(const Query& query) {
-  // json::Object is a std::map, so field order in the dump is alphabetical
-  // and deterministic regardless of insertion order — the property the
-  // cache fingerprint relies on.
-  json::Object o;
-  o["from"] = query.from;
-  if (query.workflow) o["workflow"] = *query.workflow;
-  if (query.run) o["run"] = *query.run;
-  if (!query.where.empty()) o["where"] = predicates_to_json(query.where);
+std::string fingerprint(const Query& query) {
+  // Members in key byte order, as json::Value::dump() writes an object.
+  std::string out = "{";
+  if (!query.group_by.empty()) {
+    put_key(out, "aggregates");
+    out += '[';
+    for (const AggregateTerm& a : query.aggregates) {
+      separate(out);
+      out += '{';
+      put_string(out, "as", a.as);
+      if (!a.column.empty()) put_string(out, "col", a.column);
+      put_string(out, "op", agg_op_name(a.op));
+      out += '}';
+    }
+    out += ']';
+  }
   if (query.asof_join) {
     const AsofJoin& j = *query.asof_join;
-    json::Object join;
-    join["right"] = j.right_view;
-    join["left_on"] = j.left_on;
-    join["right_on"] = j.right_on;
+    put_key(out, "asof_join");
+    out += '{';
     if (!j.by.empty()) {
-      json::Array by;
-      for (const auto& [l, r] : j.by) by.emplace_back(json::Array{l, r});
-      join["by"] = std::move(by);
+      put_key(out, "by");
+      out += '[';
+      for (const auto& [l, r] : j.by) {
+        separate(out);
+        put_strings(out, {l, r});
+      }
+      out += ']';
     }
+    if (j.keep_unmatched) {
+      put_key(out, "keep_unmatched");
+      out += "true";
+    }
+    put_string(out, "left_on", j.left_on);
+    put_string(out, "right", j.right_view);
+    put_string(out, "right_on", j.right_on);
     if (!j.right_valid_until.empty()) {
-      join["right_valid_until"] = j.right_valid_until;
+      put_string(out, "right_valid_until", j.right_valid_until);
     }
-    if (j.tolerance >= 0.0) join["tolerance"] = j.tolerance;
-    if (j.keep_unmatched) join["keep_unmatched"] = true;
-    if (!j.where.empty()) join["where"] = predicates_to_json(j.where);
-    o["asof_join"] = std::move(join);
+    if (j.tolerance >= 0.0) {
+      put_key(out, "tolerance");
+      json::write_double(out, j.tolerance);
+    }
+    if (!j.where.empty()) {
+      put_key(out, "where");
+      put_predicates(out, j.where);
+    }
+    out += '}';
   }
+  put_string(out, "from", query.from);
   if (!query.group_by.empty()) {
-    json::Array g;
-    for (const std::string& c : query.group_by) g.emplace_back(c);
-    o["group_by"] = std::move(g);
-    json::Array aggs;
-    for (const AggregateTerm& a : query.aggregates) {
-      json::Object term;
-      if (!a.column.empty()) term["col"] = a.column;
-      term["op"] = agg_op_name(a.op);
-      term["as"] = a.as;
-      aggs.emplace_back(std::move(term));
-    }
-    o["aggregates"] = std::move(aggs);
+    put_key(out, "group_by");
+    put_strings(out, query.group_by);
+  }
+  if (query.limit) {
+    put_key(out, "limit");
+    json::write_int(out, *query.limit);
   }
   if (query.order_by) {
-    json::Object order;
-    order["col"] = query.order_by->column;
-    if (query.order_by->descending) order["desc"] = true;
-    o["order_by"] = std::move(order);
+    put_key(out, "order_by");
+    out += '{';
+    put_string(out, "col", query.order_by->column);
+    if (query.order_by->descending) out += ",\"desc\":true";
+    out += '}';
   }
-  if (query.limit) o["limit"] = *query.limit;
+  if (query.run) {
+    put_key(out, "run");
+    json::write_int(out, *query.run);
+  }
   if (!query.select.empty()) {
-    json::Array s;
-    for (const std::string& c : query.select) s.emplace_back(c);
-    o["select"] = std::move(s);
+    put_key(out, "select");
+    put_strings(out, query.select);
   }
-  return o;
+  if (!query.where.empty()) {
+    put_key(out, "where");
+    put_predicates(out, query.where);
+  }
+  if (query.workflow) put_string(out, "workflow", *query.workflow);
+  out += '}';
+  return out;
 }
-
-std::string fingerprint(const Query& query) { return to_json(query).dump(); }
 
 }  // namespace recup::query

@@ -4,8 +4,8 @@
 // restricts it to one workflow / run, filters it with typed predicates,
 // optionally asof-joins a second view, then groups / orders / limits /
 // projects. `parse_query` validates a JSON document into this IR;
-// `to_json` re-serializes it in canonical field order, which is what the
-// result cache fingerprints.
+// `fingerprint` writes it back as canonical JSON text, which keys the
+// result cache.
 //
 // Grammar (all fields except "from" optional):
 //   {
@@ -107,11 +107,9 @@ struct Query {
 Query parse_query(const json::Value& doc);
 Query parse_query(const std::string& text);
 
-/// Canonical JSON form: fixed field order, defaults omitted. Equal queries
-/// (after parsing) serialize identically.
-json::Value to_json(const Query& query);
-
-/// Cache key: the compact dump of the canonical form.
+/// Cache key: the query's canonical JSON text — keys in byte order at every
+/// level, defaults omitted — so equal queries (after parsing) share a key,
+/// and parse_query reads it back.
 std::string fingerprint(const Query& query);
 
 /// Spelled-out operator names, for error messages and explain output.

@@ -5,36 +5,59 @@
 // client), per-request deadlines, and graceful shutdown that drains every
 // queued request before the workers exit.
 //
-// Requests and responses are recup::json documents (see query/wire.hpp for
-// the framing). Every response — success or failure — is tagged with the
-// store epoch it was computed at, so clients can reason about which
-// ingestion state they observed.
+// Requests and responses are typed structs: a QueryRequest carries the
+// parsed Query IR, and a successful QueryResponse carries the result as the
+// columnar binary frame of query/wire.hpp. Every response — success or
+// failure — is tagged with the store epoch it was computed at, so clients
+// can reason about which ingestion state they observed.
 #pragma once
 
 #include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <future>
-#include <memory>
 #include <optional>
+#include <string>
 #include <thread>
 #include <vector>
 
+#include "analysis/dataframe.hpp"
 #include "common/queue.hpp"
-#include "json/json.hpp"
 #include "query/cache.hpp"
 #include "query/catalog.hpp"
+#include "query/ir.hpp"
 
 namespace recup::query {
 
 struct ServerConfig {
   std::size_t workers = 4;
   std::size_t queue_capacity = 64;
-  /// Deadline applied to requests that carry no "timeout_ms" of their own;
-  /// <= 0 disables. A request whose deadline passes while it waits in the
-  /// queue is answered with a timeout error instead of being executed.
-  double default_timeout_ms = 0.0;
   ResultCache::Config cache;
+};
+
+struct QueryRequest {
+  Query query;
+  bool explain = false;  ///< plan only; the response carries the explain text
+  /// A request still queued this many milliseconds after submit is answered
+  /// with a timeout error instead of being executed. A value that is not
+  /// positive, not finite, or reaches past the clock's range sets no
+  /// deadline.
+  double timeout_ms = 0.0;
+};
+
+/// `result_bin` (the columnar binary frame) is set on successful execution,
+/// `explain` on successful explain, `error` when ok is false. QueryClient
+/// decodes `result_bin` into `frame`.
+struct QueryResponse {
+  bool ok = false;
+  std::string error;
+  bool transient = false;   ///< retryable: overload or shutdown
+  Epoch epoch = 0;          ///< store epoch the response was computed at
+  bool cached = false;
+  double elapsed_ms = 0.0;  ///< server-side handling time
+  std::string result_bin;
+  std::string explain;
+  analysis::DataFrame frame;
 };
 
 struct ServerStats {
@@ -56,10 +79,9 @@ class QueryServer {
   QueryServer(const QueryServer&) = delete;
   QueryServer& operator=(const QueryServer&) = delete;
 
-  /// Submits a framed request; the future resolves to the framed response.
-  /// Backpressure and shutdown resolve the future immediately with an
-  /// error response — submit never blocks on a full queue.
-  std::future<json::Value> submit(json::Value request);
+  /// Backpressure and shutdown resolve the future immediately with a
+  /// transient error response — submit never blocks on a full queue.
+  std::future<QueryResponse> submit(QueryRequest request);
 
   /// Closes the queue, lets the workers drain every queued request, and
   /// joins them. Idempotent; the destructor calls it.
@@ -67,26 +89,21 @@ class QueryServer {
 
   [[nodiscard]] bool running() const { return running_.load(); }
   [[nodiscard]] ServerStats stats() const;
-  [[nodiscard]] const ServerConfig& config() const { return config_; }
 
  private:
-  struct Request {
-    json::Value doc;
-    std::promise<json::Value> promise;
+  struct Pending {
+    QueryRequest request;
+    std::promise<QueryResponse> promise;
     std::optional<std::chrono::steady_clock::time_point> deadline;
   };
 
   void worker_loop();
-  json::Value handle(const json::Value& doc);
-  /// `transient` marks errors a client may retry (overload, shutdown during
-  /// a restart window): the response carries "transient": true.
-  json::Value error_response(const json::Value& doc, const std::string& what,
-                             bool transient = false);
+  QueryResponse handle(const QueryRequest& request);
+  QueryResponse error_response(std::string what, bool transient = false) const;
 
   StoreCatalog& catalog_;
-  ServerConfig config_;
   ResultCache cache_;
-  BoundedQueue<Request> queue_;
+  BoundedQueue<Pending> queue_;
   std::vector<std::thread> workers_;
   std::atomic<bool> running_{true};
 

@@ -1,12 +1,6 @@
-// Wire framing for the query service, in recup::json.
-//
-// Request document:
-//   {"id": 7, "query": {...IR...}, "explain": false, "timeout_ms": 250.0}
-// Response document:
-//   {"id": 7, "ok": true, "epoch": 3, "cached": false, "elapsed_ms": 1.2,
-//    "result_bin": "<columnar binary frame>"}
-// or on explain: {"explain": "plan: ..."} instead of "result_bin";
-// or on failure: {"ok": false, "error": "...", "epoch": ...}.
+// Result encodings of the query service: the columnar binary frame that a
+// QueryResponse carries as `result_bin` (query/server.hpp), and the JSON
+// rendering that serves as a result digest.
 //
 // The binary frame is columnar: a header (column count, row count, per
 // column a name + type tag) followed by each column's payload — zigzag

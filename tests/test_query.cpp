@@ -189,7 +189,7 @@ TEST(QueryIr, FingerprintIsCanonical) {
           "limit": 5, "from": "tasks"})"));
   EXPECT_EQ(fingerprint(a), fingerprint(b));
   // Round trip through the canonical form is stable.
-  EXPECT_EQ(fingerprint(parse_query(to_json(a))), fingerprint(a));
+  EXPECT_EQ(fingerprint(parse_query(fingerprint(a))), fingerprint(a));
   // Different query -> different fingerprint.
   const Query c = parse_query(std::string(R"({"from": "tasks", "limit": 6})"));
   EXPECT_NE(fingerprint(a), fingerprint(c));
@@ -1041,7 +1041,7 @@ DataFrame reference_execute(const Query& query, const StoreCatalog& catalog) {
   return current;
 }
 
-std::string query_text(const Query& q) { return to_json(q).dump(); }
+std::string query_text(const Query& q) { return fingerprint(q); }
 
 /// One instance of each query_mix template (perfbench's Fig. 5-8 shapes)
 /// under `scope`, with the k-th threshold / limit.
@@ -1325,6 +1325,218 @@ TEST(QueryExec, LateMaterializationMatchesReferenceExecutor) {
 }
 
 // ---------------------------------------------------------------------------
+// Fingerprint against the canonical tree it replaced
+
+json::Value reference_cell(const analysis::Cell& cell) {
+  if (const auto* i = std::get_if<std::int64_t>(&cell)) return *i;
+  if (const auto* d = std::get_if<double>(&cell)) return *d;
+  return std::get<std::string>(cell);
+}
+
+json::Value reference_predicates(const std::vector<Predicate>& preds) {
+  json::Array arr;
+  for (const Predicate& p : preds) {
+    json::Object o;
+    o["col"] = p.column;
+    o["op"] = cmp_op_name(p.op);
+    o["value"] = reference_cell(p.value);
+    arr.emplace_back(std::move(o));
+  }
+  return arr;
+}
+
+/// The canonical tree whose compact dump was the cache key before
+/// fingerprint() wrote the text directly, kept as its reference.
+/// json::Object is a std::map, so every level dumps in key byte order.
+json::Value reference_tree(const Query& query) {
+  json::Object o;
+  o["from"] = query.from;
+  if (query.workflow) o["workflow"] = *query.workflow;
+  if (query.run) o["run"] = *query.run;
+  if (!query.where.empty()) o["where"] = reference_predicates(query.where);
+  if (query.asof_join) {
+    const AsofJoin& j = *query.asof_join;
+    json::Object join;
+    join["right"] = j.right_view;
+    join["left_on"] = j.left_on;
+    join["right_on"] = j.right_on;
+    if (!j.by.empty()) {
+      json::Array by;
+      for (const auto& [l, r] : j.by) by.emplace_back(json::Array{l, r});
+      join["by"] = std::move(by);
+    }
+    if (!j.right_valid_until.empty()) {
+      join["right_valid_until"] = j.right_valid_until;
+    }
+    if (j.tolerance >= 0.0) join["tolerance"] = j.tolerance;
+    if (j.keep_unmatched) join["keep_unmatched"] = true;
+    if (!j.where.empty()) join["where"] = reference_predicates(j.where);
+    o["asof_join"] = std::move(join);
+  }
+  if (!query.group_by.empty()) {
+    json::Array g;
+    for (const std::string& c : query.group_by) g.emplace_back(c);
+    o["group_by"] = std::move(g);
+    json::Array aggs;
+    for (const AggregateTerm& a : query.aggregates) {
+      json::Object term;
+      if (!a.column.empty()) term["col"] = a.column;
+      term["op"] = agg_op_name(a.op);
+      term["as"] = a.as;
+      aggs.emplace_back(std::move(term));
+    }
+    o["aggregates"] = std::move(aggs);
+  }
+  if (query.order_by) {
+    json::Object order;
+    order["col"] = query.order_by->column;
+    if (query.order_by->descending) order["desc"] = true;
+    o["order_by"] = std::move(order);
+  }
+  if (query.limit) o["limit"] = *query.limit;
+  if (!query.select.empty()) {
+    json::Array s;
+    for (const std::string& c : query.select) s.emplace_back(c);
+    o["select"] = std::move(s);
+  }
+  return o;
+}
+
+/// Queries the generator never draws: escapes, non-finite and extreme
+/// numbers, and shapes only code can build.
+std::vector<Query> hand_built_queries() {
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double denormal = std::numeric_limits<double>::denorm_min();
+  const std::int64_t lowest = std::numeric_limits<std::int64_t>::min();
+  const std::int64_t highest = std::numeric_limits<std::int64_t>::max();
+  const std::string quoted = "say \"hi\" \\ back\nslash\ttab\rcr";
+  const char kControl[] = "nul\0soh\x01us\x1f" "del\x7f";
+  const std::string control(kControl, sizeof kControl - 1);
+  const std::string utf8 =
+      "caf\xc3\xa9 \xe6\x97\xa5\xe6\x9c\xac \xf0\x9f\x93\x88";
+  std::vector<Query> out;
+  for (const analysis::Cell& value :
+       {analysis::Cell(quoted), analysis::Cell(control), analysis::Cell(utf8),
+        analysis::Cell(std::string()), analysis::Cell(nan),
+        analysis::Cell(inf), analysis::Cell(-inf), analysis::Cell(denormal),
+        analysis::Cell(1e300), analysis::Cell(lowest),
+        analysis::Cell(highest)}) {
+    Query q;
+    q.from = "tasks";
+    q.where = {{"prefix", CmpOp::kEq, value}, {quoted, CmpOp::kGe, value}};
+    out.push_back(q);
+  }
+  for (const double tolerance :
+       {nan, inf, -inf, denormal, 1e300, 0.0, -1.0, -1e300}) {
+    AsofJoin join;
+    join.right_view = "tasks";
+    join.left_on = "start";
+    join.right_on = "start_time";
+    join.tolerance = tolerance;
+    Query q;
+    q.from = "comms";
+    q.asof_join = join;
+    out.push_back(q);
+  }
+  {
+    // An empty `by` list beside every other join member.
+    AsofJoin join;
+    join.right_view = utf8;
+    join.left_on = control;
+    join.right_on = quoted;
+    join.right_valid_until = "end_time";
+    join.keep_unmatched = true;
+    join.where = {{"duration", CmpOp::kLt, 0.5}, {"key", CmpOp::kContains,
+                                                   std::string("\"")}};
+    Query q;
+    q.from = "io_segments";
+    q.asof_join = join;
+    out.push_back(q);
+  }
+  {
+    Query q;  // group_by without aggregates
+    q.from = "tasks";
+    q.group_by = {"prefix", quoted};
+    out.push_back(q);
+  }
+  {
+    Query q;  // aggregates without group_by
+    q.from = "tasks";
+    q.aggregates = {{"duration", analysis::Agg::kSum, "s"}};
+    out.push_back(q);
+  }
+  {
+    // count with an empty column, and every other member set.
+    Query q;
+    q.from = "transitions";
+    q.workflow = std::string();
+    q.run = highest;
+    q.where = {{"time", CmpOp::kNe, lowest}};
+    q.group_by = {"from", "to"};
+    q.aggregates = {{"", analysis::Agg::kCount, "n"},
+                    {"key", analysis::Agg::kCountDistinct, utf8}};
+    q.order_by = OrderBy{"n", true};
+    q.limit = highest;
+    q.select = {"from", control, ""};
+    out.push_back(q);
+  }
+  return out;
+}
+
+TEST(QueryIr, FingerprintMatchesTreeDump) {
+  StoreCatalog catalog;
+  catalog.add_run(alpha_run());
+  catalog.add_run(make_run("A", 0));
+  catalog.add_run(make_run("B", 1, 12));
+  std::vector<Query> queries = hand_built_queries();
+  const std::size_t hand_built = queries.size();
+  QueryGenerator gen(2026, catalog, /*edge_cases=*/true);
+  for (int i = 0; i < 2000; ++i) queries.push_back(gen.next());
+
+  std::size_t reparsed = 0;
+  for (std::size_t i = 0; i < queries.size(); ++i) {
+    const std::string key = fingerprint(queries[i]);
+    ASSERT_EQ(key, reference_tree(queries[i]).dump()) << "query " << i;
+    Query back;
+    try {
+      back = parse_query(key);
+    } catch (const QueryError&) {
+      continue;  // NaN and the infinities write as null
+    }
+    ++reparsed;
+    EXPECT_EQ(fingerprint(back), key) << "query " << i;
+  }
+  EXPECT_GT(reparsed, hand_built);
+  EXPECT_GE(reparsed, 2000u);
+
+  // -0.0 writes as -0, which recup::json reads back as the integer 0: the
+  // query returns with the key of its +0 twin.
+  Query neg;
+  neg.from = "tasks";
+  neg.where = {{"d", CmpOp::kLt, -0.0}};
+  EXPECT_EQ(fingerprint(neg), reference_tree(neg).dump());
+  EXPECT_EQ(fingerprint(neg),
+            R"({"from":"tasks","where":[{"col":"d","op":"<","value":-0}]})");
+  EXPECT_EQ(fingerprint(parse_query(fingerprint(neg))),
+            R"({"from":"tasks","where":[{"col":"d","op":"<","value":0}]})");
+  AsofJoin join;
+  join.right_view = "tasks";
+  join.left_on = "a";
+  join.right_on = "b";
+  join.tolerance = -0.0;
+  neg.where.clear();
+  neg.asof_join = join;
+  EXPECT_EQ(fingerprint(neg), reference_tree(neg).dump());
+  EXPECT_EQ(fingerprint(neg),
+            R"({"asof_join":{"left_on":"a","right":"tasks","right_on":"b",)"
+            R"("tolerance":-0},"from":"tasks"})");
+  EXPECT_EQ(fingerprint(parse_query(fingerprint(neg))),
+            R"({"asof_join":{"left_on":"a","right":"tasks","right_on":"b",)"
+            R"("tolerance":0},"from":"tasks"})");
+}
+
+// ---------------------------------------------------------------------------
 // Result cache
 
 TEST(QueryCache, HitRefreshAndEpochSeparation) {
@@ -1353,7 +1565,6 @@ TEST(QueryCache, ByteBudgetEvictsLru) {
   catalog.add_run(make_run("A", 0));
   const StoreCatalog::Snapshot snap = catalog.snapshot();
   ResultCache::Config config;
-  config.shards = 1;
   DataFrame big({{"x", ColumnType::kInt64}});
   for (int i = 0; i < 100; ++i) big.add_row({std::int64_t{i}});
   const std::size_t entry = approx_frame_bytes(big);
@@ -1462,6 +1673,12 @@ TEST(QueryServer, ExecutesAndCachesWithEpochTags) {
   EXPECT_EQ(stats.accepted, 4u);
   EXPECT_EQ(stats.completed, 4u);
   EXPECT_EQ(stats.cache.hits, 1u);
+
+  // A bare string literal, as README's example writes it, is query text.
+  const QueryResponse literal =
+      client.query(R"({"from": "tasks", "limit": 3})");
+  ASSERT_TRUE(literal.ok) << literal.error;
+  EXPECT_EQ(literal.frame.rows(), 3u);
 }
 
 TEST(QueryServer, ExplainRejectsWhatExecutionRejects) {
@@ -1480,46 +1697,38 @@ TEST(QueryServer, ExplainRejectsWhatExecutionRejects) {
            "order_by": {"col": "duration"}})",
        "'duration'"}};
   for (const auto& [text, column] : invalid) {
-    const json::Value doc = json::parse(text);
-    const QueryResponse plan = client.explain(doc);
-    const QueryResponse run = client.query(doc);
+    const Query query = parse_query(text);
+    const QueryResponse plan = client.explain(query);
+    const QueryResponse run = client.query(query);
     EXPECT_FALSE(plan.ok) << text;
     EXPECT_FALSE(run.ok) << text;
     EXPECT_NE(plan.error.find(column), std::string::npos) << plan.error;
     EXPECT_EQ(plan.error, run.error);
   }
-  const QueryResponse plan = client.explain(json::parse(
+  const QueryResponse plan = client.explain(parse_query(std::string(
       R"({"from": "tasks", "group_by": ["prefix"],
           "aggregates": [{"col": "duration", "op": "mean", "as": "m"}],
-          "order_by": {"col": "m", "desc": true}, "limit": 1})"));
+          "order_by": {"col": "m", "desc": true}, "limit": 1})")));
   ASSERT_TRUE(plan.ok) << plan.error;
   EXPECT_NE(plan.explain.find("columns=[prefix, duration]"), std::string::npos)
       << plan.explain;
 }
 
-TEST(QueryServer, NegotiatesBinaryResultsAndFallsBackToJson) {
+TEST(QueryServer, ResultIsTheBinaryFrameOfExecuteQuery) {
   StoreCatalog catalog;
   catalog.add_run(make_run("A", 0));
   QueryServer server(catalog);
 
-  const json::Value query = json::parse(
+  const Query query = parse_query(std::string(
       R"({"from": "tasks", "group_by": ["prefix"],
           "aggregates": [{"col": "duration", "op": "mean", "as": "m"}],
-          "order_by": {"col": "prefix"}})");
-  json::Object request;
-  request["id"] = 1;
-  request["query"] = query;
-  // A raw request names no format: the result always rides as the
-  // columnar frame.
-  const json::Value response =
-      server.submit(json::Value(std::move(request))).get();
-  ASSERT_TRUE(response.get_bool("ok", false)) << response.dump();
-  EXPECT_FALSE(response.contains("result"));
-  ASSERT_TRUE(response.contains("result_bin"));
-  const DataFrame via_server =
-      frame_from_binary(response.at("result_bin").as_string());
-  const ExecutionResult direct =
-      execute_query(parse_query(query), catalog, nullptr);
+          "order_by": {"col": "prefix"}})"));
+  const QueryResponse response = server.submit({query}).get();
+  ASSERT_TRUE(response.ok) << response.error;
+  ASSERT_FALSE(response.result_bin.empty());
+  const DataFrame via_server = frame_from_binary(response.result_bin);
+  const ExecutionResult direct = execute_query(query, catalog, nullptr);
+  EXPECT_EQ(response.result_bin, frame_to_binary(*direct.frame));
   EXPECT_EQ(frame_to_json(via_server).dump(),
             frame_to_json(*direct.frame).dump());
   EXPECT_EQ(via_server.rows(), 2u);
@@ -1527,20 +1736,21 @@ TEST(QueryServer, NegotiatesBinaryResultsAndFallsBackToJson) {
 
 TEST(QueryServer, ErrorsComeBackAsResponses) {
   StoreCatalog catalog;
+  catalog.add_run(make_run("A", 0));
   QueryServer server(catalog);
   QueryClient client(server);
 
-  const QueryResponse bad = client.query(json::parse(R"({"from": "nope"})"));
+  const QueryResponse bad =
+      client.query(parse_query(std::string(R"({"from": "nope"})")));
   EXPECT_FALSE(bad.ok);
   EXPECT_NE(bad.error.find("nope"), std::string::npos);
 
-  // A request without a query field is an error, not a crash.
-  json::Object raw;
-  raw["id"] = 42;
-  const json::Value response = server.submit(json::Value(raw)).get();
-  EXPECT_FALSE(response.get_bool("ok", true));
-  EXPECT_EQ(response.get_int("id", 0), 42);
-  EXPECT_TRUE(response.contains("epoch"));
+  // A query no parser would produce (it names no view) is an error, not a
+  // crash.
+  const QueryResponse response = server.submit({Query{}}).get();
+  EXPECT_FALSE(response.ok);
+  EXPECT_FALSE(response.error.empty());
+  EXPECT_EQ(response.epoch, 1u);
   EXPECT_GE(server.stats().failed, 2u);
 }
 
@@ -1553,28 +1763,23 @@ TEST(QueryServer, BackpressureRejectsWhenQueueIsFull) {
   config.cache.byte_budget = 0;  // force every query to execute
   QueryServer server(catalog, config);
 
-  const json::Value query = json::parse(
+  const Query query = parse_query(std::string(
       R"({"from": "transitions", "group_by": ["key"],
-          "aggregates": [{"col": "time", "op": "max", "as": "t"}]})");
-  std::vector<std::future<json::Value>> futures;
-  for (int i = 0; i < 64; ++i) {
-    json::Object request;
-    request["id"] = i;
-    request["query"] = query;
-    futures.push_back(server.submit(json::Value(std::move(request))));
-  }
+          "aggregates": [{"col": "time", "op": "max", "as": "t"}]})"));
+  std::vector<std::future<QueryResponse>> futures;
+  for (int i = 0; i < 64; ++i) futures.push_back(server.submit({query}));
   std::size_t ok = 0;
   std::size_t overloaded = 0;
   for (auto& f : futures) {
-    const json::Value response = f.get();
-    if (response.get_bool("ok", false)) {
+    const QueryResponse response = f.get();
+    if (response.ok) {
       ++ok;
     } else {
-      EXPECT_NE(response.get_string("error", "").find("overloaded"),
-                std::string::npos);
+      EXPECT_NE(response.error.find("overloaded"), std::string::npos);
+      EXPECT_TRUE(response.transient);
       ++overloaded;
     }
-    EXPECT_TRUE(response.contains("epoch"));
+    EXPECT_EQ(response.epoch, 1u);
   }
   EXPECT_EQ(ok + overloaded, 64u);
   EXPECT_GT(overloaded, 0u);
@@ -1589,48 +1794,55 @@ TEST(QueryServer, QueuedRequestPastDeadlineTimesOut) {
   config.cache.byte_budget = 0;
   QueryServer server(catalog, config);
 
-  const json::Value heavy = json::parse(
+  const Query heavy = parse_query(std::string(
       R"({"from": "transitions", "group_by": ["key"],
-          "aggregates": [{"col": "time", "op": "max", "as": "t"}]})");
-  std::vector<std::future<json::Value>> futures;
-  for (int i = 0; i < 8; ++i) {
-    json::Object request;
-    request["query"] = heavy;
-    futures.push_back(server.submit(json::Value(std::move(request))));
-  }
-  json::Object probe;
-  probe["query"] = json::parse(R"({"from": "warnings"})");
-  probe["timeout_ms"] = 0.01;  // expires while queued behind the heavy ones
-  const json::Value response = server.submit(json::Value(probe)).get();
-  EXPECT_FALSE(response.get_bool("ok", true));
-  EXPECT_NE(response.get_string("error", "").find("deadline"),
-            std::string::npos);
+          "aggregates": [{"col": "time", "op": "max", "as": "t"}]})"));
+  std::vector<std::future<QueryResponse>> futures;
+  for (int i = 0; i < 8; ++i) futures.push_back(server.submit({heavy}));
+  QueryRequest probe;
+  probe.query = parse_query(std::string(R"({"from": "warnings"})"));
+  probe.timeout_ms = 0.01;  // expires while queued behind the heavy ones
+  const QueryResponse response = server.submit(probe).get();
+  EXPECT_FALSE(response.ok);
+  EXPECT_NE(response.error.find("deadline"), std::string::npos);
   EXPECT_EQ(server.stats().timed_out, 1u);
   for (auto& f : futures) f.wait();
+}
+
+// A deadline past the steady clock's range must not overflow into one that
+// has already passed.
+TEST(QueryServer, LongDeadlinesNeverExpire) {
+  StoreCatalog catalog;
+  QueryServer server(catalog);
+  QueryRequest request;
+  request.query = parse_query(std::string(R"({"from": "warnings"})"));
+  for (const double timeout_ms :
+       {1e13, 1e300, std::numeric_limits<double>::infinity()}) {
+    request.timeout_ms = timeout_ms;
+    const QueryResponse response = server.submit(request).get();
+    EXPECT_TRUE(response.ok) << timeout_ms << ": " << response.error;
+  }
+  EXPECT_EQ(server.stats().timed_out, 0u);
+  EXPECT_EQ(server.stats().completed, 3u);
 }
 
 TEST(QueryServer, ShutdownDrainsThenRejects) {
   StoreCatalog catalog;
   catalog.add_run(make_run("A", 0));
   QueryServer server(catalog);
-  std::vector<std::future<json::Value>> futures;
-  for (int i = 0; i < 16; ++i) {
-    json::Object request;
-    request["query"] = json::parse(R"({"from": "tasks"})");
-    futures.push_back(server.submit(json::Value(std::move(request))));
-  }
+  const Query query = parse_query(std::string(R"({"from": "tasks"})"));
+  std::vector<std::future<QueryResponse>> futures;
+  for (int i = 0; i < 16; ++i) futures.push_back(server.submit({query}));
   server.shutdown();
   EXPECT_FALSE(server.running());
   // Every accepted request was drained, not dropped.
   for (auto& f : futures) {
-    EXPECT_TRUE(f.get().contains("ok"));
+    EXPECT_TRUE(f.get().ok);
   }
-  json::Object late;
-  late["query"] = json::parse(R"({"from": "tasks"})");
-  const json::Value response = server.submit(json::Value(late)).get();
-  EXPECT_FALSE(response.get_bool("ok", true));
-  EXPECT_NE(response.get_string("error", "").find("shut down"),
-            std::string::npos);
+  const QueryResponse response = server.submit({query}).get();
+  EXPECT_FALSE(response.ok);
+  EXPECT_TRUE(response.transient);
+  EXPECT_NE(response.error.find("shut down"), std::string::npos);
   server.shutdown();  // idempotent
 }
 
@@ -1839,8 +2051,7 @@ TEST_F(QueryIngestTest, ConcurrentClientsDuringLiveIngestion) {
           EXPECT_FALSE(r.ok);
           failures.fetch_add(1);
         } else if (pick == static_cast<int>(queries.size()) + 1) {
-          const QueryResponse r =
-              client.explain(json::parse(queries[0]));
+          const QueryResponse r = client.explain(parse_query(queries[0]));
           EXPECT_TRUE(r.ok) << r.error;
           successes.fetch_add(1);
         } else {

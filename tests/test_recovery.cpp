@@ -2005,7 +2005,7 @@ TEST(QueryRetry, ClientRetriesAcrossAServerRestart) {
     const query::QueryResponse response =
         client.query(std::string(R"({"from": "tasks"})"));
     EXPECT_FALSE(response.ok);
-    EXPECT_TRUE(response.raw.get_bool("transient", false));
+    EXPECT_TRUE(response.transient);
     EXPECT_EQ(client.retries(), 0u);
   }
 

@@ -112,12 +112,12 @@ struct BenchNumbers {
   double throughput_qps = 0.0;
 };
 
-BenchNumbers run_bench(query::QueryServer& server, const json::Value& qdoc,
+BenchNumbers run_bench(query::QueryServer& server, const query::Query& q,
                        int clients, int per_client) {
   BenchNumbers out;
   query::QueryClient warmup(server);
   // Cold: first execution at this epoch (nothing cached yet).
-  const query::QueryResponse cold = warmup.query(qdoc);
+  const query::QueryResponse cold = warmup.query(q);
   if (!cold.ok) {
     std::fprintf(stderr, "bench query failed: %s\n", cold.error.c_str());
     std::exit(1);
@@ -127,7 +127,7 @@ BenchNumbers run_bench(query::QueryServer& server, const json::Value& qdoc,
   double cached_sum = 0.0;
   constexpr int kCachedReps = 32;
   for (int i = 0; i < kCachedReps; ++i) {
-    const query::QueryResponse r = warmup.query(qdoc);
+    const query::QueryResponse r = warmup.query(q);
     if (!r.cached) {
       std::fprintf(stderr, "expected a cache hit on repeat\n");
       std::exit(1);
@@ -140,10 +140,10 @@ BenchNumbers run_bench(query::QueryServer& server, const json::Value& qdoc,
   std::vector<std::thread> threads;
   threads.reserve(static_cast<std::size_t>(clients));
   for (int c = 0; c < clients; ++c) {
-    threads.emplace_back([&server, &qdoc, per_client] {
+    threads.emplace_back([&server, &q, per_client] {
       query::QueryClient client(server);
       for (int i = 0; i < per_client; ++i) {
-        const query::QueryResponse r = client.query(qdoc);
+        const query::QueryResponse r = client.query(q);
         if (!r.ok) {
           std::fprintf(stderr, "bench query failed: %s\n", r.error.c_str());
           std::exit(1);
@@ -262,10 +262,9 @@ int main(int argc, char** argv) {
           "aggregates": [{"col": "duration", "op": "mean", "as": "mean_d"},
                          {"col": "key", "op": "count", "as": "n"}],
           "order_by": {"col": "mean_d", "desc": true}})";
-  json::Value qdoc;
+  query::Query q;
   try {
-    qdoc = query::to_json(query::parse_query(
-        query_text.empty() ? bench_default : query_text));
+    q = query::parse_query(query_text.empty() ? bench_default : query_text);
   } catch (const std::exception& e) {
     std::fprintf(stderr, "invalid query: %s\n", e.what());
     return 1;
@@ -279,7 +278,7 @@ int main(int argc, char** argv) {
   if (bench_clients > 0) {
     if (bench_queries <= 0) bench_queries = 50;
     const BenchNumbers numbers =
-        run_bench(server, qdoc, bench_clients, bench_queries);
+        run_bench(server, q, bench_clients, bench_queries);
     std::printf("bench: %d clients x %d queries\n", bench_clients,
                 bench_queries);
     std::printf("  cold latency    %10.3f ms\n", numbers.cold_ms);
@@ -296,7 +295,7 @@ int main(int argc, char** argv) {
   }
 
   if (explain) {
-    const query::QueryResponse response = client.explain(qdoc);
+    const query::QueryResponse response = client.explain(q);
     if (!response.ok) {
       std::fprintf(stderr, "error: %s\n", response.error.c_str());
       return 1;
@@ -305,7 +304,7 @@ int main(int argc, char** argv) {
     return 0;
   }
 
-  const query::QueryResponse response = client.query(qdoc);
+  const query::QueryResponse response = client.query(q);
   if (!response.ok) {
     std::fprintf(stderr, "error: %s\n", response.error.c_str());
     return 1;

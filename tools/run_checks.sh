@@ -204,14 +204,17 @@ echo "== sanitized query service: concurrent smoke + short bench =="
 # run their test binary and a short multi-client bench under the sanitizers
 # explicitly (ctest above already covers test_query, but the bench path
 # exercises the CLI wiring too).
+server_filter='QueryIngestTest.*:QueryServer.*'
+require_filter_matches ./build-asan/tests/test_query "$server_filter"
 ASAN_OPTIONS=detect_leaks=1 UBSAN_OPTIONS=halt_on_error=1 \
-  ./build-asan/tests/test_query \
-  --gtest_filter='QueryIngestTest.*:QueryServer.*' >/dev/null
+  ./build-asan/tests/test_query --gtest_filter="$server_filter" >/dev/null
 # The executor suites: plan-time validation and scan column sets, pinned
 # result bytes, and late materialization against the scan / filter /
 # concat executor it replaced — every per-run mask, gather and dictionary
-# merge of the scan runs here under the sanitizers.
-executor_filter='QueryExec.*:QueryPlan.*'
+# merge of the scan runs here under the sanitizers — plus the IR suite,
+# whose differential test drives the fingerprint writer over escapes and
+# non-finite numbers.
+executor_filter='QueryExec.*:QueryPlan.*:QueryIr.*'
 require_filter_matches ./build-asan/tests/test_query "$executor_filter"
 ASAN_OPTIONS=detect_leaks=1 UBSAN_OPTIONS=halt_on_error=1 \
   ./build-asan/tests/test_query --gtest_filter="$executor_filter" >/dev/null
@@ -270,8 +273,9 @@ cmake -B build-tsan -S . -DRECUP_TSAN=ON -DRECUP_BUILD_BENCH=OFF \
 cmake --build build-tsan -j
 TSAN_OPTIONS=halt_on_error=1 ./build-tsan/tests/test_mofka >/dev/null
 TSAN_OPTIONS=halt_on_error=1 ./build-tsan/tests/test_chaos >/dev/null
+require_filter_matches ./build-tsan/tests/test_query "$server_filter"
 TSAN_OPTIONS=halt_on_error=1 ./build-tsan/tests/test_query \
-  --gtest_filter='QueryIngestTest.*:QueryServer.*' >/dev/null
+  --gtest_filter="$server_filter" >/dev/null
 TSAN_OPTIONS=halt_on_error=1 ./build-tsan/tests/test_recovery >/dev/null
 # The datastore's mutex discipline (single store mutex + per-shard BlobStore
 # mutexes) and the warabi locking contract, under real racing threads.
