@@ -5,12 +5,9 @@
 #include <benchmark/benchmark.h>
 
 #include <cstdio>
-#include <filesystem>
 #include <fstream>
-#include <memory>
 
 #include "analysis/dataframe.hpp"
-#include "common/wal.hpp"
 #include "json/json.hpp"
 #include "analysis/readers.hpp"
 #include "darshan/runtime.hpp"
@@ -110,42 +107,6 @@ void BM_WorkflowWithoutMofkaPlugins(benchmark::State& state) {
 BENCHMARK(BM_WorkflowWithoutMofkaPlugins)
     ->Unit(benchmark::kMillisecond)
     ->Iterations(5);
-
-// --- WAL fsync group commit ---------------------------------------------------
-// kOnAppend makes every append fsync-durable before it returns; with
-// concurrent appenders one leader fsyncs for the whole group, so the
-// records_per_fsync counter should climb well above 1 as threads grow
-// while the single-thread run stays at ~1 fsync per record.
-void BM_WalAppendSyncOnAppend(benchmark::State& state) {
-  static std::unique_ptr<wal::WalWriter> writer;
-  static std::string dir;
-  if (state.thread_index() == 0) {
-    dir = (std::filesystem::temp_directory_path() / "recup_bench_wal_gc")
-              .string();
-    std::filesystem::remove_all(dir);
-    wal::WalOptions options;
-    options.sync = wal::SyncPolicy::kOnAppend;
-    writer = std::make_unique<wal::WalWriter>(dir, options);
-  }
-  const std::string payload(256, 'p');
-  for (auto _ : state) {
-    writer->append(payload);
-  }
-  if (state.thread_index() == 0) {
-    const auto records = static_cast<double>(writer->records_appended());
-    const auto fsyncs = static_cast<double>(writer->fsyncs_issued());
-    state.counters["records_per_fsync"] =
-        fsyncs > 0 ? records / fsyncs : 0.0;
-    writer.reset();
-    std::filesystem::remove_all(dir);
-  }
-  state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_WalAppendSyncOnAppend)
-    ->Threads(1)
-    ->Threads(4)
-    ->Threads(8)
-    ->UseRealTime();
 
 // --- Yokan / Warabi primitive ops --------------------------------------------
 void BM_YokanPutGet(benchmark::State& state) {

@@ -5,9 +5,8 @@
 
 #include <algorithm>
 #include <array>
-#include <cstring>
+#include <charconv>
 #include <filesystem>
-#include <fstream>
 #include <vector>
 
 namespace recup::wal {
@@ -18,48 +17,7 @@ namespace fs = std::filesystem;
 
 constexpr const char* kSegmentPrefix = "wal-";
 constexpr const char* kSegmentSuffix = ".seg";
-constexpr const char* kCompactedMarker = "wal-compacted";
 constexpr std::size_t kHeaderBytes = 8;  // u32 length + u32 crc32
-
-/// Compaction watermark: every segment with index < boundary was (or is
-/// about to be) deleted; `records` is the cumulative record count those
-/// segments held. Written atomically *before* deletion, so stale segments
-/// surviving a crash mid-compaction are skipped on replay instead of
-/// misaligning the suffix.
-struct CompactionMarker {
-  std::uint32_t boundary = 0;
-  std::uint64_t records = 0;
-};
-
-CompactionMarker read_marker(const std::string& dir) {
-  CompactionMarker marker;
-  std::ifstream in(fs::path(dir) / kCompactedMarker);
-  if (in) {
-    std::uint32_t boundary = 0;
-    std::uint64_t records = 0;
-    if (in >> boundary >> records) {
-      marker.boundary = boundary;
-      marker.records = records;
-    }
-  }
-  return marker;
-}
-
-/// Writes the marker durably: the file and its rename are both fsynced
-/// (two fsyncs) before this returns, so no deletion can outrun it.
-void write_marker(const std::string& dir, const CompactionMarker& marker) {
-  const fs::path tmp = fs::path(dir) / (std::string(kCompactedMarker) + ".tmp");
-  const fs::path final_path = fs::path(dir) / kCompactedMarker;
-  {
-    std::ofstream out(tmp, std::ios::trunc);
-    out << marker.boundary << ' ' << marker.records << '\n';
-    out.close();
-    if (!out) throw WalError("wal: cannot write " + tmp.string());
-  }
-  fsync_path(tmp.string());
-  fs::rename(tmp, final_path);
-  fsync_path(dir);
-}
 
 /// Slice-by-8 tables: kCrcTables[0] is the byte-wise table; entry k of
 /// table n is the CRC of byte k followed by n zero bytes.
@@ -92,24 +50,40 @@ std::string segment_name(std::uint32_t index) {
   return buf;
 }
 
-/// Segment indices present under `dir`, sorted ascending. Non-segment files
-/// (e.g. checkpoint.bin living next to a journal) are ignored.
-std::vector<std::uint32_t> list_segments(const std::string& dir) {
+/// Number of segments under `dir`: their names must be exactly
+/// segment_name(0), segment_name(1), ... with no gap, since nothing deletes
+/// a segment. Other files (e.g. checkpoint.bin living next to a journal)
+/// are ignored; a "wal-*.seg" name that is not a segment name, or a missing
+/// segment, throws.
+std::uint32_t segment_count(const std::string& dir) {
+  if (!fs::exists(dir)) return 0;
+  const std::string_view prefix = kSegmentPrefix;
+  const std::string_view suffix = kSegmentSuffix;
   std::vector<std::uint32_t> indices;
-  if (!fs::exists(dir)) return indices;
   for (const auto& entry : fs::directory_iterator(dir)) {
     const std::string name = entry.path().filename().string();
-    if (name.rfind(kSegmentPrefix, 0) != 0) continue;
-    if (name.size() <= std::strlen(kSegmentPrefix) + std::strlen(kSegmentSuffix))
+    if (name.size() < prefix.size() + suffix.size() ||
+        !name.starts_with(prefix) || !name.ends_with(suffix)) {
       continue;
-    if (name.substr(name.size() - std::strlen(kSegmentSuffix)) !=
-        kSegmentSuffix)
-      continue;
-    indices.push_back(static_cast<std::uint32_t>(
-        std::stoul(name.substr(std::strlen(kSegmentPrefix)))));
+    }
+    const char* first = name.data() + prefix.size();
+    const char* last = name.data() + name.size() - suffix.size();
+    std::uint32_t index = 0;
+    const auto [end, error] = std::from_chars(first, last, index);
+    if (error != std::errc{} || end != last || segment_name(index) != name) {
+      throw WalError("wal: foreign segment file " + entry.path().string());
+    }
+    indices.push_back(index);
   }
   std::sort(indices.begin(), indices.end());
-  return indices;
+  for (std::size_t i = 0; i < indices.size(); ++i) {
+    if (indices[i] != i) {
+      throw WalError("wal: segment " +
+                     segment_name(static_cast<std::uint32_t>(i)) +
+                     " is missing from " + dir);
+    }
+  }
+  return static_cast<std::uint32_t>(indices.size());
 }
 
 void encode_u32(char* out, std::uint32_t v) {
@@ -205,14 +179,13 @@ void fsync_path(const std::string& path) {
   }
 }
 
-WalWriter::WalWriter(std::string dir, WalOptions options)
-    : dir_(std::move(dir)), options_(options) {
+WalWriter::WalWriter(std::string dir) : dir_(std::move(dir)) {
   fs::create_directories(dir_);
-  const auto segments = list_segments(dir_);
+  const std::uint32_t segments = segment_count(dir_);
   std::uint32_t index = 0;
   std::uint64_t size = 0;
-  if (!segments.empty()) {
-    index = segments.back();
+  if (segments > 0) {
+    index = segments - 1;
     const fs::path last = fs::path(dir_) / segment_name(index);
     // Repair: truncate a torn tail so new appends start on a record
     // boundary. Earlier segments are validated lazily at replay time.
@@ -226,13 +199,8 @@ WalWriter::WalWriter(std::string dir, WalOptions options)
 }
 
 WalWriter::~WalWriter() {
-  std::unique_lock lock(mutex_);
-  wait_no_leader(lock);
+  std::lock_guard lock(mutex_);
   if (file_ != nullptr) std::fclose(file_);
-}
-
-void WalWriter::wait_no_leader(std::unique_lock<std::mutex>& lock) {
-  while (sync_leader_active_) sync_cv_.wait(lock);
 }
 
 void WalWriter::open_segment_locked(std::uint32_t index, std::uint64_t size) {
@@ -244,24 +212,10 @@ void WalWriter::open_segment_locked(std::uint32_t index, std::uint64_t size) {
   segment_size_ = size;
 }
 
-void WalWriter::rotate_locked() {
-  std::fflush(file_);
-  if (options_.sync == SyncPolicy::kOnAppend) {
-    // Everything appended so far lives in the segment being retired; make
-    // it durable before it is closed, since later group-commit fsyncs only
-    // cover the new segment.
-    ::fsync(::fileno(file_));
-    ++fsyncs_;
-    synced_records_ = records_;
-  }
-  open_segment_locked(segment_index_ + 1, 0);
-}
-
 void WalWriter::append(std::string_view payload) {
-  std::unique_lock lock(mutex_);
-  if (segment_size_ >= options_.segment_bytes) {
-    wait_no_leader(lock);  // a leader fsyncs file_ with the lock released
-    rotate_locked();
+  std::lock_guard lock(mutex_);
+  if (segment_size_ >= kSegmentBytes) {
+    open_segment_locked(segment_index_ + 1, 0);
   }
   char header[kHeaderBytes];
   encode_u32(header, static_cast<std::uint32_t>(payload.size()));
@@ -275,31 +229,6 @@ void WalWriter::append(std::string_view payload) {
   segment_size_ += kHeaderBytes + payload.size();
   records_ += 1;
   bytes_ += payload.size();
-  if (options_.sync != SyncPolicy::kOnAppend) return;
-
-  // Group commit: my record is number `mine`; return once some fsync has
-  // covered it. The first uncovered appender becomes leader and fsyncs for
-  // everyone written ahead of it; the rest wait on the covered watermark.
-  const std::uint64_t mine = records_;
-  for (;;) {
-    if (synced_records_ >= mine) return;
-    if (!sync_leader_active_) break;
-    sync_cv_.wait(lock);
-  }
-  sync_leader_active_ = true;
-  const std::uint64_t cover = records_;
-  std::FILE* file = file_;
-  lock.unlock();
-  // stdio FILE operations are thread-safe, so concurrent followers may
-  // keep fwriting while the leader flushes; records past `cover` are not
-  // claimed durable.
-  std::fflush(file);
-  ::fsync(::fileno(file));
-  lock.lock();
-  ++fsyncs_;
-  if (cover > synced_records_) synced_records_ = cover;
-  sync_leader_active_ = false;
-  sync_cv_.notify_all();
 }
 
 void WalWriter::flush() {
@@ -312,59 +241,7 @@ void WalWriter::sync() {
   if (file_ != nullptr) {
     std::fflush(file_);
     ::fsync(::fileno(file_));
-    ++fsyncs_;
-    synced_records_ = records_;
   }
-}
-
-void WalWriter::reset() {
-  std::unique_lock lock(mutex_);
-  wait_no_leader(lock);
-  if (file_ != nullptr) {
-    std::fclose(file_);
-    file_ = nullptr;
-  }
-  for (const std::uint32_t index : list_segments(dir_)) {
-    fs::remove(fs::path(dir_) / segment_name(index));
-  }
-  fs::remove(fs::path(dir_) / kCompactedMarker);
-  records_ = 0;
-  bytes_ = 0;
-  synced_records_ = 0;
-  open_segment_locked(0, 0);
-}
-
-std::uint64_t WalWriter::compact(std::uint64_t first_needed_record) {
-  std::unique_lock lock(mutex_);
-  wait_no_leader(lock);
-  CompactionMarker marker = read_marker(dir_);
-  const auto segments = list_segments(dir_);
-  std::uint64_t dropped = 0;
-  std::uint32_t new_boundary = marker.boundary;
-  for (const std::uint32_t index : segments) {
-    if (index < marker.boundary) continue;  // stale: re-deleted below
-    if (index == segment_index_) break;  // never touch the active segment
-    const fs::path path = fs::path(dir_) / segment_name(index);
-    ReplayStats stats;
-    // Sealed segments must be fully valid; a torn frame here is storage
-    // corruption and scan_segment throws rather than letting compaction
-    // silently discard records.
-    scan_segment(path, /*last_segment=*/false, nullptr, &stats);
-    if (marker.records + dropped + stats.records > first_needed_record) break;
-    dropped += stats.records;
-    new_boundary = index + 1;
-  }
-  if (new_boundary > marker.boundary) {
-    marker.boundary = new_boundary;
-    marker.records += dropped;
-    write_marker(dir_, marker);  // durable before any segment disappears
-    fsyncs_ += 2;
-  }
-  for (const std::uint32_t index : segments) {
-    if (index >= marker.boundary) break;
-    fs::remove(fs::path(dir_) / segment_name(index));
-  }
-  return dropped;
 }
 
 std::uint64_t WalWriter::records_appended() const {
@@ -377,22 +254,14 @@ std::uint64_t WalWriter::bytes_appended() const {
   return bytes_;
 }
 
-std::uint64_t WalWriter::fsyncs_issued() const {
-  std::lock_guard lock(mutex_);
-  return fsyncs_;
-}
-
 ReplayStats WalWriter::replay(
     const std::string& dir,
     const std::function<void(std::string_view)>& fn) {
   ReplayStats stats;
-  const CompactionMarker marker = read_marker(dir);
-  stats.compacted_records = marker.records;
-  const auto segments = list_segments(dir);
-  for (std::size_t i = 0; i < segments.size(); ++i) {
-    if (segments[i] < marker.boundary) continue;  // compacted (maybe stale)
-    const fs::path path = fs::path(dir) / segment_name(segments[i]);
-    scan_segment(path, /*last_segment=*/i + 1 == segments.size(), fn, &stats);
+  const std::uint32_t segments = segment_count(dir);
+  for (std::uint32_t index = 0; index < segments; ++index) {
+    const fs::path path = fs::path(dir) / segment_name(index);
+    scan_segment(path, /*last_segment=*/index + 1 == segments, fn, &stats);
     stats.segments += 1;
   }
   return stats;

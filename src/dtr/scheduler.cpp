@@ -29,12 +29,20 @@ bool unfinished(SchedulerTaskState state) {
          state == SchedulerTaskState::kProcessing;
 }
 
-/// Decodes one journal WAL frame. Every frame is a batch group; anything
-/// else is corruption.
-json::Value decode_journal_frame(std::string_view payload) {
+/// Decodes one journal WAL frame. Every frame is a batch group whose base
+/// is `records`, the count of the records before it; anything else is
+/// corruption.
+json::Value decode_journal_frame(std::string_view payload,
+                                 std::size_t records) {
   json::Value frame = wire::decode_value(payload);
   if (frame.get_string("t", "") != "batch") {
     throw wal::WalError("scheduler journal: frame is not a batch group");
+  }
+  const std::int64_t base = frame.get_int("base", -1);
+  if (base != static_cast<std::int64_t>(records)) {
+    throw wal::WalError("scheduler journal: frame base " +
+                        std::to_string(base) + " after " +
+                        std::to_string(records) + " records");
   }
   return frame;
 }
@@ -300,7 +308,6 @@ void Scheduler::submit_graph(const TaskGraph& graph, GraphDoneFn on_done) {
   submitted.reserve(graph.size());
   for (const auto& [key, spec] : graph.tasks()) {
     submitted.push_back(insert_task(spec, graph.name()));
-    spec_order_.push_back(key);
     if (journal_ && !recovering_) {
       journal_record_.clear();
       put_spec_record(journal_record_, graph.name(), spec);
@@ -1001,23 +1008,23 @@ void Scheduler::on_worker_failed(WorkerId worker) {
 }
 
 void Scheduler::enable_durability(SchedulerDurability durability) {
-  journal_ = std::make_unique<wal::WalWriter>(durability.dir, durability.wal);
+  auto journal = std::make_unique<wal::WalWriter>(durability.dir);
   // Resume-aware: the journal may already hold records from a previous
   // process. Checkpoint positions index the *logical* record stream (batch
-  // groups expanded); each batch frame carries the logical index of its
-  // first record, so the count re-syncs across compacted prefixes.
-  std::size_t next = 0;
+  // groups expanded).
+  std::size_t records = 0;
   std::size_t frames = 0;
-  const wal::ReplayStats stats = wal::WalWriter::replay(
-      durability.dir, [&next, &frames](std::string_view payload) {
-        const json::Value frame = decode_journal_frame(payload);
-        next = static_cast<std::size_t>(frame.get_int("base", 0)) +
-               frame.at("recs").as_array().size();
+  wal::WalWriter::replay(
+      durability.dir, [&records, &frames](std::string_view payload) {
+        const json::Value frame = decode_journal_frame(payload, records);
+        records += frame.at("recs").as_array().size();
         ++frames;
       });
-  const auto compacted = static_cast<std::size_t>(stats.compacted_records);
-  journal_records_ = frames == 0 ? compacted : next;
-  journal_frames_ = compacted + frames;
+  // Adopted only once it replays: a rejected journal leaves the scheduler
+  // non-durable, not half-enabled.
+  journal_ = std::move(journal);
+  journal_records_ = records;
+  journal_frames_ = frames;
   durability_ = std::move(durability);
 }
 
@@ -1028,8 +1035,7 @@ void Scheduler::journal_append(std::string_view record) {
     ++journal_group_count_;
   } else {
     // Outside any group a record still gets a (singleton) group, so every
-    // frame carries its logical base — recovery re-syncs logical indices
-    // from it after compaction.
+    // frame has one shape and carries its logical base.
     append_journal_frame(journal_records_, 1, record);
   }
   ++journal_records_;
@@ -1075,9 +1081,8 @@ void Scheduler::checkpoint() {
 
   // One wire-encoded object, keys in std::map order; recover() reads it
   // back through wire::decode_value.
-  const bool compacting = durability_->compact_on_checkpoint;
   std::string out;
-  wire::put_object(out, compacting ? 9 : 8);
+  wire::put_object(out, 8);
   wire::put_str(out, "erred");
   wire::put_int(out, static_cast<std::int64_t>(erred_));
   wire::put_str(out, "graphs");
@@ -1111,21 +1116,6 @@ void Scheduler::checkpoint() {
   for (const TaskKey& key : queued_) to_wire(key, out);
   wire::put_str(out, "rr_counter");
   wire::put_int(out, static_cast<std::int64_t>(rr_counter_));
-  if (compacting) {
-    // Compaction deletes the journal prefix holding the spec records, so a
-    // compacting checkpoint must carry every spec itself (in submission
-    // order: dependent registration at recovery relies on it).
-    wire::put_str(out, "specs");
-    wire::put_array(out, spec_order_.size());
-    for (const TaskKey& key : spec_order_) {
-      const TaskInfo& info = tasks_.at(key);
-      wire::put_object(out, 2);
-      wire::put_str(out, "graph");
-      wire::put_str(out, info.graph);
-      wire::put_str(out, "spec");
-      to_wire(info.spec, out);
-    }
-  }
   wire::put_str(out, "tasks");
   wire::put_array(out, tasks_.size());
   for (const TaskInfo* info : tasks_in_key_order()) {
@@ -1165,20 +1155,7 @@ void Scheduler::checkpoint() {
                           tmp.string());
     }
   }
-  // Compaction deletes journal segments on the strength of this snapshot,
-  // so under it the snapshot and its rename are made durable first.
-  if (compacting) wal::fsync_path(tmp.string());
   std::filesystem::rename(tmp, final_path);
-
-  // Journal compaction bounded by checkpoint age: every record the snapshot
-  // covers is redundant for recovery, so whole leading segments below that
-  // watermark can go. The watermark counts physical frames — what the WAL
-  // actually stores. Runs after the snapshot is durable — a crash in
-  // between still has the old checkpoint and the uncompacted journal.
-  if (compacting) {
-    wal::fsync_path(dir.string());
-    journal_->compact(journal_frames_);
-  }
 }
 
 void Scheduler::recover() {
@@ -1207,70 +1184,32 @@ void Scheduler::recover() {
       have_cp ? checkpoint_count<std::size_t>(cp, "journal_records") : 0;
 
   // Every frame is a wire-encoded batch group: other bytes are a typed
-  // WireError, another value a WalError.
-  std::vector<json::Value> frames;
-  const wal::ReplayStats replay_stats = wal::WalWriter::replay(
-      durability_->dir, [&frames](std::string_view payload) {
-        frames.push_back(decode_journal_frame(payload));
-      });
-  const std::size_t compacted_frames =
-      static_cast<std::size_t>(replay_stats.compacted_records);
-
-  // Expand batch groups into the logical record stream. A torn tail drops
-  // whole frames, so a batch group is atomically present or absent — a
-  // crash mid-group can never replay half a batch. Each group frame carries
-  // the logical index of its first record ("base"), which re-syncs logical
-  // positions after compaction.
+  // WireError, another value or an out-of-sequence base a WalError. Batch
+  // groups expand into the logical record stream. A torn tail drops whole
+  // frames, so a batch group is atomically present or absent — a crash
+  // mid-group can never replay half a batch.
   std::vector<json::Value> records;
-  constexpr std::size_t npos = static_cast<std::size_t>(-1);
-  std::size_t next_logical = compacted_frames;
-  std::size_t first_logical = npos;
-  for (json::Value& frame : frames) {
-    next_logical = static_cast<std::size_t>(
-        frame.get_int("base", static_cast<std::int64_t>(next_logical)));
-    json::Array& recs = frame["recs"].as_array();
-    if (first_logical == npos && !recs.empty()) first_logical = next_logical;
-    for (json::Value& rec : recs) {
-      records.push_back(std::move(rec));
-      ++next_logical;
-    }
-  }
-  journal_frames_ = compacted_frames + frames.size();
-  journal_records_ = records.empty()
-                         ? (have_cp ? std::max(cp_records, compacted_frames)
-                                    : compacted_frames)
-                         : next_logical;
-  if (first_logical == npos) first_logical = journal_records_;
+  std::size_t frames = 0;
+  wal::WalWriter::replay(
+      durability_->dir, [&records, &frames](std::string_view payload) {
+        json::Value frame = decode_journal_frame(payload, records.size());
+        for (json::Value& rec : frame["recs"].as_array()) {
+          records.push_back(std::move(rec));
+        }
+        ++frames;
+      });
+  journal_frames_ = frames;
+  journal_records_ = records.size();
   if (cp_records > journal_records_) {
     throw wal::WalError("scheduler checkpoint is ahead of the journal (" +
                         std::to_string(cp_records) + " > " +
                         std::to_string(journal_records_) + " records)");
   }
-  if (cp_records < first_logical) {
-    throw wal::WalError("journal compacted past the checkpoint (" +
-                        std::to_string(first_logical) + " > " +
-                        std::to_string(cp_records) +
-                        " records): specs before the snapshot are "
-                        "unrecoverable");
-  }
 
-  // Pass 1 (surviving journal): record vectors are full-history provenance,
+  // Pass 1 (whole journal): record vectors are full-history provenance,
   // and task specs / dependents are structural, so both rebuild from the
-  // oldest surviving record. A compacting checkpoint carries the specs its
-  // compacted prefix used to hold — load those first (they precede every
-  // surviving journal spec in submission order).
+  // first record.
   std::vector<TaskKey> spec_order;
-  if (have_cp && cp.contains("specs")) {  // only compacting checkpoints
-    for (const json::Value& s : cp.at("specs").as_array()) {
-      TaskSpec spec = from_json<TaskSpec>(s.at("spec"));
-      const TaskKey key = spec.key;
-      if (insert_task(std::move(spec), s.at("graph").as_string()) == nullptr) {
-        throw wal::WalError("scheduler checkpoint: spec " + key.to_string() +
-                            " listed twice");
-      }
-      spec_order.push_back(key);
-    }
-  }
   for (const json::Value& rec : records) {
     const std::string type = rec.get_string("t", "");
     if (type == "graph") {
@@ -1282,7 +1221,7 @@ void Scheduler::recover() {
       const TaskKey key = spec.key;
       if (insert_task(std::move(spec), rec.get_string("graph", "")) ==
           nullptr) {
-        continue;  // already in checkpoint specs
+        continue;  // a repeated spec keeps its first registration
       }
       spec_order.push_back(key);
     } else if (type == "transition") {
@@ -1303,7 +1242,6 @@ void Scheduler::recover() {
       tasks_.at(dep).dependents.push_back(key);
     }
   }
-  spec_order_ = std::move(spec_order);
 
   // Apply the checkpointed control state.
   std::vector<TaskKey> queued_cp;
@@ -1346,9 +1284,9 @@ void Scheduler::recover() {
   // Pass 2 (journal suffix past the checkpoint): replay control-state
   // deltas — states from transitions, counters from their stimuli,
   // release refcounts from spec registration and task completion.
-  // cp_records indexes the logical log; `records` starts at first_logical.
+  // cp_records indexes the logical log, which `records` holds whole.
   std::vector<TaskKey> queued_post;
-  for (std::size_t i = cp_records - first_logical; i < records.size(); ++i) {
+  for (std::size_t i = cp_records; i < records.size(); ++i) {
     const json::Value& rec = records[i];
     const std::string type = rec.get_string("t", "");
     if (type == "transition") {
@@ -1531,7 +1469,6 @@ void Scheduler::crash_and_recover() {
   journal_group_depth_ = 0;
   journal_group_bytes_.clear();
   journal_group_count_ = 0;
-  spec_order_.clear();
   pending_fetch_waiters_.clear();
   for (std::size_t i = 0; i < workers_.size(); ++i) {
     set_worker_load(i, 0, worker_alive_[i]);

@@ -85,32 +85,20 @@ struct SchedulerConfig {
 
 /// Durable-state configuration for the scheduler. `dir` receives a
 /// segmented journal WAL (every transition / spec / record, append-only,
-/// wire-encoded) plus `checkpoint.bin` snapshots of the control state (one
-/// wire-encoded object). A restarted scheduler replays checkpoint + journal
-/// suffix and reconciles against the workers that survived it.
+/// wire-encoded, never truncated) plus `checkpoint.bin` snapshots of the
+/// control state (one wire-encoded object). A restarted scheduler replays
+/// checkpoint + journal suffix and reconciles against the workers that
+/// survived it.
 struct SchedulerDurability {
   std::string dir;
   /// Also checkpoint every N journal records (0 = only at graph
   /// completions).
   std::size_t checkpoint_every = 0;
-  /// Journal compaction bounded by checkpoint age: after each durable
-  /// checkpoint, delete whole leading journal segments whose records are
-  /// all covered by the snapshot. The checkpoint then carries the task
-  /// specs (normally replayed from the journal prefix) so recovery stays
-  /// self-contained. Off by default — full-history replay keeps the
-  /// journal a complete provenance log.
-  bool compact_on_checkpoint = false;
-  wal::WalOptions wal;
 
   /// The scheduler's slice of the unified durability config
   /// (common/durability.hpp).
   [[nodiscard]] static SchedulerDurability from(const DurabilityConfig& d) {
-    SchedulerDurability s;
-    s.dir = d.scheduler_dir();
-    s.checkpoint_every = d.scheduler.checkpoint_every;
-    s.compact_on_checkpoint = d.scheduler.compact_on_checkpoint;
-    s.wal = d.scheduler.wal;
-    return s;
+    return {d.scheduler_dir()};
   }
 };
 
@@ -223,8 +211,9 @@ class Scheduler {
   // --- Durability --------------------------------------------------------------
   /// Opens (or resumes) the journal WAL under durability.dir. Call before
   /// submitting graphs; to resume an existing journal, call recover() after
-  /// workers are registered. Every journal frame must be a batch group; any
-  /// other frame is a wal::WalError (here and in recover()).
+  /// workers are registered. Every journal frame must be a batch group
+  /// whose base equals the count of the records before it; any other frame
+  /// is a wal::WalError (here and in recover()).
   void enable_durability(SchedulerDurability durability);
   [[nodiscard]] bool durable() const { return journal_ != nullptr; }
   /// Atomically snapshots the control state to checkpoint.bin. Also runs
@@ -250,7 +239,7 @@ class Scheduler {
     injector_ = injector;
   }
   [[nodiscard]] std::uint64_t recoveries() const { return recoveries_; }
-  /// Logical journal records (batch groups expanded), full-log count.
+  /// Logical journal records (batch groups expanded).
   [[nodiscard]] std::size_t journal_records() const {
     return journal_records_;
   }
@@ -461,12 +450,11 @@ class Scheduler {
   // Durability.
   std::optional<SchedulerDurability> durability_;
   std::unique_ptr<wal::WalWriter> journal_;
-  /// Full-log *logical* journal record count, *including* compacted-away
-  /// and batch-grouped records — checkpoint suffix offsets index the
-  /// logical log and must stay stable across compactions and batching.
+  /// *Logical* journal record count (batch groups expanded): checkpoint
+  /// suffix offsets index the logical log, and each frame's base must
+  /// equal the count of the records before it.
   std::size_t journal_records_ = 0;
-  /// Physical WAL frames in the full log (a batch group is one frame);
-  /// compaction watermarks index frames.
+  /// Physical WAL frames in the journal (a batch group is one frame).
   std::size_t journal_frames_ = 0;
   /// Open batch group: its records' encoded bytes, their count, and the
   /// logical index of the first.
@@ -477,9 +465,6 @@ class Scheduler {
   /// Reused encoding buffers: one journal record, one WAL frame.
   std::string journal_record_;
   std::string journal_frame_;
-  /// Task specs in submission order — replayed into compacting checkpoints
-  /// so a truncated journal still reproduces every spec.
-  std::vector<TaskKey> spec_order_;
   bool recovering_ = false;  ///< suppresses journal + plugin re-emission
   std::uint64_t recoveries_ = 0;
   chaos::FaultInjector* injector_ = nullptr;

@@ -40,8 +40,8 @@
 namespace recup::segstore {
 
 /// Reads go through mmap, falling back to buffered reads when mmap fails
-/// (e.g. on filesystems without support). The manifest WAL runs on the
-/// default WalOptions; its commits always fsync.
+/// (e.g. on filesystems without support). The manifest WAL's commits
+/// always fsync.
 struct SegmentStoreConfig {
   std::string dir;
   /// Compaction trigger: a view is merged when it holds at least this many

@@ -327,7 +327,7 @@ TEST(LostKeyRecovery, ReleasedInputErrsTheLostResultAndItsDependents) {
   SchedulerConfig scheduler_config;
   scheduler_config.work_stealing = false;  // lets a stalled run drain
   testing::MiniCluster mini(2, 2, 2, WorkerConfig{}, scheduler_config);
-  mini.scheduler.enable_durability({journal.string(), 0, false, {}});
+  mini.scheduler.enable_durability({journal.string()});
   TaskGraph g("released-input");
   TaskSpec source;
   source.key = {"source-aa01", 0};
@@ -387,7 +387,7 @@ TEST(LostKeyRecovery, ReleasedInputErrsTheLostResultAndItsDependents) {
 
   // A restarted scheduler counts each erred task once too.
   testing::MiniCluster restarted(2, 2, 2, WorkerConfig{}, scheduler_config);
-  restarted.scheduler.enable_durability({journal.string(), 0, false, {}});
+  restarted.scheduler.enable_durability({journal.string()});
   restarted.scheduler.recover();
   EXPECT_EQ(restarted.scheduler.erred_tasks(), 3u);
 }

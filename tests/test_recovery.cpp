@@ -117,6 +117,25 @@ std::string first_segment_path(const std::string& dir) {
   return best;
 }
 
+/// A record of a little over 1 MiB: four of them fill a segment
+/// (wal::kSegmentBytes is 4 MiB), so the fifth opens the next one.
+std::string mib_record(int i) {
+  return "record-" + std::to_string(i) + "-" +
+         std::string(std::size_t{1} << 20, static_cast<char>('a' + i % 26));
+}
+
+/// Runs `fn` and expects a wal::WalError whose message contains `needle`.
+template <typename Fn>
+void expect_wal_error(Fn&& fn, const std::string& needle) {
+  try {
+    fn();
+    ADD_FAILURE() << "no wal::WalError naming " << needle;
+  } catch (const wal::WalError& error) {
+    EXPECT_NE(std::string(error.what()).find(needle), std::string::npos)
+        << error.what();
+  }
+}
+
 // ---------------------------------------------------------------------------
 // WAL primitive.
 
@@ -184,11 +203,9 @@ TEST(Wal, RotatesSegmentsAndReplaysAcrossThem) {
   TempDir dir("wal_rotate");
   std::vector<std::string> expected;
   {
-    wal::WalOptions options;
-    options.segment_bytes = 64;  // ~2 records per segment
-    wal::WalWriter writer(dir.str(), options);
+    wal::WalWriter writer(dir.str());
     for (int i = 0; i < 20; ++i) {
-      expected.push_back("record-" + std::to_string(i) + "-payloadpayload");
+      expected.push_back(mib_record(i));
       writer.append(expected.back());
     }
   }
@@ -233,12 +250,8 @@ TEST(Wal, TornTailIsTruncatedAndTheLogResumes) {
 TEST(Wal, MidLogCorruptionThrowsInsteadOfSilentLoss) {
   TempDir dir("wal_corrupt");
   {
-    wal::WalOptions options;
-    options.segment_bytes = 64;
-    wal::WalWriter writer(dir.str(), options);
-    for (int i = 0; i < 8; ++i) {
-      writer.append("corruptible-payload-" + std::to_string(i));
-    }
+    wal::WalWriter writer(dir.str());
+    for (int i = 0; i < 8; ++i) writer.append(mib_record(i));
   }
   wal::ReplayStats stats;
   ASSERT_GE(replay_all(dir.str(), &stats).size(), 8u);
@@ -257,14 +270,12 @@ TEST(Wal, MidLogCorruptionThrowsInsteadOfSilentLoss) {
   EXPECT_THROW(replay_all(dir.str()), wal::WalError);
 }
 
-TEST(Wal, GroupCommitEveryAppendIsDurableWithFewerFsyncs) {
-  TempDir dir("wal_group_commit");
-  wal::WalOptions options;
-  options.sync = wal::SyncPolicy::kOnAppend;
+TEST(Wal, ConcurrentAppendsKeepPerThreadOrder) {
+  TempDir dir("wal_concurrent");
   constexpr int kThreads = 8;
   constexpr int kPerThread = 50;
   {
-    wal::WalWriter writer(dir.str(), options);
+    wal::WalWriter writer(dir.str());
     std::vector<std::thread> threads;
     threads.reserve(kThreads);
     for (int t = 0; t < kThreads; ++t) {
@@ -276,10 +287,6 @@ TEST(Wal, GroupCommitEveryAppendIsDurableWithFewerFsyncs) {
     }
     for (auto& thread : threads) thread.join();
     EXPECT_EQ(writer.records_appended(), kThreads * kPerThread);
-    // Every append returned fsync-durable, yet concurrent appenders share
-    // leader fsyncs — far fewer syscalls than one per record.
-    EXPECT_GE(writer.fsyncs_issued(), 1u);
-    EXPECT_LE(writer.fsyncs_issued(), writer.records_appended());
   }
   // Replay integrity: all records present exactly once, per-thread order
   // preserved.
@@ -298,128 +305,55 @@ TEST(Wal, GroupCommitEveryAppendIsDurableWithFewerFsyncs) {
   EXPECT_EQ(total, static_cast<std::size_t>(kThreads) * kPerThread);
 }
 
-TEST(Wal, GroupCommitSingleThreadedSyncsEveryAppend) {
-  TempDir dir("wal_group_commit_solo");
-  wal::WalOptions options;
-  options.sync = wal::SyncPolicy::kOnAppend;
-  wal::WalWriter writer(dir.str(), options);
-  for (int i = 0; i < 10; ++i) writer.append("solo");
-  // With no concurrency there is nobody to share a leader fsync with: the
-  // durability contract degenerates to one fsync per append.
-  EXPECT_EQ(writer.fsyncs_issued(), 10u);
-}
-
-TEST(Wal, GroupCommitSurvivesRotationAndReset) {
-  TempDir dir("wal_group_commit_rotate");
-  wal::WalOptions options;
-  options.sync = wal::SyncPolicy::kOnAppend;
-  options.segment_bytes = 64;  // rotate every few records
-  wal::WalWriter writer(dir.str(), options);
-  for (int i = 0; i < 20; ++i) writer.append(std::string(24, 'a' + i % 26));
-  EXPECT_EQ(replay_all(dir.str()).size(), 20u);
-  writer.reset();
-  writer.append("after-reset");
-  EXPECT_EQ(replay_all(dir.str()), (std::vector<std::string>{"after-reset"}));
-}
-
-TEST(Wal, ResetStartsAnEmptyLog) {
-  TempDir dir("wal_reset");
-  wal::WalWriter writer(dir.str());
-  writer.append("doomed");
-  writer.reset();
-  EXPECT_EQ(replay_all(dir.str()).size(), 0u);
-  writer.append("fresh");
-  writer.flush();
-  EXPECT_EQ(replay_all(dir.str()), (std::vector<std::string>{"fresh"}));
-}
-
-TEST(Wal, CompactDropsWholeCoveredSegmentsOnly) {
-  TempDir dir("wal_compact");
-  std::vector<std::string> expected;
-  wal::WalOptions options;
-  options.segment_bytes = 64;  // 2-3 records per segment
-  wal::WalWriter writer(dir.str(), options);
-  for (int i = 0; i < 20; ++i) {
-    expected.push_back("record-" + std::to_string(i) + "-payloadpayload");
-    writer.append(expected.back());
-  }
-  writer.flush();
-
-  // Nothing below record 0 is droppable.
-  EXPECT_EQ(writer.compact(0), 0u);
-  EXPECT_EQ(replay_all(dir.str()), expected);
-
-  // Compacting up to record 10 deletes only whole segments whose records
-  // all precede it; the survivors replay as an aligned suffix. The marker
-  // and its directory are fsynced before any segment goes.
-  const std::uint64_t fsyncs_before = writer.fsyncs_issued();
-  const std::uint64_t dropped = writer.compact(10);
-  EXPECT_GT(dropped, 0u);
-  EXPECT_GT(writer.fsyncs_issued(), fsyncs_before);
-  EXPECT_LE(dropped, 10u);
-  EXPECT_TRUE(std::filesystem::exists(std::filesystem::path(dir.str()) /
-                                      "wal-compacted"));
-  EXPECT_NE(std::filesystem::path(first_segment_path(dir.str())).filename(),
-            "wal-00000000.seg");
-  wal::ReplayStats stats;
-  const std::vector<std::string> suffix = replay_all(dir.str(), &stats);
-  EXPECT_EQ(stats.compacted_records, dropped);
-  ASSERT_EQ(suffix.size(), expected.size() - dropped);
-  for (std::size_t i = 0; i < suffix.size(); ++i) {
-    EXPECT_EQ(suffix[i], expected[dropped + i]) << i;
-  }
-  // A watermark at or below the current one is a no-op, and syncs nothing.
-  const std::uint64_t fsyncs_after = writer.fsyncs_issued();
-  EXPECT_EQ(writer.compact(dropped), 0u);
-  EXPECT_EQ(writer.fsyncs_issued(), fsyncs_after);
-
-  // Compacting "everything" still never touches the active segment: the
-  // log remains appendable and the tail replays.
-  writer.compact(writer.records_appended());
-  EXPECT_FALSE(first_segment_path(dir.str()).empty());
-  writer.append("after-compact");
-  writer.flush();
-  const std::vector<std::string> tail = replay_all(dir.str(), &stats);
-  ASSERT_FALSE(tail.empty());
-  EXPECT_EQ(tail.back(), "after-compact");
-  EXPECT_EQ(stats.compacted_records + stats.records, 21u);
-}
-
-TEST(Wal, CompactionMarkerMakesCrashMidDeletionInvisible) {
-  TempDir dir("wal_compact_crash");
-  std::vector<std::string> expected;
-  wal::WalOptions options;
-  options.segment_bytes = 64;
-  std::uint64_t dropped = 0;
-  {
-    wal::WalWriter writer(dir.str(), options);
-    for (int i = 0; i < 16; ++i) {
-      expected.push_back("record-" + std::to_string(i) + "-payloadpayload");
-      writer.append(expected.back());
+TEST(Wal, ForeignSegmentNamesAreTypedErrors) {
+  // A "wal-*.seg" file whose name is not exactly a segment's name is a
+  // typed error naming the file, at replay and at writer open alike: it
+  // must neither escape as an untyped parse error nor alias a real segment
+  // (wal-4294967296.seg would wrap to index 0). Other files stay ignored.
+  for (const char* foreign :
+       {"wal-x.seg", "wal-99999999999999999999.seg", "wal-4294967296.seg"}) {
+    SCOPED_TRACE(foreign);
+    TempDir dir("wal_foreign");
+    {
+      wal::WalWriter writer(dir.str());
+      writer.append("one");
+      writer.append("two");
     }
-    dropped = writer.compact(8);
-    ASSERT_GT(dropped, 0u);
+    const std::filesystem::path root(dir.str());
+    std::ofstream(root / "checkpoint.bin") << "not a segment";
+    ASSERT_EQ(replay_all(dir.str()), (std::vector<std::string>{"one", "two"}));
+    std::ofstream(root / foreign) << "";
+    expect_wal_error([&] { replay_all(dir.str()); }, foreign);
+    expect_wal_error([&] { wal::WalWriter writer(dir.str()); }, foreign);
   }
-  // Crash mid-deletion: the marker was durably renamed into place *before*
-  // any segment was unlinked, so a stale segment below the boundary can
-  // reappear — here with garbage contents that would throw if scanned.
+}
+
+TEST(Wal, MissingSegmentIsATypedError) {
+  // Nothing deletes a segment, so a log's segments run 0..n-1. A gap — a
+  // lost middle segment or a lost first one — is a typed error naming the
+  // first missing segment, at replay and at writer open, never a silently
+  // shorter replay.
+  TempDir dir("wal_missing");
   {
-    std::ofstream stale(std::filesystem::path(dir.str()) / "wal-00000000.seg",
-                        std::ios::binary | std::ios::trunc);
-    stale << "not a valid wal segment at all";
+    wal::WalWriter writer(dir.str());
+    for (int i = 0; i < 13; ++i) writer.append(mib_record(i));
   }
   wal::ReplayStats stats;
-  const std::vector<std::string> suffix = replay_all(dir.str(), &stats);
-  EXPECT_EQ(stats.compacted_records, dropped);
-  ASSERT_EQ(suffix.size(), expected.size() - dropped);
-  EXPECT_EQ(suffix.front(), expected[dropped]);
+  ASSERT_EQ(replay_all(dir.str(), &stats).size(), 13u);
+  ASSERT_EQ(stats.segments, 4u);
 
-  // A writer reopened over the same directory resumes past the stale
-  // segment as well.
-  wal::WalWriter resumed(dir.str(), options);
-  resumed.append("post-crash");
-  resumed.flush();
-  EXPECT_EQ(replay_all(dir.str(), &stats).back(), "post-crash");
+  const std::filesystem::path root(dir.str());
+  std::filesystem::rename(root / "wal-00000001.seg", root / "aside");
+  expect_wal_error([&] { replay_all(dir.str()); }, "wal-00000001.seg");
+  expect_wal_error([&] { wal::WalWriter writer(dir.str()); },
+                   "wal-00000001.seg");
+  std::filesystem::rename(root / "aside", root / "wal-00000001.seg");
+  ASSERT_EQ(replay_all(dir.str()).size(), 13u);
+
+  std::filesystem::remove(root / "wal-00000000.seg");
+  expect_wal_error([&] { replay_all(dir.str()); }, "wal-00000000.seg");
+  expect_wal_error([&] { wal::WalWriter writer(dir.str()); },
+                   "wal-00000000.seg");
 }
 
 // ---------------------------------------------------------------------------
@@ -648,7 +582,7 @@ TEST(SchedulerDurable, ColdRestartRebuildsFullHistoryFromJournal) {
   std::string tasks_a;
   {
     dtr::testing::MiniCluster a;
-    a.scheduler.enable_durability({dir.str(), 0, false, {}});
+    a.scheduler.enable_durability({dir.str()});
     ASSERT_TRUE(a.run_graph(dtr::testing::diamond_graph()));
     transitions_a = dump_records(a.scheduler.transitions());
     tasks_a = dump_records(a.scheduler.task_records());
@@ -657,7 +591,7 @@ TEST(SchedulerDurable, ColdRestartRebuildsFullHistoryFromJournal) {
   // A brand-new scheduler process over the same directory: the journal is
   // full-history provenance, so the records come back byte-identical.
   dtr::testing::MiniCluster b;
-  b.scheduler.enable_durability({dir.str(), 0, false, {}});
+  b.scheduler.enable_durability({dir.str()});
   b.scheduler.recover();
   b.engine.run();
   EXPECT_EQ(b.scheduler.recoveries(), 1u);
@@ -670,7 +604,7 @@ TEST(SchedulerDurable, ColdRestartRebuildsFullHistoryFromJournal) {
 TEST(SchedulerDurable, MidRunCrashRecoversAndCompletesTheGraph) {
   TempDir dir("sched_midrun");
   dtr::testing::MiniCluster mini;
-  mini.scheduler.enable_durability({dir.str(), 0, false, {}});
+  mini.scheduler.enable_durability({dir.str()});
   bool done = false;
   const auto finish = [&](const std::string&) {
     done = true;
@@ -700,7 +634,7 @@ TEST(SchedulerDurable, MidRunCrashRecoversAndCompletesTheGraph) {
 TEST(SchedulerDurable, SetGraphDoneFiresImmediatelyWhenAlreadyComplete) {
   TempDir dir("sched_done");
   dtr::testing::MiniCluster mini;
-  mini.scheduler.enable_durability({dir.str(), 0, false, {}});
+  mini.scheduler.enable_durability({dir.str()});
   ASSERT_TRUE(mini.run_graph(dtr::testing::independent_graph(4)));
   bool fired = false;
   mini.scheduler.set_graph_done("independent",
@@ -710,13 +644,11 @@ TEST(SchedulerDurable, SetGraphDoneFiresImmediatelyWhenAlreadyComplete) {
                std::exception);
 }
 
-TEST(SchedulerDurable, CompactingCheckpointBoundsTheJournalAndStillRecovers) {
-  TempDir dir("sched_compact");
+TEST(SchedulerDurable, PeriodicCheckpointColdRestartStillRecovers) {
+  TempDir dir("sched_periodic_cp");
   dtr::SchedulerDurability durability;
   durability.dir = dir.str();
   durability.checkpoint_every = 16;
-  durability.compact_on_checkpoint = true;
-  durability.wal.segment_bytes = 1024;  // a handful of records per segment
   {
     dtr::testing::MiniCluster a;
     a.scheduler.enable_durability(durability);
@@ -730,20 +662,9 @@ TEST(SchedulerDurable, CompactingCheckpointBoundsTheJournalAndStillRecovers) {
     a.engine.run();
     ASSERT_EQ(done, 2);
   }
-  // Compaction bounded by checkpoint age really ran: the boundary marker is
-  // on disk, leading segments are gone, and replay reports the dropped
-  // prefix so full-log positions stay stable.
-  EXPECT_TRUE(std::filesystem::exists(std::filesystem::path(dir.str()) /
-                                      "wal-compacted"));
-  EXPECT_NE(std::filesystem::path(first_segment_path(dir.str())).filename(),
-            "wal-00000000.seg");
-  wal::ReplayStats stats;
-  replay_all(dir.str(), &stats);
-  EXPECT_GT(stats.compacted_records, 0u);
 
-  // A cold restart over the truncated journal: the compacting checkpoint
-  // carries every task spec its deleted prefix used to hold, so recovery is
-  // self-contained — full control state, every result in memory.
+  // A cold restart from the last periodic checkpoint plus the journal
+  // suffix past it: full control state, every result in memory.
   dtr::testing::MiniCluster b;
   b.scheduler.enable_durability(durability);
   b.scheduler.recover();
@@ -766,16 +687,13 @@ TEST(SchedulerDurable, CompactingCheckpointBoundsTheJournalAndStillRecovers) {
   EXPECT_TRUE(b.run_graph(extra));
 }
 
-TEST(SchedulerDurable, MidRunCrashWithCompactionCompletesTheGraph) {
-  // The aggressive configuration: checkpoint every few records, compact on
-  // every checkpoint, tiny segments — then crash mid-run. Recovery must
-  // stitch the spec-carrying checkpoint to the surviving journal suffix.
-  TempDir dir("sched_compact_crash");
+TEST(SchedulerDurable, MidRunCrashWithPeriodicCheckpointsCompletesTheGraph) {
+  // Checkpoint every few records, then crash mid-run. Recovery must stitch
+  // the latest checkpoint to the journal suffix past it.
+  TempDir dir("sched_periodic_crash");
   dtr::SchedulerDurability durability;
   durability.dir = dir.str();
   durability.checkpoint_every = 4;
-  durability.compact_on_checkpoint = true;
-  durability.wal.segment_bytes = 256;
   dtr::testing::MiniCluster mini;
   mini.scheduler.enable_durability(durability);
   bool done = false;
@@ -793,9 +711,6 @@ TEST(SchedulerDurable, MidRunCrashWithCompactionCompletesTheGraph) {
   EXPECT_EQ(mini.scheduler.recoveries(), 1u);
   EXPECT_EQ(mini.scheduler.tasks_total(), 4u);
   EXPECT_TRUE(mini.scheduler.in_memory({"sink-abc123", 0}));
-  wal::ReplayStats stats;
-  replay_all(dir.str(), &stats);
-  EXPECT_GT(stats.compacted_records, 0u);
 }
 
 std::string read_bytes(const std::filesystem::path& path) {
@@ -837,7 +752,7 @@ TEST(SchedulerDurable, FailedCheckpointWriteKeepsThePreviousSnapshot) {
   std::string good;
   {
     dtr::testing::MiniCluster mini;
-    mini.scheduler.enable_durability({dir.str(), 0, false, {}});
+    mini.scheduler.enable_durability({dir.str()});
     ASSERT_TRUE(mini.run_graph(dtr::testing::independent_graph(16)));
     good = read_bytes(cp_path);
     ASSERT_GT(good.size(), 64u);
@@ -858,7 +773,7 @@ TEST(SchedulerDurable, FailedCheckpointWriteKeepsThePreviousSnapshot) {
 
   // The previous snapshot still grounds a cold restart.
   dtr::testing::MiniCluster restarted;
-  restarted.scheduler.enable_durability({dir.str(), 0, false, {}});
+  restarted.scheduler.enable_durability({dir.str()});
   restarted.scheduler.recover();
   restarted.engine.run();
   EXPECT_EQ(restarted.scheduler.recoveries(), 1u);
@@ -876,12 +791,12 @@ TEST(SchedulerDurable, JsonTextJournalFrameIsATypedError) {
       writer.append(json_frame);
     }
     dtr::testing::MiniCluster mini;
-    EXPECT_THROW(mini.scheduler.enable_durability({dir.str(), 0, false, {}}),
+    EXPECT_THROW(mini.scheduler.enable_durability({dir.str()}),
                  wire::WireError);
   }
   TempDir dir("sched_json_recover");
   dtr::testing::MiniCluster mini;
-  mini.scheduler.enable_durability({dir.str(), 0, false, {}});
+  mini.scheduler.enable_durability({dir.str()});
   {
     wal::WalWriter writer(dir.str());
     writer.append(json_frame);
@@ -902,17 +817,61 @@ TEST(SchedulerDurable, BareJournalFrameIsATypedError) {
       writer.append(bare);
     }
     dtr::testing::MiniCluster mini;
-    EXPECT_THROW(mini.scheduler.enable_durability({dir.str(), 0, false, {}}),
+    EXPECT_THROW(mini.scheduler.enable_durability({dir.str()}),
                  wal::WalError);
   }
   TempDir dir("sched_bare_recover");
   dtr::testing::MiniCluster mini;
-  mini.scheduler.enable_durability({dir.str(), 0, false, {}});
+  mini.scheduler.enable_durability({dir.str()});
   {
     wal::WalWriter writer(dir.str());
     writer.append(bare);
   }
   EXPECT_THROW(mini.scheduler.recover(), wal::WalError);
+}
+
+TEST(SchedulerDurable, JournalFrameBaseOutOfSequenceIsATypedError) {
+  // Nothing truncates the journal, so each batch frame's base is the count
+  // of the records before it. A frame whose base is off by one either way
+  // is corruption at both replay sites, reported as a typed wal::WalError.
+  std::vector<std::string> frames;
+  {
+    TempDir dir("sched_base_source");
+    {
+      dtr::testing::MiniCluster mini;
+      mini.scheduler.enable_durability({dir.str()});
+      ASSERT_TRUE(mini.run_graph(dtr::testing::independent_graph(8)));
+    }
+    frames = replay_all(dir.str());
+  }
+  ASSERT_GT(frames.size(), 2u);
+  json::Value doctored = wire::decode_value(frames[1]);
+  ASSERT_EQ(wire::encode_value(doctored), frames[1]);  // faithful re-encoding
+  const std::int64_t base = doctored.at("base").as_int();
+  ASSERT_GT(base, 0);
+  for (const std::int64_t delta : {-1, 1}) {
+    SCOPED_TRACE(delta);
+    doctored["base"] = json::Value(base + delta);
+    std::vector<std::string> journal = frames;
+    journal[1] = wire::encode_value(doctored);
+    const auto write_journal = [&journal](const std::string& dir) {
+      wal::WalWriter writer(dir);
+      for (const std::string& frame : journal) writer.append(frame);
+    };
+    {
+      TempDir dir("sched_base_enable");
+      write_journal(dir.str());
+      dtr::testing::MiniCluster mini;
+      EXPECT_THROW(mini.scheduler.enable_durability({dir.str()}),
+                   wal::WalError);
+      EXPECT_FALSE(mini.scheduler.durable());
+    }
+    TempDir dir("sched_base_recover");
+    dtr::testing::MiniCluster mini;
+    mini.scheduler.enable_durability({dir.str()});
+    write_journal(dir.str());
+    EXPECT_THROW(mini.scheduler.recover(), wal::WalError);
+  }
 }
 
 void write_bytes(const std::filesystem::path& path, const std::string& bytes) {
@@ -930,7 +889,7 @@ TEST(SchedulerDurable, FlippedCheckpointKeyIsATypedError) {
   // not recover with no task state.
   TempDir dir("sched_cp_bitflip");
   dtr::testing::MiniCluster mini;
-  mini.scheduler.enable_durability({dir.str(), 0, false, {}});
+  mini.scheduler.enable_durability({dir.str()});
   ASSERT_TRUE(mini.run_graph(dtr::testing::independent_graph(8)));
   std::string bytes = read_bytes(checkpoint_path(dir.str()));
   const std::size_t at = bytes.find("tasks");
@@ -946,7 +905,7 @@ TEST(SchedulerDurable, NegativeCheckpointCountIsATypedError) {
   // unsigned type.
   TempDir dir("sched_cp_negative");
   dtr::testing::MiniCluster mini;
-  mini.scheduler.enable_durability({dir.str(), 0, false, {}});
+  mini.scheduler.enable_durability({dir.str()});
   ASSERT_TRUE(mini.run_graph(dtr::testing::independent_graph(8)));
   const std::string bytes = read_bytes(checkpoint_path(dir.str()));
   json::Value cp = wire::decode_value(bytes);
@@ -1074,7 +1033,7 @@ TEST(SchedulerDurable, CheckpointStaysInKeyOrderAfterAThrowingSubmit) {
   // ones after a crash and recovery.
   TempDir dir("sched_throwing_submit");
   dtr::testing::MiniCluster mini;
-  mini.scheduler.enable_durability({dir.str(), 0, false, {}});
+  mini.scheduler.enable_durability({dir.str()});
   ASSERT_TRUE(mini.run_graph(dtr::testing::independent_graph(8)));
   const auto expect_checkpoint_in_key_order = [&] {
     const std::vector<dtr::TaskKey> keys = checkpoint_task_keys(dir.str());
@@ -1183,7 +1142,7 @@ TEST(SchedulerDurable, RejectedSubmitLeavesNoTrace) {
         broker, mofka::ProducerConfig{64, std::chrono::milliseconds(5), false});
     dtr::testing::MiniCluster mini;
     mini.scheduler.add_plugin(&plugin);
-    mini.scheduler.enable_durability({dir, 0, false, {}});
+    mini.scheduler.enable_durability({dir});
     EXPECT_TRUE(mini.run_graph(base));
     if (bad != nullptr) expect_submit_throws(mini.scheduler, *bad, reason);
     EXPECT_EQ(mini.scheduler.tasks_total(), 3u);
@@ -1217,15 +1176,15 @@ TEST(SchedulerDurable, RejectedSubmitLeavesNoTrace) {
 // ---------------------------------------------------------------------------
 // Batched journal groups (DESIGN.md §11): every WAL frame is a
 // {"t":"batch","base":N,"recs":[...]} group carrying the
-// logical index of its first record, so checkpoint offsets (logical) and
-// compaction watermarks (physical frames) stay consistent. A torn group is
-// atomically absent — WAL truncation drops whole frames, so a crash inside
-// a group can never half-apply it.
+// logical index of its first record, which recovery checks against the
+// records before it; checkpoint offsets index the same logical log. A torn
+// group is atomically absent — WAL truncation drops whole frames, so a
+// crash inside a group can never half-apply it.
 
 TEST(SchedulerBatchedJournal, GroupsAmortizeFramesAndCarryLogicalBases) {
   TempDir dir("sched_batch_frames");
   dtr::testing::MiniCluster mini;
-  mini.scheduler.enable_durability({dir.str(), 0, false, {}});
+  mini.scheduler.enable_durability({dir.str()});
   ASSERT_TRUE(mini.run_graph(dtr::testing::independent_graph(16)));
 
   // Grouping amortizes: fewer physical frames than logical records
@@ -1260,7 +1219,7 @@ TEST(SchedulerBatchedJournal, TornBatchGroupIsAtomicallyAbsent) {
   TempDir dir("sched_torn_batch");
   {
     dtr::testing::MiniCluster mini;
-    mini.scheduler.enable_durability({dir.str(), 0, false, {}});
+    mini.scheduler.enable_durability({dir.str()});
     ASSERT_TRUE(mini.run_graph(dtr::testing::independent_graph(8)));
   }
   const std::size_t intact_frames = replay_all(dir.str()).size();
@@ -1284,7 +1243,7 @@ TEST(SchedulerBatchedJournal, TornBatchGroupIsAtomicallyAbsent) {
   // cleanly (interior bases still line up), the work the torn group
   // described is re-dispatched, and the graph completes.
   dtr::testing::MiniCluster restarted;
-  restarted.scheduler.enable_durability({dir.str(), 0, false, {}});
+  restarted.scheduler.enable_durability({dir.str()});
   restarted.scheduler.recover();
   bool done = false;
   // Fires immediately when the torn frame held only post-completion

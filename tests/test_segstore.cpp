@@ -657,10 +657,6 @@ TEST(UnifiedDurability, ComponentDirsAndLegacyFactories) {
   EXPECT_EQ(config.segstore_dir(), "");
 
   config.dir = "/runs/demo";
-  config.scheduler.checkpoint_every = 64;
-  config.scheduler.compact_on_checkpoint = true;
-  config.scheduler.wal.segment_bytes = 64 << 10;
-  config.scheduler.wal.sync = wal::SyncPolicy::kOnAppend;
 
   EXPECT_EQ(config.broker_dir(), "/runs/demo/broker");
   EXPECT_EQ(config.scheduler_dir(), "/runs/demo/scheduler");
@@ -670,10 +666,6 @@ TEST(UnifiedDurability, ComponentDirsAndLegacyFactories) {
   const dtr::SchedulerDurability scheduler =
       dtr::SchedulerDurability::from(config);
   EXPECT_EQ(scheduler.dir, "/runs/demo/scheduler");
-  EXPECT_EQ(scheduler.checkpoint_every, 64u);
-  EXPECT_TRUE(scheduler.compact_on_checkpoint);
-  EXPECT_EQ(scheduler.wal.segment_bytes, 64u << 10);
-  EXPECT_EQ(scheduler.wal.sync, wal::SyncPolicy::kOnAppend);
 
   const segstore::SegmentStoreConfig store =
       segstore::SegmentStoreConfig::from(config);

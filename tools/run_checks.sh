@@ -64,11 +64,14 @@ echo "== crash-recovery oracle: 10-seed byte-identity check =="
 # checkpoint/journal restart, and durable ingest cursors under injected
 # process crashes. Every seed must reproduce the fault-free views exactly.
 # SchedulerDurable.* adds the checkpoint suite: strict checkpoint reads,
-# mid-submission snapshots pinned to recorded digests and rejected graphs
-# that leave no trace. BrokerWal.* adds the broker WAL: rebuilds with
-# identical offsets and dedup state, and replay rejecting records a live
-# call would have rejected.
-recovery_filter='*CrashRecoveryOracle*:SchedulerLease.*:SchedulerBatchedJournal.*:SchedulerDurable.*:BrokerWal.*'
+# mid-submission snapshots pinned to recorded digests, rejected graphs
+# that leave no trace and out-of-sequence journal frame bases. BrokerWal.*
+# adds the broker WAL: rebuilds with identical offsets and dedup state, and
+# replay rejecting records a live call would have rejected. Wal.* adds the
+# WAL primitive under all of them: CRC, rotation, torn-tail repair,
+# concurrent appends, and typed errors for mid-log corruption, foreign
+# segment names and missing segments.
+recovery_filter='*CrashRecoveryOracle*:SchedulerLease.*:SchedulerBatchedJournal.*:SchedulerDurable.*:BrokerWal.*:Wal.*'
 require_filter_matches ./build/tests/test_recovery "$recovery_filter"
 ./build/tests/test_recovery --gtest_filter="$recovery_filter" >/dev/null
 echo "crash-recovery oracle passed"
