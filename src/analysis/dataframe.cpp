@@ -10,7 +10,6 @@
 #include <unordered_set>
 
 #include "common/csv.hpp"
-#include "common/parallel.hpp"
 #include "common/stats.hpp"
 #include "common/strings.hpp"
 
@@ -193,18 +192,14 @@ void Column::push_str(std::string v) {
 }
 
 void Column::gather(const Column& src, const std::vector<std::size_t>& rows) {
-  // Pre-size then index so morsels can fill disjoint slices in parallel.
   if (type_ == ColumnType::kDouble && src.type_ == ColumnType::kInt64) {
     const std::size_t base = doubles_.size();
     doubles_.resize(base + rows.size());
-    parallel::for_morsels(
-        rows.size(), [&](std::size_t, std::size_t b, std::size_t e) {
-          for (std::size_t i = b; i < e; ++i) {
-            const std::size_t r = rows[i];
-            doubles_[base + i] =
-                r == kMissingRow ? 0.0 : static_cast<double>(src.ints_[r]);
-          }
-        });
+    for (std::size_t i = 0; i < rows.size(); ++i) {
+      const std::size_t r = rows[i];
+      doubles_[base + i] =
+          r == kMissingRow ? 0.0 : static_cast<double>(src.ints_[r]);
+    }
     return;
   }
   if (type_ != src.type_) {
@@ -214,25 +209,19 @@ void Column::gather(const Column& src, const std::vector<std::size_t>& rows) {
     case ColumnType::kInt64: {
       const std::size_t base = ints_.size();
       ints_.resize(base + rows.size());
-      parallel::for_morsels(
-          rows.size(), [&](std::size_t, std::size_t b, std::size_t e) {
-            for (std::size_t i = b; i < e; ++i) {
-              const std::size_t r = rows[i];
-              ints_[base + i] = r == kMissingRow ? 0 : src.ints_[r];
-            }
-          });
+      for (std::size_t i = 0; i < rows.size(); ++i) {
+        const std::size_t r = rows[i];
+        ints_[base + i] = r == kMissingRow ? 0 : src.ints_[r];
+      }
       break;
     }
     case ColumnType::kDouble: {
       const std::size_t base = doubles_.size();
       doubles_.resize(base + rows.size());
-      parallel::for_morsels(
-          rows.size(), [&](std::size_t, std::size_t b, std::size_t e) {
-            for (std::size_t i = b; i < e; ++i) {
-              const std::size_t r = rows[i];
-              doubles_[base + i] = r == kMissingRow ? 0.0 : src.doubles_[r];
-            }
-          });
+      for (std::size_t i = 0; i < rows.size(); ++i) {
+        const std::size_t r = rows[i];
+        doubles_[base + i] = r == kMissingRow ? 0.0 : src.doubles_[r];
+      }
       break;
     }
     case ColumnType::kString: {
@@ -251,26 +240,20 @@ void Column::gather(const Column& src, const std::vector<std::size_t>& rows) {
         dict_ = src.dict_;
         lookup_.clear();
         lookup_entries_ = 0;
-        parallel::for_morsels(
-            rows.size(), [&](std::size_t, std::size_t b, std::size_t e) {
-              for (std::size_t i = b; i < e; ++i) {
-                codes_[i] = src.codes_[rows[i]];
-              }
-            });
+        for (std::size_t i = 0; i < rows.size(); ++i) {
+          codes_[i] = src.codes_[rows[i]];
+        }
       } else {
         std::vector<std::uint32_t> remap(src.dict_->size());
         for (std::size_t i = 0; i < remap.size(); ++i) {
           remap[i] = intern_view((*src.dict_)[i]);
         }
         const std::uint32_t empty_code = missing ? intern(std::string()) : 0;
-        parallel::for_morsels(
-            rows.size(), [&](std::size_t, std::size_t b, std::size_t e) {
-              for (std::size_t i = b; i < e; ++i) {
-                const std::size_t r = rows[i];
-                codes_[base + i] =
-                    r == kMissingRow ? empty_code : remap[src.codes_[r]];
-              }
-            });
+        for (std::size_t i = 0; i < rows.size(); ++i) {
+          const std::size_t r = rows[i];
+          codes_[base + i] =
+              r == kMissingRow ? empty_code : remap[src.codes_[r]];
+        }
       }
       break;
     }
@@ -850,41 +833,19 @@ DataFrame DataFrame::filter(
 }
 
 std::vector<std::size_t> selected_rows(const std::vector<char>& keep) {
-  // Branch-free selection build: unconditionally store the row index, then
-  // advance the cursor by 0 or 1. Morsels count matches in parallel, an
-  // exclusive scan assigns each morsel its output slice, and the fill pass
-  // writes disjoint ranges — output order stays ascending by row.
-  const std::size_t n_rows = keep.size();
-  const std::size_t morsels = parallel::morsel_count(n_rows);
-  std::vector<std::size_t> counts(morsels, 0);
-  parallel::for_morsels(n_rows,
-                        [&](std::size_t m, std::size_t b, std::size_t e) {
-                          std::size_t n = 0;
-                          for (std::size_t r = b; r < e; ++r) {
-                            n += static_cast<std::size_t>(keep[r] != 0);
-                          }
-                          counts[m] = n;
-                        });
-  std::size_t total = 0;
-  for (std::size_t m = 0; m < morsels; ++m) {
-    const std::size_t n = counts[m];
-    counts[m] = total;
-    total += n;
+  // Branch-free selection build: count the matches, then unconditionally
+  // store each row index and advance the cursor by 0 or 1. The store lands
+  // at most one slot past the last match, hence the one spare slot; sizing
+  // by matches rather than rows keeps a selective filter's vector small.
+  std::size_t matches = 0;
+  for (const char k : keep) matches += static_cast<std::size_t>(k != 0);
+  std::vector<std::size_t> rows(matches + 1);
+  std::size_t k = 0;
+  for (std::size_t r = 0; r < keep.size(); ++r) {
+    rows[k] = r;
+    k += static_cast<std::size_t>(keep[r] != 0);
   }
-  std::vector<std::size_t> rows(total);
-  parallel::for_morsels(
-      n_rows, [&](std::size_t m, std::size_t b, std::size_t e) {
-        // Local scratch: the unconditional store runs one slot past the
-        // last match, which must not spill into the neighbor's slice.
-        std::vector<std::size_t> local(e - b);
-        std::size_t k = 0;
-        for (std::size_t r = b; r < e; ++r) {
-          local[k] = r;
-          k += static_cast<std::size_t>(keep[r] != 0);
-        }
-        std::copy(local.begin(), local.begin() + static_cast<std::ptrdiff_t>(k),
-                  rows.begin() + static_cast<std::ptrdiff_t>(counts[m]));
-      });
+  rows.pop_back();
   return rows;
 }
 
@@ -1444,34 +1405,28 @@ DataFrame DataFrame::concat(const DataFrame& other) const {
 
 namespace {
 
-/// Morsel-parallel reduce over a numeric column without materializing a
-/// widened copy. Partials land in a slot per morsel and combine in morsel
-/// order, so results are bit-identical at any worker count.
+/// Reduce over a numeric column without materializing a widened copy.
+/// Partials accumulate per 16,384-row block and combine in block order:
+/// that is the summation order every recorded output (figures, pinned
+/// digests) was computed in, so a straight left-to-right loop would move
+/// the low bits of long sums.
 template <typename Reduce>
 double reduce_numeric(const Column& c, double init, Reduce&& reduce) {
-  const std::size_t n = c.size();
-  const std::size_t morsels = parallel::morsel_count(n);
-  std::vector<double> partial(morsels, init);
-  if (c.type() == ColumnType::kInt64) {
-    const auto& v = c.ints();
-    parallel::for_morsels(n, [&](std::size_t m, std::size_t b, std::size_t e) {
-      double acc = init;
+  constexpr std::size_t kBlockRows = 16 * 1024;
+  const auto blocked = [&](const auto& v) {
+    double acc = init;
+    for (std::size_t b = 0; b < v.size(); b += kBlockRows) {
+      const std::size_t e = std::min(v.size(), b + kBlockRows);
+      double partial = init;
       for (std::size_t r = b; r < e; ++r) {
-        acc = reduce(acc, static_cast<double>(v[r]));
+        partial = reduce(partial, static_cast<double>(v[r]));
       }
-      partial[m] = acc;
-    });
-  } else {
-    const auto& v = c.doubles();  // throws for string columns
-    parallel::for_morsels(n, [&](std::size_t m, std::size_t b, std::size_t e) {
-      double acc = init;
-      for (std::size_t r = b; r < e; ++r) acc = reduce(acc, v[r]);
-      partial[m] = acc;
-    });
-  }
-  double acc = init;
-  for (const double p : partial) acc = reduce(acc, p);
-  return acc;
+      acc = reduce(acc, partial);
+    }
+    return acc;
+  };
+  if (c.type() == ColumnType::kInt64) return blocked(c.ints());
+  return blocked(c.doubles());  // throws for string columns
 }
 
 }  // namespace

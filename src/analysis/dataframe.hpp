@@ -277,7 +277,7 @@ class DataFrame {
 };
 
 /// Ascending indices of the rows with keep[r] != 0: the selection vector
-/// filter_mask gathers through, built morsel-parallel.
+/// filter_mask gathers through, built branch-free.
 std::vector<std::size_t> selected_rows(const std::vector<char>& keep);
 
 }  // namespace recup::analysis

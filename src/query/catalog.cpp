@@ -147,10 +147,6 @@ std::size_t StoreCatalog::compact() {
   return segstore_ != nullptr ? segstore_->compact() : 0;
 }
 
-void StoreCatalog::refresh() {
-  if (segstore_ != nullptr) segstore_->refresh();
-}
-
 std::shared_ptr<const analysis::DataFrame> StoreCatalog::memo_get(
     const FrameKey& key) const {
   std::lock_guard guard(frames_mutex_);
@@ -203,29 +199,10 @@ std::shared_ptr<const analysis::DataFrame> StoreCatalog::Snapshot::frame(
   if (auto hit = catalog_->memo_get(key)) return hit;
 
   if (seg_ != nullptr) {
-    const segstore::RunKey run_key{id.workflow, id.run_index};
-    // Replica racing the writer's compaction GC: the pinned version can
-    // name a file that was merged away and unlinked before we mapped it.
-    // Compaction never changes logical content and runs are immutable, so
-    // a later version's copy of (view, run) is the same frame — refresh
-    // and re-read. The re-read can lose the same race to the writer's next
-    // compaction, so it repeats against ever newer versions, a bounded
-    // number of times (writer mode pins files via live versions, so this
-    // path cannot trigger there).
-    constexpr int kReadAttempts = 8;
-    std::shared_ptr<const segstore::ManifestVersion> version = seg_;
-    std::shared_ptr<const analysis::DataFrame> decoded;
-    for (int attempt = 1;; ++attempt) {
-      try {
-        decoded = catalog_->segstore_->read_frame(*version, view_name(view),
-                                                  run_key);
-        break;
-      } catch (const segstore::SegstoreError&) {
-        if (attempt == kReadAttempts) throw;
-        catalog_->segstore_->refresh();
-        version = catalog_->segstore_->version();
-      }
-    }
+    // The pinned version keeps every file it names alive against the
+    // writer's compaction GC, so a read error here is genuine.
+    auto decoded =
+        catalog_->segstore_->read_frame(*seg_, view_name(view), to_run_key(id));
     if (decoded == nullptr) {
       return std::make_shared<const analysis::DataFrame>(
           empty_view_frame(view));

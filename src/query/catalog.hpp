@@ -8,8 +8,8 @@
 //     recup::segstore::SegmentStore as immutable columnar segments, view
 //     frames decode from (mmap'ed) segment files, and a cold start
 //     recovers the whole catalog from the manifest instead of
-//     re-ingesting Mofka topics. Read-only instances of the same
-//     directory serve as query replicas.
+//     re-ingesting Mofka topics. A directory is served by the process
+//     that writes it; read-only opens are for static inspection.
 //
 // Reads go through an epoch-pinned Snapshot handle: catalog.snapshot()
 // captures an immutable version (copy-on-write run list in memory mode, a
@@ -68,7 +68,7 @@ class StoreCatalog {
   StoreCatalog();
   /// Segment (durable) backend over `config.dir`. Writer mode recovers the
   /// committed state from the manifest (cold start); config.read_only opens
-  /// the same directory as a query replica.
+  /// a static snapshot of the directory for inspection.
   explicit StoreCatalog(segstore::SegmentStoreConfig config);
   StoreCatalog(const StoreCatalog&) = delete;
   StoreCatalog& operator=(const StoreCatalog&) = delete;
@@ -140,9 +140,6 @@ class StoreCatalog {
   // --- Segment-backend maintenance (no-ops / errors in memory mode) --------
   /// One compaction pass over the segment store (see SegmentStore).
   std::size_t compact();
-  /// Replica mode: pick up runs committed by a live writer since open (or
-  /// the last refresh). Memory mode: no-op.
-  void refresh();
   /// The underlying segment store (fsck, chaos wiring, GC) — nullptr for
   /// the memory backend.
   [[nodiscard]] segstore::SegmentStore* segment_store() {

@@ -44,13 +44,20 @@ auto canonical(std::vector<Keyed>& pending) {
 }
 
 /// One topic's per-partition positions in a cursor-WAL record; empty when
-/// the record does not name the topic.
+/// the record does not name the topic. A negative position is corruption:
+/// wrapped into an EventId it would seek past every event of the partition.
 std::vector<mofka::EventId> logged_positions(const json::Value& cursors,
                                              const char* topic) {
   std::vector<mofka::EventId> out;
   if (!cursors.is_object() || !cursors.contains(topic)) return out;
   for (const json::Value& position : cursors.at(topic).as_array()) {
-    out.push_back(static_cast<mofka::EventId>(position.as_int()));
+    const std::int64_t value = position.as_int();
+    if (value < 0) {
+      throw wal::WalError("ingest cursor: negative position " +
+                          std::to_string(value) + " for " + topic +
+                          " partition " + std::to_string(out.size()));
+    }
+    out.push_back(static_cast<mofka::EventId>(value));
   }
   return out;
 }

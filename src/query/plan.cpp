@@ -6,8 +6,6 @@
 #include <sstream>
 #include <utility>
 
-#include "common/parallel.hpp"
-
 namespace recup::query {
 
 namespace {
@@ -44,16 +42,13 @@ std::string predicates_display(const std::vector<Predicate>& preds) {
 template <typename T, typename U>
 void narrow_mask(const std::vector<T>& values, U rhs, CmpOp op,
                  std::vector<char>& keep) {
-  // Branch-free AND into the mask (keep holds 0/1), morsel-parallel; the
-  // typed inner loop auto-vectorizes for int64/double columns.
+  // Branch-free AND into the mask (keep holds 0/1); the typed inner loop
+  // auto-vectorizes for int64/double columns.
   const auto apply = [&](auto cmp) {
-    parallel::for_morsels(
-        values.size(), [&](std::size_t, std::size_t b, std::size_t e) {
-          for (std::size_t r = b; r < e; ++r) {
-            keep[r] = static_cast<char>(keep[r] &
-                                        static_cast<char>(cmp(values[r], rhs)));
-          }
-        });
+    for (std::size_t r = 0; r < values.size(); ++r) {
+      keep[r] = static_cast<char>(keep[r] &
+                                  static_cast<char>(cmp(values[r], rhs)));
+    }
   };
   switch (op) {
     case CmpOp::kEq:
@@ -129,12 +124,9 @@ void narrow_mask_one(const DataFrame& frame, const Predicate& p,
         }
         match[i] = static_cast<char>(m);
       }
-      parallel::for_morsels(
-          codes.size(), [&](std::size_t, std::size_t b, std::size_t e) {
-            for (std::size_t r = b; r < e; ++r) {
-              keep[r] = static_cast<char>(keep[r] & match[codes[r]]);
-            }
-          });
+      for (std::size_t r = 0; r < codes.size(); ++r) {
+        keep[r] = static_cast<char>(keep[r] & match[codes[r]]);
+      }
       break;
     }
     case ColumnType::kInt64: {

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <limits>
 
 #include "wire/codec.hpp"
 
@@ -15,6 +16,19 @@ std::int64_t double_bits(double v) {
 
 double bits_double(std::int64_t bits) {
   return std::bit_cast<double>(bits);
+}
+
+/// An unsigned field the manifest stores as an integer. A negative value or
+/// one above `max` is corruption, never wrapped into range by a cast.
+template <typename T>
+T unsigned_field(const json::Value& object, const std::string& key,
+                 T max = std::numeric_limits<T>::max()) {
+  const std::int64_t value = object.at(key).as_int();
+  if (value < 0 || static_cast<std::uint64_t>(value) > max) {
+    throw SegstoreError("manifest: " + key + " out of range: " +
+                        std::to_string(value));
+  }
+  return static_cast<T>(value);
 }
 
 json::Value stats_to_json(const ColumnStats& s) {
@@ -49,9 +63,11 @@ json::Value stats_to_json(const ColumnStats& s) {
 ColumnStats stats_from_json(const json::Value& v) {
   ColumnStats s;
   s.name = v.at("name").as_string();
-  s.type = static_cast<analysis::ColumnType>(v.at("type").as_int());
-  s.rows = static_cast<std::uint64_t>(v.at("rows").as_int());
-  s.null_count = static_cast<std::uint64_t>(v.get_int("nulls", 0));
+  s.type = static_cast<analysis::ColumnType>(unsigned_field<std::uint8_t>(
+      v, "type", static_cast<std::uint8_t>(analysis::ColumnType::kString)));
+  s.rows = unsigned_field<std::uint64_t>(v, "rows");
+  s.null_count =
+      v.contains("nulls") ? unsigned_field<std::uint64_t>(v, "nulls") : 0;
   switch (s.type) {
     case analysis::ColumnType::kInt64:
       s.int_min = v.at("int_min").as_int();
@@ -104,18 +120,17 @@ SegmentInfo segment_info_from_json(const json::Value& v) {
   SegmentInfo info;
   info.file = v.at("file").as_string();
   info.view = v.at("view").as_string();
-  info.file_bytes = static_cast<std::uint64_t>(v.at("bytes").as_int());
-  info.body_crc = static_cast<std::uint32_t>(v.at("crc").as_int());
+  info.file_bytes = unsigned_field<std::uint64_t>(v, "bytes");
+  info.body_crc = unsigned_field<std::uint32_t>(v, "crc");
   const json::Array& chunks = v.at("chunks").as_array();
   info.chunks.reserve(chunks.size());
   for (const json::Value& ch : chunks) {
     ChunkMeta meta;
     meta.run.workflow = ch.at("workflow").as_string();
-    meta.run.run_index =
-        static_cast<std::uint32_t>(ch.at("run_index").as_int());
-    meta.rows = static_cast<std::uint64_t>(ch.at("rows").as_int());
-    meta.offset = static_cast<std::uint64_t>(ch.at("offset").as_int());
-    meta.length = static_cast<std::uint64_t>(ch.at("length").as_int());
+    meta.run.run_index = unsigned_field<std::uint32_t>(ch, "run_index");
+    meta.rows = unsigned_field<std::uint64_t>(ch, "rows");
+    meta.offset = unsigned_field<std::uint64_t>(ch, "offset");
+    meta.length = unsigned_field<std::uint64_t>(ch, "length");
     for (const json::Value& col : ch.at("columns").as_array()) {
       meta.columns.push_back(stats_from_json(col));
     }
@@ -161,7 +176,7 @@ void Manifest::apply(ManifestVersion& state, const json::Value& record) {
   const std::string kind = record.get_string("kind", "");
   if (kind == "add") {
     RunKey run{record.at("workflow").as_string(),
-               static_cast<std::uint32_t>(record.at("run_index").as_int())};
+               unsigned_field<std::uint32_t>(record, "run_index")};
     // Idempotent: a flush retried across a crash that landed after the
     // commit point re-appends the same run; first record wins.
     if (state.has_run(run)) return;
@@ -289,16 +304,6 @@ void Manifest::commit_compact(const std::string& view,
   writer_->append(wire::encode_value(value));
   writer_->sync();
   ++records_;
-  install_locked(std::move(next));
-}
-
-void Manifest::refresh() {
-  std::lock_guard lock(mutex_);
-  ManifestVersion next = replay_locked();
-  if (next.committed_runs == current_->committed_runs &&
-      next.files() == current_->files()) {
-    return;  // nothing new; keep the existing (pinned) version object
-  }
   install_locked(std::move(next));
 }
 

@@ -19,9 +19,8 @@
 // versions so garbage collection can tell which replaced/orphaned files are
 // still pinned by live readers.
 //
-// Read-only mode (query replicas) replays the same WAL without opening a
-// writer — WalWriter::replay never mutates the log, so N replicas can tail
-// one live manifest directory and refresh() to pick up new commits.
+// Read-only mode (static inspection) replays the same WAL once without
+// opening a writer — WalWriter::replay never mutates the log.
 #pragma once
 
 #include <map>
@@ -84,11 +83,6 @@ class Manifest {
   void commit_compact(const std::string& view,
                       const std::vector<std::string>& replaces,
                       SegmentInfo merged);
-
-  /// Re-replays the WAL, picking up records committed by another process
-  /// (read-only replicas tailing a live writer). Safe in writer mode too
-  /// (no-op re-install of the same state).
-  void refresh();
 
   /// Files referenced by the current version OR any still-pinned older
   /// version. Garbage collection must keep all of these.

@@ -21,7 +21,7 @@ void put_string(std::string& out, std::string_view s) {
 
 std::string get_string(std::string_view bytes, std::size_t& pos) {
   const std::uint64_t len = wire::get_varint(bytes, pos);
-  if (pos + len > bytes.size()) {
+  if (len > bytes.size() - pos) {
     throw SegstoreError("segment: truncated string");
   }
   std::string s(bytes.substr(pos, len));
@@ -186,16 +186,33 @@ Column decode_column(std::string_view bytes, std::size_t& pos,
   throw SegstoreError("segment: unreachable column type");
 }
 
+/// A chunk's row or column count. Every column costs at least one byte of
+/// stats and every row at least one byte per column, so a count beyond the
+/// bytes left is corrupt — rejected before anything is reserved from it.
+std::uint64_t get_count(std::string_view bytes, std::size_t& pos,
+                        const char* what) {
+  const std::uint64_t n = wire::get_varint(bytes, pos);
+  if (n > bytes.size() - pos) {
+    throw SegstoreError(std::string("segment: implausible ") + what +
+                        " count " + std::to_string(n));
+  }
+  return n;
+}
+
 ChunkMeta decode_chunk_header_and_columns(std::string_view bytes,
                                           std::size_t& pos,
                                           DataFrame* frame_out) {
   ChunkMeta meta;
   meta.offset = pos;
   meta.run.workflow = get_string(bytes, pos);
-  meta.run.run_index =
-      static_cast<std::uint32_t>(wire::get_varint(bytes, pos));
-  meta.rows = wire::get_varint(bytes, pos);
-  const std::uint64_t cols = wire::get_varint(bytes, pos);
+  const std::uint64_t run_index = wire::get_varint(bytes, pos);
+  if (run_index > UINT32_MAX) {
+    throw SegstoreError("segment: run index out of range " +
+                        std::to_string(run_index));
+  }
+  meta.run.run_index = static_cast<std::uint32_t>(run_index);
+  meta.rows = get_count(bytes, pos, "row");
+  const std::uint64_t cols = get_count(bytes, pos, "column");
   std::vector<Column> columns;
   columns.reserve(cols);
   for (std::uint64_t c = 0; c < cols; ++c) {

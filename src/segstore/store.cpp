@@ -300,8 +300,6 @@ std::shared_ptr<const analysis::DataFrame> SegmentStore::read_frame(
                    location->chunk));
 }
 
-void SegmentStore::refresh() { manifest_->refresh(); }
-
 std::size_t SegmentStore::collect_garbage() {
   if (config_.read_only) return 0;
   std::lock_guard writer_lock(writer_mutex_);

@@ -19,10 +19,10 @@
 // fault.hpp); a simulated crash keeps durable state intact by construction
 // because the in-memory manifest is only updated after the WAL sync.
 //
-// Replica mode (config.read_only): opens the same directory without a
-// writer, replays the manifest WAL in place (never mutating it), and
-// refresh() picks up records a live writer appends — N query replicas can
-// serve one segment directory.
+// A directory is served by the one process that writes it. A read-only
+// open (config.read_only, for `recup_segstore ls` / `fsck`) replays the
+// manifest WAL in place without mutating it: no orphan GC, commits throw,
+// and its version is the static snapshot taken at open.
 #pragma once
 
 #include <atomic>
@@ -55,7 +55,6 @@ struct SegmentStoreConfig {
 
   /// The segment store's slice of the unified durability config
   /// (common/durability.hpp): `<dir>/segstore` with the defaults above.
-  /// Replicas flip read_only afterwards.
   [[nodiscard]] static SegmentStoreConfig from(const DurabilityConfig& d) {
     SegmentStoreConfig c;
     c.dir = d.segstore_dir();
@@ -117,10 +116,6 @@ class SegmentStore {
   [[nodiscard]] std::shared_ptr<const analysis::DataFrame> read_frame(
       const ManifestVersion& version, const std::string& view,
       const RunKey& run) const;
-
-  /// Replica mode: re-replays the manifest to pick up a live writer's
-  /// commits. Writer mode: no-op.
-  void refresh();
 
   /// Deletes segment files referenced by no committed manifest version and
   /// pinned by no live version handle. Returns files deleted. Writer only.

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstring>
 #include <limits>
@@ -228,6 +229,39 @@ TEST(DataFrame, ColumnHelpers) {
   EXPECT_DOUBLE_EQ(df.min("count"), 1.0);
   EXPECT_DOUBLE_EQ(df.max("count"), 4.0);
   EXPECT_EQ(df.distinct("group"), (std::vector<std::string>{"x", "y"}));
+}
+
+TEST(DataFrame, LongColumnSumsCombineFixedBlocksInOrder) {
+  // sum and mean add up 16,384-row blocks, then combine the block partials
+  // in order: the summation order every recorded output was computed in.
+  constexpr std::size_t kRows = 40000;
+  constexpr std::size_t kBlockRows = 16 * 1024;
+  RngStream rng(24);
+  Column values("v", ColumnType::kDouble);
+  for (std::size_t r = 0; r < kRows; ++r) {
+    values.push_f64(rng.lognormal(1.0, 3.0));
+  }
+  const std::vector<double>& v = values.doubles();
+  double straight = 0.0;
+  for (const double d : v) straight += d;
+  double blocked = 0.0;
+  for (std::size_t b = 0; b < kRows; b += kBlockRows) {
+    double partial = 0.0;
+    for (std::size_t r = b; r < std::min(kRows, b + kBlockRows); ++r) {
+      partial += v[r];
+    }
+    blocked += partial;
+  }
+  // The two orders differ in the low bits, so the checks below pin the
+  // order and not just the value.
+  ASSERT_NE(std::bit_cast<std::uint64_t>(straight),
+            std::bit_cast<std::uint64_t>(blocked));
+
+  const DataFrame df = DataFrame::from_columns({values});
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(df.sum("v")),
+            std::bit_cast<std::uint64_t>(blocked));
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(df.mean("v")),
+            std::bit_cast<std::uint64_t>(blocked / static_cast<double>(kRows)));
 }
 
 TEST(DataFrame, CsvRoundTrip) {

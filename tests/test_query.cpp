@@ -561,8 +561,8 @@ TEST(QueryExec, OrderByLimitPutsNaNLast) {
 /// io_segments / task_io views are empty), task durations all under 0.1 s
 /// (a duration threshold leaves it without rows or zone-prunes it), prefixes
 /// without a '-' (a `contains "-"` filter empties it without pruning), and
-/// more transitions than one serial morsel batch, so the scan mask fans out
-/// across workers.
+/// 34,000 transitions, so the scan's mask, selection and gather loops run
+/// over a long frame.
 dtr::RunData alpha_run() {
   dtr::RunData run;
   run.meta.workflow = "Alpha";

@@ -1670,6 +1670,30 @@ TEST(IngestDurable, JsonTextCursorRecordIsATypedError) {
                wire::WireError);
 }
 
+TEST(IngestDurable, NegativeCursorPositionIsATypedError) {
+  // A negative logged position is corruption. Wrapped into an EventId it
+  // would seek past every event of the partition, and the next commit would
+  // skip those events for good.
+  for (const std::string topic :
+       {"wms_transitions", dtr::DarshanMofkaBridge::kTopic}) {
+    SCOPED_TRACE(topic);
+    TempDir dir("ingest_negative_cursor");
+    {
+      json::Object cursors;
+      cursors[topic] = json::Array{json::Value(std::int64_t{-1})};
+      wal::WalWriter writer(dir.str());
+      writer.append(wire::encode_value(json::Value(std::move(cursors))));
+    }
+    mochi::KeyValueStore kv;
+    mochi::BlobStore blobs;
+    mofka::Broker broker(kv, blobs);
+    dtr::create_wms_topics(broker);
+    StoreCatalog catalog;
+    EXPECT_THROW((void)LiveIngestor(broker, catalog, "g", dir.str()),
+                 wal::WalError);
+  }
+}
+
 TEST(IngestDurable, InjectedProcessCrashRestoresCursorsAndRepolls) {
   TempDir dir("ingest_crash");
   mochi::KeyValueStore kv;

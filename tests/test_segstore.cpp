@@ -13,6 +13,7 @@
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <optional>
 #include <string>
 #include <thread>
@@ -290,6 +291,58 @@ TEST(SegstoreSegment, StatsHandleNaNEmptyAndUnreferencedDictEntries) {
   EXPECT_EQ(str_stats.str_max, "mmm");
 }
 
+TEST(SegstoreSegment, CraftedChunkHeadersAreTypedErrors) {
+  // Chunk headers whose counts, string length or run index lie: each is a
+  // SegstoreError, never an allocation sized by the lie or a value wrapped
+  // into range.
+  const auto header = [](std::uint64_t run_index, std::uint64_t rows,
+                         std::uint64_t cols) {
+    std::string out;
+    wire::put_varint(out, 2);
+    out += "wf";
+    wire::put_varint(out, run_index);
+    wire::put_varint(out, rows);
+    wire::put_varint(out, cols);
+    return out;
+  };
+  constexpr std::uint64_t kHugeCount = std::uint64_t{1} << 40;
+
+  // One int64 column whose stats agree with the 2^40-row header.
+  std::string huge_rows = header(0, kHugeCount, 1);
+  wire::put_varint(huge_rows, 1);
+  huge_rows += "x";
+  huge_rows.push_back(static_cast<char>(ColumnType::kInt64));
+  wire::put_varint(huge_rows, kHugeCount);  // rows
+  wire::put_varint(huge_rows, 0);           // nulls
+  wire::put_zigzag(huge_rows, 7);           // int_min
+  wire::put_zigzag(huge_rows, 7);           // int_max
+  wire::put_zigzag(huge_rows, 7);           // the one value present
+
+  // A workflow length of 2^64 - 10: added to the position it wraps to 0.
+  std::string wrapped_length;
+  wire::put_varint(wrapped_length, ~std::uint64_t{0} - 9);
+  wire::put_varint(wrapped_length, 0);
+  wire::put_varint(wrapped_length, 0);
+
+  const std::vector<std::pair<std::string, std::string>> bodies = {
+      {"2^40 rows", huge_rows},
+      {"2^40 columns", header(0, 0, kHugeCount)},
+      {"workflow length 2^64-10", wrapped_length},
+      {"run index 2^32+1", header((std::uint64_t{1} << 32) + 1, 0, 0)},
+  };
+  for (const auto& [name, body] : bodies) {
+    SCOPED_TRACE(name);
+    // decode_chunk reads the chunk from a file's body: pad a footer.
+    const std::string file = body + std::string(segstore::kFooterBytes, '\0');
+    EXPECT_THROW((void)segstore::decode_chunk(file, 0, nullptr),
+                 segstore::SegstoreError);
+  }
+  // The same header with an honest run index decodes.
+  const std::string honest =
+      header(UINT32_MAX, 0, 0) + std::string(segstore::kFooterBytes, '\0');
+  EXPECT_EQ(segstore::decode_chunk(honest, 0, nullptr).rows(), 0u);
+}
+
 // ---------------------------------------------------------------------------
 // Zone-map pruning
 
@@ -531,67 +584,6 @@ TEST(SegstoreCrashOracle, TenSeedColdStartByteIdentityUnderChaos) {
 }
 
 // ---------------------------------------------------------------------------
-// Read replicas
-
-TEST(SegstoreReplica, TwoReplicasServeOneLiveWriterDirectory) {
-  TempDir dir("replica");
-  segstore::SegmentStoreConfig writer_config;
-  writer_config.dir = dir.str();
-  writer_config.compact_min_segments = 3;
-  StoreCatalog writer(writer_config);
-  constexpr std::uint32_t kRuns = 16;
-  // Tasks-per-run prefix sums let a replica validate any epoch it observes.
-  std::vector<std::size_t> prefix_rows{0};
-  const auto run_rows = [](std::uint32_t r) {
-    return 4u + static_cast<std::size_t>(r % 3);
-  };
-  for (std::uint32_t r = 0; r < kRuns; ++r) {
-    prefix_rows.push_back(prefix_rows.back() + run_rows(r));
-  }
-  writer.add_run(make_run("W", 0, static_cast<int>(run_rows(0))));
-
-  std::atomic<bool> done{false};
-  std::atomic<std::uint64_t> replica_reads{0};
-  std::vector<std::thread> replicas;
-  for (int t = 0; t < 2; ++t) {
-    replicas.emplace_back([&] {
-      segstore::SegmentStoreConfig replica_config;
-      replica_config.dir = dir.str();
-      replica_config.read_only = true;
-      StoreCatalog replica(replica_config);
-      const query::Query q =
-          query::parse_query(std::string(R"({"from": "tasks"})"));
-      while (!done.load()) {
-        replica.refresh();
-        const auto snap = replica.snapshot();
-        ASSERT_LE(snap.epoch(), kRuns);
-        ASSERT_EQ(snap.runs(std::nullopt, std::nullopt).size(), snap.epoch());
-        const auto result = query::execute_query(q, replica, nullptr);
-        ASSERT_NE(result.frame, nullptr);
-        ASSERT_EQ(result.frame->rows(), prefix_rows[result.epoch]);
-        ++replica_reads;
-      }
-      // Final refresh sees everything the writer committed.
-      replica.refresh();
-      const auto final_result = query::execute_query(q, replica, nullptr);
-      EXPECT_EQ(final_result.epoch, kRuns);
-      EXPECT_EQ(final_result.frame->rows(), prefix_rows[kRuns]);
-    });
-  }
-
-  for (std::uint32_t r = 1; r < kRuns; ++r) {
-    writer.add_run(make_run("W", r, static_cast<int>(run_rows(r))));
-    if (r % 5 == 0) {
-      writer.compact();
-      writer.segment_store()->collect_garbage();
-    }
-  }
-  done.store(true);
-  for (auto& t : replicas) t.join();
-  EXPECT_GT(replica_reads.load(), 0u);
-}
-
-// ---------------------------------------------------------------------------
 // Fsck
 
 TEST(SegstoreFsck, CleanStorePassesAndBitRotFails) {
@@ -686,6 +678,94 @@ TEST(SegstoreManifest, JsonTextRecordIsATypedError) {
                wire::WireError);
   EXPECT_THROW((void)segstore::Manifest(dir.str(), /*read_only=*/true),
                wire::WireError);
+}
+
+TEST(SegstoreManifest, OutOfRangeIntegersAreTypedErrors) {
+  // Every unsigned field of a manifest record is range-checked on replay:
+  // a negative value, or one too wide for its field, is a SegstoreError
+  // naming the key, by writer and read-only replay alike.
+  const auto add_record = [] {
+    segstore::ColumnStats stats;
+    stats.name = "x";
+    stats.type = ColumnType::kInt64;
+    stats.rows = 1;
+    stats.int_min = 7;
+    stats.int_max = 7;
+    segstore::ChunkMeta chunk;
+    chunk.run = {"wf", 0};
+    chunk.rows = 1;
+    chunk.offset = 9;
+    chunk.length = 20;
+    chunk.columns.push_back(stats);
+    segstore::SegmentInfo info;
+    info.file = "seg-000000-tasks.rsg";
+    info.view = "tasks";
+    info.file_bytes = 64;
+    info.body_crc = 5;
+    info.chunks.push_back(chunk);
+    json::Object record;
+    record["kind"] = "add";
+    record["workflow"] = "wf";
+    record["run_index"] = std::int64_t{0};
+    json::Array segments;
+    segments.push_back(segstore::segment_info_to_json(info));
+    record["segments"] = std::move(segments);
+    return json::Value(std::move(record));
+  };
+  const auto segment = [](json::Value& r) -> json::Value& {
+    return r["segments"].as_array()[0];
+  };
+  const auto chunk = [&](json::Value& r) -> json::Value& {
+    return segment(r)["chunks"].as_array()[0];
+  };
+  const auto column = [&](json::Value& r) -> json::Value& {
+    return chunk(r)["columns"].as_array()[0];
+  };
+  struct Case {
+    std::function<json::Value&(json::Value&)> object;
+    std::string key;
+    std::int64_t value;
+  };
+  const auto record_itself = [](json::Value& r) -> json::Value& { return r; };
+  const std::int64_t k2to32plus1 = (std::int64_t{1} << 32) + 1;
+  const std::vector<Case> cases = {
+      {record_itself, "run_index", k2to32plus1},
+      {segment, "bytes", -5},
+      {segment, "crc", std::int64_t{1} << 40},
+      {chunk, "run_index", k2to32plus1},
+      {chunk, "rows", -1},
+      {chunk, "offset", -2},
+      {chunk, "length", -3},
+      {column, "type", 7},
+      {column, "rows", -1},
+      {column, "nulls", -1},
+  };
+
+  const auto write_log = [](const std::string& dir, const json::Value& r) {
+    std::filesystem::remove_all(dir);
+    wal::WalWriter writer(dir);
+    writer.append(wire::encode_value(r));
+  };
+  TempDir dir("manifest_ranges");
+  // The unmodified record replays, so each case below fails on its one key.
+  write_log(dir.str(), add_record());
+  EXPECT_EQ(segstore::Manifest(dir.str(), true).current()->committed_runs,
+            1u);
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.key + " = " + std::to_string(c.value));
+    json::Value record = add_record();
+    c.object(record)[c.key] = c.value;
+    write_log(dir.str(), record);
+    for (const bool read_only : {false, true}) {
+      try {
+        (void)segstore::Manifest(dir.str(), read_only);
+        ADD_FAILURE() << "replayed; read_only=" << read_only;
+      } catch (const segstore::SegstoreError& e) {
+        EXPECT_NE(std::string(e.what()).find(c.key), std::string::npos)
+            << e.what();
+      }
+    }
+  }
 }
 
 }  // namespace

@@ -236,13 +236,17 @@ ASAN_OPTIONS=detect_leaks=1 UBSAN_OPTIONS=halt_on_error=1 \
 ASAN_OPTIONS=detect_leaks=1 UBSAN_OPTIONS=halt_on_error=1 \
   ./build-asan/tests/test_mochi --gtest_filter='Warabi.*' >/dev/null
 
-echo "== sanitized segstore: read replicas under concurrent queries =="
-# Two read-only replicas serve one segment directory while a writer keeps
-# flushing and compacting; every decode runs over mmap'ed bytes, exactly
-# where a stale pointer or short read corrupts silently.
+echo "== sanitized segstore: pinned snapshots and crafted bytes =="
+# Readers pin versions while a writer keeps flushing, compacting and
+# collecting garbage; every decode runs over mmap'ed bytes, exactly where a
+# stale pointer or short read corrupts silently. The segment and manifest
+# suites feed the decoders crafted chunk headers and out-of-range manifest
+# fields, where an unchecked length would over-read or over-allocate.
+segstore_asan_filter='SegstoreSnapshot.*:SegstoreSegment.*:SegstoreManifest.*'
+require_filter_matches ./build-asan/tests/test_segstore "$segstore_asan_filter"
 ASAN_OPTIONS=detect_leaks=1 UBSAN_OPTIONS=halt_on_error=1 \
-  ./build-asan/tests/test_segstore \
-  --gtest_filter='SegstoreReplica.*:SegstoreSnapshot.*' >/dev/null
+  ./build-asan/tests/test_segstore --gtest_filter="$segstore_asan_filter" \
+  >/dev/null
 
 echo "== sanitized wire codec: round-trip + corrupt-frame suite =="
 # The binary codec parses untrusted bytes (truncated frames, corrupt tags,
@@ -286,18 +290,12 @@ TSAN_OPTIONS=halt_on_error=1 ./build-tsan/tests/test_datastore \
   --gtest_filter='DataStoreConcurrency.*:WarabiCapacity.*' >/dev/null
 TSAN_OPTIONS=halt_on_error=1 ./build-tsan/tests/test_mochi \
   --gtest_filter='Warabi.*' >/dev/null
-# Segment store under real racing threads: replica refresh + mmap reads vs
-# a live writer's flush/compact/GC, and snapshot pins across compaction.
+# Segment store under real racing threads: readers pinning versions and
+# decoding mmap'ed segments while a writer flushes, compacts and collects
+# garbage in the same process.
+segstore_tsan_filter='SegstoreSnapshot.*'
+require_filter_matches ./build-tsan/tests/test_segstore "$segstore_tsan_filter"
 TSAN_OPTIONS=halt_on_error=1 ./build-tsan/tests/test_segstore \
-  --gtest_filter='SegstoreReplica.*:SegstoreSnapshot.*' >/dev/null
-# Parallel-kernel smoke: force the morsel pool to multiple workers so the
-# columnar scan/aggregate fan-outs actually race under TSan (the executor
-# suites' first run holds enough transitions for the scan mask to fan out).
-RECUP_THREADS=4 TSAN_OPTIONS=halt_on_error=1 \
-  ./build-tsan/tests/test_dataframe >/dev/null
-require_filter_matches ./build-tsan/tests/test_query \
-  "$executor_filter:QueryWire.*"
-RECUP_THREADS=4 TSAN_OPTIONS=halt_on_error=1 ./build-tsan/tests/test_query \
-  --gtest_filter="$executor_filter:QueryWire.*" >/dev/null
+  --gtest_filter="$segstore_tsan_filter" >/dev/null
 
 echo "== all checks passed (${repo_root}) =="
