@@ -29,8 +29,7 @@ void BM_MofkaProducerPush(benchmark::State& state) {
   broker.create_topic("t");
   mofka::Producer producer(
       broker, "t",
-      mofka::ProducerConfig{static_cast<std::size_t>(state.range(0)),
-                            std::chrono::milliseconds(50), false});
+      mofka::ProducerConfig{static_cast<std::size_t>(state.range(0))});
   json::Object metadata;
   metadata["key"] = "('task-abc123', 7)";
   metadata["time"] = 1.25;

@@ -64,11 +64,8 @@ double ingest_events_per_s(const std::string& wal_dir, int events) {
   mochi::KeyValueStore kv;
   mochi::BlobStore blobs;
   mofka::Broker broker(kv, blobs, wal_dir);
-  broker.create_topic("ingest", {4, nullptr, nullptr});
-  mofka::ProducerConfig config;
-  config.batch_size = 256;
-  config.background_flush = false;
-  mofka::Producer producer(broker, "ingest", config);
+  broker.create_topic("ingest", 4);
+  mofka::Producer producer(broker, "ingest", mofka::ProducerConfig{256});
   const auto started = std::chrono::steady_clock::now();
   for (int i = 0; i < events; ++i) {
     json::Object metadata;
@@ -92,11 +89,8 @@ double event_wire_ratio(const std::vector<json::Value>& events,
   mochi::KeyValueStore kv;
   mochi::BlobStore blobs;
   mofka::Broker broker(kv, blobs);
-  broker.create_topic("events", {2, nullptr, nullptr});
-  mofka::ProducerConfig config;
-  config.batch_size = 256;
-  config.background_flush = false;
-  mofka::Producer producer(broker, "events", config);
+  broker.create_topic("events", 2);
+  mofka::Producer producer(broker, "events", mofka::ProducerConfig{256});
   for (const json::Value& metadata : events) producer.push(metadata);
   producer.flush();
   std::uint64_t json_bytes = 0;

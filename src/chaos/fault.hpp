@@ -2,7 +2,7 @@
 // provenance pipeline.
 //
 // A FaultPlan assigns each named *injection site* (e.g. "mofka.push",
-// "mofka.consumer.pull", "mofka.producer.flush", "dtr.worker") a
+// "mofka.consumer.pull", "process.broker", "dtr.worker") a
 // probability per fault action plus an optional deterministic schedule
 // ("the Nth hit of this site faults"). A FaultInjector executes the plan:
 // every time an instrumented component reaches a site it calls decide(),
@@ -25,7 +25,7 @@
 //   transient_error       — the component reports a retryable error
 //   partition_unavailable — one partition refuses service for a window
 //                           of subsequent hits
-//   thread_kill           — the background thread / worker process dies
+//   thread_kill           — the worker process dies
 //   process_crash_restart — the whole component process crashes and
 //                           restarts from its on-disk (WAL/checkpoint)
 //                           state; without durable state this is data loss
@@ -122,7 +122,7 @@ struct FaultPlan {
   /// One-line human summary ("seed=7 mofka.push{drop=0.05,...} ...").
   [[nodiscard]] std::string describe() const;
 
-  /// A plan that exercises every transport fault kind on the three Mofka
+  /// A plan that exercises every transport fault kind on the two Mofka
   /// sites with per-action probability ~`intensity`. The DTR worker site is
   /// left untouched so the simulated workflow itself is unperturbed — the
   /// plan attacks only the provenance transport.
@@ -143,7 +143,6 @@ struct FaultPlan {
 namespace sites {
 inline constexpr const char* kMofkaPush = "mofka.push";
 inline constexpr const char* kMofkaConsumerPull = "mofka.consumer.pull";
-inline constexpr const char* kMofkaProducerFlush = "mofka.producer.flush";
 inline constexpr const char* kDtrWorker = "dtr.worker";
 /// Whole-process crash/restart sites, consulted by the durable control
 /// plane: the broker (per append batch), the scheduler (per completed

@@ -144,12 +144,6 @@ FaultPlan FaultPlan::randomized_transport(std::uint64_t seed,
   pull.delay_max = std::chrono::microseconds(200);
   plan.sites[sites::kMofkaConsumerPull] = pull;
 
-  SiteSpec flush;
-  flush.delay = jitter() * 0.5;
-  flush.delay_min = std::chrono::microseconds(10);
-  flush.delay_max = std::chrono::microseconds(300);
-  plan.sites[sites::kMofkaProducerFlush] = flush;
-
   return plan;
 }
 

@@ -64,15 +64,13 @@ struct ClusterConfig {
   double node_speed_sigma = 0.04;
   double slow_node_probability = 0.15;
   double slow_node_factor = 1.25;
-  /// Mofka producer batching. background_flush defaults to off inside the
-  /// cluster so runs stay deterministic; everything is flushed at run end.
-  mofka::ProducerConfig producer{/*batch_size=*/128,
-                                 std::chrono::milliseconds(5),
-                                 /*background_flush=*/false};
+  /// Mofka producer batching. Batches flush when full, and everything left
+  /// is flushed at run end.
+  mofka::ProducerConfig producer{/*batch_size=*/128};
   /// Deterministic fault injection (recup::chaos). When non-empty, a
   /// FaultInjector seeded from the plan is installed on the Mofka broker
-  /// (push/pull/flush sites) and on every worker (dtr.worker site). Any
-  /// failing run replays from (plan.seed, plan).
+  /// (push, pull and process sites) and on every worker (dtr.worker site).
+  /// Any failing run replays from (plan.seed, plan).
   chaos::FaultPlan fault_plan;
   /// Unified durability config (common/durability.hpp). When
   /// durability.dir is non-empty the control plane becomes durable: the

@@ -25,9 +25,8 @@ namespace recup::dtr {
 
 struct DarshanBridgeConfig {
   Duration interval = 1.0;  ///< snapshot period on the virtual clock
-  mofka::ProducerConfig producer{/*batch_size=*/64,
-                                 std::chrono::milliseconds(5),
-                                 /*background_flush=*/false};
+  /// Batching within one snapshot: each snapshot ends with a flush.
+  mofka::ProducerConfig producer{/*batch_size=*/64};
 };
 
 class DarshanMofkaBridge {

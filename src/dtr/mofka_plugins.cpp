@@ -34,8 +34,7 @@ void create_wms_topics(mofka::Broker& broker,
   for (const char* name :
        {kTransitions, kTasks, kComms, kWarnings, kCluster}) {
     if (!broker.topic_exists(name)) {
-      broker.create_topic(name, mofka::TopicConfig{partitions, nullptr,
-                                                   nullptr});
+      broker.create_topic(name, partitions);
     }
   }
 }

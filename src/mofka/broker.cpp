@@ -59,6 +59,24 @@ struct RecordReader {
   }
 };
 
+/// Throws MofkaError if a topic or consumer-group name holds a '/', the
+/// separator of the group-offset keys: topic "a/b" with group "c" and topic
+/// "a" with group "b/c" would share one.
+void check_name(const char* kind, const std::string& name) {
+  if (name.find('/') != std::string::npos) {
+    throw MofkaError(std::string("mofka: ") + kind + " name '" + name +
+                     "' contains '/'");
+  }
+}
+
+/// The metadata-store key of a consumer group's committed offset.
+std::string group_key(const std::string& topic, const std::string& group,
+                      std::uint32_t partition) {
+  check_name("topic", topic);
+  check_name("consumer group", group);
+  return "g/" + topic + "/" + group + "/" + std::to_string(partition);
+}
+
 }  // namespace
 
 Broker::Broker(mochi::KeyValueStore& metadata_store,
@@ -112,9 +130,8 @@ void Broker::wal_apply(std::string_view record) {
       const std::string group = reader.str();
       const auto partition = reader.u32();
       const EventId next = reader.u64();
-      metadata_store_.put(
-          "g/" + topic + "/" + group + "/" + std::to_string(partition),
-          std::to_string(next));
+      metadata_store_.put(group_key(topic, group, partition),
+                          std::to_string(next));
       break;
     }
     default:
@@ -127,11 +144,12 @@ void Broker::apply_create_topic(const std::string& name,
   if (partitions == 0) {
     throw MofkaError("mofka: WAL topic '" + name + "' has no partition");
   }
+  check_name("WAL topic", name);
   if (topics_.count(name) != 0) {
     throw MofkaError("mofka: WAL creates topic '" + name + "' twice");
   }
   Topic topic;
-  topic.config.partitions = partitions;
+  topic.partitions = partitions;
   topic.next_offset.assign(partitions, 0);
   topic.data_regions.assign(partitions, {});
   topic.producers.resize(partitions);
@@ -144,7 +162,7 @@ void Broker::apply_append(
   const auto it = topics_.find(topic);
   if (it == topics_.end()) throw MofkaError("mofka: WAL batch for unknown topic");
   Topic& t = it->second;
-  if (partition >= t.config.partitions) {
+  if (partition >= t.partitions) {
     throw MofkaError("mofka: WAL batch for a partition out of range");
   }
   for (const auto& [serialized, data] : events) {
@@ -179,11 +197,8 @@ void Broker::crash_and_recover() {
   std::lock_guard lock(mutex_);
   ++recoveries_;
   // The crash: all in-memory state and the broker-owned store entries of
-  // this "process" are gone. Keep the non-serializable topic hooks aside —
-  // a real restarted broker re-registers validators at startup.
-  std::map<std::string, TopicConfig> hooks;
+  // this "process" are gone.
   for (auto& [name, topic] : topics_) {
-    hooks[name] = topic.config;
     for (auto& regions : topic.data_regions) {
       for (const mochi::RegionId region : regions) data_store_.erase(region);
     }
@@ -203,15 +218,9 @@ void Broker::crash_and_recover() {
     sessions_.clear();
   }
   if (wal_ == nullptr) return;  // non-durable: the data is simply lost
-  // The restart: rebuild everything from the log, then reattach hooks.
+  // The restart: rebuild everything from the log.
   wal_->flush();
   replay_wal_locked();
-  for (auto& [name, config] : hooks) {
-    const auto it = topics_.find(name);
-    if (it == topics_.end()) continue;
-    it->second.config.validator = std::move(config.validator);
-    it->second.config.selector = std::move(config.selector);
-  }
 }
 
 std::uint64_t Broker::recoveries() const {
@@ -223,35 +232,27 @@ std::uint64_t Broker::wal_bytes() const {
   return wal_ == nullptr ? 0 : wal_->bytes_appended();
 }
 
-void Broker::create_topic(const std::string& name, TopicConfig config) {
-  if (config.partitions == 0) {
+void Broker::create_topic(const std::string& name, PartitionIndex partitions) {
+  if (partitions == 0) {
     throw MofkaError("mofka: topic needs >= 1 partition");
   }
+  check_name("topic", name);
   std::lock_guard lock(mutex_);
   if (topics_.count(name) != 0) {
     throw MofkaError("mofka: topic '" + name + "' already exists");
   }
   Topic topic;
-  topic.config = std::move(config);
-  topic.next_offset.assign(topic.config.partitions, 0);
-  topic.data_regions.assign(topic.config.partitions, {});
-  topic.producers.resize(topic.config.partitions);
+  topic.partitions = partitions;
+  topic.next_offset.assign(partitions, 0);
+  topic.data_regions.assign(partitions, {});
+  topic.producers.resize(partitions);
   if (wal_) {
     std::string record(1, 'T');
     put_str(record, name);
-    put_u32(record, topic.config.partitions);
+    put_u32(record, partitions);
     wal_->append(record);
   }
   topics_.emplace(name, std::move(topic));
-}
-
-void Broker::configure_topic(const std::string& name, Validator validator,
-                             PartitionSelector selector) {
-  std::lock_guard lock(mutex_);
-  const auto it = topics_.find(name);
-  if (it == topics_.end()) throw MofkaError("mofka: unknown topic " + name);
-  it->second.config.validator = std::move(validator);
-  if (selector) it->second.config.selector = std::move(selector);
 }
 
 bool Broker::topic_exists(const std::string& name) const {
@@ -270,7 +271,7 @@ PartitionIndex Broker::partition_count(const std::string& topic) const {
   std::lock_guard lock(mutex_);
   const auto it = topics_.find(topic);
   if (it == topics_.end()) throw MofkaError("mofka: unknown topic " + topic);
-  return it->second.config.partitions;
+  return it->second.partitions;
 }
 
 TopicStats Broker::topic_stats(const std::string& topic) const {
@@ -304,22 +305,15 @@ AppendResult Broker::append_batch(const std::string& topic,
                                   PartitionIndex partition,
                                   const std::vector<EventBytes>& events) {
   if (events.empty()) throw MofkaError("mofka: empty batch");
-  Validator validator;
   std::shared_ptr<chaos::FaultInjector> injector;
   {
     std::lock_guard lock(mutex_);
     const auto it = topics_.find(topic);
     if (it == topics_.end()) throw MofkaError("mofka: unknown topic " + topic);
-    if (partition >= it->second.config.partitions) {
+    if (partition >= it->second.partitions) {
       throw MofkaError("mofka: partition out of range");
     }
-    validator = it->second.config.validator;
     injector = injector_;
-  }
-  if (validator) {
-    for (const auto& [metadata, data] : events) {
-      validator(wire::decode_value(metadata));
-    }
   }
 
   // Fault injection point: "drop"-like actions lose the request before it
@@ -455,24 +449,14 @@ AppendResult Broker::append_frame(const std::string& topic,
   return append_batch(topic, partition, events);
 }
 
-PartitionIndex Broker::select_partition(const std::string& topic,
-                                        std::string_view metadata) {
+PartitionIndex Broker::select_partition(const std::string& topic) {
   std::lock_guard lock(mutex_);
   const auto it = topics_.find(topic);
   if (it == topics_.end()) throw MofkaError("mofka: unknown topic " + topic);
   Topic& t = it->second;
-  if (t.config.selector) {
-    const PartitionIndex chosen = t.config.selector(
-        wire::decode_value(metadata), t.config.partitions);
-    if (chosen >= t.config.partitions) {
-      throw MofkaError("mofka: partition selector out of range");
-    }
-    return chosen;
-  }
   const PartitionIndex chosen = t.round_robin_next;
   t.round_robin_next =
-      static_cast<PartitionIndex>((t.round_robin_next + 1) %
-                                  t.config.partitions);
+      static_cast<PartitionIndex>((t.round_robin_next + 1) % t.partitions);
   return chosen;
 }
 
@@ -481,7 +465,7 @@ EventId Broker::partition_size(const std::string& topic,
   std::lock_guard lock(mutex_);
   const auto it = topics_.find(topic);
   if (it == topics_.end()) throw MofkaError("mofka: unknown topic " + topic);
-  if (partition >= it->second.config.partitions) {
+  if (partition >= it->second.partitions) {
     throw MofkaError("mofka: partition out of range");
   }
   return it->second.next_offset[partition];
@@ -495,7 +479,7 @@ std::optional<WireEvent> Broker::fetch_wire(
     std::lock_guard lock(mutex_);
     const auto it = topics_.find(topic);
     if (it == topics_.end()) throw MofkaError("mofka: unknown topic " + topic);
-    if (partition >= it->second.config.partitions) {
+    if (partition >= it->second.partitions) {
       throw MofkaError("mofka: partition out of range");
     }
     if (offset >= it->second.next_offset[partition]) return std::nullopt;
@@ -533,9 +517,8 @@ Event decode_event(WireEvent event) {
 
 void Broker::commit_offset(const std::string& topic, const std::string& group,
                            PartitionIndex partition, EventId next_offset) {
-  metadata_store_.put(
-      "g/" + topic + "/" + group + "/" + std::to_string(partition),
-      std::to_string(next_offset));
+  metadata_store_.put(group_key(topic, group, partition),
+                      std::to_string(next_offset));
   if (wal_) {
     std::string record(1, 'C');
     put_str(record, topic);
@@ -549,8 +532,7 @@ void Broker::commit_offset(const std::string& topic, const std::string& group,
 EventId Broker::committed_offset(const std::string& topic,
                                  const std::string& group,
                                  PartitionIndex partition) const {
-  const auto value = metadata_store_.get(
-      "g/" + topic + "/" + group + "/" + std::to_string(partition));
+  const auto value = metadata_store_.get(group_key(topic, group, partition));
   if (!value) return 0;
   return static_cast<EventId>(std::stoull(*value));
 }

@@ -2,14 +2,14 @@
 //
 // Event metadata lives in a Yokan KV store (key "t/<topic>/<part>/<offset>"),
 // data payloads in a Warabi blob store — the same decomposition the paper
-// describes. The broker is fully thread-safe: producers append from
-// background flush threads while consumers pull concurrently.
+// describes. The broker is fully thread-safe: producers on several threads
+// append while consumers pull concurrently.
 //
 // Metadata stays bytes inside the broker: a frame's events are transcoded to
 // canonical self-contained wire bytes as they enter (which also validates
-// them), then stored, logged, replayed and served as those bytes. A
-// json::Value is built only for an installed validator or selector, and by
-// fetch() for callers that want the tree.
+// them), then stored, logged, replayed and served as those bytes, with
+// partitions assigned round-robin. A json::Value is built only for a
+// consumer's data selector, and by fetch() for callers that want the tree.
 //
 // Delivery semantics: append_frame acts as the broker-side ack. Producers
 // stamp events with per-producer sequence numbers ("_pid"/"_seq" metadata
@@ -61,20 +61,10 @@ class WireSessionError : public MofkaError {
 /// from the (bounded) sequence window.
 inline constexpr EventId kUnknownOffset = ~static_cast<EventId>(0);
 
-/// Validates event metadata before it is accepted (Mofka's validator hook).
-/// Throwing rejects the whole batch.
-using Validator = std::function<void(const json::Value& metadata)>;
-
-/// Maps an event's metadata to a partition (Mofka's partition selector).
-using PartitionSelector =
-    std::function<PartitionIndex(const json::Value& metadata,
-                                 PartitionIndex partition_count)>;
-
-struct TopicConfig {
-  PartitionIndex partitions = 1;
-  Validator validator;               ///< optional
-  PartitionSelector selector;        ///< optional; default round-robin
-};
+/// Sequence window retained per (topic, partition, producer) for
+/// duplicate-offset resolution; dedup itself is window-free. The producer
+/// checks at compile time that its in-flight bound stays below it.
+inline constexpr std::size_t kSeqOffsetWindow = 4096;
 
 struct TopicStats {
   std::uint64_t events = 0;
@@ -109,13 +99,9 @@ class Broker {
   Broker(mochi::KeyValueStore& metadata_store, mochi::BlobStore& data_store,
          std::string wal_dir = {});
 
-  void create_topic(const std::string& name, TopicConfig config = {});
-  /// Reattaches the non-serializable parts of a topic's configuration
-  /// (validator, partition selector) after a recovery rebuilt the topic
-  /// from the WAL — the analog of services re-registering their hooks when
-  /// a restarted broker comes back up.
-  void configure_topic(const std::string& name, Validator validator,
-                       PartitionSelector selector = nullptr);
+  /// Throws MofkaError for an existing topic, no partition, or a name with
+  /// a '/' (see commit_offset).
+  void create_topic(const std::string& name, PartitionIndex partitions = 1);
   [[nodiscard]] bool topic_exists(const std::string& name) const;
   [[nodiscard]] std::vector<std::string> topic_names() const;
   [[nodiscard]] PartitionIndex partition_count(const std::string& topic) const;
@@ -137,8 +123,7 @@ class Broker {
   /// teaches the session dictionary and the retry resolves its refs. Throws
   /// WireSessionError when the frame is malformed or references session
   /// state this broker lacks (restart wiped it) — reset the encoder session
-  /// and re-encode, don't retry the same bytes. Runs the topic validator
-  /// (if any) on every event's decoded tree; events carrying
+  /// and re-encode, don't retry the same bytes. Events carrying
   /// "_pid"/"_seq" are deduplicated against the per-producer sequence
   /// window. Throws chaos::TransientFault for injected retryable faults
   /// (the batch may or may not have landed — exactly the ambiguity real
@@ -147,10 +132,8 @@ class Broker {
                             PartitionIndex partition, std::uint64_t session,
                             std::string_view frame);
 
-  /// Chooses a partition for an event's self-contained metadata bytes via
-  /// the topic's selector (which alone gets them decoded), else round-robin.
-  [[nodiscard]] PartitionIndex select_partition(const std::string& topic,
-                                                std::string_view metadata);
+  /// Chooses the partition for a topic's next event: round-robin.
+  [[nodiscard]] PartitionIndex select_partition(const std::string& topic);
 
   /// Number of events currently in a partition.
   [[nodiscard]] EventId partition_size(const std::string& topic,
@@ -168,7 +151,10 @@ class Broker {
       const std::function<DataSelection(const json::Value&)>& selection =
           nullptr) const;
 
-  /// Consumer-group committed offsets (persisted in the metadata store).
+  /// Consumer-group committed offsets, persisted in the metadata store
+  /// under "g/<topic>/<group>/<partition>". Both throw MofkaError for a
+  /// '/' in the topic or group name, which would let two (topic, group)
+  /// pairs share a key.
   void commit_offset(const std::string& topic, const std::string& group,
                      PartitionIndex partition, EventId next_offset);
   [[nodiscard]] EventId committed_offset(const std::string& topic,
@@ -177,9 +163,8 @@ class Broker {
 
   /// Simulates a broker process crash + restart in place: wipes all
   /// in-memory topic state and the broker-owned KV/blob entries, then
-  /// replays the WAL. Validators/selectors survive (a restarted broker
-  /// re-registers them at startup). Without durability this is total data
-  /// loss — deliberately observable, so lossy configurations fail oracles.
+  /// replays the WAL. Without durability this is total data loss —
+  /// deliberately observable, so lossy configurations fail oracles.
   void crash_and_recover();
   [[nodiscard]] bool durable() const { return wal_ != nullptr; }
   [[nodiscard]] std::uint64_t recoveries() const;
@@ -187,18 +172,13 @@ class Broker {
   [[nodiscard]] std::uint64_t wal_bytes() const;
 
  private:
-  /// Sequence window retained per (topic, partition, producer) for
-  /// duplicate-offset resolution. Must exceed any producer's in-flight
-  /// bound for exact acks; dedup itself is window-free.
-  static constexpr std::size_t kSeqOffsetWindow = 4096;
-
   struct ProducerSeqState {
     SequenceTracker tracker;
     std::map<std::uint64_t, EventId> offsets;  // seq -> original offset
   };
 
   struct Topic {
-    TopicConfig config;
+    PartitionIndex partitions = 0;
     std::vector<EventId> next_offset;          // per partition
     std::vector<std::vector<mochi::RegionId>> data_regions;  // per partition
     /// Per partition: producer id -> sequence state.
@@ -211,8 +191,8 @@ class Broker {
                                             PartitionIndex partition,
                                             EventId offset);
 
-  /// append_frame after decoding: validation, fault injection, dedup, the
-  /// WAL record and the store writes.
+  /// append_frame after decoding: fault injection, dedup, the WAL record
+  /// and the store writes.
   AppendResult append_batch(const std::string& topic,
                             PartitionIndex partition,
                             const std::vector<EventBytes>& events);

@@ -10,7 +10,6 @@ Consumer::Consumer(Broker& broker, std::string topic, std::string group,
       config_(std::move(config)) {
   const PartitionIndex parts = broker_.partition_count(topic_);
   next_offset_.resize(parts);
-  delivered_.resize(parts);
   for (PartitionIndex p = 0; p < parts; ++p) {
     next_offset_[p] = broker_.committed_offset(topic_, group_, p);
   }
@@ -38,19 +37,12 @@ std::optional<WireEvent> Consumer::pull_wire() {
     }
     if (fault.action == chaos::FaultAction::kDuplicate &&
         next_offset_[p] > 0) {
-      // The wire redelivers the previously delivered offset.
-      auto dup = broker_.fetch_wire(topic_, p, next_offset_[p] - 1,
-                                    config_.selector);
-      if (dup) {
-        ++stats_.redeliveries;
-        if (!config_.dedup) {
-          rr_ = static_cast<PartitionIndex>((p + 1) % parts);
-          ++consumed_;
-          ++stats_.delivered;
-          return dup;
-        }
-        if (!delivered_[p].accept(dup->id)) ++stats_.duplicates_dropped;
-        // Dedup absorbed it; fall through to the real next event.
+      // The wire redelivers the previous offset. It lies below this
+      // partition's position, so it is dropped; fall through to the real
+      // next event.
+      if (broker_.fetch_wire(topic_, p, next_offset_[p] - 1,
+                             config_.selector)) {
+        ++stats_.duplicates_dropped;
       }
     }
 
@@ -60,7 +52,6 @@ std::optional<WireEvent> Consumer::pull_wire() {
       ++next_offset_[p];
       rr_ = static_cast<PartitionIndex>((p + 1) % parts);
       ++consumed_;
-      if (config_.dedup) delivered_[p].accept(event->id);
       ++stats_.delivered;
       return event;
     }
@@ -105,7 +96,6 @@ bool Consumer::drained() const {
 
 void Consumer::seek(PartitionIndex partition, EventId offset) {
   next_offset_.at(partition) = offset;
-  delivered_.at(partition) = SequenceTracker{};
 }
 
 void Consumer::commit() {

@@ -8,11 +8,11 @@
 //
 // Delivery: the transport is at-least-once — the broker's fault injector
 // (chaos::sites::kMofkaConsumerPull) can hide the next event for a round
-// (drop) or redeliver an already-delivered offset (duplicate). A
-// SequenceTracker over delivered offsets per partition filters the
-// duplicates, so the application sees each stored event exactly once per
-// consumer instance; exactly-once *effects* across consumer restarts come
-// from the ingestor's idempotent publish.
+// (drop) or redeliver the previous offset (duplicate). A redelivery is
+// always dropped, since the consumer's position has already moved past it,
+// so the application sees each stored event exactly once per consumer
+// instance; exactly-once *effects* across consumer restarts come from the
+// ingestor's idempotent publish.
 #pragma once
 
 #include <cstdint>
@@ -22,32 +22,26 @@
 #include <thread>
 #include <vector>
 
-#include "common/queue.hpp"
 #include "mofka/broker.hpp"
-#include "mofka/sequence.hpp"
 
 namespace recup::mofka {
 
 struct ConsumerConfig {
   /// Optional data selector; nullptr fetches full payloads.
   std::function<DataSelection(const json::Value&)> selector;
-  /// Drop redelivered offsets instead of handing them to the application.
-  /// Disable to observe raw at-least-once behaviour.
-  bool dedup = true;
 };
 
 struct ConsumerStats {
   std::uint64_t delivered = 0;
-  /// Injected redeliveries observed on the wire.
-  std::uint64_t redeliveries = 0;
-  /// Redelivered events filtered out by offset dedup.
+  /// Injected redeliveries, dropped before the application sees them.
   std::uint64_t duplicates_dropped = 0;
 };
 
 class Consumer {
  public:
   /// Subscribes `group` to `topic`, resuming from the group's committed
-  /// offsets.
+  /// offsets. Throws MofkaError for an unknown topic or a group name with a
+  /// '/' (Broker::committed_offset).
   Consumer(Broker& broker, std::string topic, std::string group,
            ConsumerConfig config = {});
 
@@ -67,9 +61,7 @@ class Consumer {
   /// Persists this consumer's position for its group.
   void commit();
 
-  /// Repositions one partition (crash-recovery cursor restore). Resets the
-  /// partition's delivery-dedup tracker: events from `offset` on are new
-  /// deliveries for the restarted consumer.
+  /// Repositions one partition (crash-recovery cursor restore).
   void seek(PartitionIndex partition, EventId offset);
   /// Next offset to be pulled from a partition.
   [[nodiscard]] EventId position(PartitionIndex partition) const {
@@ -94,8 +86,7 @@ class Consumer {
   std::string topic_;
   std::string group_;
   ConsumerConfig config_;
-  std::vector<EventId> next_offset_;        // per partition
-  std::vector<SequenceTracker> delivered_;  // per partition, offsets
+  std::vector<EventId> next_offset_;  // per partition
   PartitionIndex rr_ = 0;
   std::uint64_t consumed_ = 0;
   ConsumerStats stats_;

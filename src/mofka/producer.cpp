@@ -1,6 +1,7 @@
 #include "mofka/producer.hpp"
 
 #include <atomic>
+#include <thread>
 
 namespace recup::mofka {
 
@@ -16,11 +17,6 @@ std::chrono::microseconds retry_backoff(std::size_t attempt,
   return backoff < max ? backoff : max;
 }
 
-std::chrono::microseconds retry_backoff(std::size_t attempt,
-                                        const ProducerConfig& config) {
-  return retry_backoff(attempt, config.backoff_base, config.backoff_max);
-}
-
 Producer::Producer(Broker& broker, std::string topic, ProducerConfig config)
     : broker_(broker),
       topic_(std::move(topic)),
@@ -29,9 +25,6 @@ Producer::Producer(Broker& broker, std::string topic, ProducerConfig config)
   if (config_.batch_size == 0) {
     throw MofkaError("mofka: producer batch_size must be >= 1");
   }
-  if (config_.max_in_flight == 0) {
-    throw MofkaError("mofka: producer max_in_flight must be >= 1");
-  }
   const PartitionIndex parts = broker_.partition_count(topic_);
   pending_.resize(parts);
   next_seq_.assign(parts, 0);
@@ -39,20 +32,9 @@ Producer::Producer(Broker& broker, std::string topic, ProducerConfig config)
   for (PartitionIndex p = 0; p < parts; ++p) {
     wire_.push_back(std::make_unique<WireSession>());
   }
-  if (config_.background_flush) {
-    background_ = std::thread([this] { background_loop(); });
-  }
 }
 
-Producer::~Producer() {
-  {
-    std::lock_guard lock(mutex_);
-    stopping_ = true;
-  }
-  wake_.notify_all();
-  if (background_.joinable()) background_.join();
-  flush();
-}
+Producer::~Producer() { flush(); }
 
 std::future<EventId> Producer::push(json::Value metadata, std::string data) {
   return push_wire(wire::encode_value(metadata), std::move(data));
@@ -60,8 +42,7 @@ std::future<EventId> Producer::push(json::Value metadata, std::string data) {
 
 std::future<EventId> Producer::push_wire(std::string metadata,
                                          std::string data) {
-  const PartitionIndex partition =
-      broker_.select_partition(topic_, metadata);
+  const PartitionIndex partition = broker_.select_partition(topic_);
   PendingEvent event;
   std::future<EventId> future = event.promise.get_future();
 
@@ -84,7 +65,7 @@ std::future<EventId> Producer::push_wire(std::string metadata,
       queue.clear();
       ++stats_.size_triggered_flushes;
       ++flushing_;
-    } else if (inflight_ >= config_.max_in_flight) {
+    } else if (inflight_ >= kMaxInFlight) {
       // In-flight bound reached: flush this partition synchronously rather
       // than letting the buffer grow without limit.
       ready = std::move(queue);
@@ -109,9 +90,9 @@ void Producer::flush() {
     }
     flush_partition(p, std::move(batch));
   }
-  // Wait out flushes in flight on other threads (background timer, size
-  // triggers): when flush() returns, everything pushed before it has been
-  // acked or failed.
+  // Wait out flushes in flight on other threads (size or backpressure
+  // triggers of concurrent pushers): when flush() returns, everything pushed
+  // before it has been acked or failed.
   std::unique_lock lock(mutex_);
   flush_done_.wait(lock, [this] { return flushing_ == 0; });
 }
@@ -167,11 +148,12 @@ void Producer::flush_partition(PartitionIndex partition,
         stats_.events_failed += batch.size();
         break;
       }
-      std::this_thread::sleep_for(retry_backoff(attempt, config_));
+      std::this_thread::sleep_for(
+          retry_backoff(attempt, kRetryBackoffBase, kRetryBackoffMax));
       ++attempt;
     } catch (...) {
-      // Non-transient errors (validator rejections, unknown topic) are not
-      // retried: retrying cannot make a rejected batch acceptable.
+      // Non-transient errors (e.g. the topic is unknown) are not retried:
+      // retrying cannot make a rejected batch acceptable.
       for (auto& e : batch) {
         e.promise.set_exception(std::current_exception());
       }
@@ -185,46 +167,6 @@ void Producer::flush_partition(PartitionIndex partition,
   inflight_ -= batch.size();
   flushing_ -= 1;
   flush_done_.notify_all();
-}
-
-void Producer::background_loop() {
-  std::unique_lock lock(mutex_);
-  while (!stopping_) {
-    wake_.wait_for(lock, config_.flush_interval);
-    if (stopping_) break;
-    bool any_pending = false;
-    for (const auto& queue : pending_) {
-      if (!queue.empty()) {
-        any_pending = true;
-        break;
-      }
-    }
-    if (!any_pending) continue;
-    lock.unlock();
-    if (const auto injector = broker_.fault_injector()) {
-      const auto fault =
-          injector->decide(chaos::sites::kMofkaProducerFlush);
-      if (fault.action == chaos::FaultAction::kDelay) {
-        std::this_thread::sleep_for(fault.delay);
-      } else if (fault.action == chaos::FaultAction::kThreadKill) {
-        // The background flusher dies. Buffered events stay in pending_
-        // and are recovered by the next explicit flush() or the
-        // destructor — the flush-on-destruct guarantee.
-        return;
-      }
-    }
-    lock.lock();
-    for (PartitionIndex p = 0; p < pending_.size(); ++p) {
-      if (pending_[p].empty()) continue;
-      std::vector<PendingEvent> batch = std::move(pending_[p]);
-      pending_[p].clear();
-      ++stats_.timer_triggered_flushes;
-      ++flushing_;
-      lock.unlock();
-      flush_partition(p, std::move(batch));
-      lock.lock();
-    }
-  }
 }
 
 ProducerStats Producer::stats() const {

@@ -1,14 +1,16 @@
-// Mofka producer: nonblocking push with batching and a background flush
-// thread (paper §III-B: "optimizes transfers using a nonblocking API,
-// background network and processing threads, batching strategies").
+// Mofka producer: nonblocking push with batching (paper §III-B: "optimizes
+// transfers using a nonblocking API, background network and processing
+// threads, batching strategies").
 //
 // push() buffers the event and returns a future resolved with the event's
 // partition offset once its batch commits. Metadata is kept as
 // self-contained wire bytes from push to frame: push_wire takes them as a
 // typed writer produced them (dtr::to_wire), and push(json::Value) encodes
-// the tree once and takes the same path. Batches flush when they reach
-// `batch_size` events or when the background thread's `flush_interval`
-// expires, whichever comes first.
+// the tree once and takes the same path. A partition's batch flushes on the
+// pushing thread when it reaches `batch_size` events, when the in-flight
+// bound forces it, on flush() and in the destructor. There is no
+// wall-clock flusher: the runtime runs on a virtual clock, and a timer
+// thread would make what a run captures depend on host scheduling.
 //
 // Delivery: every pushed object is stamped with this producer's id and a
 // per-partition sequence number ("_pid"/"_seq", written into its bytes at
@@ -16,10 +18,10 @@
 // (chaos::TransientFault) are retried with exponential backoff up to
 // `max_retries`, and the broker's sequence dedup makes the retries
 // idempotent. The in-flight buffer (buffered + unacked events) is bounded
-// by `max_in_flight`: exceeding it forces a synchronous flush on the
-// pushing thread. flush() is a barrier: when it returns, every previously
-// pushed event has been acked or failed — including batches that were
-// mid-flight on the background thread when flush() was called.
+// by kMaxInFlight: reaching it forces a synchronous flush on the pushing
+// thread. flush() is a barrier: when it returns, every previously pushed
+// event has been acked or failed — including batches that other threads
+// were flushing when flush() was called.
 #pragma once
 
 #include <chrono>
@@ -29,7 +31,6 @@
 #include <memory>
 #include <mutex>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "mofka/broker.hpp"
@@ -38,18 +39,19 @@ namespace recup::mofka {
 
 struct ProducerConfig {
   std::size_t batch_size = 64;
-  std::chrono::milliseconds flush_interval{5};
-  /// When false, no background thread is started and batches only flush on
-  /// size threshold or explicit flush(); useful for deterministic tests.
-  bool background_flush = true;
   /// Retries per batch on chaos::TransientFault; 0 disables retrying
   /// (at-most-once — a deliberately lossy mode for testing the oracle).
   std::size_t max_retries = 8;
-  std::chrono::microseconds backoff_base{50};
-  std::chrono::microseconds backoff_max{2000};
-  /// Bound on buffered + unacked events before push() forces a flush.
-  std::size_t max_in_flight = 1024;
 };
+
+/// Bound on buffered + unacked events before push() forces a flush.
+inline constexpr std::size_t kMaxInFlight = 1024;
+static_assert(kSeqOffsetWindow > kMaxInFlight,
+              "a retried event's original offset must still be in the "
+              "broker's window, or its ack reads kUnknownOffset");
+/// Clamped-exponential backoff between a batch's append retries.
+inline constexpr std::chrono::microseconds kRetryBackoffBase{50};
+inline constexpr std::chrono::microseconds kRetryBackoffMax{2000};
 
 /// Backoff before retry `attempt` (0-based): min(base * 2^attempt, max).
 /// Reused outside the producer (e.g. the query client) so every transient
@@ -57,15 +59,12 @@ struct ProducerConfig {
 std::chrono::microseconds retry_backoff(std::size_t attempt,
                                         std::chrono::microseconds base,
                                         std::chrono::microseconds max);
-std::chrono::microseconds retry_backoff(std::size_t attempt,
-                                        const ProducerConfig& config);
 
 struct ProducerStats {
   std::uint64_t pushed = 0;
   std::uint64_t batches_flushed = 0;
   std::uint64_t size_triggered_flushes = 0;
-  std::uint64_t timer_triggered_flushes = 0;
-  /// Flushes forced by the max_in_flight bound.
+  /// Flushes forced by the kMaxInFlight bound.
   std::uint64_t backpressure_flushes = 0;
   /// Batch append retries after transient faults.
   std::uint64_t retries = 0;
@@ -78,21 +77,22 @@ struct ProducerStats {
 class Producer {
  public:
   Producer(Broker& broker, std::string topic, ProducerConfig config = {});
+  /// Flushes every buffered event.
   ~Producer();
 
   Producer(const Producer&) = delete;
   Producer& operator=(const Producer&) = delete;
 
-  /// Buffers an event; nonblocking except for the internal lock, unless the
-  /// in-flight bound forces a synchronous flush.
+  /// Buffers an event; nonblocking except for the internal lock, unless a
+  /// full batch or the in-flight bound makes this call flush.
   std::future<EventId> push(json::Value metadata, std::string data = {});
   /// push() for metadata already in self-contained wire bytes
   /// (wire::encode_value's format). Throws wire::WireError unless they hold
   /// exactly one value.
   std::future<EventId> push_wire(std::string metadata, std::string data = {});
 
-  /// Flushes all pending batches and waits for concurrently in-flight
-  /// flushes: a full delivery barrier.
+  /// Flushes all pending batches and waits for flushes in flight on other
+  /// threads: a full delivery barrier.
   void flush();
 
   [[nodiscard]] ProducerStats stats() const;
@@ -120,14 +120,12 @@ class Producer {
   /// and must have incremented flushing_ when extracting the batch.
   void flush_partition(PartitionIndex partition,
                        std::vector<PendingEvent> batch);
-  void background_loop();
 
   Broker& broker_;
   std::string topic_;
   ProducerConfig config_;
   std::uint64_t pid_;
   mutable std::mutex mutex_;
-  std::condition_variable wake_;
   std::condition_variable flush_done_;
   std::vector<std::vector<PendingEvent>> pending_;  // per partition
   std::vector<std::uint64_t> next_seq_;             // per partition
@@ -135,8 +133,6 @@ class Producer {
   std::size_t inflight_ = 0;   ///< buffered + unacked events
   std::size_t flushing_ = 0;   ///< batches currently being appended
   ProducerStats stats_;
-  bool stopping_ = false;
-  std::thread background_;
 };
 
 }  // namespace recup::mofka

@@ -5,7 +5,8 @@
 // self-contained (wire::encode_value's format), the producer stamps it, the
 // frame carries it session-encoded, and the broker stores the canonical
 // self-contained bytes the session decoder gives back. No json::Value is
-// built on the way unless a validator, selector or caller asks for one.
+// built on the way unless a consumer's data selector or a caller asks for
+// one.
 //
 // A frame carries one producer batch: a varint event count followed by each
 // event's metadata (session-encoded, so repeated strings — metadata keys,

@@ -24,6 +24,9 @@ constexpr int kMaxAttempts = 8;
 constexpr const char* kSegmentSuffix = ".rsg";
 /// Segments at or above this size are left alone by the compactor.
 constexpr std::uint64_t kCompactMaxBytes = 64ULL << 20;
+/// Compaction trigger: a view is merged once it holds this many segments
+/// below kCompactMaxBytes.
+constexpr std::size_t kCompactMinSegments = 4;
 
 std::string read_file(const std::string& path) {
   std::ifstream in(path, std::ios::binary);
@@ -234,7 +237,6 @@ std::size_t SegmentStore::compact() {
   }
   std::lock_guard writer_lock(writer_mutex_);
   std::size_t merges = 0;
-  if (config_.compact_min_segments <= 1) return merges;
   const auto version = manifest_->current();
   for (const auto& [view, segments] : version->views) {
     std::vector<std::shared_ptr<const SegmentInfo>> inputs;
@@ -243,7 +245,7 @@ std::size_t SegmentStore::compact() {
         inputs.push_back(segment);
       }
     }
-    if (inputs.size() < config_.compact_min_segments) continue;
+    if (inputs.size() < kCompactMinSegments) continue;
 
     for (int attempt = 0; attempt < kMaxAttempts; ++attempt) {
       try {

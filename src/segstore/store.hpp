@@ -44,10 +44,6 @@ namespace recup::segstore {
 /// always fsync.
 struct SegmentStoreConfig {
   std::string dir;
-  /// Compaction trigger: a view is merged when it holds at least this many
-  /// segments smaller than 64 MiB (larger ones are left alone). <= 1
-  /// disables.
-  std::size_t compact_min_segments = 4;
   /// Verify every referenced segment's footer CRC at open (the cold-start
   /// "CRC-checked footer scan"). Corruption throws SegstoreError.
   bool verify_on_open = true;
@@ -107,8 +103,9 @@ class SegmentStore {
       const std::vector<std::pair<std::string, const analysis::DataFrame*>>&
           views);
 
-  /// One compaction pass: per view, merges the small segments (see config)
-  /// into one. Returns the number of merge commits performed.
+  /// One compaction pass: per view holding at least 4 segments smaller than
+  /// 64 MiB, merges those into one (larger ones are left alone). Returns
+  /// the number of merge commits performed.
   std::size_t compact();
 
   /// Decodes (view, run) from the pinned `version`. Returns nullptr when

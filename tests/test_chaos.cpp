@@ -282,8 +282,7 @@ TEST(FaultPlan, JsonRoundTripReplaysIdenticalDecisions) {
   for (int i = 0; i < 500; ++i) {
     const std::uint32_t partition = static_cast<std::uint32_t>(i % 3);
     for (const char* site :
-         {chaos::sites::kMofkaPush, chaos::sites::kMofkaConsumerPull,
-          chaos::sites::kMofkaProducerFlush}) {
+         {chaos::sites::kMofkaPush, chaos::sites::kMofkaConsumerPull}) {
       const chaos::FaultDecision da = a.decide(site, partition);
       const chaos::FaultDecision db = b.decide(site, partition);
       EXPECT_EQ(da.action, db.action);
@@ -378,7 +377,7 @@ json::Value numbered(int i) {
 
 TEST(ChaosDelivery, RetriesDeliverEveryEventExactlyOnce) {
   MofkaRig rig;
-  rig.broker.create_topic("t", {2, nullptr, nullptr});
+  rig.broker.create_topic("t", 2);
   chaos::FaultPlan plan;
   plan.seed = 4242;
   chaos::SiteSpec& push = plan.sites[chaos::sites::kMofkaPush];
@@ -389,7 +388,6 @@ TEST(ChaosDelivery, RetriesDeliverEveryEventExactlyOnce) {
 
   mofka::ProducerConfig config;
   config.batch_size = 8;
-  config.background_flush = false;
   config.max_retries = 32;
   mofka::Producer producer(rig.broker, "t", config);
   constexpr int kEvents = 200;
@@ -425,32 +423,31 @@ TEST(ChaosDelivery, RetriesDeliverEveryEventExactlyOnce) {
 }
 
 TEST(ChaosDelivery, NonTransientErrorsAreNotRetried) {
+  // A non-durable broker loses its topics in a restart, so the buffered
+  // event's append fails for good: retrying cannot bring the topic back.
   MofkaRig rig;
-  mofka::TopicConfig topic;
-  topic.validator = [](const json::Value& metadata) {
-    if (!metadata.contains("ok")) throw mofka::MofkaError("rejected");
-  };
-  rig.broker.create_topic("strict", topic);
-
-  mofka::ProducerConfig config;
-  config.batch_size = 4;
-  config.background_flush = false;
-  mofka::Producer producer(rig.broker, "strict", config);
-  auto future = producer.push(numbered(0));  // lacks "ok"
+  rig.broker.create_topic("gone");
+  mofka::Producer producer(rig.broker, "gone", mofka::ProducerConfig{4});
+  auto future = producer.push(numbered(0));
+  rig.broker.crash_and_recover();
   producer.flush();
-  EXPECT_THROW(future.get(), mofka::MofkaError);
+  try {
+    (void)future.get();
+    ADD_FAILURE() << "the append to a lost topic was acked";
+  } catch (const mofka::MofkaError& e) {
+    EXPECT_NE(std::string(e.what()).find("unknown topic gone"),
+              std::string::npos)
+        << e.what();
+  }
   EXPECT_EQ(producer.stats().retries, 0u);
   EXPECT_EQ(producer.stats().events_failed, 1u);
 }
 
 TEST(ChaosDelivery, ConsumerDedupFiltersInjectedRedeliveries) {
   MofkaRig rig;
-  rig.broker.create_topic("dup", {});
+  rig.broker.create_topic("dup");
   {
-    mofka::ProducerConfig config;
-    config.batch_size = 16;
-    config.background_flush = false;
-    mofka::Producer producer(rig.broker, "dup", config);
+    mofka::Producer producer(rig.broker, "dup", mofka::ProducerConfig{16});
     for (int i = 0; i < 150; ++i) producer.push(numbered(i));
   }  // destructor flushes
 
@@ -459,48 +456,41 @@ TEST(ChaosDelivery, ConsumerDedupFiltersInjectedRedeliveries) {
   plan.sites[chaos::sites::kMofkaConsumerPull].duplicate = 0.3;
   rig.install(plan);
 
-  // With dedup (the default) the application sees each event exactly once.
-  mofka::Consumer clean(rig.broker, "dup", "clean");
-  const std::vector<mofka::Event> events = clean.pull_all();
+  // The application sees each event exactly once.
+  mofka::Consumer consumer(rig.broker, "dup", "clean");
+  const std::vector<mofka::Event> events = consumer.pull_all();
   ASSERT_EQ(events.size(), 150u);
   std::set<mofka::EventId> offsets;
   for (const mofka::Event& event : events) offsets.insert(event.id);
   EXPECT_EQ(offsets.size(), 150u);
-  EXPECT_GT(clean.stats().duplicates_dropped, 0u);
-
-  // With dedup disabled the raw at-least-once stream leaks through.
-  mofka::ConsumerConfig raw_config;
-  raw_config.dedup = false;
-  mofka::Consumer raw(rig.broker, "dup", "raw", raw_config);
-  const std::vector<mofka::Event> raw_events = raw.pull_all();
-  EXPECT_GT(raw_events.size(), 150u);
-  EXPECT_EQ(raw.stats().redeliveries, raw_events.size() - 150u);
+  EXPECT_GT(consumer.stats().duplicates_dropped, 0u);
 }
 
 TEST(ChaosDelivery, BackpressureBoundsInFlightEvents) {
   MofkaRig rig;
-  rig.broker.create_topic("bp", {});
+  rig.broker.create_topic("bp");
   mofka::ProducerConfig config;
-  config.batch_size = 1024;  // never size-triggered
-  config.background_flush = false;
-  config.max_in_flight = 32;
+  config.batch_size = 2 * mofka::kMaxInFlight;  // never size-triggered
   mofka::Producer producer(rig.broker, "bp", config);
-  for (int i = 0; i < 100; ++i) producer.push(numbered(i));
+  const int events = static_cast<int>(mofka::kMaxInFlight) + 100;
+  for (int i = 0; i < events; ++i) producer.push(numbered(i));
+  // Reaching the bound flushed the first kMaxInFlight events.
+  EXPECT_EQ(rig.broker.partition_size("bp", 0), mofka::kMaxInFlight);
   producer.flush();
-  EXPECT_EQ(rig.broker.partition_size("bp", 0), 100u);
-  EXPECT_GT(producer.stats().backpressure_flushes, 0u);
+  EXPECT_EQ(rig.broker.partition_size("bp", 0),
+            static_cast<mofka::EventId>(events));
+  EXPECT_EQ(producer.stats().backpressure_flushes, 1u);
 }
 
 // ---------------------------------------------------------------------------
-// The flush/teardown barrier: flush() must wait for batches that were
-// already in flight on the background thread, and the destructor must
-// deliver everything still buffered. Regression tests for the teardown race
-// where the destructor could return while the background flush was still
-// appending.
+// The flush/teardown barrier: flush() must wait for batches that another
+// thread is flushing, and the destructor must deliver everything still
+// buffered. Regression tests for the teardown race where the destructor
+// could return while another thread's flush was still appending.
 
 TEST(ChaosDelivery, FlushWaitsForInFlightBackgroundBatch) {
   MofkaRig rig;
-  rig.broker.create_topic("barrier", {});
+  rig.broker.create_topic("barrier");
   chaos::FaultPlan plan;
   plan.seed = 11;
   chaos::SiteSpec& push = plan.sites[chaos::sites::kMofkaPush];
@@ -509,70 +499,37 @@ TEST(ChaosDelivery, FlushWaitsForInFlightBackgroundBatch) {
   push.delay_max = std::chrono::microseconds(20000);
   rig.install(plan);
 
-  mofka::ProducerConfig config;
-  config.batch_size = 1024;  // only the timer flushes
-  config.flush_interval = std::chrono::milliseconds(1);
-  config.background_flush = true;
-  mofka::Producer producer(rig.broker, "barrier", config);
-  for (int i = 0; i < 8; ++i) producer.push(numbered(i));
-  // Wait (bounded) until the background thread picked the batch up and
-  // entered the injected 20 ms append delay — a fixed sleep would race its
-  // wakeup on a loaded machine...
+  mofka::Producer producer(rig.broker, "barrier", mofka::ProducerConfig{8});
+  // A second thread pushes one full batch, whose size-triggered flush
+  // sleeps in the injected 20 ms append delay.
+  std::thread pusher([&producer] {
+    for (int i = 0; i < 8; ++i) producer.push(numbered(i));
+  });
+  // Wait (bounded) until that flush has started — a fixed sleep would race
+  // the pusher on a loaded machine...
   const auto deadline =
       std::chrono::steady_clock::now() + std::chrono::seconds(10);
-  while (producer.stats().timer_triggered_flushes == 0 &&
+  while (producer.stats().size_triggered_flushes == 0 &&
          std::chrono::steady_clock::now() < deadline) {
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
-  // ...then flush() must not return until that in-flight batch landed.
+  // ...then flush() on this thread must not return until that batch landed.
   producer.flush();
-  EXPECT_EQ(rig.broker.partition_size("barrier", 0), 8u);
-  EXPECT_GT(producer.stats().timer_triggered_flushes, 0u);
+  const mofka::EventId landed = rig.broker.partition_size("barrier", 0);
+  pusher.join();
+  EXPECT_EQ(landed, 8u);
+  EXPECT_EQ(producer.stats().size_triggered_flushes, 1u);
 }
 
 TEST(ChaosDelivery, DestructorDeliversBufferedEvents) {
   MofkaRig rig;
-  rig.broker.create_topic("dtor", {});
+  rig.broker.create_topic("dtor");
   {
-    mofka::ProducerConfig config;
-    config.batch_size = 1024;
-    config.background_flush = false;
-    mofka::Producer producer(rig.broker, "dtor", config);
+    mofka::Producer producer(rig.broker, "dtor", mofka::ProducerConfig{1024});
     for (int i = 0; i < 5; ++i) producer.push(numbered(i));
     // No flush: the destructor owes us delivery.
   }
   EXPECT_EQ(rig.broker.partition_size("dtor", 0), 5u);
-}
-
-TEST(ChaosDelivery, BackgroundThreadDeathDoesNotLoseEvents) {
-  MofkaRig rig;
-  rig.broker.create_topic("killed", {});
-  chaos::FaultPlan plan;
-  plan.seed = 13;
-  plan.sites[chaos::sites::kMofkaProducerFlush].schedule.push_back(
-      {1, chaos::FaultAction::kThreadKill});
-  rig.install(plan);
-
-  mofka::ProducerConfig config;
-  config.batch_size = 1024;
-  config.flush_interval = std::chrono::milliseconds(1);
-  config.background_flush = true;
-  mofka::Producer producer(rig.broker, "killed", config);
-  for (int i = 0; i < 6; ++i) producer.push(numbered(i));
-  // Wait (bounded) for the background thread's first flush attempt — the
-  // scheduled fault kills it there. A fixed sleep would race the thread's
-  // wakeup on a loaded machine.
-  const auto deadline =
-      std::chrono::steady_clock::now() + std::chrono::seconds(10);
-  while (rig.injector->hits(chaos::sites::kMofkaProducerFlush) == 0 &&
-         std::chrono::steady_clock::now() < deadline) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  }
-  // The background thread died on that attempt; the foreground flush
-  // barrier still delivers everything.
-  producer.flush();
-  EXPECT_EQ(rig.broker.partition_size("killed", 0), 6u);
-  EXPECT_GE(rig.injector->hits(chaos::sites::kMofkaProducerFlush), 1u);
 }
 
 // ---------------------------------------------------------------------------
@@ -601,9 +558,7 @@ dtr::RunData produce_synthetic_run(mofka::Broker& broker,
   w.time = 0.25;
   run.warnings.push_back(w);
 
-  mofka::ProducerConfig config;
-  config.batch_size = 8;
-  config.background_flush = false;
+  const mofka::ProducerConfig config{8};
   mofka::Producer tasks(broker, "wms_tasks", config);
   mofka::Producer warnings(broker, "wms_warnings", config);
   for (const auto& r : run.tasks) tasks.push(dtr::to_json(r));

@@ -1,6 +1,6 @@
 // Unit tests for the Mofka event streaming service: topics, batching
-// producer, pull consumer, data selectors, validators, partition selectors,
-// consumer groups, and concurrent production.
+// producer, pull consumer, data selectors, consumer groups, and concurrent
+// production.
 #include <gtest/gtest.h>
 
 #include <unistd.h>
@@ -34,20 +34,18 @@ json::Value meta(int i) {
 }
 
 TEST_F(MofkaTest, TopicLifecycle) {
-  broker_.create_topic("t", TopicConfig{2, nullptr, nullptr});
+  broker_.create_topic("t", 2);
   EXPECT_TRUE(broker_.topic_exists("t"));
   EXPECT_FALSE(broker_.topic_exists("u"));
   EXPECT_EQ(broker_.partition_count("t"), 2u);
   EXPECT_THROW(broker_.create_topic("t"), MofkaError);
-  EXPECT_THROW(broker_.create_topic("zero", TopicConfig{0, nullptr, nullptr}),
-               MofkaError);
+  EXPECT_THROW(broker_.create_topic("zero", 0), MofkaError);
   EXPECT_THROW(broker_.partition_count("u"), MofkaError);
 }
 
 TEST_F(MofkaTest, ProduceConsumeOrderedPerPartition) {
   broker_.create_topic("t");
-  Producer producer(broker_, "t",
-                    ProducerConfig{8, std::chrono::milliseconds(5), false});
+  Producer producer(broker_, "t", ProducerConfig{8});
   for (int i = 0; i < 20; ++i) producer.push(meta(i), "d" + std::to_string(i));
   producer.flush();
 
@@ -63,8 +61,7 @@ TEST_F(MofkaTest, ProduceConsumeOrderedPerPartition) {
 
 TEST_F(MofkaTest, PushFutureResolvesToOffset) {
   broker_.create_topic("t");
-  Producer producer(broker_, "t",
-                    ProducerConfig{4, std::chrono::milliseconds(5), false});
+  Producer producer(broker_, "t", ProducerConfig{4});
   auto f0 = producer.push(meta(0));
   auto f1 = producer.push(meta(1));
   producer.flush();
@@ -74,8 +71,7 @@ TEST_F(MofkaTest, PushFutureResolvesToOffset) {
 
 TEST_F(MofkaTest, SizeTriggeredBatching) {
   broker_.create_topic("t");
-  Producer producer(broker_, "t",
-                    ProducerConfig{4, std::chrono::milliseconds(5), false});
+  Producer producer(broker_, "t", ProducerConfig{4});
   for (int i = 0; i < 9; ++i) producer.push(meta(i));
   // Two full batches flushed by size; one partial pending.
   EXPECT_EQ(broker_.partition_size("t", 0), 8u);
@@ -87,31 +83,18 @@ TEST_F(MofkaTest, SizeTriggeredBatching) {
   EXPECT_EQ(stats.batches_flushed, 3u);
 }
 
-TEST_F(MofkaTest, BackgroundFlushDeliversWithoutExplicitFlush) {
-  broker_.create_topic("t");
-  Producer producer(broker_, "t",
-                    ProducerConfig{1000, std::chrono::milliseconds(2), true});
-  auto f = producer.push(meta(1));
-  // The background thread must flush this within a reasonable time.
-  EXPECT_EQ(f.wait_for(std::chrono::seconds(5)), std::future_status::ready);
-  EXPECT_EQ(f.get(), 0u);
-}
-
 TEST_F(MofkaTest, DestructorFlushesPending) {
   broker_.create_topic("t");
   {
-    Producer producer(broker_, "t",
-                      ProducerConfig{1000, std::chrono::milliseconds(50),
-                                     false});
+    Producer producer(broker_, "t", ProducerConfig{1000});
     producer.push(meta(1));
   }
   EXPECT_EQ(broker_.partition_size("t", 0), 1u);
 }
 
 TEST_F(MofkaTest, RoundRobinPartitionSpread) {
-  broker_.create_topic("t", TopicConfig{4, nullptr, nullptr});
-  Producer producer(broker_, "t",
-                    ProducerConfig{1, std::chrono::milliseconds(5), false});
+  broker_.create_topic("t", 4);
+  Producer producer(broker_, "t", ProducerConfig{1});
   for (int i = 0; i < 8; ++i) producer.push(meta(i));
   producer.flush();
   for (PartitionIndex p = 0; p < 4; ++p) {
@@ -119,48 +102,9 @@ TEST_F(MofkaTest, RoundRobinPartitionSpread) {
   }
 }
 
-TEST_F(MofkaTest, CustomPartitionSelector) {
-  TopicConfig config;
-  config.partitions = 2;
-  config.selector = [](const json::Value& m, PartitionIndex n) {
-    return static_cast<PartitionIndex>(m.at("i").as_int() % n);
-  };
-  broker_.create_topic("t", std::move(config));
-  Producer producer(broker_, "t",
-                    ProducerConfig{1, std::chrono::milliseconds(5), false});
-  for (int i = 0; i < 6; ++i) producer.push(meta(i));
-  producer.flush();
-  Consumer c0(broker_, "t", "g");
-  // Partition 0 holds even i, partition 1 odd i; pull_all interleaves but
-  // every event lands exactly once.
-  const auto events = c0.pull_all();
-  EXPECT_EQ(events.size(), 6u);
-  for (const auto& e : events) {
-    EXPECT_EQ(e.metadata.at("i").as_int() % 2, e.partition);
-  }
-}
-
-TEST_F(MofkaTest, ValidatorRejectsBadMetadata) {
-  TopicConfig config;
-  config.validator = [](const json::Value& m) {
-    if (!m.contains("i")) throw MofkaError("missing i");
-  };
-  broker_.create_topic("t", std::move(config));
-  Producer producer(broker_, "t",
-                    ProducerConfig{1, std::chrono::milliseconds(5), false});
-  auto ok = producer.push(meta(1));
-  EXPECT_EQ(ok.get(), 0u);
-  json::Object bad;
-  bad["j"] = 2;
-  auto fail = producer.push(json::Value(std::move(bad)));
-  EXPECT_THROW(fail.get(), MofkaError);
-  EXPECT_EQ(broker_.partition_size("t", 0), 1u);
-}
-
 TEST_F(MofkaTest, DataSelectorSkipsOrSlicesPayload) {
   broker_.create_topic("t");
-  Producer producer(broker_, "t",
-                    ProducerConfig{1, std::chrono::milliseconds(5), false});
+  Producer producer(broker_, "t", ProducerConfig{1});
   producer.push(meta(0), "0123456789");
   producer.push(meta(1), "abcdefghij");
   producer.flush();
@@ -185,8 +129,7 @@ TEST_F(MofkaTest, DataSelectorSkipsOrSlicesPayload) {
 
 TEST_F(MofkaTest, ConsumerGroupsResumeFromCommit) {
   broker_.create_topic("t");
-  Producer producer(broker_, "t",
-                    ProducerConfig{1, std::chrono::milliseconds(5), false});
+  Producer producer(broker_, "t", ProducerConfig{1});
   for (int i = 0; i < 5; ++i) producer.push(meta(i));
   producer.flush();
 
@@ -210,8 +153,7 @@ TEST_F(MofkaTest, ConsumerGroupsResumeFromCommit) {
 
 TEST_F(MofkaTest, StatsAccumulateBytes) {
   broker_.create_topic("t");
-  Producer producer(broker_, "t",
-                    ProducerConfig{2, std::chrono::milliseconds(5), false});
+  Producer producer(broker_, "t", ProducerConfig{2});
   producer.push(meta(0), "xxxx");
   producer.push(meta(1), "yy");
   producer.flush();
@@ -223,15 +165,14 @@ TEST_F(MofkaTest, StatsAccumulateBytes) {
 }
 
 TEST_F(MofkaTest, ConcurrentProducersAllEventsArrive) {
-  broker_.create_topic("t", TopicConfig{2, nullptr, nullptr});
+  broker_.create_topic("t", 2);
   constexpr int kThreads = 4;
   constexpr int kPerThread = 200;
   {
     std::vector<std::unique_ptr<Producer>> producers;
     for (int t = 0; t < kThreads; ++t) {
       producers.push_back(std::make_unique<Producer>(
-          broker_, "t", ProducerConfig{16, std::chrono::milliseconds(1),
-                                       true}));
+          broker_, "t", ProducerConfig{16}));
     }
     std::vector<std::thread> threads;
     for (int t = 0; t < kThreads; ++t) {
@@ -348,8 +289,7 @@ TEST_F(MofkaTest, BrokerRestartWipesWireSessions) {
 
 TEST_F(MofkaTest, BinaryProducerMatchesJsonProducerAndSavesWireBytes) {
   broker_.create_topic("bin");
-  Producer producer(broker_, "bin",
-                    ProducerConfig{8, std::chrono::milliseconds(5), false});
+  Producer producer(broker_, "bin", ProducerConfig{8});
   std::uint64_t json_text_bytes = 0;
   for (int i = 0; i < 64; ++i) {
     json::Object o;
@@ -409,9 +349,8 @@ Stored push_stamp_cases(const std::string& dir, bool as_bytes) {
   Stored stored;
   {
     Broker broker(kv, blobs, dir);
-    broker.create_topic("t", TopicConfig{2, nullptr, nullptr});
-    Producer producer(broker, "t",
-                      ProducerConfig{4, std::chrono::milliseconds(5), false});
+    broker.create_topic("t", 2);
+    Producer producer(broker, "t", ProducerConfig{4});
     stored.pid = producer.producer_id();
     std::vector<std::future<EventId>> acks;
     int i = 0;
@@ -511,46 +450,15 @@ TEST_F(MofkaTest, TreePushAndBytePushStoreTheSameBytes) {
   }
 }
 
-TEST_F(MofkaTest, ValidatorAndSelectorsStillSeeTheTree) {
-  // Installed hooks get decoded trees: the topic validator the stamped
-  // metadata, the partition selector the metadata as pushed, and the
-  // consumer's data selector the metadata as stored.
-  std::vector<json::Value> validated;
-  std::vector<json::Value> selected;
-  broker_.create_topic(
-      "t", TopicConfig{2,
-                       [&](const json::Value& metadata) {
-                         validated.push_back(metadata);
-                         if (metadata.contains("reject")) {
-                           throw MofkaError("rejected by validator");
-                         }
-                       },
-                       [&](const json::Value& metadata, PartitionIndex) {
-                         selected.push_back(metadata);
-                         return static_cast<PartitionIndex>(
-                             metadata.at("i").as_int() % 2);
-                       }});
-  Producer producer(broker_, "t",
-                    ProducerConfig{8, std::chrono::milliseconds(5), false});
+TEST_F(MofkaTest, DataSelectorSeesTheStoredTree) {
+  // The consumer's data selector gets the metadata as stored, producer
+  // stamps included, decoded into a tree.
+  broker_.create_topic("t", 2);
+  Producer producer(broker_, "t", ProducerConfig{8});
   for (int i = 0; i < 4; ++i) {
     (void)producer.push_wire(wire::encode_value(meta(i)), "payload");
   }
   producer.flush();
-  ASSERT_EQ(selected.size(), 4u);
-  ASSERT_EQ(validated.size(), 4u);
-  for (const json::Value& metadata : selected) {
-    EXPECT_FALSE(metadata.contains("_pid"));
-  }
-  for (const json::Value& metadata : validated) {
-    EXPECT_EQ(metadata.at("_pid").as_int(),
-              static_cast<std::int64_t>(producer.producer_id()));
-  }
-  json::Object rejected;
-  rejected["i"] = 0;
-  rejected["reject"] = true;
-  auto failed = producer.push_wire(wire::encode_value(json::Value(rejected)));
-  producer.flush();
-  EXPECT_THROW(failed.get(), MofkaError);
 
   std::vector<json::Value> seen;
   ConsumerConfig config;
@@ -563,6 +471,8 @@ TEST_F(MofkaTest, ValidatorAndSelectorsStillSeeTheTree) {
   while (auto event = consumer.pull_wire()) {
     EXPECT_EQ(event->data, "pay");
     EXPECT_EQ(wire::encode_value(seen.back()), event->metadata);
+    EXPECT_EQ(seen.back().at("_pid").as_int(),
+              static_cast<std::int64_t>(producer.producer_id()));
     ++pulled;
   }
   EXPECT_EQ(pulled, 4u);

@@ -88,8 +88,7 @@ TEST(MofkaPlugins, ClusterEventsMatchTheTreesTheyReplace) {
   mochi::BlobStore blobs;
   mofka::Broker broker(kv, blobs);
   create_wms_topics(broker);
-  MofkaSchedulerPlugin plugin(
-      broker, mofka::ProducerConfig{8, std::chrono::milliseconds(5), false});
+  MofkaSchedulerPlugin plugin(broker, mofka::ProducerConfig{8});
   plugin.on_graph_received("graph-7", 12, 1.5);
   plugin.on_worker_added(3, "tcp://10.0.1.2:9003", 2.25);
   plugin.on_worker_removed(3, "tcp://10.0.1.2:9003", 9.0);

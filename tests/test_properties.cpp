@@ -279,37 +279,35 @@ TEST_P(SequenceProperties, TrackerAcceptsEachSequenceExactlyOnce) {
 INSTANTIATE_TEST_SUITE_P(Sweep, SequenceProperties, ::testing::Range(1, 11));
 
 TEST(BackoffProperties, MonotoneBoundedAndOverflowSafe) {
-  mofka::ProducerConfig config;
-  config.backoff_base = std::chrono::microseconds{50};
-  config.backoff_max = std::chrono::microseconds{2000};
+  // The producer's policy.
+  const auto base = mofka::kRetryBackoffBase;
+  const auto max = mofka::kRetryBackoffMax;
 
-  EXPECT_EQ(mofka::retry_backoff(0, config), config.backoff_base);
+  EXPECT_EQ(mofka::retry_backoff(0, base, max), base);
   std::chrono::microseconds previous{0};
   for (std::size_t attempt = 0; attempt < 100; ++attempt) {
-    const auto delay = mofka::retry_backoff(attempt, config);
+    const auto delay = mofka::retry_backoff(attempt, base, max);
     EXPECT_GE(delay, previous) << "backoff not monotone at " << attempt;
-    EXPECT_GE(delay, config.backoff_base);
-    EXPECT_LE(delay, config.backoff_max);
+    EXPECT_GE(delay, base);
+    EXPECT_LE(delay, max);
     previous = delay;
   }
   // Far past the doubling range the shift is clamped: no overflow, still
   // capped at the max.
-  EXPECT_EQ(mofka::retry_backoff(1'000'000, config), config.backoff_max);
+  EXPECT_EQ(mofka::retry_backoff(1'000'000, base, max), max);
 }
 
 TEST(BackoffProperties, CapRespectedForAnyBaseAndMax) {
   RngStream rng(7001);
   for (int round = 0; round < 50; ++round) {
-    mofka::ProducerConfig config;
-    config.backoff_base =
-        std::chrono::microseconds{rng.uniform_int(1, 10'000)};
-    config.backoff_max = std::chrono::microseconds{
-        config.backoff_base.count() + rng.uniform_int(0, 100'000)};
+    const std::chrono::microseconds base{rng.uniform_int(1, 10'000)};
+    const std::chrono::microseconds max{base.count() +
+                                        rng.uniform_int(0, 100'000)};
     std::chrono::microseconds previous{0};
     for (std::size_t attempt = 0; attempt < 70; ++attempt) {
-      const auto delay = mofka::retry_backoff(attempt, config);
+      const auto delay = mofka::retry_backoff(attempt, base, max);
       EXPECT_GE(delay, previous);
-      EXPECT_LE(delay, config.backoff_max);
+      EXPECT_LE(delay, max);
       previous = delay;
     }
   }

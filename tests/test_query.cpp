@@ -1858,8 +1858,7 @@ class QueryIngestTest : public ::testing::Test {
   /// Replays a run's records into the WMS topics, as the Mofka plugins
   /// would during execution.
   void produce(const dtr::RunData& run) {
-    const mofka::ProducerConfig config{16, std::chrono::milliseconds(5),
-                                       false};
+    const mofka::ProducerConfig config{16};
     mofka::Producer transitions(broker_, "wms_transitions", config);
     mofka::Producer tasks(broker_, "wms_tasks", config);
     mofka::Producer comms(broker_, "wms_comms", config);
@@ -1963,8 +1962,7 @@ TEST_F(QueryIngestTest, PublishesRecordsInCanonicalJsonOrder) {
 
   LiveIngestor ingestor(broker, catalog_);
   {
-    const mofka::ProducerConfig config{4, std::chrono::milliseconds(5),
-                                       false};
+    const mofka::ProducerConfig config{4};
     std::map<std::string, mofka::Producer> producers;
     for (const char* topic : {"wms_transitions", "wms_tasks", "wms_comms",
                               "wms_warnings", "wms_cluster"}) {

@@ -24,6 +24,7 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <iterator>
 #include <limits>
 #include <map>
@@ -396,7 +397,7 @@ TEST(BrokerWal, RebuildsFromDiskWithIdenticalOffsets) {
     mochi::BlobStore blobs;
     mofka::Broker broker(kv, blobs, dir.str());
     EXPECT_TRUE(broker.durable());
-    broker.create_topic("t", {2, nullptr, nullptr});
+    broker.create_topic("t", 2);
     FrameSession s0{1, {}};
     std::vector<std::pair<json::Value, std::string>> p0;
     for (int i = 0; i < 10; ++i) p0.emplace_back(numbered(i), "d" + std::to_string(i));
@@ -429,7 +430,7 @@ TEST(BrokerWal, CrashRecoveryPreservesOffsetsAndAbsorbsRetries) {
   mochi::KeyValueStore kv;
   mochi::BlobStore blobs;
   mofka::Broker broker(kv, blobs, dir.str());
-  broker.create_topic("t", {});
+  broker.create_topic("t");
   std::vector<std::pair<json::Value, std::string>> batch;
   for (int i = 0; i < 12; ++i) batch.emplace_back(stamped(i, 7, i), "");
   FrameSession producer{7, {}};
@@ -462,7 +463,7 @@ TEST(BrokerWal, NonDurableCrashIsObservableTotalLoss) {
   mofka::Broker broker(kv, blobs);
   EXPECT_FALSE(broker.durable());
   EXPECT_EQ(broker.wal_bytes(), 0u);
-  broker.create_topic("t", {});
+  broker.create_topic("t");
   FrameSession producer{1, {}};
   broker.append_frame("t", 0, producer.id,
                       producer.frame({{numbered(1), "data"}}));
@@ -518,6 +519,57 @@ void write_broker_wal(const std::string& dir, std::uint32_t partitions,
   put_le32(topic, partitions);
   writer.append(topic);
   if (!batch.empty()) writer.append(batch);
+}
+
+TEST(BrokerWal, SlashInATopicOrGroupNameIsATypedError) {
+  // Group offsets are keyed "g/<topic>/<group>/<partition>", so topic "a/b"
+  // with group "c" and topic "a" with group "b/c" would share one committed
+  // offset: a commit by either would skip the other's events for good.
+  const auto names_it = [](const std::function<void()>& call,
+                           const std::string& name) {
+    try {
+      call();
+      ADD_FAILURE() << "accepted '" << name << "'";
+    } catch (const mofka::MofkaError& e) {
+      EXPECT_NE(std::string(e.what()).find("'" + name + "'"),
+                std::string::npos)
+          << e.what();
+    }
+  };
+  mochi::KeyValueStore kv;
+  mochi::BlobStore blobs;
+  mofka::Broker broker(kv, blobs);
+  names_it([&] { broker.create_topic("a/b"); }, "a/b");
+  EXPECT_FALSE(broker.topic_exists("a/b"));
+  broker.create_topic("a");
+  names_it([&] { mofka::Consumer consumer(broker, "a", "b/c"); }, "b/c");
+  names_it([&] { broker.commit_offset("a/b", "c", 0, 5); }, "a/b");
+  names_it([&] { (void)broker.committed_offset("a", "b/c", 0); }, "b/c");
+
+  // Replay checks logged names as the live calls do.
+  const auto replay_names_it = [&](const std::string& record,
+                                   const std::string& name) {
+    TempDir dir("broker_slash_name");
+    {
+      wal::WalWriter writer(dir.str());
+      writer.append(record);
+    }
+    mochi::KeyValueStore replay_kv;
+    mochi::BlobStore replay_blobs;
+    names_it([&] { (void)mofka::Broker(replay_kv, replay_blobs, dir.str()); },
+             name);
+  };
+  std::string topic("T");
+  put_le_str(topic, "a/b");
+  put_le32(topic, 1);
+  replay_names_it(topic, "a/b");
+  std::string commit("C");
+  put_le_str(commit, "a");
+  put_le_str(commit, "b/c");
+  put_le32(commit, 0);  // partition
+  put_le32(commit, 5);  // next offset, low word
+  put_le32(commit, 0);  // high word
+  replay_names_it(commit, "b/c");
 }
 
 TEST(BrokerWal, ZeroPartitionTopicIsATypedError) {
@@ -1138,8 +1190,7 @@ TEST(SchedulerDurable, RejectedSubmitLeavesNoTrace) {
     mochi::BlobStore blobs;
     mofka::Broker broker(kv, blobs);
     dtr::create_wms_topics(broker);
-    dtr::MofkaSchedulerPlugin plugin(
-        broker, mofka::ProducerConfig{64, std::chrono::milliseconds(5), false});
+    dtr::MofkaSchedulerPlugin plugin(broker, mofka::ProducerConfig{64});
     dtr::testing::MiniCluster mini;
     mini.scheduler.add_plugin(&plugin);
     mini.scheduler.enable_durability({dir});
@@ -1570,9 +1621,7 @@ dtr::RunData produce_synthetic_run(mofka::Broker& broker,
   w.time = 0.25;
   run.warnings.push_back(w);
 
-  mofka::ProducerConfig config;
-  config.batch_size = 8;
-  config.background_flush = false;
+  const mofka::ProducerConfig config{8};
   mofka::Producer tasks(broker, "wms_tasks", config);
   mofka::Producer warnings(broker, "wms_warnings", config);
   for (const auto& r : run.tasks) tasks.push(dtr::to_json(r));
@@ -1588,10 +1637,7 @@ void produce_dxt_segments(mofka::Broker& broker, const std::string& file,
                           int n) {
   const char* topic = dtr::DarshanMofkaBridge::kTopic;
   if (!broker.topic_exists(topic)) broker.create_topic(topic);
-  mofka::ProducerConfig config;
-  config.batch_size = 8;
-  config.background_flush = false;
-  mofka::Producer producer(broker, topic, config);
+  mofka::Producer producer(broker, topic, mofka::ProducerConfig{8});
   for (int i = 0; i < n; ++i) {
     json::Object o;
     o["kind"] = "dxt";

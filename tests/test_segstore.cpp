@@ -455,7 +455,6 @@ TEST(SegstoreSnapshot, PinnedVersionSurvivesCompactionAndGC) {
   TempDir dir("pin");
   segstore::SegmentStoreConfig config;
   config.dir = dir.str();
-  config.compact_min_segments = 2;
   StoreCatalog catalog(config);
   for (std::uint32_t r = 0; r < 4; ++r) {
     catalog.add_run(make_run("W", r, 4));
@@ -484,7 +483,6 @@ TEST(SegstoreSnapshot, IsolationTortureUnderConcurrentFlushAndCompact) {
   TempDir dir("torture");
   segstore::SegmentStoreConfig config;
   config.dir = dir.str();
-  config.compact_min_segments = 3;
   StoreCatalog catalog(config);
   constexpr std::uint32_t kRuns = 24;
   catalog.add_run(make_run("W", 0, 4));
@@ -560,7 +558,6 @@ TEST(SegstoreCrashOracle, TenSeedColdStartByteIdentityUnderChaos) {
     {
       segstore::SegmentStoreConfig config;
       config.dir = dir.str();
-      config.compact_min_segments = 2;
       StoreCatalog catalog(config);
       catalog.segment_store()->set_fault_injector(&injector);
       for (auto& run : runs()) catalog.add_run(std::move(run));

@@ -273,8 +273,9 @@ fi
 echo "== TSan pass: concurrent delivery, chaos, and query smokes =="
 # ThreadSanitizer is incompatible with ASan, so it gets its own build tree.
 # Run the binaries that exercise real threads: the mofka producer/consumer
-# (background flush thread vs push/flush/destructor), the chaos pipeline
-# (fault injection on those same paths), and the multi-client query service.
+# (concurrent pushers against the flush() barrier and the destructor), the
+# chaos pipeline (fault injection on those same paths), and the multi-client
+# query service.
 cmake -B build-tsan -S . -DRECUP_TSAN=ON -DRECUP_BUILD_BENCH=OFF \
   -DRECUP_BUILD_EXAMPLES=OFF
 cmake --build build-tsan -j
