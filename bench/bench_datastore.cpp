@@ -20,9 +20,7 @@ namespace {
 
 /// One publish+fetch per key across 4 shards, timed per fetch() call.
 SampleSummary fetch_latency_once(std::size_t keys, std::size_t rep) {
-  datastore::DataStoreConfig config;
-  config.inline_threshold = 4096;
-  datastore::DataStore store(config);
+  datastore::DataStore store;
   for (std::uint32_t s = 0; s < 4; ++s) store.add_shard(s, s / 2);
 
   std::vector<double> samples;

@@ -58,9 +58,9 @@ int main(int argc, char** argv) {
   // pre-datastore inline path). The figure's view must match byte for byte
   // — proxies change what the scheduler path carries, never the observed
   // timing/placement — while payload bytes on that path shrink >= 5x at the
-  // default 4 KiB threshold.
+  // 4 KiB threshold.
   workloads::Workload inline_workload = workload;
-  inline_workload.cluster.datastore.enabled = false;
+  inline_workload.cluster.enable_datastore = false;
   std::fprintf(stderr, "  ResNet152 (inline control) run 1/1 ...\n");
   const dtr::RunData base = workloads::execute(inline_workload, 0);
   if (analysis::figure5_frame(run).to_csv() !=

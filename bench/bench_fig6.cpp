@@ -38,7 +38,7 @@ int main(int argc, char** argv) {
   // view): byte-identical figure with the datastore off, >= 5x fewer
   // scheduler-path payload bytes with it on.
   workloads::Workload inline_workload = workload;
-  inline_workload.cluster.datastore.enabled = false;
+  inline_workload.cluster.enable_datastore = false;
   std::fprintf(stderr, "  XGBOOST (inline control) run 1/1 ...\n");
   const dtr::RunData base = workloads::execute(inline_workload, 0);
   if (analysis::figure6_frame(run).to_csv() !=

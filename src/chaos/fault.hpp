@@ -17,10 +17,9 @@
 //
 // What each action means is defined by the instrumented layer:
 //   drop                  — the request is lost before taking effect
-//   duplicate             — the effect happens but the ack is lost
-//                           (push), or an event is redelivered (pull)
+//   duplicate             — the effect happens but the ack is lost (push)
 //   reorder               — delivery displaced relative to peers (push:
-//                           lost-then-retried; pull: held back)
+//                           lost-then-retried)
 //   delay                 — bounded latency injection
 //   transient_error       — the component reports a retryable error
 //   partition_unavailable — one partition refuses service for a window
@@ -122,19 +121,20 @@ struct FaultPlan {
   /// One-line human summary ("seed=7 mofka.push{drop=0.05,...} ...").
   [[nodiscard]] std::string describe() const;
 
-  /// A plan that exercises every transport fault kind on the two Mofka
-  /// sites with per-action probability ~`intensity`. The DTR worker site is
-  /// left untouched so the simulated workflow itself is unperturbed — the
-  /// plan attacks only the provenance transport.
+  /// A plan that exercises every transport fault kind each Mofka site
+  /// honours (push: drop, duplicate, reorder, transient error, partition
+  /// outage, delay; pull: drop, delay) with per-action probability
+  /// ~`intensity`. The DTR worker site is left untouched so the simulated
+  /// workflow itself is unperturbed — the plan attacks only the provenance
+  /// transport.
   static FaultPlan randomized_transport(std::uint64_t seed,
                                         double intensity = 0.05);
 
   /// A plan attacking the out-of-band data plane: wire-level fetch faults
-  /// (drop/truncate/transient) on sites::kDatastoreFetch plus forced
-  /// evictions on sites::kDatastoreEvict, each with per-action probability
-  /// ~`intensity`. Like randomized_transport, the workflow itself is left
-  /// unperturbed — the plan stresses the data plane's retry/validation and
-  /// eviction/spill machinery.
+  /// (drop/truncate/transient) on sites::kDatastoreFetch, each with
+  /// per-action probability ~`intensity`. Like randomized_transport, the
+  /// workflow itself is left unperturbed — the plan stresses the data
+  /// plane's wire retries and payload validation.
   static FaultPlan randomized_datastore(std::uint64_t seed,
                                         double intensity = 0.05);
 };
@@ -142,6 +142,11 @@ struct FaultPlan {
 /// Canonical site names used by the instrumented layers.
 namespace sites {
 inline constexpr const char* kMofkaPush = "mofka.push";
+/// Consulted per partition a consumer tries. It honours drop and
+/// partition_unavailable (the next event stays hidden for this pull) and
+/// delay. A duplicate, or any other action, changes nothing: a consumer
+/// reads by offset, so a redelivered earlier event could never reach the
+/// application.
 inline constexpr const char* kMofkaConsumerPull = "mofka.consumer.pull";
 inline constexpr const char* kDtrWorker = "dtr.worker";
 /// Whole-process crash/restart sites, consulted by the durable control
@@ -150,16 +155,12 @@ inline constexpr const char* kDtrWorker = "dtr.worker";
 inline constexpr const char* kBrokerProcess = "process.broker";
 inline constexpr const char* kSchedulerProcess = "process.scheduler";
 inline constexpr const char* kIngestorProcess = "process.ingestor";
-/// Out-of-band data plane (recup::datastore). kDatastoreFetch is consulted
-/// per wire-level fetch attempt (partition = source shard): drop-like
-/// actions lose the frame, reorder truncates it in transit — both absorbed
-/// by the datastore's bounded wire retries, with fingerprint validation
-/// guaranteeing a corrupted payload is never installed. kDatastoreEvict is
-/// consulted after each publish/replica install (partition = shard): any
-/// fault force-evicts that shard's LRU unpinned region (a demotion when a
-/// spill tier exists, a real replica loss when not).
+/// Out-of-band data plane (recup::datastore), consulted per wire-level
+/// fetch attempt (partition = source shard): drop-like actions lose the
+/// frame, reorder truncates it in transit — both absorbed by the
+/// datastore's bounded wire retries, with fingerprint validation
+/// guaranteeing a corrupted payload is never installed.
 inline constexpr const char* kDatastoreFetch = "datastore.fetch";
-inline constexpr const char* kDatastoreEvict = "datastore.evict";
 /// Durable segment store (recup::segstore). Each site is consulted twice
 /// per operation — once before the segment files are written and once
 /// after, before the manifest record commits — so a kProcessCrashRestart

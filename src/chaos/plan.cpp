@@ -137,8 +137,7 @@ FaultPlan FaultPlan::randomized_transport(std::uint64_t seed,
   plan.sites[sites::kMofkaPush] = push;
 
   SiteSpec pull;
-  pull.drop = jitter();       // event transiently invisible
-  pull.duplicate = jitter();  // redelivery of the previous event
+  pull.drop = jitter();  // event transiently invisible
   pull.delay = jitter() * 0.2;
   pull.delay_min = std::chrono::microseconds(10);
   pull.delay_max = std::chrono::microseconds(200);
@@ -161,10 +160,6 @@ FaultPlan FaultPlan::randomized_datastore(std::uint64_t seed,
   fetch.reorder = jitter();          // response truncated in transit
   fetch.transient_error = jitter();  // source shard transiently refuses
   plan.sites[sites::kDatastoreFetch] = fetch;
-
-  SiteSpec evict;
-  evict.transient_error = jitter();  // any action forces one eviction
-  plan.sites[sites::kDatastoreEvict] = evict;
 
   return plan;
 }

@@ -10,32 +10,18 @@ namespace recup::datastore {
 namespace {
 
 /// Physical payload cap: big logical results are represented by a bounded
-/// stand-in (the logical size still drives capacity accounting).
+/// stand-in whose region records the logical size.
 constexpr std::uint64_t kMaxPhysicalBytes = 240;
 
 }  // namespace
-
-DataStore::DataStore(DataStoreConfig config, chaos::FaultInjector* injector)
-    : config_(std::move(config)), injector_(injector) {}
 
 void DataStore::add_shard(ShardId shard, std::uint32_t node) {
   std::lock_guard lock(mutex_);
   Shard sh;
   sh.node = node;
-  mochi::BlobStoreOptions options;
-  options.capacity_bytes = config_.shard_capacity_bytes;
-  if (!config_.spill_dir.empty()) {
-    options.spill_dir = config_.spill_dir + "/shard-" + std::to_string(shard);
-  }
-  sh.store = std::make_unique<mochi::BlobStore>(
-      "datastore-shard-" + std::to_string(shard), std::move(options));
+  sh.store = std::make_unique<mochi::BlobStore>("datastore-shard-" +
+                                                std::to_string(shard));
   shards_[shard] = std::move(sh);
-}
-
-bool DataStore::shard_alive(ShardId shard) const {
-  std::lock_guard lock(mutex_);
-  const auto it = shards_.find(shard);
-  return it != shards_.end() && it->second.alive;
 }
 
 mochi::BlobStore& DataStore::shard_store(ShardId shard) {
@@ -105,7 +91,6 @@ Proxy DataStore::publish(const std::string& key, ShardId shard,
   const std::uint64_t fingerprint = fnv1a64(payload);
   const mochi::RegionId region =
       sh.store->create_sealed(std::move(payload), bytes);
-  sh.store->pin(region);
 
   Entry entry;
   entry.size = bytes;
@@ -125,8 +110,6 @@ Proxy DataStore::publish(const std::string& key, ShardId shard,
   stats_.oob_results += 1;
   stats_.oob_bytes += bytes;
   stats_.proxy_wire_bytes += encode_proxy(proxy).size();
-
-  maybe_chaos_evict_locked(shard);
   return proxy;
 }
 
@@ -192,9 +175,9 @@ FetchStatus DataStore::fetch(const std::string& key, ShardId source,
   const auto sh = shards_.find(source);
   if (src == entry.regions.end() || sh == shards_.end() ||
       !sh->second.alive || !sh->second.store->exists(src->second)) {
-    // The source no longer holds the bytes (dead shard, or the replica was
-    // evicted without a spill tier): drop the stale registration so nobody
-    // tries this source again.
+    // The source no longer holds the bytes (dead shard, or its region was
+    // erased behind the registration): drop the stale registration so
+    // nobody tries this source again.
     if (src != entry.regions.end()) {
       entry.regions.erase(src);
       stats_.replica_drops += 1;
@@ -207,8 +190,7 @@ FetchStatus DataStore::fetch(const std::string& key, ShardId source,
   request.source = source;
   request.region = src->second;
 
-  for (std::uint32_t attempt = 0; attempt <= config_.max_fetch_retries;
-       ++attempt) {
+  for (std::uint32_t attempt = 0; attempt <= kMaxFetchRetries; ++attempt) {
     bool lose_frame = false;
     bool truncate_frame = false;
     if (injector_ != nullptr) {
@@ -268,7 +250,6 @@ FetchStatus DataStore::fetch(const std::string& key, ShardId source,
     entry.regions.emplace(requester, replica);
     stats_.fetches += 1;
     stats_.replicas_added += 1;
-    maybe_chaos_evict_locked(requester);
     return FetchStatus::kOk;
   }
   stats_.fetch_failures += 1;
@@ -323,69 +304,14 @@ void DataStore::kill_shard(ShardId shard) {
       lost.push_back(key);
       continue;
     }
-    // Promote the lowest-id surviving replica to owner and pin it so the
-    // last copy can no longer be evicted.
-    const auto survivor = entry.regions.begin();
-    const auto dst = shards_.find(survivor->first);
-    if (dst != shards_.end() && dst->second.alive) {
-      dst->second.store->pin(survivor->second);
-    }
-    entry.owner = survivor->first;
+    // The lowest-id surviving replica becomes the owner.
+    entry.owner = entry.regions.begin()->first;
     stats_.repins += 1;
     stats_.ownership_transfers += 1;
   }
   for (const std::string& key : lost) {
     entries_.erase(key);
     stats_.lost_entries += 1;
-  }
-}
-
-bool DataStore::transfer_ownership(const std::string& key, ShardId new_owner) {
-  std::lock_guard lock(mutex_);
-  const auto it = entries_.find(key);
-  if (it == entries_.end()) return false;
-  Entry& entry = it->second;
-  if (entry.owner == new_owner) return true;
-  const auto target = entry.regions.find(new_owner);
-  if (target == entry.regions.end()) return false;
-  const auto dst = shards_.find(new_owner);
-  if (dst == shards_.end() || !dst->second.alive) return false;
-  const auto old = entry.regions.find(entry.owner);
-  if (old != entry.regions.end()) {
-    const auto src = shards_.find(entry.owner);
-    if (src != shards_.end() && src->second.alive) {
-      src->second.store->unpin(old->second);
-    }
-  }
-  dst->second.store->pin(target->second);
-  entry.owner = new_owner;
-  stats_.ownership_transfers += 1;
-  return true;
-}
-
-void DataStore::maybe_chaos_evict_locked(ShardId shard) {
-  if (injector_ == nullptr) return;
-  const chaos::FaultDecision decision =
-      injector_->decide(chaos::sites::kDatastoreEvict, shard);
-  if (decision.none()) return;
-  const auto sh = shards_.find(shard);
-  if (sh == shards_.end() || !sh->second.alive) return;
-  const auto evicted = sh->second.store->evict_one();
-  if (!evicted) return;
-  if (!sh->second.store->exists(*evicted)) {
-    // No spill tier: the region is really gone; forget its registration so
-    // fetch() reports kMissing instead of serving stale metadata.
-    forget_region_locked(shard, *evicted);
-  }
-}
-
-void DataStore::forget_region_locked(ShardId shard, mochi::RegionId region) {
-  for (auto& [key, entry] : entries_) {
-    const auto it = entry.regions.find(shard);
-    if (it == entry.regions.end() || it->second != region) continue;
-    entry.regions.erase(it);
-    stats_.replica_drops += 1;
-    return;
   }
 }
 

@@ -1,40 +1,43 @@
 // recup::datastore — the out-of-band data plane.
 //
 // A DataStore is a set of per-worker object-store shards, each backed by one
-// recup::mochi::BlobStore (warabi). Task results at or above
-// DataStoreConfig::inline_threshold are *published* into the executing
-// worker's shard and travel the control plane as a ~40-byte Proxy handle;
-// consumers *fetch* the bytes peer-to-peer (over the same simulated network
-// links the inline path used) and every fetch is validated against the
-// proxy's size and content fingerprint before being installed — a truncated
-// or corrupted transfer is rejected, never handed to a task.
+// recup::mochi::BlobStore (warabi). Task results of kInlineThreshold bytes
+// or more are *published* into the executing worker's shard and travel the
+// control plane as a compact Proxy handle; consumers *fetch* the bytes
+// peer-to-peer (over the same simulated network links the inline path used)
+// and every fetch is validated against the proxy's size and content
+// fingerprint before being installed — a truncated or corrupted transfer is
+// rejected, never handed to a task. A Cluster builds a DataStore only when
+// ClusterConfig::enable_datastore is set (the default).
 //
 // Proxy lifecycle (DESIGN.md §10):
-//   publish  — result sealed + *pinned* in the producer's shard; that shard
-//              is the owner. Re-publishing a key (recompute, steal landing
-//              elsewhere) drops stale copies and transfers ownership.
-//   fetch    — consumer pulls the payload via the binary fetch frames
-//              (datastore/wire.hpp), validates, installs an *unpinned*
-//              replica in its own shard. Transport-level faults
+//   publish  — the result is stored in the producer's shard; that shard is
+//              the owner and the proxy names its region. Re-publishing a
+//              key (recompute, steal landing elsewhere) drops every old
+//              copy and makes the new producer the owner.
+//   fetch    — a consumer pulls the payload via the binary fetch frames
+//              (datastore/wire.hpp), validates it and installs a replica in
+//              its own shard. Transport-level faults
 //              (chaos::sites::kDatastoreFetch) are retried at the wire
-//              layer — bounded, zero simulated time, modelling link-level
-//              retransmission below the application.
-//   evict    — unpinned sealed replicas may be evicted under capacity
-//              pressure or chaos::sites::kDatastoreEvict; with a spill tier
-//              the bytes demote to disk and promote on the next read,
-//              without one the replica is lost and the registration drops.
+//              layer — at most kMaxFetchRetries retries, zero simulated
+//              time, modelling link-level retransmission below the
+//              application.
+//   drop     — drop_replica frees one non-owner copy (the scheduler's
+//              missing-dependency path); a later fetch from it is kMissing.
 //   repin    — when the owner shard dies (kill_shard), ownership moves to
-//              the lowest-id surviving replica, which gets pinned.
+//              the lowest-id surviving replica.
 //   recompute— when no copy survives, the entry vanishes; the scheduler's
 //              existing lost-key recovery re-runs the producer and the
 //              fresh publish re-creates the entry.
+// Nothing evicts: a copy lives until release, a re-publish, drop_replica or
+// the death of its shard.
 //
 // Simulation note: payload *timing* is carried by the network model (the
 // worker still issues the same network transfer the inline path would), so
 // a fault-free run with the datastore enabled is byte-identical to the
 // inline path in every figure view. The store holds a bounded canonical
-// physical payload per result (canonical_payload) whose logical size drives
-// capacity accounting, so multi-GiB workloads don't allocate real GiBs.
+// physical payload per result (canonical_payload) and records the result's
+// logical size beside it, so multi-GiB workloads don't allocate real GiBs.
 //
 // Thread-safety: every public operation locks the store's mutex;
 // per-shard BlobStores add their own internal locking (warabi contract).
@@ -55,23 +58,13 @@
 
 namespace recup::datastore {
 
-struct DataStoreConfig {
-  /// Master switch; disabled, every result stays inline (pre-datastore
-  /// behaviour) and publish()/proxy_for() are inert.
-  bool enabled = true;
-  /// Results >= this many bytes go out-of-band (4 KiB default — the
-  /// acceptance operating point; below it a proxy costs more than it saves).
-  std::uint64_t inline_threshold = 4096;
-  /// Per-shard logical-byte budget (0 = unlimited). Exceeding it evicts
-  /// unpinned replicas LRU-first (see warabi.hpp).
-  std::uint64_t shard_capacity_bytes = 0;
-  /// Spill tier root; shard i spills under "<spill_dir>/shard-<i>". Empty
-  /// disables spilling (eviction then drops replicas).
-  std::string spill_dir;
-  /// Wire-level retry budget per fetch; transport faults injected at
-  /// chaos::sites::kDatastoreFetch are absorbed up to this many attempts.
-  std::uint32_t max_fetch_retries = 8;
-};
+/// Results of at least this many bytes go out-of-band (4 KiB: below it a
+/// proxy costs more than it saves).
+inline constexpr std::uint64_t kInlineThreshold = 4096;
+/// Wire-level retries per fetch: transport faults injected at
+/// chaos::sites::kDatastoreFetch are absorbed for up to this many retries
+/// after the first attempt.
+inline constexpr std::uint32_t kMaxFetchRetries = 8;
 
 struct DataStoreStats {
   std::uint64_t publishes = 0;
@@ -95,27 +88,26 @@ struct DataStoreStats {
 
 class DataStore {
  public:
-  explicit DataStore(DataStoreConfig config,
-                     chaos::FaultInjector* injector = nullptr);
+  explicit DataStore(chaos::FaultInjector* injector = nullptr)
+      : injector_(injector) {}
 
   /// Registers the shard co-located with worker `shard` on `node`. Must be
   /// called before any publish/fetch touching it.
   void add_shard(ShardId shard, std::uint32_t node);
-  [[nodiscard]] bool shard_alive(ShardId shard) const;
   /// Test access to a shard's backing BlobStore.
   [[nodiscard]] mochi::BlobStore& shard_store(ShardId shard);
 
   /// True when a result of `bytes` takes the out-of-band path.
-  [[nodiscard]] bool oob(std::uint64_t bytes) const {
-    return config_.enabled && bytes >= config_.inline_threshold && bytes > 0;
+  [[nodiscard]] static bool oob(std::uint64_t bytes) {
+    return bytes >= kInlineThreshold;
   }
 
-  /// Publishes a result into `shard` (sealed + pinned there; `shard`
-  /// becomes the owner). Re-publishing an existing key drops stale copies
-  /// first and counts as an ownership transfer when the owner changes.
+  /// Publishes a result into `shard`, which becomes the owner.
+  /// Re-publishing an existing key drops stale copies first and counts as
+  /// an ownership transfer when the owner changes.
   Proxy publish(const std::string& key, ShardId shard, std::uint64_t bytes);
-  /// Accounting for results that stayed inline (below the threshold or
-  /// datastore disabled) so oob_bytes_ratio is computable.
+  /// Accounting for results that stayed inline (below the threshold) so
+  /// oob_bytes_ratio is computable.
   void note_inline(std::uint64_t bytes);
 
   /// The current proxy for `key`, or nullopt when no copy exists (lost or
@@ -125,37 +117,34 @@ class DataStore {
   [[nodiscard]] std::vector<ShardId> replicas(const std::string& key) const;
 
   /// Peer fetch: `requester` pulls `key` from `source` through the binary
-  /// fetch frames, validates size + fingerprint, and on success installs an
-  /// unpinned replica in its own shard (idempotent if already present).
+  /// fetch frames, validates size + fingerprint, and on success installs a
+  /// replica in its own shard (idempotent if already present).
   /// kMissing: `source` no longer holds the bytes (dead shard or dropped
-  /// region) — retrying the same source is pointless; pick another replica
-  /// or recompute. kUnavailable: transport faults exhausted the retry
-  /// budget. Never returns truncated data: any mismatch is kCorrupt and
-  /// nothing is installed.
+  /// replica) — retrying the same source is pointless; pick another replica
+  /// or recompute. kUnavailable: every attempt was lost, truncated or
+  /// failed validation, or the requester died. A mismatching payload is
+  /// retried like a lost frame and is never installed, so a fetch never
+  /// hands out truncated data.
   FetchStatus fetch(const std::string& key, ShardId source, ShardId requester);
 
-  /// Drops one shard's (unpinned) copy; owner copies are managed by
+  /// Drops one shard's non-owner copy; owner copies are managed by
   /// kill_shard/release.
   void drop_replica(const std::string& key, ShardId shard);
   /// Frees every copy of `key` (scheduler release path).
   void release(const std::string& key);
-  /// Worker death: the shard's copies are gone. Entries it owned re-pin to
+  /// Worker death: the shard's copies are gone. Entries it owned move to
   /// the lowest-id surviving replica; entries with no survivor are erased
   /// (proxy_for -> nullopt) so the recovery path recomputes them.
   void kill_shard(ShardId shard);
-  /// Moves ownership (the pinned copy) to `new_owner`, which must already
-  /// hold a replica. Returns false otherwise.
-  bool transfer_ownership(const std::string& key, ShardId new_owner);
 
   /// Deterministic bounded physical stand-in for a `bytes`-sized result of
-  /// `key`; its logical size (for capacity/accounting) stays `bytes`.
+  /// `key`; its logical size stays `bytes`.
   [[nodiscard]] static std::string canonical_payload(const std::string& key,
                                                      std::uint64_t bytes);
   /// Fingerprint of canonical_payload(key, bytes).
   [[nodiscard]] static std::uint64_t fingerprint_of(const std::string& key,
                                                     std::uint64_t bytes);
 
-  [[nodiscard]] const DataStoreConfig& config() const { return config_; }
   [[nodiscard]] DataStoreStats stats() const;
 
  private:
@@ -178,13 +167,7 @@ class DataStore {
   /// of the wire round-trip). Returns an encoded response frame.
   std::string serve_fetch_locked(const FetchRequest& request);
   void erase_copies_locked(Entry& entry);
-  /// Chaos hook: consults chaos::sites::kDatastoreEvict for `shard` and
-  /// force-evicts one region on a fault (spill tier permitting, a demotion;
-  /// otherwise a real replica loss).
-  void maybe_chaos_evict_locked(ShardId shard);
-  void forget_region_locked(ShardId shard, mochi::RegionId region);
 
-  DataStoreConfig config_;
   chaos::FaultInjector* injector_ = nullptr;
   mutable std::mutex mutex_;
   std::map<ShardId, Shard> shards_;

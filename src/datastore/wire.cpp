@@ -31,8 +31,6 @@ const char* to_string(FetchStatus status) {
       return "ok";
     case FetchStatus::kMissing:
       return "missing";
-    case FetchStatus::kCorrupt:
-      return "corrupt";
     case FetchStatus::kUnavailable:
       return "unavailable";
   }

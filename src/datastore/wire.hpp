@@ -3,8 +3,8 @@
 // fetch request/response frames the peer-to-peer data path speaks. Built on
 // recup::wire primitives (varints for small-biased fields, fixed64 for the
 // hash-valued fingerprint, put_frame/get_frame for self-delimiting
-// messages). Malformed or truncated input throws wire::WireError, exactly
-// like the core codec.
+// messages). Malformed or truncated input, including a status byte outside
+// FetchStatus, throws wire::WireError, exactly like the core codec.
 #pragma once
 
 #include <cstdint>
@@ -33,11 +33,12 @@ struct FetchRequest {
   std::uint64_t length = UINT64_MAX;
 };
 
+/// A fetch's outcome. The source shard answers only kOk or kMissing; the
+/// requester reports kUnavailable once every wire attempt failed.
 enum class FetchStatus : std::uint8_t {
   kOk = 0,
-  kMissing = 1,      ///< region gone on the source shard (evicted/dead)
-  kCorrupt = 2,      ///< payload failed size/fingerprint validation
-  kUnavailable = 3,  ///< transport fault; retryable
+  kMissing = 1,      ///< no copy on the source shard (dead, or dropped)
+  kUnavailable = 2,  ///< wire attempts exhausted; retryable
 };
 
 const char* to_string(FetchStatus status);

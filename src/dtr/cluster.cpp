@@ -60,9 +60,8 @@ Cluster::Cluster(ClusterConfig config)
   if (injector_) {
     scheduler_->set_fault_injector(injector_.get());
   }
-  if (config_.datastore.enabled) {
-    datastore_ = std::make_unique<datastore::DataStore>(config_.datastore,
-                                                        injector_.get());
+  if (config_.enable_datastore) {
+    datastore_ = std::make_unique<datastore::DataStore>(injector_.get());
     scheduler_->set_datastore(datastore_.get());
   }
 
@@ -279,7 +278,7 @@ RunData Cluster::run(std::vector<TaskGraph> graphs,
   if (datastore_) {
     const datastore::DataStoreStats ds = datastore_->stats();
     json::Object d;
-    d["inline_threshold"] = config_.datastore.inline_threshold;
+    d["inline_threshold"] = datastore::kInlineThreshold;
     d["publishes"] = ds.publishes;
     d["republishes"] = ds.republishes;
     d["ownership_transfers"] = ds.ownership_transfers;

@@ -46,6 +46,11 @@ struct ClusterConfig {
   bool enable_mofka = true;
   /// Models the nodes' GPUs and collects NSIGHT-analog kernel traces.
   bool enable_gpuprof = true;
+  /// Out-of-band data plane (recup::datastore): one store shard per worker;
+  /// results of datastore::kInlineThreshold (4 KiB) or more travel the
+  /// control plane as proxies and move peer-to-peer instead. False keeps
+  /// every result inline (the pre-datastore path).
+  bool enable_datastore = true;
   gpuprof::GpuConfig gpu;
   /// Streams Darshan records through Mofka at runtime (the paper's "fully
   /// online system" future work). Off by default: the paper's evaluated
@@ -79,11 +84,6 @@ struct ClusterConfig {
   /// `<dir>/scheduler`. Required for the chaos process.{broker,scheduler}
   /// crash sites to fire.
   DurabilityConfig durability;
-  /// Out-of-band data plane (recup::datastore): one store shard per worker;
-  /// results >= datastore.inline_threshold travel the control plane as
-  /// proxies and move peer-to-peer instead. Set datastore.enabled = false
-  /// for the pre-datastore inline-only path.
-  datastore::DataStoreConfig datastore;
   std::uint64_t seed = 42;
 };
 
@@ -111,7 +111,7 @@ class Cluster {
     return injector_;
   }
   mochi::Group& worker_group() { return services_->ssg("workers"); }
-  /// Non-null only when config.datastore.enabled (the default).
+  /// Non-null only when config.enable_datastore (the default).
   datastore::DataStore* datastore() { return datastore_.get(); }
   /// Non-null only when enable_darshan_streaming is set.
   DarshanMofkaBridge* darshan_bridge() { return bridge_.get(); }

@@ -667,7 +667,7 @@ void Scheduler::maybe_release(TaskInfo& info) {
                            [worker, key] { worker->drop_data(key); });
   }
   info.who_has.clear();
-  // Unpin and drop the out-of-band copies alongside the worker replicas.
+  // Drop the out-of-band copies alongside the worker replicas.
   if (datastore_ != nullptr) datastore_->release(key.to_string());
 }
 
@@ -727,8 +727,8 @@ void Scheduler::on_missing_dep(const TaskKey& key, WorkerId requester,
   TaskInfo* found = find_task(key);
   if (found == nullptr) return;
   TaskInfo& info = *found;
-  // The failed holder's copy is unusable (evicted, lost, or its worker
-  // died): stop routing fetches at it.
+  // The failed holder's copy is unusable (lost, or its worker died): stop
+  // routing fetches at it.
   info.who_has.erase(failed_holder);
   if (datastore_ != nullptr) {
     datastore_->drop_replica(key.to_string(), failed_holder);
@@ -971,7 +971,7 @@ void Scheduler::on_worker_failed(WorkerId worker) {
   set_worker_load(worker, 0, false);
   Worker* dead = workers_[worker];
   // Ownership transfer on worker death: entries owned by the dead shard
-  // re-pin to a surviving replica; entries with no survivor are dropped
+  // move to a surviving replica; entries with no survivor are dropped
   // from the store and recomputed below like any other lost result.
   // Idempotent with Worker::kill()'s own kill_shard call — lease expiry
   // reaches here without the worker ever being told it died.

@@ -392,8 +392,8 @@ void Worker::finish_task(const ExecPtr& exec, bool failed) {
     put_data(exec->spec.key, exec->spec.work.output_bytes);
     if (datastore_ != nullptr &&
         datastore_->oob(exec->spec.work.output_bytes)) {
-      // The result goes out-of-band: sealed + pinned in this worker's store
-      // shard; the completion message to the scheduler carries a proxy.
+      // The result goes out-of-band: stored in this worker's store shard;
+      // the completion message to the scheduler carries a proxy.
       datastore_->publish(exec->spec.key.to_string(), id_,
                           exec->spec.work.output_bytes);
       exec->record.bytes_oob = exec->spec.work.output_bytes;

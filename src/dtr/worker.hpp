@@ -157,9 +157,10 @@ class Worker {
   void set_missing_dep_callback(MissingDepFn fn) {
     on_missing_dep_ = std::move(fn);
   }
-  /// Attaches the out-of-band data plane. Results >= its inline_threshold
-  /// are published to this worker's shard on completion and gather_deps
-  /// resolves proxy-tagged dependencies through validated peer fetches.
+  /// Attaches the out-of-band data plane. Results of
+  /// datastore::kInlineThreshold bytes or more are published to this
+  /// worker's shard on completion, and gather_deps resolves proxy-tagged
+  /// dependencies through validated peer fetches.
   void set_datastore(datastore::DataStore* store) { datastore_ = store; }
   /// Attaches the node's shared GPU devices and the NSIGHT-analog
   /// collector; tasks with kernel specs then execute them on-device.

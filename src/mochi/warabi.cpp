@@ -1,56 +1,17 @@
 #include "mochi/warabi.hpp"
 
 #include <algorithm>
-#include <filesystem>
-#include <fstream>
-#include <limits>
 #include <stdexcept>
 
 namespace recup::mochi {
 
-namespace fs = std::filesystem;
-
-BlobStore::~BlobStore() {
-  // Best-effort cleanup of the file tier; spill files are per-store scratch,
-  // not durable state.
-  if (options_.spill_dir.empty()) return;
-  std::lock_guard lock(mutex_);
-  for (const auto& [id, region] : regions_) {
-    if (region.spilled) {
-      std::error_code ec;
-      fs::remove(spill_path(id), ec);
-    }
-  }
-}
-
-std::string BlobStore::spill_path(RegionId id) const {
-  return options_.spill_dir + "/region-" + std::to_string(id) + ".blob";
-}
-
-RegionId BlobStore::create() {
-  std::lock_guard lock(mutex_);
-  ++stats_.creates;
-  const RegionId id = next_id_++;
-  Region region;
-  region.lru = ++lru_clock_;
-  regions_.emplace(id, std::move(region));
-  return id;
-}
-
 RegionId BlobStore::create_sealed(std::string data,
                                   std::uint64_t logical_size) {
   std::lock_guard lock(mutex_);
-  ++stats_.creates;
-  ++stats_.writes;
-  stats_.bytes_written += data.size();
   const RegionId id = next_id_++;
   Region region;
   region.logical = logical_size != 0 ? logical_size : data.size();
   region.data = std::move(data);
-  region.sealed = true;
-  region.lru = ++lru_clock_;
-  make_room_locked(region.logical, id);
-  resident_bytes_ += region.logical;
   regions_.emplace(id, std::move(region));
   return id;
 }
@@ -63,76 +24,13 @@ const BlobStore::Region& BlobStore::region_or_throw(RegionId id) const {
   return it->second;
 }
 
-BlobStore::Region& BlobStore::region_or_throw(RegionId id) {
-  const auto it = regions_.find(id);
-  if (it == regions_.end()) {
-    throw std::out_of_range("warabi: unknown region " + std::to_string(id));
-  }
-  return it->second;
-}
-
-std::uint64_t BlobStore::append(RegionId id, std::string_view data) {
-  std::lock_guard lock(mutex_);
-  auto it = regions_.find(id);
-  if (it == regions_.end()) {
-    throw std::out_of_range("warabi: unknown region " + std::to_string(id));
-  }
-  if (it->second.sealed) {
-    throw std::logic_error("warabi: append to sealed region");
-  }
-  ++stats_.writes;
-  stats_.bytes_written += data.size();
-  const std::uint64_t offset = it->second.data.size();
-  it->second.data.append(data);
-  it->second.logical += data.size();
-  resident_bytes_ += data.size();
-  return offset;
-}
-
-void BlobStore::seal(RegionId id) {
-  std::lock_guard lock(mutex_);
-  auto it = regions_.find(id);
-  if (it == regions_.end()) {
-    throw std::out_of_range("warabi: unknown region " + std::to_string(id));
-  }
-  it->second.sealed = true;
-}
-
-bool BlobStore::sealed(RegionId id) const {
-  std::lock_guard lock(mutex_);
-  return region_or_throw(id).sealed;
-}
-
-void BlobStore::promote_locked(RegionId id, Region& region) {
-  std::ifstream in(spill_path(id), std::ios::binary);
-  if (!in) {
-    throw std::runtime_error("warabi: lost spill file for region " +
-                             std::to_string(id));
-  }
-  std::string data((std::istreambuf_iterator<char>(in)),
-                   std::istreambuf_iterator<char>());
-  in.close();
-  std::error_code ec;
-  fs::remove(spill_path(id), ec);
-  region.data = std::move(data);
-  region.spilled = false;
-  ++stats_.promotions;
-  make_room_locked(region.logical, id);
-  resident_bytes_ += region.logical;
-}
-
 std::string BlobStore::read(RegionId id, std::uint64_t offset,
-                            std::uint64_t length) {
+                            std::uint64_t length) const {
   std::lock_guard lock(mutex_);
-  Region& region = region_or_throw(id);
-  if (region.spilled) promote_locked(id, region);
-  region.lru = ++lru_clock_;
-  ++stats_.reads;
+  const Region& region = region_or_throw(id);
   if (offset >= region.data.size()) return {};
   const std::uint64_t avail = region.data.size() - offset;
-  const std::uint64_t take = std::min(length, avail);
-  stats_.bytes_read += take;
-  return region.data.substr(offset, take);
+  return region.data.substr(offset, std::min(length, avail));
 }
 
 std::uint64_t BlobStore::size(RegionId id) const {
@@ -142,108 +40,17 @@ std::uint64_t BlobStore::size(RegionId id) const {
 
 std::uint64_t BlobStore::logical_size(RegionId id) const {
   std::lock_guard lock(mutex_);
-  const Region& region = region_or_throw(id);
-  return region.sealed ? region.logical : region.data.size();
+  return region_or_throw(id).logical;
 }
 
 bool BlobStore::erase(RegionId id) {
   std::lock_guard lock(mutex_);
-  const auto it = regions_.find(id);
-  if (it == regions_.end()) return false;
-  if (it->second.spilled) {
-    std::error_code ec;
-    fs::remove(spill_path(id), ec);
-  } else {
-    resident_bytes_ -= it->second.logical;
-  }
-  regions_.erase(it);
-  return true;
+  return regions_.erase(id) != 0;
 }
 
 bool BlobStore::exists(RegionId id) const {
   std::lock_guard lock(mutex_);
   return regions_.count(id) != 0;
-}
-
-void BlobStore::pin(RegionId id) {
-  std::lock_guard lock(mutex_);
-  Region& region = region_or_throw(id);
-  if (region.spilled) promote_locked(id, region);
-  region.pinned = true;
-}
-
-void BlobStore::unpin(RegionId id) {
-  std::lock_guard lock(mutex_);
-  region_or_throw(id).pinned = false;
-}
-
-bool BlobStore::pinned(RegionId id) const {
-  std::lock_guard lock(mutex_);
-  return region_or_throw(id).pinned;
-}
-
-bool BlobStore::spilled(RegionId id) const {
-  std::lock_guard lock(mutex_);
-  return region_or_throw(id).spilled;
-}
-
-std::optional<RegionId> BlobStore::evict_one_locked(RegionId keep) {
-  RegionId victim = 0;
-  std::uint64_t oldest = std::numeric_limits<std::uint64_t>::max();
-  bool found = false;
-  for (const auto& [id, region] : regions_) {
-    if (id == keep || region.pinned || region.spilled || !region.sealed) {
-      continue;
-    }
-    if (region.lru < oldest) {
-      oldest = region.lru;
-      victim = id;
-      found = true;
-    }
-  }
-  if (!found) return std::nullopt;
-  Region& region = regions_.at(victim);
-  resident_bytes_ -= region.logical;
-  if (!options_.spill_dir.empty()) {
-    fs::create_directories(options_.spill_dir);
-    std::ofstream out(spill_path(victim), std::ios::binary | std::ios::trunc);
-    out << region.data;
-    region.data.clear();
-    region.data.shrink_to_fit();
-    region.spilled = true;
-    ++stats_.spills;
-  } else {
-    regions_.erase(victim);
-    ++stats_.evictions;
-  }
-  return victim;
-}
-
-void BlobStore::make_room_locked(std::uint64_t incoming, RegionId keep) {
-  if (options_.capacity_bytes == 0) return;
-  while (resident_bytes_ + incoming > options_.capacity_bytes) {
-    if (!evict_one_locked(keep)) return;  // everything left is pinned/open
-  }
-}
-
-std::optional<RegionId> BlobStore::evict_one() {
-  std::lock_guard lock(mutex_);
-  return evict_one_locked(/*keep=*/0);
-}
-
-std::size_t BlobStore::region_count() const {
-  std::lock_guard lock(mutex_);
-  return regions_.size();
-}
-
-std::uint64_t BlobStore::resident_bytes() const {
-  std::lock_guard lock(mutex_);
-  return resident_bytes_;
-}
-
-WarabiStats BlobStore::stats() const {
-  std::lock_guard lock(mutex_);
-  return stats_;
 }
 
 }  // namespace recup::mochi

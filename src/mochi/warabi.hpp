@@ -1,154 +1,69 @@
 // Warabi-analog: a thread-safe blob (raw region) store. Mofka stores event
 // data payloads here (paper §III-B: "Warabi to store raw (blob) data"), and
 // recup::datastore backs its per-worker object-store shards with one
-// BlobStore each. Regions are immutable once sealed; partial reads are
-// supported so consumers can fetch only the byte ranges their data selector
-// requests.
+// BlobStore each. A region is written once, at creation, and is immutable
+// from then on; partial reads are supported so consumers can fetch only the
+// byte ranges their data selector requests. Nothing evicts: a region lives
+// until its owner erases it.
 //
 // Locking contract
 // ----------------
 // Every public operation acquires the store's single internal mutex for its
-// whole duration, so each call is atomic with respect to every other call:
-//
-//   * `read` of an *unsealed* region is safe concurrently with `append` to
-//     the same region. The reader sees a prefix-consistent snapshot — either
-//     entirely before or entirely after any concurrent append, never a torn
-//     record — because both operations serialize on the internal mutex. No
-//     external lock is required (or expected) by callers.
-//   * What the contract does NOT give you is multi-call atomicity: a
-//     `size()` followed by a `read()` may observe an append in between.
-//     Callers that need a stable view of an open region must seal it first —
-//     sealed regions are immutable, so any sequence of reads is consistent.
+// whole duration, so each call is atomic with respect to every other call.
+// Concurrent creates, erases and reads therefore need no external lock: a
+// read returns a region's whole requested range, or throws
+// std::out_of_range once the region has been erased. What the contract does
+// not give is multi-call atomicity: an `exists()` followed by a `read()` may
+// observe an erase in between.
 //
 // test_mochi's `BlobStoreLockingContract` regression test pins this down
-// with a concurrent append/read hammer; changing the locking scheme (e.g.
-// sharding the mutex or dropping it for reads) must keep that test green.
-//
-// Capacity, eviction, spill
-// -------------------------
-// A store constructed with BlobStoreOptions::capacity_bytes > 0 budgets the
-// *logical* bytes of memory-resident regions (see create_sealed's
-// logical_size — simulation payloads may be represented by a small physical
-// stand-in). When an insert would exceed the budget, unpinned sealed
-// regions are evicted in LRU order (least recently created/read first).
-// With a spill_dir configured, eviction demotes the region to a disk file
-// ("<spill_dir>/region-<id>.blob") and a later read promotes it back into
-// memory (evicting others if needed); without one, eviction drops the
-// region entirely — exists() turns false and the owner must recover it
-// (recup::datastore treats that as replica loss). Pinned regions are never
-// evicted; unsealed regions are never evicted (they are still being
-// written).
+// with a concurrent create/erase/read hammer; changing the locking scheme
+// (e.g. sharding the mutex or dropping it for reads) must keep that test
+// green under TSan.
 #pragma once
 
 #include <cstdint>
 #include <mutex>
-#include <optional>
 #include <string>
 #include <unordered_map>
-#include <vector>
 
 namespace recup::mochi {
 
 using RegionId = std::uint64_t;
 
-struct WarabiStats {
-  std::uint64_t creates = 0;
-  std::uint64_t writes = 0;
-  std::uint64_t reads = 0;
-  std::uint64_t bytes_written = 0;
-  std::uint64_t bytes_read = 0;
-  std::uint64_t evictions = 0;   ///< regions dropped (no spill tier)
-  std::uint64_t spills = 0;      ///< regions demoted to the file tier
-  std::uint64_t promotions = 0;  ///< spilled regions read back into memory
-};
-
-struct BlobStoreOptions {
-  /// Logical-byte budget for memory-resident regions (0 = unlimited).
-  std::uint64_t capacity_bytes = 0;
-  /// Spill-to-disk directory; empty disables the file tier (eviction then
-  /// drops regions outright).
-  std::string spill_dir;
-};
-
 class BlobStore {
  public:
-  explicit BlobStore(std::string name = "warabi", BlobStoreOptions options = {})
-      : name_(std::move(name)), options_(std::move(options)) {}
-  ~BlobStore();
+  explicit BlobStore(std::string name = "warabi") : name_(std::move(name)) {}
 
-  /// Creates an empty, writable region.
-  RegionId create();
-  /// Creates a region already holding `data` and seals it. `logical_size`
-  /// is the size the region accounts for against the capacity budget and
+  /// Creates a region holding `data`. `logical_size` is the size the region
   /// reports from logical_size(); 0 means data.size(). The datastore uses
   /// this to represent multi-hundred-MB task results with a bounded
   /// physical stand-in.
   RegionId create_sealed(std::string data, std::uint64_t logical_size = 0);
-  /// Appends to an unsealed region; returns the offset written at.
-  std::uint64_t append(RegionId id, std::string_view data);
-  /// Seals a region; further appends throw.
-  void seal(RegionId id);
-  [[nodiscard]] bool sealed(RegionId id) const;
 
-  /// Reads [offset, offset+length); clamps to the region size. Promotes a
-  /// spilled region back into memory first (which may evict others).
+  /// Reads [offset, offset+length); clamps to the region size.
   [[nodiscard]] std::string read(RegionId id, std::uint64_t offset = 0,
-                                 std::uint64_t length = UINT64_MAX);
+                                 std::uint64_t length = UINT64_MAX) const;
   [[nodiscard]] std::uint64_t size(RegionId id) const;
-  /// Logical byte size (capacity accounting); == size() unless overridden
-  /// at create_sealed.
+  /// Logical byte size; == size() unless overridden at create_sealed.
   [[nodiscard]] std::uint64_t logical_size(RegionId id) const;
   bool erase(RegionId id);
   [[nodiscard]] bool exists(RegionId id) const;
 
-  /// Pins a region: it can no longer be evicted or spilled. Pin/unpin are
-  /// idempotent (a pin count is deliberately not kept: the datastore's
-  /// ownership model has exactly one pinner per shard).
-  void pin(RegionId id);
-  void unpin(RegionId id);
-  [[nodiscard]] bool pinned(RegionId id) const;
-  /// True while the region's bytes live on the file tier.
-  [[nodiscard]] bool spilled(RegionId id) const;
-
-  /// Forces eviction of the least-recently-used unpinned sealed region
-  /// (fault-injection hook for chaos::sites::kDatastoreEvict). Returns the
-  /// evicted region id, or nullopt when nothing is evictable.
-  std::optional<RegionId> evict_one();
-
-  [[nodiscard]] std::size_t region_count() const;
-  /// Logical bytes currently memory-resident.
-  [[nodiscard]] std::uint64_t resident_bytes() const;
-  [[nodiscard]] WarabiStats stats() const;
   [[nodiscard]] const std::string& name() const { return name_; }
-  [[nodiscard]] const BlobStoreOptions& options() const { return options_; }
 
  private:
   struct Region {
     std::string data;
     std::uint64_t logical = 0;
-    bool sealed = false;
-    bool pinned = false;
-    bool spilled = false;
-    std::uint64_t lru = 0;  ///< last-use stamp (create/read)
   };
 
   const Region& region_or_throw(RegionId id) const;
-  Region& region_or_throw(RegionId id);
-  [[nodiscard]] std::string spill_path(RegionId id) const;
-  /// Evicts/spills LRU unpinned sealed regions until `incoming` more
-  /// logical bytes fit the budget. Never touches `keep`.
-  void make_room_locked(std::uint64_t incoming, RegionId keep);
-  std::optional<RegionId> evict_one_locked(RegionId keep);
-  void promote_locked(RegionId id, Region& region);
 
   std::string name_;
-  BlobStoreOptions options_;
   mutable std::mutex mutex_;
   std::unordered_map<RegionId, Region> regions_;
   RegionId next_id_ = 1;
-  std::uint64_t resident_bytes_ = 0;
-  std::uint64_t lru_clock_ = 0;
-  mutable WarabiStats stats_;
 };
 
 }  // namespace recup::mochi

@@ -35,16 +35,6 @@ std::optional<WireEvent> Consumer::pull_wire() {
       // retries it. Callers that need a full drain loop until drained().
       continue;
     }
-    if (fault.action == chaos::FaultAction::kDuplicate &&
-        next_offset_[p] > 0) {
-      // The wire redelivers the previous offset. It lies below this
-      // partition's position, so it is dropped; fall through to the real
-      // next event.
-      if (broker_.fetch_wire(topic_, p, next_offset_[p] - 1,
-                             config_.selector)) {
-        ++stats_.duplicates_dropped;
-      }
-    }
 
     auto event =
         broker_.fetch_wire(topic_, p, next_offset_[p], config_.selector);

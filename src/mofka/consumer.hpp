@@ -6,13 +6,12 @@
 // whether consumers process events individually in real time or in bulk at
 // the completion of a workflow").
 //
-// Delivery: the transport is at-least-once — the broker's fault injector
-// (chaos::sites::kMofkaConsumerPull) can hide the next event for a round
-// (drop) or redeliver the previous offset (duplicate). A redelivery is
-// always dropped, since the consumer's position has already moved past it,
-// so the application sees each stored event exactly once per consumer
-// instance; exactly-once *effects* across consumer restarts come from the
-// ingestor's idempotent publish.
+// Delivery: the broker's fault injector (chaos::sites::kMofkaConsumerPull)
+// can hide a partition's next event for a round (drop, partition outage) or
+// delay the pull. The consumer reads by offset, so it sees each stored
+// event exactly once per consumer instance, in offset order per partition;
+// exactly-once *effects* across consumer restarts come from the ingestor's
+// idempotent publish.
 #pragma once
 
 #include <cstdint>
@@ -33,8 +32,6 @@ struct ConsumerConfig {
 
 struct ConsumerStats {
   std::uint64_t delivered = 0;
-  /// Injected redeliveries, dropped before the application sees them.
-  std::uint64_t duplicates_dropped = 0;
 };
 
 class Consumer {

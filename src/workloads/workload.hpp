@@ -27,7 +27,7 @@ struct Workload {
 /// Runs one instance of a workload; `run_index` perturbs the seed so
 /// repeated runs vary like repeated submissions of the same job.
 /// `datastore_stats`, when non-null, receives the cluster's out-of-band
-/// data-plane counters (zeroes when config.datastore.enabled is false) —
+/// data-plane counters (zeroes when cluster.enable_datastore is false) —
 /// the cluster itself dies with this call, so the stats must be copied out.
 dtr::RunData execute(const Workload& workload, std::uint32_t run_index,
                      datastore::DataStoreStats* datastore_stats = nullptr);

@@ -453,17 +453,32 @@ TEST(ChaosDelivery, ConsumerDedupFiltersInjectedRedeliveries) {
 
   chaos::FaultPlan plan;
   plan.seed = 31337;
-  plan.sites[chaos::sites::kMofkaConsumerPull].duplicate = 0.3;
+  chaos::SiteSpec& pull = plan.sites[chaos::sites::kMofkaConsumerPull];
+  pull.duplicate = 0.3;
+  pull.drop = 0.2;
   rig.install(plan);
 
-  // The application sees each event exactly once.
-  mofka::Consumer consumer(rig.broker, "dup", "clean");
+  // A consumer reads by offset, so an injected duplicate costs it nothing:
+  // each event comes back once, in offset order, and the data selector
+  // runs once per delivered event (no redelivery is fetched to be dropped).
+  std::uint64_t selections = 0;
+  mofka::ConsumerConfig config;
+  config.selector = [&selections](const json::Value&) {
+    ++selections;
+    return mofka::DataSelection{};
+  };
+  mofka::Consumer consumer(rig.broker, "dup", "clean", config);
   const std::vector<mofka::Event> events = consumer.pull_all();
   ASSERT_EQ(events.size(), 150u);
-  std::set<mofka::EventId> offsets;
-  for (const mofka::Event& event : events) offsets.insert(event.id);
-  EXPECT_EQ(offsets.size(), 150u);
-  EXPECT_GT(consumer.stats().duplicates_dropped, 0u);
+  for (std::size_t i = 0; i < events.size(); ++i) {
+    EXPECT_EQ(events[i].id, i);
+    EXPECT_EQ(events[i].metadata.get_int("i", -1),
+              static_cast<std::int64_t>(i));
+  }
+  EXPECT_EQ(selections, 150u);
+  const auto counts = rig.injector->counts();
+  EXPECT_GT(counts.count("duplicate") ? counts.at("duplicate") : 0u, 0u);
+  EXPECT_GT(counts.count("drop") ? counts.at("drop") : 0u, 0u);
 }
 
 TEST(ChaosDelivery, BackpressureBoundsInFlightEvents) {

@@ -1,21 +1,17 @@
 // recup::datastore tests — the out-of-band data plane.
 //
-// Layers under test, bottom up: the warabi capacity tier (LRU eviction,
-// spill/promotion, pinning), the binary proxy + fetch-frame codec, the
-// DataStore's publish/fetch/ownership semantics (validation, repin on owner
-// death, replica loss), a real-thread concurrency smoke for the sanitizer
-// passes, and the cluster-level acceptance oracles: a fault-free run with
+// Layers under test, bottom up: warabi's logical-size stand-in regions, the
+// binary proxy + fetch-frame codec, the DataStore's publish/fetch/ownership
+// semantics (validation, repin on owner death, replica drops), a real-thread
+// concurrency smoke for the sanitizer passes, and the cluster-level
+// acceptance oracles: a fault-free run with
 // the datastore enabled is byte-identical to the inline path in the paper's
 // figure views while moving >= 5x fewer bytes over the scheduler path, and
-// the 10-seed chaos oracle holds under randomized datastore.* faults.
+// the 10-seed chaos oracle holds under randomized datastore.fetch faults.
 #include <gtest/gtest.h>
 
-#include <unistd.h>
-
 #include <atomic>
-#include <filesystem>
 #include <map>
-#include <set>
 #include <string>
 #include <thread>
 #include <vector>
@@ -34,102 +30,12 @@ namespace recup {
 namespace {
 
 using datastore::DataStore;
-using datastore::DataStoreConfig;
 using datastore::FetchStatus;
 using datastore::Proxy;
 
-class TempDir {
- public:
-  explicit TempDir(const std::string& tag)
-      : path_((std::filesystem::temp_directory_path() /
-               ("recup_datastore_" + tag + "_" +
-                std::to_string(static_cast<long>(::getpid()))))
-                  .string()) {
-    std::filesystem::remove_all(path_);
-    std::filesystem::create_directories(path_);
-  }
-  ~TempDir() {
-    std::error_code ec;
-    std::filesystem::remove_all(path_, ec);
-  }
-  [[nodiscard]] const std::string& str() const { return path_; }
-
- private:
-  std::string path_;
-};
-
 // ---------------------------------------------------------------------------
-// Warabi capacity tier: LRU eviction, spill/promotion, pinning.
-
-TEST(WarabiCapacity, LruEvictsOldestUnpinnedSealedRegion) {
-  mochi::BlobStoreOptions options;
-  options.capacity_bytes = 1000;
-  mochi::BlobStore store("cap", options);
-  const auto a = store.create_sealed(std::string(400, 'a'));
-  const auto b = store.create_sealed(std::string(400, 'b'));
-  EXPECT_EQ(store.resident_bytes(), 800u);
-  // The third insert exceeds the budget; `a` (least recently used) goes.
-  const auto c = store.create_sealed(std::string(400, 'c'));
-  EXPECT_FALSE(store.exists(a));
-  EXPECT_TRUE(store.exists(b));
-  EXPECT_TRUE(store.exists(c));
-  EXPECT_LE(store.resident_bytes(), 1000u);
-  EXPECT_EQ(store.stats().evictions, 1u);
-
-  // A read refreshes recency: after touching `b`, inserting `d` evicts `c`.
-  (void)store.read(b);
-  const auto d = store.create_sealed(std::string(400, 'd'));
-  EXPECT_TRUE(store.exists(b));
-  EXPECT_FALSE(store.exists(c));
-  EXPECT_TRUE(store.exists(d));
-}
-
-TEST(WarabiCapacity, PinnedAndUnsealedRegionsAreNeverEvicted) {
-  mochi::BlobStoreOptions options;
-  options.capacity_bytes = 600;
-  mochi::BlobStore store("pin", options);
-  const auto pinned = store.create_sealed(std::string(300, 'p'));
-  store.pin(pinned);
-  const auto open = store.create();
-  store.append(open, std::string(200, 'o'));  // unsealed: not evictable
-  EXPECT_FALSE(store.evict_one().has_value());
-
-  // Over-budget insert cannot evict the pinned or unsealed regions; the
-  // store admits the new region (soft budget) rather than corrupting state.
-  const auto extra = store.create_sealed(std::string(300, 'x'));
-  EXPECT_TRUE(store.exists(pinned));
-  EXPECT_TRUE(store.exists(open));
-  EXPECT_TRUE(store.exists(extra));
-
-  store.unpin(pinned);
-  const auto evicted = store.evict_one();
-  ASSERT_TRUE(evicted.has_value());
-  EXPECT_TRUE(*evicted == pinned || *evicted == extra);
-}
-
-TEST(WarabiCapacity, SpillDemotesToDiskAndReadPromotesBack) {
-  TempDir dir("spill");
-  mochi::BlobStoreOptions options;
-  options.capacity_bytes = 500;
-  options.spill_dir = dir.str();
-  mochi::BlobStore store("spill", options);
-  const std::string payload(300, 's');
-  const auto a = store.create_sealed(payload);
-  const auto b = store.create_sealed(std::string(300, 't'));
-  // `a` was demoted to the file tier, not dropped.
-  EXPECT_TRUE(store.exists(a));
-  EXPECT_TRUE(store.spilled(a));
-  EXPECT_FALSE(store.spilled(b));
-  EXPECT_EQ(store.stats().spills, 1u);
-  EXPECT_TRUE(std::filesystem::exists(dir.str() + "/region-" +
-                                      std::to_string(a) + ".blob"));
-
-  // Reading promotes `a` back into memory (evicting/spilling `b`).
-  EXPECT_EQ(store.read(a), payload);
-  EXPECT_FALSE(store.spilled(a));
-  EXPECT_TRUE(store.spilled(b));
-  EXPECT_EQ(store.stats().promotions, 1u);
-}
+// Warabi stand-in regions: a shard stores a bounded physical payload and the
+// logical size that fetch validation checks against the proxy.
 
 TEST(WarabiCapacity, LogicalSizeStandInDrivesAccounting) {
   mochi::BlobStore store("logical");
@@ -137,7 +43,9 @@ TEST(WarabiCapacity, LogicalSizeStandInDrivesAccounting) {
       store.create_sealed("tiny-physical", /*logical_size=*/64 << 20);
   EXPECT_EQ(store.logical_size(region), 64u << 20);
   EXPECT_EQ(store.size(region), std::string("tiny-physical").size());
-  EXPECT_EQ(store.resident_bytes(), 64u << 20);
+  // Reads serve the physical stand-in, clamped to its stored bytes.
+  EXPECT_EQ(store.read(region), "tiny-physical");
+  EXPECT_EQ(store.read(region, 5, 1000), "physical");
 }
 
 // ---------------------------------------------------------------------------
@@ -215,14 +123,8 @@ TEST(DatastoreWire, FetchFramesRoundTripAndRejectTruncation) {
 // ---------------------------------------------------------------------------
 // DataStore semantics.
 
-DataStoreConfig two_shard_config() {
-  DataStoreConfig config;
-  config.inline_threshold = 4096;
-  return config;
-}
-
 TEST(DataStoreTest, ThresholdSplitsInlineFromOob) {
-  DataStore store(two_shard_config());
+  DataStore store;
   store.add_shard(0, 0);
   EXPECT_FALSE(store.oob(0));
   EXPECT_FALSE(store.oob(4095));
@@ -236,15 +138,10 @@ TEST(DataStoreTest, ThresholdSplitsInlineFromOob) {
   store.note_inline(50);
   EXPECT_EQ(store.stats().inline_results, 2u);
   EXPECT_EQ(store.stats().inline_bytes, 150u);
-
-  DataStoreConfig disabled = two_shard_config();
-  disabled.enabled = false;
-  DataStore off(disabled);
-  EXPECT_FALSE(off.oob(1 << 20));
 }
 
 TEST(DataStoreTest, PublishPinsOwnerCopyAndFetchInstallsReplica) {
-  DataStore store(two_shard_config());
+  DataStore store;
   store.add_shard(0, 0);
   store.add_shard(1, 1);
   const std::uint64_t bytes = 8 << 20;
@@ -254,13 +151,12 @@ TEST(DataStoreTest, PublishPinsOwnerCopyAndFetchInstallsReplica) {
   EXPECT_EQ(proxy.node, 0u);
   EXPECT_EQ(proxy.size, bytes);
   EXPECT_EQ(proxy.fingerprint, DataStore::fingerprint_of("produce-aa/0", bytes));
-  EXPECT_TRUE(store.shard_store(0).pinned(proxy.region));
+  EXPECT_TRUE(store.shard_store(0).exists(proxy.region));
   EXPECT_EQ(store.shard_store(0).logical_size(proxy.region), bytes);
 
   EXPECT_EQ(store.fetch("produce-aa/0", 0, 1), FetchStatus::kOk);
   EXPECT_EQ(store.replicas("produce-aa/0"),
             (std::vector<datastore::ShardId>{0, 1}));
-  // Replica copies are unpinned (evictable); the owner copy stays pinned.
   // Fetch is idempotent and a re-fetch costs no second wire round-trip.
   const auto wire_bytes = store.stats().fetch_wire_bytes;
   EXPECT_GT(wire_bytes, 0u);
@@ -273,7 +169,7 @@ TEST(DataStoreTest, PublishPinsOwnerCopyAndFetchInstallsReplica) {
 }
 
 TEST(DataStoreTest, RepublishTransfersOwnershipAndDropsStaleCopies) {
-  DataStore store(two_shard_config());
+  DataStore store;
   store.add_shard(0, 0);
   store.add_shard(1, 1);
   const Proxy first = store.publish("stolen-bb/0", 0, 1 << 20);
@@ -290,38 +186,19 @@ TEST(DataStoreTest, RepublishTransfersOwnershipAndDropsStaleCopies) {
   EXPECT_EQ(store.stats().ownership_transfers, 1u);
 }
 
-TEST(DataStoreTest, ExplicitOwnershipTransferMovesThePin) {
-  DataStore store(two_shard_config());
-  store.add_shard(0, 0);
-  store.add_shard(1, 1);
-  const Proxy proxy = store.publish("move-cc/0", 0, 1 << 20);
-  // Transfer to a shard without a replica is refused.
-  EXPECT_FALSE(store.transfer_ownership("move-cc/0", 1));
-  ASSERT_EQ(store.fetch("move-cc/0", 0, 1), FetchStatus::kOk);
-  EXPECT_TRUE(store.transfer_ownership("move-cc/0", 1));
-  ASSERT_TRUE(store.proxy_for("move-cc/0").has_value());
-  EXPECT_EQ(store.proxy_for("move-cc/0")->shard, 1u);
-  // The old owner copy is unpinned (now evictable); the new owner's pinned.
-  EXPECT_FALSE(store.shard_store(0).pinned(proxy.region));
-  EXPECT_TRUE(
-      store.shard_store(1).pinned(store.proxy_for("move-cc/0")->region));
-  // Transferring to the current owner is a no-op success.
-  EXPECT_TRUE(store.transfer_ownership("move-cc/0", 1));
-}
-
 TEST(DataStoreTest, OwnerDeathRepinsToSurvivingReplica) {
-  DataStore store(two_shard_config());
+  DataStore store;
   store.add_shard(0, 0);
   store.add_shard(1, 1);
   store.add_shard(2, 1);
   store.publish("repin-dd/0", 0, 1 << 20);
   ASSERT_EQ(store.fetch("repin-dd/0", 0, 2), FetchStatus::kOk);
   store.kill_shard(0);
-  // Ownership re-pinned to the lowest-id surviving replica.
+  // Ownership moved to the lowest-id surviving replica.
   ASSERT_TRUE(store.proxy_for("repin-dd/0").has_value());
   const Proxy after = *store.proxy_for("repin-dd/0");
   EXPECT_EQ(after.shard, 2u);
-  EXPECT_TRUE(store.shard_store(2).pinned(after.region));
+  EXPECT_TRUE(store.shard_store(2).exists(after.region));
   EXPECT_EQ(store.stats().repins, 1u);
   // Fetching from the dead shard reports kMissing (callers pick the new
   // owner from the refreshed proxy).
@@ -330,7 +207,7 @@ TEST(DataStoreTest, OwnerDeathRepinsToSurvivingReplica) {
 }
 
 TEST(DataStoreTest, OwnerDeathWithNoReplicaLosesTheEntry) {
-  DataStore store(two_shard_config());
+  DataStore store;
   store.add_shard(0, 0);
   store.add_shard(1, 1);
   store.publish("lost-ee/0", 0, 1 << 20);
@@ -356,7 +233,7 @@ TEST(DataStoreTest, TransportFaultsAreAbsorbedAndNeverInstallTruncatedBytes) {
   site.schedule.push_back({4, chaos::FaultAction::kReorder});
   chaos::FaultInjector injector(plan);
 
-  DataStore store(two_shard_config(), &injector);
+  DataStore store(&injector);
   store.add_shard(0, 0);
   store.add_shard(1, 1);
   store.publish("flaky-ff/0", 0, 1 << 20);
@@ -379,109 +256,52 @@ TEST(DataStoreTest, RetryBudgetExhaustionIsUnavailableNotCorrupt) {
   plan.seed = 2;
   plan.sites[chaos::sites::kDatastoreFetch].drop = 1.0;  // every attempt
   chaos::FaultInjector injector(plan);
-  DataStoreConfig config = two_shard_config();
-  config.max_fetch_retries = 3;
-  DataStore store(config, &injector);
+  DataStore store(&injector);
   store.add_shard(0, 0);
   store.add_shard(1, 1);
   store.publish("dead-link-gg/0", 0, 1 << 20);
   EXPECT_EQ(store.fetch("dead-link-gg/0", 0, 1), FetchStatus::kUnavailable);
   EXPECT_EQ(store.stats().fetch_failures, 1u);
-  EXPECT_EQ(store.stats().fetch_retries, 4u);  // initial try + 3 retries
+  // The initial try plus every retry faulted.
+  EXPECT_EQ(store.stats().fetch_retries, datastore::kMaxFetchRetries + 1);
   // Nothing was installed on the requester.
   EXPECT_EQ(store.replicas("dead-link-gg/0"),
             (std::vector<datastore::ShardId>{0}));
 }
 
-TEST(DataStoreTest, ChaosEvictWithSpillTierIsNonDestructive) {
-  TempDir dir("chaos_spill");
-  chaos::FaultPlan plan;
-  plan.seed = 3;
-  // Every publish/install triggers a forced eviction.
-  plan.sites[chaos::sites::kDatastoreEvict].transient_error = 1.0;
-  chaos::FaultInjector injector(plan);
-  DataStoreConfig config = two_shard_config();
-  config.spill_dir = dir.str();
-  DataStore store(config, &injector);
-  store.add_shard(0, 0);
-  store.add_shard(1, 1);
-  store.publish("spilly-hh/0", 0, 1 << 20);
-  ASSERT_EQ(store.fetch("spilly-hh/0", 0, 1), FetchStatus::kOk);
-  // The unpinned replica on shard 1 was force-evicted — demoted to the
-  // spill tier, not lost; a fetch against it still serves (via promotion).
-  EXPECT_EQ(store.shard_store(1).stats().spills, 1u);
-  store.add_shard(2, 2);
-  EXPECT_EQ(store.fetch("spilly-hh/0", 1, 2), FetchStatus::kOk);
-  EXPECT_EQ(store.shard_store(1).stats().promotions, 1u);
-  EXPECT_EQ(store.stats().lost_entries, 0u);
-}
-
 TEST(DataStoreTest, ChaosEvictWithoutSpillDropsReplicaAndFetchReportsMissing) {
-  chaos::FaultPlan plan;
-  plan.seed = 4;
-  plan.sites[chaos::sites::kDatastoreEvict].transient_error = 1.0;
-  chaos::FaultInjector injector(plan);
-  DataStore store(two_shard_config(), &injector);
+  DataStore store;
   store.add_shard(0, 0);
   store.add_shard(1, 1);
   store.add_shard(2, 2);
   store.publish("droppy-ii/0", 0, 1 << 20);
   ASSERT_EQ(store.fetch("droppy-ii/0", 0, 1), FetchStatus::kOk);
-  // The install on shard 1 triggered a forced eviction with no spill tier:
-  // the fresh replica is gone and its registration was dropped (the pinned
-  // owner copy on shard 0 is not evictable).
+  // The scheduler's missing-dependency path drops shard 1's replica: its
+  // region (shard 1's first) is freed and its registration goes with it.
+  store.drop_replica("droppy-ii/0", 1);
   EXPECT_EQ(store.replicas("droppy-ii/0"),
             (std::vector<datastore::ShardId>{0}));
-  EXPECT_GE(store.stats().replica_drops, 1u);
-  // A consumer that raced the eviction and still believes in shard 1 gets
+  EXPECT_FALSE(store.shard_store(1).exists(1));
+  EXPECT_EQ(store.stats().replica_drops, 1u);
+  // The owner's copy is never dropped this way.
+  store.drop_replica("droppy-ii/0", 0);
+  EXPECT_EQ(store.replicas("droppy-ii/0"),
+            (std::vector<datastore::ShardId>{0}));
+  EXPECT_EQ(store.stats().replica_drops, 1u);
+  // A consumer that raced the drop and still believes in shard 1 gets
   // kMissing and falls back to the owner.
   EXPECT_EQ(store.fetch("droppy-ii/0", 1, 2), FetchStatus::kMissing);
   EXPECT_EQ(store.fetch("droppy-ii/0", 0, 2), FetchStatus::kOk);
 }
 
-TEST(DataStoreTest, CapacityPressureEvictsReplicasButNeverTheOwnerCopy) {
-  DataStoreConfig config = two_shard_config();
-  config.shard_capacity_bytes = 3 << 20;
-  DataStore store(config);
-  store.add_shard(0, 0);
-  store.add_shard(1, 1);
-  // Three 1 MiB owner copies on shard 0 fill its budget exactly; they are
-  // pinned, so a fourth publish succeeds without evicting any of them.
-  for (int i = 0; i < 4; ++i) {
-    ASSERT_TRUE(
-        store.publish("own-jj/" + std::to_string(i), 0, 1 << 20).valid());
-  }
-  for (int i = 0; i < 4; ++i) {
-    EXPECT_TRUE(store.proxy_for("own-jj/" + std::to_string(i)).has_value());
-  }
-  // Shard 1 pulls all four: its budget holds three unpinned replicas, so
-  // the oldest one is evicted (dropped — no spill tier) as the fourth lands.
-  for (int i = 0; i < 4; ++i) {
-    ASSERT_EQ(store.fetch("own-jj/" + std::to_string(i), 0, 1),
-              FetchStatus::kOk);
-  }
-  EXPECT_LE(store.shard_store(1).resident_bytes(), 3u << 20);
-  EXPECT_GE(store.shard_store(1).stats().evictions, 1u);
-  // Every key still resolves: owner copies were untouched.
-  for (int i = 0; i < 4; ++i) {
-    ASSERT_TRUE(store.proxy_for("own-jj/" + std::to_string(i)).has_value());
-    EXPECT_EQ(store.proxy_for("own-jj/" + std::to_string(i))->shard, 0u);
-  }
-}
-
 // ---------------------------------------------------------------------------
 // Real-thread concurrency smoke (exercised under ASan/UBSan and TSan by
-// tools/run_checks.sh): publishers, fetchers, and an evictor hammer one
-// DataStore concurrently; the store's mutex plus warabi's per-shard lock
-// must keep every invariant intact with no data races.
+// tools/run_checks.sh): publishers, fetchers, and a replica dropper hammer
+// one DataStore concurrently; the store's mutex plus warabi's per-shard
+// lock must keep every invariant intact with no data races.
 
 TEST(DataStoreConcurrency, ParallelPublishFetchEvictSmoke) {
-  TempDir dir("conc");
-  DataStoreConfig config;
-  config.inline_threshold = 1024;
-  config.shard_capacity_bytes = 64 << 10;
-  config.spill_dir = dir.str();
-  DataStore store(config);
+  DataStore store;
   constexpr int kShards = 4;
   for (int s = 0; s < kShards; ++s) {
     store.add_shard(static_cast<datastore::ShardId>(s), s % 2);
@@ -515,11 +335,13 @@ TEST(DataStoreConcurrency, ParallelPublishFetchEvictSmoke) {
       }
     });
   }
-  // Evictor: force capacity churn on the consumer shards.
+  // Dropper: frees the consumer shards' replicas as the fetchers land them.
   threads.emplace_back([&] {
     while (!stop.load(std::memory_order_relaxed)) {
-      (void)store.shard_store(2).evict_one();
-      (void)store.shard_store(3).evict_one();
+      for (int k = 0; k < kKeys; ++k) {
+        store.drop_replica(key_name(k), 2);
+        store.drop_replica(key_name(k), 3);
+      }
       std::this_thread::yield();
     }
   });
@@ -529,13 +351,12 @@ TEST(DataStoreConcurrency, ParallelPublishFetchEvictSmoke) {
   stop.store(true);
   for (std::size_t i = 2; i < threads.size(); ++i) threads[i].join();
 
-  // Terminal invariants: every key resolves to a pinned owner copy whose
-  // logical size matches, and no validation failure ever fired (fetch never
+  // Terminal invariants: every key resolves to an owner copy whose logical
+  // size matches, and no validation failure ever fired (fetch never
   // observed torn bytes).
   for (int k = 0; k < kKeys; ++k) {
     const auto proxy = store.proxy_for(key_name(k));
     ASSERT_TRUE(proxy.has_value()) << key_name(k);
-    EXPECT_TRUE(store.shard_store(proxy->shard).pinned(proxy->region));
     EXPECT_EQ(proxy->size, 4096 + static_cast<std::uint64_t>(k) * 17);
   }
   EXPECT_EQ(store.stats().validation_failures, 0u);
@@ -605,12 +426,12 @@ std::string fingerprint(const analysis::DataFrame& frame) {
 
 TEST(DataStoreCluster, OobRunIsByteIdenticalToInlineInFigureViews) {
   dtr::ClusterConfig oob_config = cluster_config(7);
-  ASSERT_TRUE(oob_config.datastore.enabled);  // the default
+  ASSERT_TRUE(oob_config.enable_datastore);  // the default
   dtr::Cluster oob_cluster(oob_config);
   const dtr::RunData oob = oob_cluster.run(cluster_workload(), "oob", 0);
 
   dtr::ClusterConfig inline_config = cluster_config(7);
-  inline_config.datastore.enabled = false;  // pre-datastore path
+  inline_config.enable_datastore = false;  // pre-datastore path
   dtr::Cluster inline_cluster(inline_config);
   const dtr::RunData base = inline_cluster.run(cluster_workload(), "oob", 0);
 
@@ -630,7 +451,7 @@ TEST(DataStoreCluster, OobRunIsByteIdenticalToInlineInFigureViews) {
   for (const auto& t : oob.tasks) {
     EXPECT_TRUE(t.bytes_oob == 0 || t.bytes_inline == 0);
     EXPECT_EQ(t.bytes_oob + t.bytes_inline, t.output_bytes);
-    if (t.output_bytes >= oob_config.datastore.inline_threshold) {
+    if (t.output_bytes >= datastore::kInlineThreshold) {
       EXPECT_EQ(t.bytes_oob, t.output_bytes) << t.key.to_string();
     } else {
       EXPECT_EQ(t.bytes_inline, t.output_bytes) << t.key.to_string();
@@ -670,11 +491,10 @@ TEST(DataStoreCluster, OobRunIsByteIdenticalToInlineInFigureViews) {
 }
 
 // ---------------------------------------------------------------------------
-// The 10-seed chaos oracle under datastore.* faults: randomized fetch-frame
-// drops/truncations plus forced evictions (spill tier configured, so forced
-// eviction demotes instead of destroys) must not change any provenance view
-// by a single byte — wire retries and fingerprint validation absorb every
-// fault below the application.
+// The 10-seed chaos oracle under datastore.fetch faults: randomized
+// fetch-frame drops, truncations and transient errors must not change any
+// provenance view by a single byte — wire retries and fingerprint
+// validation absorb every fault below the application.
 
 struct PipelineResult {
   std::size_t direct_tasks = 0;
@@ -684,11 +504,9 @@ struct PipelineResult {
 };
 
 PipelineResult run_pipeline(std::uint64_t cluster_seed,
-                            const chaos::FaultPlan& plan,
-                            const std::string& spill_dir) {
+                            const chaos::FaultPlan& plan) {
   dtr::ClusterConfig config = cluster_config(cluster_seed);
   config.fault_plan = plan;
-  config.datastore.spill_dir = spill_dir;
 
   dtr::Cluster cluster(config);
   const dtr::RunData direct = cluster.run(cluster_workload(), "dchaos", 0);
@@ -720,14 +538,11 @@ class DatastoreChaosOracle : public ::testing::TestWithParam<int> {};
 
 TEST_P(DatastoreChaosOracle, ViewsIdenticalUnderDatastoreFaults) {
   const auto seed = static_cast<std::uint64_t>(GetParam());
-  TempDir spill("oracle_" + std::to_string(seed));
   const chaos::FaultPlan plan =
       chaos::FaultPlan::randomized_datastore(4000 + seed, 0.08);
 
-  const PipelineResult baseline =
-      run_pipeline(seed, chaos::FaultPlan{}, spill.str() + "/base");
-  const PipelineResult faulty =
-      run_pipeline(seed, plan, spill.str() + "/faulty");
+  const PipelineResult baseline = run_pipeline(seed, chaos::FaultPlan{});
+  const PipelineResult faulty = run_pipeline(seed, plan);
 
   // The plan actually attacked the data plane...
   EXPECT_GT(faulty.faults, 0u) << plan.describe();

@@ -77,9 +77,9 @@ require_filter_matches ./build/tests/test_recovery "$recovery_filter"
 echo "crash-recovery oracle passed"
 
 echo "== datastore chaos oracle: 10-seed byte-identity under data-plane faults =="
-# The out-of-band data plane under randomized fetch-frame drops/truncations
-# and forced evictions: wire retries + fingerprint validation must keep
-# every provenance view byte-identical to the fault-free run.
+# The out-of-band data plane under randomized fetch-frame drops,
+# truncations and transient errors: wire retries + fingerprint validation
+# must keep every provenance view byte-identical to the fault-free run.
 require_filter_matches ./build/tests/test_datastore \
   '*DatastoreChaosOracle*:DataStoreCluster.*'
 ./build/tests/test_datastore \
@@ -226,15 +226,19 @@ ASAN_OPTIONS=detect_leaks=1 UBSAN_OPTIONS=halt_on_error=1 \
 ASAN_OPTIONS=detect_leaks=1 UBSAN_OPTIONS=halt_on_error=1 \
   ./build-asan/tests/test_recovery >/dev/null
 
-echo "== sanitized datastore: blob spill/eviction + concurrent store smoke =="
-# The datastore moves raw payload bytes through warabi regions, spill files,
-# and wire frames — exactly where an off-by-one read corrupts silently. The
-# concurrency smoke (real publisher/fetcher/evictor threads) and the
-# BlobStore locking-contract hammer run under ASan/UBSan explicitly.
+echo "== sanitized datastore: blob regions + concurrent store smoke =="
+# The datastore moves raw payload bytes through warabi regions and wire
+# frames — exactly where an off-by-one read corrupts silently. The
+# concurrency smoke (real publisher, fetcher and replica-dropper threads),
+# the BlobStore locking-contract hammer and the concurrent yokan puts (the
+# broker's KV store, shared by producers and consumers on real threads) run
+# under ASan/UBSan explicitly.
+mochi_filter='Warabi.*:Yokan.*'
+require_filter_matches ./build-asan/tests/test_mochi "$mochi_filter"
 ASAN_OPTIONS=detect_leaks=1 UBSAN_OPTIONS=halt_on_error=1 \
   ./build-asan/tests/test_datastore >/dev/null
 ASAN_OPTIONS=detect_leaks=1 UBSAN_OPTIONS=halt_on_error=1 \
-  ./build-asan/tests/test_mochi --gtest_filter='Warabi.*' >/dev/null
+  ./build-asan/tests/test_mochi --gtest_filter="$mochi_filter" >/dev/null
 
 echo "== sanitized segstore: pinned snapshots and crafted bytes =="
 # Readers pin versions while a writer keeps flushing, compacting and
@@ -286,11 +290,15 @@ TSAN_OPTIONS=halt_on_error=1 ./build-tsan/tests/test_query \
   --gtest_filter="$server_filter" >/dev/null
 TSAN_OPTIONS=halt_on_error=1 ./build-tsan/tests/test_recovery >/dev/null
 # The datastore's mutex discipline (single store mutex + per-shard BlobStore
-# mutexes) and the warabi locking contract, under real racing threads.
+# mutexes), the warabi locking contract and the yokan store, under real
+# racing threads.
+datastore_tsan_filter='DataStoreConcurrency.*'
+require_filter_matches ./build-tsan/tests/test_datastore "$datastore_tsan_filter"
+require_filter_matches ./build-tsan/tests/test_mochi "$mochi_filter"
 TSAN_OPTIONS=halt_on_error=1 ./build-tsan/tests/test_datastore \
-  --gtest_filter='DataStoreConcurrency.*:WarabiCapacity.*' >/dev/null
+  --gtest_filter="$datastore_tsan_filter" >/dev/null
 TSAN_OPTIONS=halt_on_error=1 ./build-tsan/tests/test_mochi \
-  --gtest_filter='Warabi.*' >/dev/null
+  --gtest_filter="$mochi_filter" >/dev/null
 # Segment store under real racing threads: readers pinning versions and
 # decoding mmap'ed segments while a writer flushes, compacts and collects
 # garbage in the same process.
