@@ -15,7 +15,8 @@
 
 #include "bench_util.hpp"
 #include "dtr/mofka_plugins.hpp"
-#include "mochi/bedrock.hpp"
+#include "mochi/warabi.hpp"
+#include "mochi/yokan.hpp"
 #include "mofka/broker.hpp"
 #include "mofka/producer.hpp"
 #include "query/client.hpp"

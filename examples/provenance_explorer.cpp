@@ -1,17 +1,19 @@
 // Provenance explorer: runs a workflow, persists the run directory (the
 // FAIR tabular export), reloads it, and answers identifier-based provenance
-// queries — by task key, thread id, timestamp, and worker — ending with the
-// Figure-8 lineage of a chosen task.
+// queries — by thread id, timestamp, and worker — over the query service's
+// tasks view, ending with the Figure-8 lineage of a chosen task.
 //
 //   $ ./provenance_explorer [task-index]
 #include <cstdlib>
 #include <filesystem>
 #include <iostream>
+#include <vector>
 
 #include "dtr/recorder.hpp"
 #include "prov/chart.hpp"
 #include "prov/lineage.hpp"
-#include "prov/store.hpp"
+#include "query/catalog.hpp"
+#include "query/plan.hpp"
 #include "workloads/resnet152.hpp"
 #include "workloads/registry.hpp"
 
@@ -37,9 +39,18 @@ int main(int argc, char** argv) {
   std::cout << "run directory written to " << dir << "\n";
   const dtr::RunData reloaded = dtr::read_run_dir(dir);
 
-  prov::ProvenanceStore store;
-  store.add_run(reloaded);
-  const prov::RunId id{reloaded.meta.workflow, reloaded.meta.run_index};
+  // The reloaded run joins a query-service catalog; each identifier lookup
+  // is a filter over its tasks view.
+  query::StoreCatalog catalog;
+  catalog.add_run(reloaded);
+  const auto count_tasks = [&](std::vector<query::Predicate> where) {
+    query::Query q;
+    q.from = "tasks";
+    q.workflow = reloaded.meta.workflow;
+    q.run = reloaded.meta.run_index;
+    q.where = std::move(where);
+    return query::execute_query(q, catalog, nullptr).frame->rows();
+  };
 
   // Layered provenance chart (Figure 1).
   std::cout << "\n--- provenance chart ---\n"
@@ -47,12 +58,18 @@ int main(int argc, char** argv) {
 
   // Identifier-based queries (the shared FAIR identifiers of Section V).
   const auto& sample = reloaded.tasks.front();
+  const double at = sample.start_time + 0.001;
   std::cout << "\ntasks on thread " << sample.thread_id << ": "
-            << store.tasks_on_thread(id, sample.thread_id).size() << "\n";
-  std::cout << "tasks executing at t=" << sample.start_time + 0.001 << "s: "
-            << store.tasks_at(id, sample.start_time + 0.001).size() << "\n";
+            << count_tasks({{"thread_id", query::CmpOp::kEq,
+                             static_cast<std::int64_t>(sample.thread_id)}})
+            << "\n";
+  std::cout << "tasks executing at t=" << at << "s: "
+            << count_tasks({{"start_time", query::CmpOp::kLe, at},
+                            {"end_time", query::CmpOp::kGt, at}})
+            << "\n";
   std::cout << "tasks on worker " << sample.worker_address << ": "
-            << store.tasks_on_worker(id, sample.worker_address).size()
+            << count_tasks({{"worker_address", query::CmpOp::kEq,
+                             sample.worker_address}})
             << "\n";
 
   // Figure 8: full lineage of one task.

@@ -262,23 +262,6 @@ DataFrame kernels_frame(const dtr::RunData& run) {
   return df;
 }
 
-DataFrame system_metrics_frame(const dtr::RunData& run) {
-  DataFrame df({{"node", ColumnType::kInt64},
-                {"time", ColumnType::kDouble},
-                {"cpu", ColumnType::kDouble},
-                {"memory", ColumnType::kInt64},
-                {"network_transfers", ColumnType::kInt64},
-                {"pfs_ops", ColumnType::kInt64}});
-  df.reserve(run.system_metrics.size());
-  for (const auto& s : run.system_metrics) {
-    df.add_row({static_cast<std::int64_t>(s.node), s.time,
-                s.cpu_utilization, static_cast<std::int64_t>(s.memory_bytes),
-                static_cast<std::int64_t>(s.network_transfers),
-                static_cast<std::int64_t>(s.pfs_ops)});
-  }
-  return df;
-}
-
 MofkaRunRecords read_wms_topics(mofka::Broker& broker,
                                 const std::string& consumer_group) {
   MofkaRunRecords out;

@@ -32,11 +32,6 @@ DataFrame posix_frame(const std::vector<darshan::LogFile>& logs);
 /// start, end, duration, queue_delay.
 DataFrame kernels_frame(const dtr::RunData& run);
 
-// --- From the LDMS-analog system sampler -------------------------------------
-/// One row per (node, sample): node, time, cpu, memory, network_transfers,
-/// pfs_ops.
-DataFrame system_metrics_frame(const dtr::RunData& run);
-
 // --- From Mofka topics (the in situ / streaming consumption path) ----------
 /// Drains the WMS topics of a broker back into record vectors, verifying the
 /// streamed provenance path end to end.

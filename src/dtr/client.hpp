@@ -17,28 +17,10 @@
 
 namespace recup::dtr {
 
-struct ClientConfig {
-  /// Median client->scheduler connection time.
-  Duration connect_median = 2.0;
-  double connect_sigma = 0.3;
-  /// Median per-worker connection time (workers connect in parallel; the
-  /// client waits for all of them). On HPC systems worker processes spawn
-  /// through the batch environment, so this is seconds, not milliseconds —
-  /// the dominant coordination cost for ~100 s workflows (Figure 3).
-  Duration worker_connect_median = 6.0;
-  double worker_connect_sigma = 0.4;
-  /// Graph construction + serialization cost per task (Python-side
-  /// graph building and msgpack serialization).
-  Duration graph_build_per_task = 1.0e-3;
-  double graph_build_sigma = 0.2;
-  /// Latency of the submit RPC itself.
-  Duration submit_latency = 1.0e-3;
-};
-
 class Client {
  public:
-  Client(sim::Engine& engine, Scheduler& scheduler, ClientConfig config,
-         RngStream rng, LogCollector& logs);
+  Client(sim::Engine& engine, Scheduler& scheduler, RngStream rng,
+         LogCollector& logs);
 
   /// Connects, waits for `worker_count` workers, builds and submits the
   /// graphs strictly in sequence (graph i+1 is submitted only after graph i
@@ -57,7 +39,6 @@ class Client {
 
   sim::Engine& engine_;
   Scheduler& scheduler_;
-  ClientConfig config_;
   RngStream rng_;
   LogCollector& logs_;
   std::vector<TaskGraph> graphs_;

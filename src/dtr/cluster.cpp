@@ -4,8 +4,29 @@
 
 namespace recup::dtr {
 
+namespace {
+
+// SSG fault detection: a worker is suspect after 2 missed heartbeat rounds
+// and declared dead after 5.
+constexpr std::uint64_t kSuspectAfter = 2;
+constexpr std::uint64_t kDeadAfter = 5;
+
+// Per-run node performance variation: each node's compute speed factor is
+// drawn log-normally with this sigma, and with kSlowNodeProbability a node
+// is additionally degraded by kSlowNodeFactor (thermal throttling / noisy
+// neighbours on shared switches).
+constexpr double kNodeSpeedSigma = 0.04;
+constexpr double kSlowNodeProbability = 0.15;
+constexpr double kSlowNodeFactor = 1.25;
+
+}  // namespace
+
 Cluster::Cluster(ClusterConfig config)
-    : config_(std::move(config)), rng_(config_.seed) {
+    : config_(std::move(config)),
+      rng_(config_.seed),
+      mofka_metadata_("mofka-metadata"),
+      mofka_data_("mofka-data"),
+      worker_group_("workers", kSuspectAfter, kDeadAfter) {
   logs_.set_clock([this] { return engine_.now(); });
 
   topology_ = std::make_unique<platform::Topology>(
@@ -16,20 +37,8 @@ Cluster::Cluster(ClusterConfig config)
                                          rng_.substream("pfs"));
   vfs_ = std::make_unique<Vfs>(engine_, *pfs_);
 
-  // Mochi services bootstrapped via Bedrock: metadata KV + data blobs for
-  // Mofka, and the worker membership group for SSG.
-  services_ = std::make_unique<mochi::ServiceHandle>(
-      mochi::ServiceHandle::from_string(R"({
-        "providers": [
-          {"type": "yokan",  "name": "mofka-metadata"},
-          {"type": "warabi", "name": "mofka-data"},
-          {"type": "ssg",    "name": "workers",
-           "suspect_after": 2, "dead_after": 5}
-        ]
-      })"));
-  broker_ = std::make_unique<mofka::Broker>(
-      services_->yokan("mofka-metadata"), services_->warabi("mofka-data"),
-      config_.durability.broker_dir());
+  broker_ = std::make_unique<mofka::Broker>(mofka_metadata_, mofka_data_,
+                                            config_.durability.broker_dir());
   if (!config_.fault_plan.empty()) {
     injector_ = std::make_shared<chaos::FaultInjector>(config_.fault_plan);
     broker_->set_fault_injector(injector_);
@@ -82,15 +91,10 @@ Cluster::Cluster(ClusterConfig config)
   RngStream node_rng = rng_.substream("node-speeds");
   std::vector<double> node_speed(topology_->node_count(), 1.0);
   for (double& speed : node_speed) {
-    if (config_.node_speed_sigma > 0.0) {
-      speed = node_rng.lognormal(1.0, config_.node_speed_sigma);
-    }
-    if (node_rng.chance(config_.slow_node_probability)) {
-      speed *= config_.slow_node_factor;
-    }
+    speed = node_rng.lognormal(1.0, kNodeSpeedSigma);
+    if (node_rng.chance(kSlowNodeProbability)) speed *= kSlowNodeFactor;
   }
 
-  mochi::Group& group = services_->ssg("workers");
   const std::size_t total_workers = config_.job.total_workers();
   for (std::size_t i = 0; i < total_workers; ++i) {
     const auto node =
@@ -117,14 +121,14 @@ Cluster::Cluster(ClusterConfig config)
       worker->set_datastore(datastore_.get());
     }
     scheduler_->add_worker(worker.get());
-    worker_members_.push_back(group.join(address));
+    worker_members_.push_back(worker_group_.join(address));
     workers_.push_back(std::move(worker));
   }
 
   // SSG fault detection feeds the scheduler's recovery path: when the group
   // declares a member dead, the matching worker is failed over.
-  group.add_observer([this](const mochi::Member& member,
-                            mochi::MembershipUpdate update) {
+  worker_group_.add_observer([this](const mochi::Member& member,
+                                    mochi::MembershipUpdate update) {
     if (update != mochi::MembershipUpdate::kDied) return;
     for (std::size_t i = 0; i < worker_members_.size(); ++i) {
       if (worker_members_[i] == member.id) {
@@ -134,7 +138,7 @@ Cluster::Cluster(ClusterConfig config)
     }
   });
 
-  client_ = std::make_unique<Client>(engine_, *scheduler_, config_.client,
+  client_ = std::make_unique<Client>(engine_, *scheduler_,
                                      rng_.substream("client"), logs_);
 }
 
@@ -147,13 +151,12 @@ Cluster::~Cluster() = default;
 
 void Cluster::membership_loop() {
   if (done_) return;
-  mochi::Group& group = services_->ssg("workers");
   for (std::size_t i = 0; i < workers_.size(); ++i) {
     if (workers_[i]->alive()) {
-      group.heartbeat(worker_members_[i]);
+      worker_group_.heartbeat(worker_members_[i]);
     }
   }
-  group.tick();
+  worker_group_.tick();
   engine_.schedule_after(config_.wms.heartbeat_interval_s * 2.0,
                          [this] { membership_loop(); });
 }
@@ -185,39 +188,11 @@ RunData Cluster::run(std::vector<TaskGraph> graphs,
         engine_, *broker_, std::move(worker_ptrs), config_.darshan_bridge);
     bridge_->start();
   }
-  if (config_.enable_ldms) {
-    ldms_ = std::make_unique<ldms::Sampler>(engine_, config_.ldms);
-    for (platform::NodeId node = 0; node < topology_->node_count(); ++node) {
-      std::vector<Worker*> node_workers;
-      for (auto& worker : workers_) {
-        if (worker->node() == node) node_workers.push_back(worker.get());
-      }
-      ldms_->add_provider([this, node_workers] {
-        ldms::MetricSample sample;
-        std::size_t busy = 0;
-        std::size_t lanes = 0;
-        for (const Worker* worker : node_workers) {
-          busy += worker->executing_count();
-          lanes += worker->nthreads();
-          sample.memory_bytes += worker->memory_bytes();
-        }
-        sample.cpu_utilization =
-            lanes > 0 ? static_cast<double>(busy) / static_cast<double>(lanes)
-                      : 0.0;
-        sample.network_transfers = network_->transfers_started();
-        sample.pfs_ops = pfs_->ops_started();
-        return sample;
-      });
-    }
-    ldms_->start();
-  }
-
   client_->run(std::move(graphs), workers_.size(), [this] {
     done_ = true;
     scheduler_->stop();
     for (auto& worker : workers_) worker->stop();
     if (bridge_) bridge_->stop();
-    if (ldms_) ldms_->stop();
   });
 
   engine_.run();
@@ -267,14 +242,30 @@ RunData Cluster::run(std::vector<TaskGraph> graphs,
   }
   run.logs = logs_.records();
   if (gpu_collector_) run.kernels = gpu_collector_->records();
-  if (ldms_) run.system_metrics = ldms_->samples();
 
   json::Object environment;
   environment["hardware"] = topology_->to_json();
   environment["software"] = platform::SoftwareEnvironment{}.to_json();
   environment["job"] = config_.job.to_json();
   environment["wms_config"] = config_.wms.to_json();
-  environment["mochi_config"] = services_->config();
+  // The Mochi providers this run deployed, in the shape of a Bedrock
+  // configuration document (the chart's data-services layer).
+  json::Object yokan;
+  yokan["type"] = "yokan";
+  yokan["name"] = mofka_metadata_.name();
+  json::Object warabi;
+  warabi["type"] = "warabi";
+  warabi["name"] = mofka_data_.name();
+  json::Object ssg;
+  ssg["type"] = "ssg";
+  ssg["name"] = worker_group_.name();
+  ssg["suspect_after"] = kSuspectAfter;
+  ssg["dead_after"] = kDeadAfter;
+  json::Object mochi;
+  mochi["providers"] = json::Array{json::Value(std::move(yokan)),
+                                   json::Value(std::move(warabi)),
+                                   json::Value(std::move(ssg))};
+  environment["mochi_config"] = json::Value(std::move(mochi));
   if (datastore_) {
     const datastore::DataStoreStats ds = datastore_->stats();
     json::Object d;

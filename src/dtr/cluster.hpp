@@ -1,8 +1,9 @@
 // Cluster: assembles the full instrumented stack for one workflow run —
-// topology, network, PFS, VFS, scheduler, workers, client, the SSG
-// membership group, the Mofka broker with scheduler/worker plugins, and the
-// Darshan runtimes inside each worker. `run()` drives the discrete-event
-// engine to completion and returns the collected RunData.
+// topology, network, PFS, VFS, scheduler, workers, client, the Mochi
+// providers (Yokan metadata and Warabi data for Mofka, the SSG membership
+// group), the Mofka broker with scheduler/worker plugins, and the Darshan
+// runtimes inside each worker. `run()` drives the discrete-event engine to
+// completion and returns the collected RunData.
 #pragma once
 
 #include <memory>
@@ -22,8 +23,9 @@
 #include "dtr/worker.hpp"
 #include "gpuprof/collector.hpp"
 #include "gpuprof/gpu.hpp"
-#include "ldms/sampler.hpp"
-#include "mochi/bedrock.hpp"
+#include "mochi/ssg.hpp"
+#include "mochi/warabi.hpp"
+#include "mochi/yokan.hpp"
 #include "mofka/broker.hpp"
 #include "platform/network.hpp"
 #include "platform/pfs.hpp"
@@ -40,7 +42,6 @@ struct ClusterConfig {
   platform::WmsConfiguration wms;
   WorkerConfig worker;        ///< nthreads is overridden from `job`
   SchedulerConfig scheduler;  ///< stealing flags overridden from `wms`
-  ClientConfig client;
   darshan::RuntimeConfig darshan;
   /// Streams provenance through the Mofka plugins when true.
   bool enable_mofka = true;
@@ -57,18 +58,6 @@ struct ClusterConfig {
   /// configuration collects Darshan logs post hoc.
   bool enable_darshan_streaming = false;
   DarshanBridgeConfig darshan_bridge;
-  /// System-level metrics sampling (LDMS-analog). Off by default — the
-  /// paper "elected to employ" the user-level Mofka approach; enabling this
-  /// collects the alternative data source for comparison.
-  bool enable_ldms = false;
-  ldms::SamplerConfig ldms;
-  /// Per-run node performance variation: each node's compute speed factor
-  /// is drawn log-normally with this sigma, and with `slow_node_probability`
-  /// a node is additionally degraded by `slow_node_factor` (thermal
-  /// throttling / noisy neighbours on shared switches). Zero disables.
-  double node_speed_sigma = 0.04;
-  double slow_node_probability = 0.15;
-  double slow_node_factor = 1.25;
   /// Mofka producer batching. Batches flush when full, and everything left
   /// is flushed at run end.
   mofka::ProducerConfig producer{/*batch_size=*/128};
@@ -110,7 +99,7 @@ class Cluster {
   fault_injector() const {
     return injector_;
   }
-  mochi::Group& worker_group() { return services_->ssg("workers"); }
+  mochi::Group& worker_group() { return worker_group_; }
   /// Non-null only when config.enable_datastore (the default).
   datastore::DataStore* datastore() { return datastore_.get(); }
   /// Non-null only when enable_darshan_streaming is set.
@@ -137,14 +126,17 @@ class Cluster {
   std::unique_ptr<platform::Network> network_;
   std::unique_ptr<platform::Pfs> pfs_;
   std::unique_ptr<Vfs> vfs_;
-  std::unique_ptr<mochi::ServiceHandle> services_;
+  // Mochi providers: Mofka's metadata KV and data blobs, and the SSG group
+  // of workers. Their names and thresholds are recorded as mochi_config.
+  mochi::KeyValueStore mofka_metadata_;
+  mochi::BlobStore mofka_data_;
+  mochi::Group worker_group_;
   std::unique_ptr<mofka::Broker> broker_;
   std::shared_ptr<chaos::FaultInjector> injector_;
   std::unique_ptr<datastore::DataStore> datastore_;
   std::unique_ptr<gpuprof::GpuSet> gpus_;
   std::unique_ptr<gpuprof::Collector> gpu_collector_;
   std::unique_ptr<DarshanMofkaBridge> bridge_;
-  std::unique_ptr<ldms::Sampler> ldms_;
   std::unique_ptr<MofkaSchedulerPlugin> mofka_scheduler_plugin_;
   std::unique_ptr<MofkaWorkerPlugin> mofka_worker_plugin_;
   std::unique_ptr<Scheduler> scheduler_;

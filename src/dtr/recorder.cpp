@@ -148,19 +148,6 @@ void write_run_dir(const RunData& run, const std::string& dir) {
     write_text(base / "kernels.csv", out.str());
   }
 
-  {
-    std::ostringstream out;
-    out << "node,time,cpu,memory,network_transfers,pfs_ops\n";
-    for (const auto& s : run.system_metrics) {
-      out << csv_row({std::to_string(s.node), num(s.time),
-                      num(s.cpu_utilization), std::to_string(s.memory_bytes),
-                      std::to_string(s.network_transfers),
-                      std::to_string(s.pfs_ops)})
-          << "\n";
-    }
-    write_text(base / "system_metrics.csv", out.str());
-  }
-
   for (std::size_t i = 0; i < run.darshan_logs.size(); ++i) {
     darshan::write_log(
         (base / ("worker-" + std::to_string(i) + ".rdshan")).string(),
@@ -333,19 +320,6 @@ RunData read_run_dir(const std::string& dir) {
       k.start = std::stod(r.at(5));
       k.end = std::stod(r.at(6));
       run.kernels.push_back(std::move(k));
-    }
-  }
-
-  if (fs::exists(base / "system_metrics.csv")) {
-    for (const auto& r : load_rows("system_metrics.csv")) {
-      ldms::MetricSample s;
-      s.node = static_cast<std::uint32_t>(std::stoul(r.at(0)));
-      s.time = std::stod(r.at(1));
-      s.cpu_utilization = std::stod(r.at(2));
-      s.memory_bytes = std::stoull(r.at(3));
-      s.network_transfers = std::stoull(r.at(4));
-      s.pfs_ops = std::stoull(r.at(5));
-      run.system_metrics.push_back(s);
     }
   }
 

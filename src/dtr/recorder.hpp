@@ -11,7 +11,6 @@
 #include "darshan/log_format.hpp"
 #include "dtr/records.hpp"
 #include "gpuprof/records.hpp"
-#include "ldms/sampler.hpp"
 #include "json/json.hpp"
 #include "platform/sysinfo.hpp"
 
@@ -36,9 +35,6 @@ struct RunData {
   // GPU layer (NSIGHT-analog kernel traces).
   std::vector<gpuprof::KernelRecord> kernels;
 
-  // System-level metrics (LDMS-analog; empty unless enabled).
-  std::vector<ldms::MetricSample> system_metrics;
-
   // Provenance layers 1–2 (hardware, system software + job + WMS config).
   json::Value environment;
 
@@ -51,7 +47,8 @@ struct RunData {
 ///   warnings.csv, steals.csv, logs.csv, kernels.csv, worker-<n>.rdshan
 void write_run_dir(const RunData& run, const std::string& dir);
 
-/// Reads a run directory written by write_run_dir.
+/// Reads a run directory written by write_run_dir; files other than those
+/// listed above are ignored.
 RunData read_run_dir(const std::string& dir);
 
 }  // namespace recup::dtr

@@ -136,7 +136,6 @@ class Worker {
   /// Tasks ready or executing (Dask's occupancy proxy for decide_worker).
   [[nodiscard]] std::size_t processing_count() const;
   [[nodiscard]] std::size_t ready_count() const { return ready_.size(); }
-  [[nodiscard]] std::size_t executing_count() const { return executing_; }
   /// Ready-queue tasks eligible for stealing, oldest last.
   [[nodiscard]] std::vector<TaskKey> stealable_tasks() const;
 

@@ -1,9 +1,9 @@
 // Minimal JSON value / parser / writer.
 //
-// Mofka event metadata is "expressed in JSON format" (paper §III-B); Bedrock
-// bootstraps services from JSON configuration; and the Figure 8 provenance
-// summary is exported as a JSON document. This module provides just enough
-// JSON for those uses with no external dependencies.
+// Mofka event metadata is "expressed in JSON format" (paper §III-B); a run
+// records its Mochi provider configuration as JSON; and the Figure 8
+// provenance summary is exported as a JSON document. This module provides
+// just enough JSON for those uses with no external dependencies.
 #pragma once
 
 #include <cstdint>

@@ -42,7 +42,6 @@ std::optional<WireEvent> Consumer::pull_wire() {
       ++next_offset_[p];
       rr_ = static_cast<PartitionIndex>((p + 1) % parts);
       ++consumed_;
-      ++stats_.delivered;
       return event;
     }
   }

@@ -30,10 +30,6 @@ struct ConsumerConfig {
   std::function<DataSelection(const json::Value&)> selector;
 };
 
-struct ConsumerStats {
-  std::uint64_t delivered = 0;
-};
-
 class Consumer {
  public:
   /// Subscribes `group` to `topic`, resuming from the group's committed
@@ -74,7 +70,6 @@ class Consumer {
   [[nodiscard]] bool drained() const;
 
   [[nodiscard]] std::uint64_t consumed() const { return consumed_; }
-  [[nodiscard]] ConsumerStats stats() const { return stats_; }
   [[nodiscard]] const std::string& topic() const { return topic_; }
   [[nodiscard]] const std::string& group() const { return group_; }
 
@@ -86,7 +81,6 @@ class Consumer {
   std::vector<EventId> next_offset_;  // per partition
   PartitionIndex rr_ = 0;
   std::uint64_t consumed_ = 0;
-  ConsumerStats stats_;
 };
 
 }  // namespace recup::mofka

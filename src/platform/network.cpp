@@ -30,7 +30,6 @@ Duration Network::estimate(NodeId src, NodeId dst,
 
 void Network::transfer(Endpoint src, Endpoint dst, std::uint64_t bytes,
                        std::function<void(const TransferResult&)> on_complete) {
-  ++started_;
   const bool cross_node = src.node != dst.node;
   Duration service = estimate(src.node, dst.node, bytes);
   service *= rng_.lognormal(1.0, config_.jitter_sigma);

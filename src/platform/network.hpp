@@ -73,7 +73,6 @@ class Network {
   [[nodiscard]] Duration estimate(NodeId src, NodeId dst,
                                   std::uint64_t bytes) const;
 
-  [[nodiscard]] std::uint64_t transfers_started() const { return started_; }
   [[nodiscard]] std::uint64_t cold_connections() const { return cold_; }
   [[nodiscard]] const NetworkConfig& config() const { return config_; }
 
@@ -84,7 +83,6 @@ class Network {
   RngStream rng_;
   std::vector<std::unique_ptr<sim::Resource>> nics_;  // one per node
   std::map<std::pair<Endpoint, Endpoint>, bool> connected_;
-  std::uint64_t started_ = 0;
   std::uint64_t cold_ = 0;
 };
 

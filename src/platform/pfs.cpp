@@ -47,7 +47,6 @@ std::vector<std::pair<std::size_t, std::uint64_t>> Pfs::stripe_spans(
 void Pfs::io(const std::string& path, std::uint64_t offset,
              std::uint64_t length, bool is_write,
              std::function<void(const IoResult&)> on_complete) {
-  ++ops_;
   const auto spans = stripe_spans(path, offset, length);
   const double sigma =
       is_write ? config_.write_jitter_sigma : config_.read_jitter_sigma;
@@ -88,7 +87,6 @@ void Pfs::io(const std::string& path, std::uint64_t offset,
 }
 
 void Pfs::metadata_op(std::function<void(const IoResult&)> on_complete) {
-  ++ops_;
   const Duration service =
       config_.metadata_latency *
       rng_.lognormal(1.0, config_.read_jitter_sigma);

@@ -55,7 +55,6 @@ class Pfs {
   void metadata_op(std::function<void(const IoResult&)> on_complete);
 
   [[nodiscard]] const PfsConfig& config() const { return config_; }
-  [[nodiscard]] std::uint64_t ops_started() const { return ops_; }
   [[nodiscard]] std::uint64_t straggler_ops() const { return stragglers_; }
   /// Queueing pressure observed so far, summed over OSTs.
   [[nodiscard]] Duration total_queue_delay() const;
@@ -70,7 +69,6 @@ class Pfs {
   PfsConfig config_;
   RngStream rng_;
   std::vector<std::unique_ptr<sim::Resource>> osts_;
-  std::uint64_t ops_ = 0;
   std::uint64_t stragglers_ = 0;
 };
 

@@ -34,6 +34,7 @@
 #include <vector>
 
 #include "analysis/dataframe.hpp"
+#include "dtr/recorder.hpp"
 #include "prov/store.hpp"
 #include "segstore/store.hpp"
 

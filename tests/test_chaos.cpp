@@ -24,7 +24,8 @@
 #include "common/rng.hpp"
 #include "dtr/cluster.hpp"
 #include "dtr/mofka_plugins.hpp"
-#include "mochi/bedrock.hpp"
+#include "mochi/warabi.hpp"
+#include "mochi/yokan.hpp"
 #include "mofka/broker.hpp"
 #include "mofka/consumer.hpp"
 #include "mofka/producer.hpp"

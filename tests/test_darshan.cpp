@@ -1,5 +1,5 @@
 // Unit tests for the Darshan-analog: POSIX counters, DXT tracing with
-// thread ids, buffer-limit truncation, log format round trip, report API.
+// thread ids, buffer-limit truncation, log format round trip, heatmaps.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -9,7 +9,6 @@
 
 #include "darshan/heatmap.hpp"
 #include "darshan/log_format.hpp"
-#include "darshan/report.hpp"
 #include "darshan/runtime.hpp"
 
 namespace recup::darshan {
@@ -213,41 +212,6 @@ TEST(LogFormat, UnknownDxtOpRejected) {
   // The segment is the last 41 bytes: op, offset, length, start, end, tid.
   bytes[bytes.size() - 41] = 2;
   EXPECT_THROW(deserialize_log(bytes), LogFormatError);
-}
-
-TEST(Report, TotalsAndFiles) {
-  Report report({make_log(), make_log()});
-  const IoTotals totals = report.totals();
-  EXPECT_EQ(totals.reads, 2u);
-  EXPECT_EQ(totals.writes, 2u);
-  EXPECT_EQ(totals.operations(), 4u);
-  EXPECT_GT(totals.io_time(), 0.0);
-  EXPECT_EQ(report.distinct_files().size(), 2u);
-  EXPECT_FALSE(report.any_truncated());
-}
-
-TEST(Report, ThreadSummaries) {
-  Report report({make_log()});
-  const auto threads = report.thread_summaries();
-  ASSERT_EQ(threads.size(), 2u);  // threads 5 and 6
-  const auto& t5 = threads[0].thread_id == 5 ? threads[0] : threads[1];
-  EXPECT_EQ(t5.reads, 1u);
-  EXPECT_EQ(t5.writes, 0u);
-  EXPECT_EQ(t5.bytes_read, static_cast<std::uint64_t>(4 << 20));
-  EXPECT_GT(t5.busy_time, 0.0);
-}
-
-TEST(Report, SegmentsSortedByStart) {
-  Report report({make_log()});
-  const auto segments = report.all_segments_sorted();
-  ASSERT_EQ(segments.size(), 2u);
-  EXPECT_LE(segments[0].second.start, segments[1].second.start);
-}
-
-TEST(Report, SizeHistograms) {
-  Report report({make_log()});
-  EXPECT_EQ(report.read_size_histogram().bucket(6), 1u);
-  EXPECT_EQ(report.write_size_histogram().bucket(2), 1u);  // 1 KiB in 1K_10K
 }
 
 TEST(Heatmap, SingleBinAccumulation) {

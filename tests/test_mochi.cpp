@@ -1,12 +1,11 @@
 // Unit tests for the Mochi microservice substrate: Yokan KV, Warabi blobs,
-// SSG membership/fault detection, Bedrock bootstrapping.
+// SSG membership/fault detection.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <stdexcept>
 #include <thread>
 
-#include "mochi/bedrock.hpp"
 #include "mochi/ssg.hpp"
 #include "mochi/warabi.hpp"
 #include "mochi/yokan.hpp"
@@ -188,44 +187,6 @@ TEST(Ssg, SteadyHeartbeatsStayAlive) {
 TEST(Ssg, InvalidThresholdsRejected) {
   EXPECT_THROW(Group("g", 0, 5), std::invalid_argument);
   EXPECT_THROW(Group("g", 5, 5), std::invalid_argument);
-}
-
-TEST(Bedrock, BootstrapFromJson) {
-  auto handle = ServiceHandle::from_string(R"({
-    "providers": [
-      {"type": "yokan",  "name": "meta"},
-      {"type": "warabi", "name": "data"},
-      {"type": "ssg",    "name": "group", "suspect_after": 3,
-       "dead_after": 9}
-    ]
-  })");
-  handle.yokan("meta").put("k", "v");
-  EXPECT_EQ(handle.yokan("meta").get("k").value(), "v");
-  const auto id = handle.warabi("data").create_sealed("blob");
-  EXPECT_EQ(handle.warabi("data").read(id), "blob");
-  handle.ssg("group").join("w1");
-  EXPECT_EQ(handle.ssg("group").alive_count(), 1u);
-  EXPECT_TRUE(handle.has_provider("meta"));
-  EXPECT_FALSE(handle.has_provider("nope"));
-  EXPECT_EQ(handle.provider_names().size(), 3u);
-}
-
-TEST(Bedrock, ConfigErrors) {
-  EXPECT_THROW(ServiceHandle::from_string("{}"), BedrockError);
-  EXPECT_THROW(ServiceHandle::from_string(
-                   R"({"providers": [{"type": "bogus", "name": "x"}]})"),
-               BedrockError);
-  EXPECT_THROW(ServiceHandle::from_string(
-                   R"({"providers": [{"type": "yokan"}]})"),
-               BedrockError);
-  EXPECT_THROW(ServiceHandle::from_string(R"({"providers": [
-                   {"type": "yokan", "name": "dup"},
-                   {"type": "warabi", "name": "dup"}]})"),
-               BedrockError);
-  auto handle = ServiceHandle::from_string(
-      R"({"providers": [{"type": "yokan", "name": "meta"}]})");
-  EXPECT_THROW(handle.warabi("meta"), BedrockError);
-  EXPECT_THROW(handle.yokan("missing"), BedrockError);
 }
 
 }  // namespace

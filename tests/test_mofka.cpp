@@ -9,7 +9,8 @@
 #include <thread>
 
 #include "common/wal.hpp"
-#include "mochi/bedrock.hpp"
+#include "mochi/warabi.hpp"
+#include "mochi/yokan.hpp"
 #include "mofka/broker.hpp"
 #include "mofka/consumer.hpp"
 #include "mofka/producer.hpp"

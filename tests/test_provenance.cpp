@@ -1,11 +1,9 @@
-// Provenance tests: layered chart assembly, Figure-8 task lineage, FAIR
-// store identifier lookups.
+// Provenance tests: layered chart assembly and Figure-8 task lineage.
 #include <gtest/gtest.h>
 
 #include "dtr/cluster.hpp"
 #include "prov/chart.hpp"
 #include "prov/lineage.hpp"
-#include "prov/store.hpp"
 
 namespace recup::prov {
 namespace {
@@ -59,6 +57,13 @@ TEST(Chart, ThreeLayersPresent) {
   const auto& system = chart.at("system_software_and_job");
   EXPECT_TRUE(system.contains("job_configuration"));
   EXPECT_TRUE(system.contains("wms_configuration"));
+  // The Mochi providers the cluster deploys, byte for byte as the committed
+  // Figure 8 chart records them.
+  EXPECT_EQ(system.at("data_services_configuration").dump(),
+            R"({"providers":[{"name":"mofka-metadata","type":"yokan"},)"
+            R"({"name":"mofka-data","type":"warabi"},)"
+            R"({"dead_after":5,"name":"workers","suspect_after":2,)"
+            R"("type":"ssg"}]})");
   const std::string rendered = render_chart(chart);
   EXPECT_NE(rendered.find("application"), std::string::npos);
 }
@@ -137,51 +142,6 @@ TEST(Lineage, DataMovementsMatchComms) {
     EXPECT_EQ(lineage->at("data_locations").size(), 1 + expected);
     break;
   }
-}
-
-TEST(Store, AddLookupRuns) {
-  ProvenanceStore store;
-  store.add_run(make_run(11, 0));
-  store.add_run(make_run(12, 1));
-  EXPECT_EQ(store.size(), 2u);
-  EXPECT_EQ(store.runs().size(), 2u);
-  EXPECT_EQ(store.runs_of("prov-test").size(), 2u);
-  EXPECT_EQ(store.runs_of("other").size(), 0u);
-  EXPECT_THROW(store.run({"missing", 9}), std::out_of_range);
-  EXPECT_THROW(store.add_run(make_run(13, 0)), std::invalid_argument);
-}
-
-TEST(Store, IdentifierLookups) {
-  ProvenanceStore store;
-  store.add_run(make_run(11, 0));
-  const RunId id{"prov-test", 0};
-  const auto& run = store.run(id);
-
-  // By key across runs of the workflow.
-  const auto by_key = store.find_task("prov-test",
-                                      {"load-abc123", 0});
-  EXPECT_EQ(by_key.size(), 1u);
-
-  // By thread id (pthread identifier).
-  const auto& sample = run.tasks.front();
-  const auto on_thread = store.tasks_on_thread(id, sample.thread_id);
-  EXPECT_GE(on_thread.size(), 1u);
-  for (const auto* t : on_thread) {
-    EXPECT_EQ(t->thread_id, sample.thread_id);
-  }
-
-  // By timestamp.
-  const double mid = (sample.start_time + sample.end_time) / 2.0;
-  const auto at_time = store.tasks_at(id, mid);
-  bool found = false;
-  for (const auto* t : at_time) {
-    if (t->key == sample.key) found = true;
-  }
-  EXPECT_TRUE(found);
-
-  // By worker address.
-  const auto on_worker = store.tasks_on_worker(id, sample.worker_address);
-  EXPECT_GE(on_worker.size(), 1u);
 }
 
 }  // namespace

@@ -25,7 +25,8 @@
 
 #include "common/rng.hpp"
 #include "dtr/mofka_plugins.hpp"
-#include "mochi/bedrock.hpp"
+#include "mochi/warabi.hpp"
+#include "mochi/yokan.hpp"
 #include "mofka/broker.hpp"
 #include "mofka/producer.hpp"
 #include "query/cache.hpp"

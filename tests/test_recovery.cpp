@@ -43,7 +43,8 @@
 #include "dtr/durability.hpp"
 #include "dtr/mofka_plugins.hpp"
 #include "dtr_fixture.hpp"
-#include "mochi/bedrock.hpp"
+#include "mochi/warabi.hpp"
+#include "mochi/yokan.hpp"
 #include "mofka/broker.hpp"
 #include "mofka/consumer.hpp"
 #include "mofka/producer.hpp"

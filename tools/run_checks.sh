@@ -1,11 +1,16 @@
 #!/usr/bin/env bash
 # Full check pipeline: the tier-1 verify line (build + ctest), one run of
-# each example, the 10-seed crash-recovery oracle, then an AddressSanitizer
-# + UndefinedBehaviorSanitizer test pass (RECUP_SANITIZE) and a
-# ThreadSanitizer pass (RECUP_TSAN) over the concurrency-heavy subsystems
-# (mofka delivery, chaos pipeline, query service, durability/recovery).
+# each example, the 10-seed crash-recovery oracle, the repo benchmark's
+# self-test, the byte-compare of every committed figure, the perf
+# trajectory, then an AddressSanitizer + UndefinedBehaviorSanitizer test
+# pass (RECUP_SANITIZE) and a ThreadSanitizer pass (RECUP_TSAN) over the
+# concurrency-heavy subsystems (mofka delivery, chaos pipeline, query
+# service, durability/recovery).
 #
 # Usage: tools/run_checks.sh [--skip-sanitize] [--skip-tsan] [--skip-bench]
+#   --skip-bench skips only the perf trajectory (bench_query,
+#   bench_datastore, bench_scheduler and bench_trajectory check); the
+#   perfbench self-test and the figure byte-compare always run.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -48,7 +53,8 @@ cmake --build build -j
 echo "== examples: run each once =="
 # Tier-1 builds the examples but no test runs them. They drive whole paths
 # end to end: streaming_consumer reads the WMS topics back through the
-# record schema, provenance_explorer round-trips a run directory.
+# record schema, provenance_explorer round-trips a run directory and
+# answers its identifier lookups through a memory StoreCatalog.
 for example in quickstart image_pipeline_study xgboost_variability \
   provenance_explorer streaming_consumer gpu_profile_study insitu_monitor \
   query_service; do
@@ -140,30 +146,31 @@ done
 rm -rf "$segstore_dir"
 echo "segstore oracle + fsck passed"
 
+echo "== repo benchmark: smoke + same-seed determinism =="
+# perfbench's own suite: every workload at tiny size with its output
+# checks, exact counters and query digest repeating for a seed, and
+# stats.py refusing to compare across fingerprints.
+python3 perfbench/test_perfbench.py
+
+echo "== committed figures: regenerate and byte-compare =="
+# The seeded figure benches are deterministic, so each committed output
+# they produce must regenerate byte for byte (~2 min, fig3 ~40 s).
+fig_dir=$(mktemp -d "${TMPDIR:-/tmp}/recup_checks_figs.XXXXXX")
+for bench in table1 fig3 fig4 fig5 fig6 fig7 fig8 ablation; do
+  (cd "$fig_dir" && "$repo_root/build/bench/bench_$bench" \
+    --out "$fig_dir/out" >/dev/null 2>&1)
+done
+for figure in table1.csv fig3.csv fig4.csv fig5.csv fig6.csv \
+  fig6_categories.csv fig7.csv fig8_chart.json fig8_lineage.json \
+  ablation.csv; do
+  cmp "$fig_dir/out/$figure" "bench_out/$figure"
+done
+rm -rf "$fig_dir"
+echo "committed figures match"
+
 if [[ "$skip_bench" == 1 ]]; then
-  echo "== repo benchmark, figures and perf trajectory skipped (--skip-bench) =="
+  echo "== perf trajectory skipped (--skip-bench) =="
 else
-  echo "== repo benchmark: smoke + same-seed determinism =="
-  # perfbench's own suite: every workload at tiny size with its output
-  # checks, exact counters and query digest repeating for a seed, and
-  # stats.py refusing to compare across fingerprints.
-  python3 perfbench/test_perfbench.py
-
-  echo "== committed figures: regenerate and byte-compare =="
-  # The seeded figure benches are deterministic, so each committed output
-  # they produce must regenerate byte for byte (~2 min, fig3 ~40 s).
-  fig_dir=$(mktemp -d "${TMPDIR:-/tmp}/recup_checks_figs.XXXXXX")
-  for bench in table1 fig3 fig4 fig5 fig6 fig7 fig8 ablation; do
-    (cd "$fig_dir" && "$repo_root/build/bench/bench_$bench" \
-      --out "$fig_dir/out" >/dev/null 2>&1)
-  done
-  for figure in table1.csv fig3.csv fig4.csv fig5.csv fig6.csv \
-    fig6_categories.csv fig7.csv fig8_chart.json fig8_lineage.json \
-    ablation.csv; do
-    cmp "$fig_dir/out/$figure" "bench_out/$figure"
-  done
-  rm -rf "$fig_dir"
-
   echo "== perf trajectory: bench headlines vs committed baseline =="
   # Re-run the query, datastore, and scheduler benches and compare their
   # headline metrics (cold query latencies, wire compression ratio, ingest
